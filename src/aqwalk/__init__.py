@@ -25,6 +25,7 @@ from .evolve import (
     RunResult,
     WalkSpec,
     run_walk,
+    run_walk_batch,
     sample_landscape,
     step_one_particle,
     step_two_particle,

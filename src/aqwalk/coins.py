@@ -50,7 +50,7 @@ class CoinSchedule:
     def __post_init__(self):
         if not 0.0 <= self.theta0 <= math.pi / 2:
             raise ValueError(f"theta0 must be in [0, pi/2], got {self.theta0}")
-        if self.a < 0.0:
+        if not self.a >= 0.0:  # also rejects NaN
             raise ValueError(f"a must be >= 0, got {self.a}")
 
 

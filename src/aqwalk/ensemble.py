@@ -2,9 +2,12 @@
 
 Realization i always uses the landscape drawn with realization index i
 from the ensemble's base seed, so any subset of realizations can be
-recomputed independently.  Results are assembled into arrays ordered by
-realization index before any reduction, which makes the output
-bit-identical for every worker count (including 1).
+recomputed independently.  Realizations are handed out in chunks of
+consecutive indices, and each chunk runs as one batch of the line kernel,
+whose rows do not depend on the batch they sit in.  Results are assembled
+into arrays ordered by realization index before any reduction, which
+makes the output bit-identical for every worker count (including 1) and
+every chunk size.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import RealizationError
-from .evolve import DisorderSpec, WalkSpec, landscape_size, run_walk, sample_landscape
+from .evolve import DisorderSpec, WalkSpec, landscape_size, run_walk, run_walk_batch, sample_landscape
+from .state import two_particle_confinement
 
 __all__ = [
     "EnsembleSpec",
@@ -25,6 +29,11 @@ __all__ = [
     "run_ensemble",
     "convergence_report",
 ]
+
+# Rows per batch of a line walk: large enough to amortize the per-step
+# overhead of the kernel, small enough that memory stays flat as the
+# ensemble grows.
+_MAX_CHUNK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -80,16 +89,45 @@ def _effective_walk(spec: EnsembleSpec) -> WalkSpec:
     return replace(spec.walk, disorder=disorder)
 
 
-def _one_realization(args):
-    walk, index = args
+def _chunk_rows(walk: WalkSpec) -> int:
+    """Largest chunk for this walk: full-2D walks do not batch, so they run
+    one realization per chunk and keep one 2D field per worker alive."""
+    if walk.particle_count == 2 and two_particle_confinement(walk.init.coin, walk.layout == "full2d") == "full2d":
+        return 1
+    return _MAX_CHUNK_ROWS
+
+
+def _chunks(runs: int, workers: int, rows: int) -> list[range]:
+    """Consecutive index ranges of near-equal size, at most `rows` long and a
+    multiple of workers in number."""
+    count = -(-runs // rows)
+    count = min(runs, -(-count // workers) * workers)
+    bounds = [runs * i // count for i in range(count + 1)]
+    return [range(bounds[i], bounds[i + 1]) for i in range(count)]
+
+
+def _run_chunk(args):
+    """Run realizations `indices` as one batch: (scalar series, distributions)."""
+    walk, indices = args
+    landscapes = []
+    for index in indices:
+        try:
+            landscapes.append(sample_landscape(walk.disorder, landscape_size(walk), index))
+        except Exception as exc:
+            raise RealizationError(index, exc) from exc
     try:
-        landscape = sample_landscape(walk.disorder, landscape_size(walk), index)
-        result = run_walk(walk, landscape)
-        scalars = {k: result.series(k) for k in walk.record if k != "distribution"}
-        dist_p = result.distribution.p if result.distribution is not None else None
-    except Exception as exc:
-        raise RealizationError(index, exc) from exc
-    return index, scalars, dist_p
+        results = run_walk_batch(walk, landscapes)
+    except Exception:
+        # a batch fails as a whole: rerun its realizations alone to name the first failing one
+        for index, landscape in zip(indices, landscapes):
+            try:
+                run_walk(walk, landscape)
+            except Exception as exc:
+                raise RealizationError(index, exc) from exc
+        raise
+    scalars = {k: np.array([r.series(k) for r in results]) for k in walk.record if k != "distribution"}
+    dists = np.array([r.distribution.p for r in results]) if "distribution" in walk.record else None
+    return scalars, dists
 
 
 def _stderr(samples: np.ndarray) -> np.ndarray:
@@ -105,53 +143,34 @@ def run_ensemble(spec: EnsembleSpec, workers: int | None = None) -> EnsembleSumm
 
     workers: process count for the realization map; None picks the CPU
     count.  The aggregation is order-fixed, so the result does not depend
-    on the worker count.
+    on the worker count or on how the realizations are chunked.
     """
     walk = _effective_walk(spec)
     runs = spec.runs
+    # without disorder every realization is the same computation, so a
+    # clean ensemble of any size collapses to one run exactly
+    computed = 1 if walk.disorder.kind == "none" else runs
     if workers is None:
         workers = os.cpu_count() or 1
-    workers = max(1, min(workers, runs))
-
-    if walk.disorder.kind == "none":
-        # without disorder every realization is the same computation, so a
-        # clean ensemble of any size collapses to one run exactly
-        index, scalars, dist_p = _one_realization((walk, 0))
-        mean = {k: v.copy() for k, v in scalars.items()}
-        stderr = {k: np.zeros_like(v) for k, v in scalars.items()}
-        summary = EnsembleSummary(runs=runs, steps=walk.steps, mean=mean, stderr=stderr)
-        if dist_p is not None:
-            summary.mean_distribution = dist_p
-            summary.stderr_distribution = np.zeros_like(dist_p)
-            summary.positions = np.arange(-walk.steps, walk.steps + 1)
-        return summary
-
-    tasks = [(walk, i) for i in range(runs)]
+    workers = max(1, min(workers, computed))
+    tasks = [(walk, chunk) for chunk in _chunks(computed, workers, _chunk_rows(walk))]
     if workers == 1:
-        raw = map(_one_realization, tasks)
+        chunks = [_run_chunk(task) for task in tasks]
     else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        raw = pool.map(_one_realization, tasks, chunksize=max(1, runs // (workers * 8)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_run_chunk, tasks))
 
+    # chunks are consecutive index ranges in order, so this is index order
     scalar_keys = [k for k in walk.record if k != "distribution"]
-    series = {k: np.zeros((runs, walk.steps + 1)) for k in scalar_keys}
-    dists = None
-    for index, scalars, dist_p in raw:
-        for k in scalar_keys:
-            series[k][index] = scalars[k]
-        if dist_p is not None:
-            if dists is None:
-                dists = np.zeros((runs,) + dist_p.shape)
-            dists[index] = dist_p
-    if workers > 1:
-        pool.shutdown()
+    series = {k: np.concatenate([scalars[k] for scalars, _ in chunks]) for k in scalar_keys}
+    dists = np.concatenate([d for _, d in chunks]) if "distribution" in walk.record else None
 
     mean = {k: np.mean(series[k], axis=0) for k in scalar_keys}
     stderr = {k: _stderr(series[k]) for k in scalar_keys}
 
     summary = EnsembleSummary(runs=runs, steps=walk.steps, mean=mean, stderr=stderr)
     if dists is not None:
-        flat = dists.reshape(runs, -1)
+        flat = dists.reshape(computed, -1)
         summary.mean_distribution = np.mean(flat, axis=0).reshape(dists.shape[1:])
         summary.stderr_distribution = _stderr(flat).reshape(dists.shape[1:])
         # every field is sized to its step count, so the axis is fixed

@@ -22,7 +22,12 @@ class ConfigError(AqwalkError):
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.message = message
         super().__init__(f"{field}: {message}")
+
+    def __reduce__(self):
+        # rebuild from the constructor arguments, so the error survives pickling
+        return type(self), (self.field, self.message)
 
 
 class RealizationError(AqwalkError):
@@ -32,3 +37,8 @@ class RealizationError(AqwalkError):
         self.index = index
         self.original = original
         super().__init__(f"realization {index}: {type(original).__name__}: {original}")
+
+    def __reduce__(self):
+        # rebuild from the constructor arguments, so a worker's failure
+        # reaches the parent process with its index
+        return type(self), (self.index, self.original)

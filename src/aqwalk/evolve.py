@@ -21,6 +21,12 @@ Conventions (fixed throughout the package):
   [phase_min, phase_max]); acceleration lives only in the coin angle
   schedule theta0 * exp(-a t).
 
+* A one-particle walk and a confined two-particle walk are the same
+  two-component update: a component L that moves to lower positions, a
+  component R that moves to higher ones, and row phases e^{i k phi} with
+  k the number of down spins of each.  One batched line kernel runs all
+  three (see _LineBatch); only full-2D fields have their own stepper.
+
 All steps are unitary: the norm of the state is preserved to machine
 precision, and boundary overflow is a hard error rather than a silent
 truncation.
@@ -29,7 +35,7 @@ truncation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,11 +46,21 @@ from .observables import (
     Distribution2D,
     distribution,
     ipr,
+    line_coin_position,
+    line_sums,
     negativity_coin_position,
     negativity_particle_particle,
     sigma,
 )
-from .state import InitialState, SpinorField1P, TwoParticleField, new_one_particle, new_two_particle
+from .state import (
+    LINE_FIELDS,
+    InitialState,
+    SpinorField1P,
+    TwoParticleField,
+    line_layout,
+    new_one_particle,
+    new_two_particle,
+)
 
 __all__ = [
     "DisorderSpec",
@@ -55,6 +71,7 @@ __all__ = [
     "step_one_particle",
     "step_two_particle",
     "run_walk",
+    "run_walk_batch",
 ]
 
 DISORDER_KINDS = ("none", "spatial", "temporal")
@@ -87,6 +104,8 @@ class DisorderSpec:
     def __post_init__(self):
         if self.kind not in DISORDER_KINDS:
             raise ValueError(f"disorder kind must be one of {DISORDER_KINDS}, got {self.kind!r}")
+        if not (math.isfinite(self.phase_min) and math.isfinite(self.phase_max)):
+            raise ValueError("phase_min and phase_max must be finite")
         if self.phase_min > self.phase_max:
             raise ValueError("phase_min must be <= phase_max")
 
@@ -174,11 +193,140 @@ class RunResult:
         return value
 
 
-def _phase_factors(phases, power: int = 1):
-    """exp(i * power * phi) for a scalar or per-site phi, None for clean."""
-    if phases is None:
+# phase powers (L, R) of each one-line layout: k down spins give e^{i k phi}
+_PHASE_POWERS = {"1p": (0, 1), "xline": (0, 2), "yline": (1, 1)}
+
+# On the planes (Re L, Im L, Re R, Im R) the coin [[c, -i s], [-i s, c]]
+# adds s * (Im R, -Re R, Im L, -Re L): the planes reversed, times these signs.
+_COIN_SIGNS = np.array([1.0, -1.0, 1.0, -1.0]).reshape(4, 1, 1)
+
+
+def _phase_planes(rows, power: int):
+    """Factors e^{i power phi} as (cos, [-sin, sin]); None without a phase.
+
+    rows holds, per batch row, a scalar phi or an array of phases (per
+    site or per step); the planes have shapes (rows, m) and (2, rows, m).
+    Each row is computed by its own call, so its values do not depend on
+    the batch it sits in.
+    """
+    if power == 0 or rows[0] is None:
         return None
-    return np.exp(1j * power * np.asarray(phases))
+    angles = [power * np.atleast_1d(np.asarray(phi, dtype=float)) for phi in rows]
+    sin = np.array([np.sin(a) for a in angles])
+    return np.array([np.cos(a) for a in angles]), np.stack([-sin, sin])
+
+
+class _LineBatch:
+    """The batched line kernel: rows of one-line walks advanced together.
+
+    Every row starts from the same state and carries its own phases.  The
+    field is held as float64 planes (Re L, Im L, Re R, Im R) of shape
+    (4, rows, sites), and every value is made by single multiplies and
+    adds, each rounded once.  numpy's complex loops may round differently
+    with the array layout; the planes keep each row bit-identical to the
+    same walk run alone.  Only the support [lo, hi] is touched.  It grows
+    by one site per side and step (the light cone), clipped to the lattice.
+    """
+
+    def __init__(self, state, rows: int):
+        self.layout = line_layout(state)
+        self.template = state
+        left, right = (getattr(state, name) for name in LINE_FIELDS[self.layout])
+        self.n = len(left)
+        parts = np.array([left.real, left.imag, right.real, right.imag])
+        self.planes = np.repeat(parts[:, None, :], rows, axis=1)
+        self.x = np.arange(self.n) - (self.n - 1) / 2.0
+        self.x2 = self.x * self.x
+        support = np.flatnonzero((left != 0) | (right != 0))
+        self.lo, self.hi = (int(support[0]), int(support[-1])) if len(support) else (0, 0)
+
+    def step(self, c: float, s: float, phases):
+        """Coin [[c, -i s], [-i s, c]], row phases, then the split shift.
+
+        phases holds one entry per component (L, R): None, or planes from
+        _phase_planes with one column per site or one for the whole row.
+        """
+        lo, hi, n = self.lo, self.hi, self.n
+        cone = slice(lo, hi + 1)
+        view = self.planes[:, :, cone]
+        new = c * view
+        new += view[::-1] * (s * _COIN_SIGNS)
+        for block, phase in zip((new[:2], new[2:]), phases):
+            if phase is not None:
+                cos, signed_sin = phase
+                if cos.shape[1] > 1:
+                    cos, signed_sin = cos[:, cone], signed_sin[:, :, cone]
+                turned = block[::-1] * signed_sin  # (-Im sin, Re sin)
+                block *= cos
+                block += turned
+        left_name, right_name = LINE_FIELDS[self.layout]
+        if lo == 0 and new[:2, :, 0].any():
+            raise BoundaryOverflowError(f"{left_name} amplitude would leave the lattice at the lower edge")
+        if hi == n - 1 and new[2:, :, -1].any():
+            raise BoundaryOverflowError(f"{right_name} amplitude would leave the lattice at the upper edge")
+        # L moves to site x - 1 and R to x + 1; the checked-zero edge column is dropped
+        first = 1 if lo == 0 else 0
+        last = hi - lo if hi == n - 1 else hi - lo + 1
+        planes = self.planes
+        planes[:2, :, lo - 1 + first:hi] = new[:2, :, first:]
+        planes[:2, :, hi] = 0.0
+        planes[2:, :, lo + 1:lo + 1 + last] = new[2:, :, :last]
+        planes[2:, :, lo] = 0.0
+        self.lo, self.hi = max(lo - 1, 0), min(hi + 1, n - 1)
+
+    def observe(self, keys) -> dict:
+        """The scalar observables named in keys, one value per row."""
+        cone = slice(self.lo, self.hi + 1)
+        view = self.planes[:, :, cone]
+        out = {}
+        if "sigma" in keys or "ipr" in keys:
+            p = _site_probabilities(view)
+            if "sigma" in keys:
+                mean = np.add.reduce(p * self.x[cone], axis=1)
+                var = np.add.reduce(p * self.x2[cone], axis=1)
+                var -= mean * mean
+                # variance can go epsilon-negative for a point mass
+                out["sigma"] = np.sqrt(np.maximum(var, 0.0, out=var), out=var)
+            if "ipr" in keys:
+                out["ipr"] = np.add.reduce(p * p, axis=1)
+        if "negativity_coin_position" in keys or "negativity_particle_particle" in keys:
+            p, c_re, c_im = line_sums(*view)
+            if "negativity_coin_position" in keys:
+                out["negativity_coin_position"] = line_coin_position(*view, p, c_re, c_im)
+            if "negativity_particle_particle" in keys:
+                out["negativity_particle_particle"] = np.sqrt(c_re * c_re + c_im * c_im)
+        return out
+
+    def probabilities(self) -> np.ndarray:
+        """Per-site probabilities of every row, shape (rows, sites)."""
+        return _site_probabilities(self.planes)
+
+    def state(self, row: int):
+        """One row as a state of the starting layout."""
+        comps = []
+        for re, im in (self.planes[:2, row], self.planes[2:, row]):
+            z = np.empty(self.n, dtype=np.complex128)
+            z.real, z.imag = re, im
+            comps.append(z)
+        return replace(self.template, **dict(zip(LINE_FIELDS[self.layout], comps)))
+
+
+def _site_probabilities(planes):
+    # |L|^2 + |R|^2 summed plane by plane, in a fixed order
+    sq = planes * planes
+    p = sq[0] + sq[1]
+    p += sq[2]
+    p += sq[3]
+    return p
+
+
+def _step_line(state, theta: float, phases):
+    batch = _LineBatch(state, 1)
+    if np.ndim(phases) == 1 and len(phases) != batch.n:
+        raise ValueError(f"per-site phases need {batch.n} values, got {len(phases)}")
+    planes = [_phase_planes([phases], power) for power in _PHASE_POWERS[batch.layout]]
+    batch.step(math.cos(theta), math.sin(theta), planes)
+    return batch.state(0)
 
 
 def step_one_particle(state: SpinorField1P, theta: float, phases=None) -> SpinorField1P:
@@ -187,64 +335,7 @@ def step_one_particle(state: SpinorField1P, theta: float, phases=None) -> Spinor
     phases: None for the clean walk, a scalar phi (temporal disorder) or a
     per-site array of length 2*half_width+1 (spatial disorder).
     """
-    c = math.cos(theta)
-    s = math.sin(theta)
-    up, down = state.up, state.down
-    a = c * up - 1j * s * down
-    b = -1j * s * up + c * down
-    f = _phase_factors(phases)
-    if f is not None:
-        b = b * f
-    if a[0] != 0:
-        raise BoundaryOverflowError("up amplitude would leave the lattice at the left edge")
-    if b[-1] != 0:
-        raise BoundaryOverflowError("down amplitude would leave the lattice at the right edge")
-    new_up = np.zeros_like(up)
-    new_down = np.zeros_like(down)
-    new_up[:-1] = a[1:]
-    new_down[1:] = b[:-1]
-    return SpinorField1P(state.half_width, new_up, new_down)
-
-
-def _step_xline(state: TwoParticleField, c: float, s: float, phases) -> TwoParticleField:
-    uu, dd = state.uu, state.dd
-    a = c * uu - 1j * s * dd
-    b = -1j * s * uu + c * dd
-    f = _phase_factors(phases, power=2)  # dd row carries e^{2i phi}
-    if f is not None:
-        b = b * f
-    if a[0] != 0:
-        raise BoundaryOverflowError("uu amplitude would leave the lattice at the left edge")
-    if b[-1] != 0:
-        raise BoundaryOverflowError("dd amplitude would leave the lattice at the right edge")
-    new_uu = np.zeros_like(uu)
-    new_dd = np.zeros_like(dd)
-    new_uu[:-1] = a[1:]
-    new_dd[1:] = b[:-1]
-    return TwoParticleField(
-        "xline", state.half_width_x, 0, new_uu, None, None, new_dd, state.x0, state.y0
-    )
-
-
-def _step_yline(state: TwoParticleField, c: float, s: float, phases) -> TwoParticleField:
-    ud, du = state.ud, state.du
-    a = c * ud - 1j * s * du
-    b = -1j * s * ud + c * du
-    f = _phase_factors(phases)  # both rows carry e^{i phi}
-    if f is not None:
-        a = a * f
-        b = b * f
-    if a[-1] != 0:
-        raise BoundaryOverflowError("ud amplitude would leave the lattice at the top edge")
-    if b[0] != 0:
-        raise BoundaryOverflowError("du amplitude would leave the lattice at the bottom edge")
-    new_ud = np.zeros_like(ud)
-    new_du = np.zeros_like(du)
-    new_ud[1:] = a[:-1]
-    new_du[:-1] = b[1:]
-    return TwoParticleField(
-        "yline", 0, state.half_width_y, None, new_ud, new_du, None, state.x0, state.y0
-    )
+    return _step_line(state, theta, phases)
 
 
 def _step_full2d(state: TwoParticleField, c: float, s: float, phases) -> TwoParticleField:
@@ -282,13 +373,9 @@ def step_two_particle(state: TwoParticleField, theta: float, phases=None) -> Two
     For confined fields the per-site phase array is indexed along the
     active axis; the frozen coordinate never sees a phase difference.
     """
-    c = math.cos(theta)
-    s = math.sin(theta)
-    if state.confinement == "xline":
-        return _step_xline(state, c, s, phases)
-    if state.confinement == "yline":
-        return _step_yline(state, c, s, phases)
-    return _step_full2d(state, c, s, phases)
+    if state.confinement == "full2d":
+        return _step_full2d(state, math.cos(theta), math.sin(theta), phases)
+    return _step_line(state, theta, phases)
 
 
 def landscape_size(spec: WalkSpec) -> int:
@@ -313,6 +400,8 @@ def _check_landscape(spec: WalkSpec, landscape: PhaseLandscape):
         raise ValueError(
             f"landscape has {len(landscape.values)} values, walk needs {landscape_size(spec)}"
         )
+    if landscape.kind != "none" and not np.all(np.isfinite(landscape.values)):
+        raise ValueError("landscape phases must be finite")
 
 
 def run_walk(spec: WalkSpec, landscape: PhaseLandscape | None = None) -> RunResult:
@@ -324,11 +413,59 @@ def run_walk(spec: WalkSpec, landscape: PhaseLandscape | None = None) -> RunResu
     """
     if landscape is None:
         landscape = sample_landscape(spec.disorder, landscape_size(spec), 0)
-    _check_landscape(spec, landscape)
+    return run_walk_batch(spec, [landscape])[0]
 
+
+def run_walk_batch(spec: WalkSpec, landscapes) -> list[RunResult]:
+    """run_walk once per landscape; one-line walks run as one batch.
+
+    Result i is bit-identical to run_walk(spec, landscapes[i]) whatever
+    the batch size.  Memory grows with the batch, so callers keep it to a
+    few dozen rows.  Full-2D walks run one after another.
+    """
+    for landscape in landscapes:
+        _check_landscape(spec, landscape)
+    if not landscapes:
+        return []
     state = _new_state(spec)
-    stepper = step_one_particle if spec.particle_count == 1 else step_two_particle
+    if line_layout(state) is None:
+        return [_run_full2d(spec, state, landscape) for landscape in landscapes]
 
+    rows = len(landscapes)
+    batch = _LineBatch(state, rows)
+    values = [landscape.values for landscape in landscapes]
+    phases = [_phase_planes(values, power) for power in _PHASE_POWERS[batch.layout]]
+    scalar_keys = [k for k in spec.record if k != "distribution"]
+    series = {k: np.zeros((rows, spec.steps + 1)) for k in scalar_keys}
+
+    def record(t):
+        for key, value in batch.observe(scalar_keys).items():
+            series[key][:, t] = value
+
+    record(0)
+    for t in range(1, spec.steps + 1):
+        theta = theta_at(spec.schedule, t)
+        step_phases = phases
+        if spec.disorder.kind == "temporal":
+            step_phases = [None if f is None else (f[0][:, t - 1:t], f[1][:, :, t - 1:t]) for f in phases]
+        batch.step(math.cos(theta), math.sin(theta), step_phases)
+        record(t)
+
+    probs = batch.probabilities() if "distribution" in spec.record else None
+    positions = np.arange(-spec.steps, spec.steps + 1)
+    results = []
+    for row in range(rows):
+        result = RunResult(steps=spec.steps, final_state=batch.state(row))
+        for key in scalar_keys:
+            setattr(result, key, series[key][row])
+        if probs is not None:
+            result.distribution = Distribution1D(positions, probs[row])
+        results.append(result)
+    return results
+
+
+def _run_full2d(spec: WalkSpec, state: TwoParticleField, landscape: PhaseLandscape) -> RunResult:
+    """The per-state stepping loop for walks kept on the full 2D grid."""
     result = RunResult(steps=spec.steps)
     n = spec.steps + 1
     scalar_keys = [k for k in spec.record if k != "distribution"]
@@ -359,7 +496,7 @@ def run_walk(spec: WalkSpec, landscape: PhaseLandscape | None = None) -> RunResu
             phases = landscape.values
         else:
             phases = landscape.values[t - 1]
-        state = stepper(state, theta, phases)
+        state = _step_full2d(state, math.cos(theta), math.sin(theta), phases)
         record(t, state)
 
     if "distribution" in spec.record:

@@ -1,13 +1,22 @@
 """Observables: position distributions, spread, localization, negativity.
 
-Negativity conventions: for the pure walker state split between coin and
-position space, the default route goes through the singular values s_i of
-the coin-by-position amplitude matrix, N = ((sum_i s_i)^2 - 1)/2, which
-equals the negative-eigenvalue sum of the partially transposed density
-matrix.  The explicit partial-transpose route is kept as a cross-check
-(method="partial_transpose") and as the only route for the mixed state of
-two walkers after the position space is traced out.  Both bipartitions
-used here are bounded by 1/2.
+Negativity conventions: both bipartitions used here are bounded by 1/2.
+A one-line state (one particle, or two confined to the x- or y-line) has
+two coin components L and R, and both negativities follow from three
+sums, p = sum |L|^2, q = sum |R|^2 and c = sum L conj(R):
+
+* coin/position: N = sqrt(pq - |c|^2).  For a pure state the negativity
+  is ((sum_i s_i)^2 - 1)/2 over the singular values s_i of the
+  coin-by-position amplitude matrix; its Gram matrix [[p, c], [c*, q]]
+  has eigenvalues s_1^2, s_2^2 with product pq - |c|^2 (the two-term
+  Schmidt form, Vidal & Werner, PRA 65, 032314, 2002).
+* particle/particle: N = |c|.  Tracing out position leaves a coin
+  density supported on two basis states; its partial transpose has
+  eigenvalues p, q, +|c| and -|c|.
+
+The general routes stay for what the sums do not cover: the dense
+partial transpose (method="partial_transpose") as a cross-check, and the
+4x4 partial transpose of the traced-out coin density for full-2D states.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import DD, DU, UD, UU, SpinorField1P, TwoParticleField
+from .state import DD, DU, LINE_FIELDS, UD, UU, SpinorField1P, TwoParticleField, line_layout
 
 __all__ = [
     "Distribution1D",
@@ -30,6 +39,8 @@ __all__ = [
     "negativity_coin_position",
     "negativity_particle_particle",
     "reduced_particle_density",
+    "line_sums",
+    "line_coin_position",
 ]
 
 STATE_NORM_TOL = 1e-8
@@ -62,7 +73,7 @@ class Distribution2D:
 class NegativityResult:
     value: float
     bipartition: str  # "coin_position" | "particle_particle"
-    method: str  # "schmidt_pure" | "partial_transpose"
+    method: str  # "schmidt_pure" | "partial_transpose" | "closed_form"
 
 
 def distribution(state):
@@ -171,18 +182,62 @@ def negativity_partial_transpose_pure(m: np.ndarray) -> float:
     return _negativity_from_eigenvalues(np.linalg.eigvalsh(rho_pt))
 
 
+def line_sums(lr, li, rr, ri):
+    """Row sums (p, Re c, Im c) of a batch of normalized one-line states.
+
+    lr, li, rr, ri are the real and imaginary parts of the L and R
+    components, arrays of shape (rows, sites); p = sum |L|^2 and
+    c = sum L conj(R) over each row.  Raises ValueError unless every row
+    is normalized, p + sum |R|^2 = 1 within STATE_NORM_TOL.
+    """
+    p = np.add.reduce(lr * lr + li * li, axis=1)
+    total = p + np.add.reduce(rr * rr + ri * ri, axis=1)
+    drift = np.abs(total - 1.0) > STATE_NORM_TOL
+    if drift.any():
+        raise ValueError(f"state must be normalized, |amp|^2 sums to {float(total[np.argmax(drift)])!r}")
+    c_re = np.add.reduce(lr * rr + li * ri, axis=1)
+    c_im = np.add.reduce(li * rr - lr * ri, axis=1)
+    return p, c_re, c_im
+
+
+def line_coin_position(lr, li, rr, ri, p, c_re, c_im):
+    """Coin/position negativity sqrt(pq - |c|^2) of each row, from line_sums.
+
+    pq - |c|^2 is evaluated as p |R - (conj(c)/p) L|^2 (R minus its
+    projection on L), which keeps full accuracy near product states,
+    where the difference of the two products would cancel to noise.
+    """
+    safe = np.where(p > 0.0, p, 1.0)
+    k_re, k_im = (c_re / safe)[:, None], (-c_im / safe)[:, None]
+    w_re = rr - (k_re * lr - k_im * li)
+    w_im = ri - (k_re * li + k_im * lr)
+    return np.sqrt(p * np.add.reduce(w_re * w_re + w_im * w_im, axis=1))
+
+
+def _state_planes(state):
+    """Real and imaginary planes (one row) of a one-line state, None for full 2D."""
+    layout = line_layout(state)
+    if layout is None:
+        return None
+    return [part[None, :] for name in LINE_FIELDS[layout]
+            for part in (getattr(state, name).real, getattr(state, name).imag)]
+
+
 def negativity_coin_position(state, method: str = "schmidt_pure") -> NegativityResult:
     """Entanglement negativity between coin and position space.
 
     The state must be pure and normalized.  method "schmidt_pure"
-    (default) uses the singular-value form; "partial_transpose" builds
-    the dense partially transposed density matrix.
+    (default) uses the closed form sqrt(pq - |c|^2); "partial_transpose"
+    builds the dense partially transposed density matrix.
     """
-    m = amplitude_matrix(state)
-    _check_normalized(m)
     if method == "schmidt_pure":
-        value = negativity_schmidt(m)
+        planes = _state_planes(state)
+        if planes is None:
+            raise ValueError("coin/position bipartition is not supported for full-2D states")
+        value = float(line_coin_position(*planes, *line_sums(*planes))[0])
     elif method == "partial_transpose":
+        m = amplitude_matrix(state)
+        _check_normalized(m)
         value = negativity_partial_transpose_pure(m)
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -214,9 +269,16 @@ def partial_transpose_second(rho4: np.ndarray) -> np.ndarray:
 def negativity_particle_particle(state: TwoParticleField) -> NegativityResult:
     """Entanglement negativity between the two walkers.
 
-    Traces out position, partially transposes the second particle, and
-    sums (|lambda| - lambda)/2 over the four eigenvalues.
+    Confined states use the closed form |c|.  Full-2D states trace out
+    position, partially transpose the second particle, and sum
+    (|lambda| - lambda)/2 over the four eigenvalues.
     """
+    if isinstance(state, SpinorField1P):
+        raise ValueError("particle/particle negativity needs a two-particle state")
+    planes = _state_planes(state)
+    if planes is not None:
+        _, c_re, c_im = line_sums(*planes)
+        return NegativityResult(float(np.sqrt(c_re * c_re + c_im * c_im)[0]), "particle_particle", "closed_form")
     if abs(state.norm() - 1.0) > STATE_NORM_TOL:
         raise ValueError(f"state must be normalized, norm is {state.norm()!r}")
     rho = reduced_particle_density(state)

@@ -22,6 +22,9 @@ __all__ = [
     "InitialState",
     "SpinorField1P",
     "TwoParticleField",
+    "LINE_FIELDS",
+    "line_layout",
+    "two_particle_confinement",
     "new_one_particle",
     "new_two_particle",
     "norm",
@@ -33,6 +36,10 @@ COIN_NORM_TOL = 1e-9
 UU, UD, DU, DD = 0, 1, 2, 3
 
 _BASIS_2P = {"uu": UU, "ud": UD, "du": DU, "dd": DD}
+
+# The two stored components of each one-line layout, the one that moves
+# toward lower positions first: up moves to x-1, uu to x-1, du to y-1.
+LINE_FIELDS = {"1p": ("up", "down"), "xline": ("uu", "dd"), "yline": ("du", "ud")}
 
 
 @dataclass(frozen=True)
@@ -182,8 +189,20 @@ def new_one_particle(init: InitialState, steps: int) -> SpinorField1P:
     return SpinorField1P(steps, up, down)
 
 
-def _support_2p(coin: np.ndarray) -> set[int]:
-    return {i for i in range(4) if coin[i] != 0}
+def two_particle_confinement(coin: np.ndarray, force_full2d: bool = False) -> str:
+    """Layout a two-particle walk from this coin vector keeps for all time.
+
+    Coin support in {uu, dd} gives "xline", support in {ud, du} "yline",
+    anything mixed (or force_full2d) "full2d".
+    """
+    support = {i for i in range(4) if coin[i] != 0}
+    if force_full2d:
+        return "full2d"
+    if support <= {UU, DD}:
+        return "xline"
+    if support <= {UD, DU}:
+        return "yline"
+    return "full2d"
 
 
 def new_two_particle(init: InitialState, steps: int, force_full2d: bool = False) -> TwoParticleField:
@@ -205,20 +224,17 @@ def new_two_particle(init: InitialState, steps: int, force_full2d: bool = False)
     if abs(x0) > steps or abs(y0) > steps:
         raise ValueError(f"origin {(x0, y0)} outside lattice [-{steps}, {steps}]^2")
 
-    support = _support_2p(init.coin)
+    confinement = two_particle_confinement(init.coin, force_full2d)
     n = 2 * steps + 1
 
-    if force_full2d:
-        support = {UU, UD, DU, DD}
-
-    if support <= {UU, DD}:
+    if confinement == "xline":
         uu = np.zeros(n, dtype=np.complex128)
         dd = np.zeros(n, dtype=np.complex128)
         uu[x0 + steps] = init.coin[UU]
         dd[x0 + steps] = init.coin[DD]
         return TwoParticleField("xline", steps, 0, uu, None, None, dd, x0, y0)
 
-    if support <= {UD, DU}:
+    if confinement == "yline":
         ud = np.zeros(n, dtype=np.complex128)
         du = np.zeros(n, dtype=np.complex128)
         ud[y0 + steps] = init.coin[UD]
@@ -229,6 +245,13 @@ def new_two_particle(init: InitialState, steps: int, force_full2d: bool = False)
     for k in range(4):
         comps[k][x0 + steps, y0 + steps] = init.coin[k]
     return TwoParticleField("full2d", steps, steps, comps[0], comps[1], comps[2], comps[3], x0, y0)
+
+
+def line_layout(state) -> str | None:
+    """Key of LINE_FIELDS for a one-line state, None for a full-2D field."""
+    if isinstance(state, SpinorField1P):
+        return "1p"
+    return state.confinement if state.confinement in LINE_FIELDS else None
 
 
 def norm(state) -> float:

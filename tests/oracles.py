@@ -11,19 +11,21 @@ import math
 import numpy as np
 
 
-def dense_step_matrix(nsites, theta, phis=None):
+def dense_step_matrix(nsites, theta, phis=None, powers=(0, 1)):
     """Full 2N x 2N one-step unitary: coin (+ phase) then shift.
 
     Same convention as the engine: up moves to x-1, down moves to x+1,
-    the down row at site x carries e^{i phi_x}.
+    the up and down rows at site x carry e^{i k phi_x} with k taken from
+    powers (one particle: (0, 1)).
     """
     n = nsites
     c, s = math.cos(theta), math.sin(theta)
     coin = np.array([[c, -1j * s], [-1j * s, c]])
     b = np.kron(coin, np.eye(n))
     if phis is not None:
-        ph = np.exp(1j * np.broadcast_to(np.asarray(phis, dtype=float), (n,)))
-        b[n:, :] = ph[:, None] * b[n:, :]
+        ph = np.broadcast_to(np.asarray(phis, dtype=float), (n,))
+        for row, k in enumerate(powers):
+            b[row * n:(row + 1) * n, :] = np.exp(1j * k * ph)[:, None] * b[row * n:(row + 1) * n, :]
     shift = np.zeros((2 * n, 2 * n), dtype=complex)
     for x in range(1, n):
         shift[x - 1, x] = 1.0  # up: x -> x-1
@@ -32,11 +34,12 @@ def dense_step_matrix(nsites, theta, phis=None):
     return shift @ b
 
 
-def evolve_dense(alpha, beta, steps, thetas, phis_per_step=None, x0=0):
+def evolve_dense(alpha, beta, steps, thetas, phis_per_step=None, x0=0, powers=(0, 1)):
     """Evolve (alpha, beta) at x0 for `steps` steps with the dense matrix.
 
     thetas: sequence of per-step angles (length steps).  phis_per_step:
     None, or a sequence of per-step phase inputs (scalar or per-site).
+    powers: phase powers of the (up, down) rows, see dense_step_matrix.
     Returns (up, down) arrays over x in [-steps, steps].
     """
     n = 2 * steps + 1
@@ -45,7 +48,7 @@ def evolve_dense(alpha, beta, steps, thetas, phis_per_step=None, x0=0):
     vec[n + steps + x0] = beta
     for t in range(steps):
         phis = None if phis_per_step is None else phis_per_step[t]
-        vec = dense_step_matrix(n, thetas[t], phis) @ vec
+        vec = dense_step_matrix(n, thetas[t], phis, powers) @ vec
     return vec[:n], vec[n:]
 
 

@@ -125,6 +125,38 @@ def test_worker_count_independence_via_cli(tmp_path):
     assert hashes[0] == hashes[1]
 
 
+def test_chunk_size_independence_via_cli(tmp_path, monkeypatch):
+    from aqwalk import ensemble
+
+    cfg = {
+        "name": "chunks",
+        "ensemble": {
+            "runs": 9,
+            "base_seed": 5,
+            "walk": dict(BASE_WALK, particles=2, initial="uu", disorder={"kind": "spatial"},
+                         record=["distribution", "sigma", "ipr", "negativity_coin_position",
+                                 "negativity_particle_particle"]),
+        },
+    }
+    path = _write(tmp_path, cfg)
+    hashes = []
+    for rows in (1, 4):
+        monkeypatch.setattr(ensemble, "_MAX_CHUNK_ROWS", rows)
+        assert main(["run", path, "-o", str(tmp_path / f"c{rows}"), "--workers", "1"]) == 0
+        hashes.append(_file_hashes(tmp_path / f"c{rows}" / "chunks"))
+    assert len(hashes[0]) == 5
+    assert hashes[0] == hashes[1]
+
+
+@pytest.mark.parametrize("walk_field", [{"acceleration": math.nan},
+                                        {"disorder": {"kind": "spatial", "phase_max": math.nan}},
+                                        {"disorder": {"kind": "spatial", "phase_min": -math.inf}}])
+def test_non_finite_walk_parameters_give_exit_2(tmp_path, capsys, walk_field):
+    cfg = {"name": "nan", "walk": dict(BASE_WALK, **walk_field)}
+    assert main(["validate", _write(tmp_path, cfg)]) == 2
+    assert "walk" in capsys.readouterr().err
+
+
 def test_missing_field_gives_exit_2(tmp_path, capsys):
     cfg = {"name": "broken", "walk": {"steps": 10}}  # theta0 missing
     code = main(["run", _write(tmp_path, cfg), "-o", str(tmp_path / "out")])

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -112,9 +113,109 @@ def test_failing_realization_is_tagged(monkeypatch):
     from aqwalk import RealizationError
     from aqwalk import ensemble as ens_module
 
-    def explode(walk, landscape):
+    def explode(walk, landscapes):
         raise ValueError("synthetic engine failure")
 
+    # chunks run through run_walk_batch; a failed chunk reruns its rows through run_walk
+    monkeypatch.setattr(ens_module, "run_walk_batch", explode)
     monkeypatch.setattr(ens_module, "run_walk", explode)
     with pytest.raises(RealizationError, match=r"realization 0"):
         run_ensemble(EnsembleSpec(_walk(), runs=3, base_seed=1), workers=1)
+
+
+def test_failing_chunk_names_first_failing_realization(monkeypatch):
+    from aqwalk import RealizationError
+    from aqwalk import ensemble as ens_module
+
+    real_run_walk = ens_module.run_walk
+
+    def fail_on_bad_landscape(walk, landscape):
+        if landscape.values[0] == bad.values[0]:
+            raise ValueError("synthetic engine failure")
+        return real_run_walk(walk, landscape)
+
+    walk = ens_module._effective_walk(EnsembleSpec(_walk(), runs=1, base_seed=1))
+    bad = ens_module.sample_landscape(walk.disorder, 2 * walk.steps + 1, 5)
+    monkeypatch.setattr(ens_module, "run_walk_batch",
+                        lambda walk, landscapes: [fail_on_bad_landscape(walk, ls) for ls in landscapes])
+    monkeypatch.setattr(ens_module, "run_walk", fail_on_bad_landscape)
+    with pytest.raises(RealizationError, match=r"realization 5:"):
+        run_ensemble(EnsembleSpec(_walk(), runs=12, base_seed=1), workers=1)
+
+
+def test_errors_survive_pickling():
+    import pickle
+
+    from aqwalk import ConfigError, RealizationError
+
+    err = pickle.loads(pickle.dumps(RealizationError(3, ValueError("boom"))))
+    assert (err.index, str(err)) == (3, "realization 3: ValueError: boom")
+    assert isinstance(err.original, ValueError)
+    cfg = pickle.loads(pickle.dumps(ConfigError("walk.steps", "must be >= 1")))
+    assert (cfg.field, str(cfg)) == ("walk.steps", "walk.steps: must be >= 1")
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched sampler reaches the workers only through fork")
+def test_failing_realization_is_tagged_across_workers(monkeypatch):
+    from aqwalk import RealizationError
+    from aqwalk import ensemble as ens_module
+
+    real_sample = ens_module.sample_landscape
+
+    def sample(disorder, size, index):
+        if index in (7, 9):
+            raise ValueError("synthetic sampling failure")
+        return real_sample(disorder, size, index)
+
+    monkeypatch.setattr(ens_module, "sample_landscape", sample)
+    with pytest.raises(RealizationError, match=r"realization 7:") as info:
+        run_ensemble(EnsembleSpec(_walk(), runs=12, base_seed=1), workers=2)
+    assert info.value.index == 7
+
+
+def test_chunking_does_not_change_results(monkeypatch):
+    from aqwalk import ensemble as ens_module
+
+    spec = EnsembleSpec(_walk(particles=2, record=("sigma", "ipr", "distribution",
+                                                    "negativity_particle_particle")),
+                        runs=11, base_seed=8)
+    summaries = []
+    for rows in (1, 4, 32):
+        monkeypatch.setattr(ens_module, "_MAX_CHUNK_ROWS", rows)
+        summaries.append(run_ensemble(spec, workers=1))
+    for other in summaries[1:]:
+        for key in ("sigma", "ipr", "negativity_particle_particle"):
+            assert summaries[0].mean[key].tobytes() == other.mean[key].tobytes()
+            assert summaries[0].stderr[key].tobytes() == other.stderr[key].tobytes()
+        assert summaries[0].mean_distribution.tobytes() == other.mean_distribution.tobytes()
+
+
+def test_chunks_cover_every_index_once():
+    from aqwalk.ensemble import _chunks
+
+    for runs in (1, 2, 7, 40, 100, 1000):
+        for workers in (1, 2, 3, 8):
+            for rows in (1, 5, 32):
+                chunks = _chunks(runs, min(workers, runs), rows)
+                assert [i for chunk in chunks for i in chunk] == list(range(runs))
+                assert max(len(chunk) for chunk in chunks) <= rows
+                assert len(chunks) % min(workers, runs) == 0 or len(chunks) == runs
+
+
+def test_full2d_ensembles_run_one_realization_per_chunk():
+    from aqwalk.ensemble import _MAX_CHUNK_ROWS, _chunk_rows
+
+    mixed = InitialState.two_particle([0.5, 0.5, 0.5, 0.5])
+    walk = WalkSpec(2, CoinSchedule(0.8, 0.01), mixed, 8, disorder=DisorderSpec("temporal"),
+                    record=("negativity_particle_particle",))
+    assert _chunk_rows(walk) == 1
+    assert _chunk_rows(_walk(particles=2)) == _MAX_CHUNK_ROWS
+    forced = WalkSpec(2, CoinSchedule(0.8, 0.01), InitialState.basis_two_particle("uu"), 8,
+                      disorder=DisorderSpec("temporal"), record=("sigma",), layout="full2d")
+    assert _chunk_rows(forced) == 1
+    spec = EnsembleSpec(walk, runs=5, base_seed=2)
+    serial, parallel = run_ensemble(spec, workers=1), run_ensemble(spec, workers=2)
+    key = "negativity_particle_particle"
+    assert serial.mean[key].tobytes() == parallel.mean[key].tobytes()
+    assert serial.stderr[key].tobytes() == parallel.stderr[key].tobytes()

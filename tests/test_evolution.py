@@ -8,6 +8,7 @@ from aqwalk import (
     CoinSchedule,
     DisorderSpec,
     InitialState,
+    PhaseLandscape,
     SpinorField1P,
     WalkSpec,
     new_one_particle,
@@ -56,6 +57,24 @@ def test_boundary_overflow_is_hard_error():
     state = step_one_particle(state, 0.3)
     with pytest.raises(BoundaryOverflowError):
         step_one_particle(state, 0.3)
+
+
+def test_light_cone_clipped_at_lattice_edge():
+    # an origin on the edge of the [-steps, steps] lattice: amplitude that
+    # moves outward leaves at once, amplitude that moves inward never does
+    steps = 5
+    outward = WalkSpec(1, CoinSchedule(0.0, 0.0), InitialState.down(origin=steps), steps,
+                       record=("sigma",))
+    with pytest.raises(BoundaryOverflowError, match="down"):
+        run_walk(outward)
+    inward = WalkSpec(1, CoinSchedule(0.0, 0.0), InitialState.up(origin=steps), steps,
+                      record=("distribution",))
+    dist = run_walk(inward).distribution
+    assert dist.p[dist.x == 0][0] == 1.0  # five steps left from x = 5
+    yline = WalkSpec(2, CoinSchedule(0.3, 0.0), InitialState.basis_two_particle("du", (0, -2)), steps,
+                     record=("negativity_particle_particle",))
+    with pytest.raises(BoundaryOverflowError, match="du"):
+        run_walk(yline)
 
 
 def test_two_particle_single_step_hand_values():
@@ -240,6 +259,10 @@ def test_mismatched_landscape_rejected():
     wrong = sample_landscape(DisorderSpec("spatial", seed=2), 11, 0)
     with pytest.raises(ValueError, match="landscape"):
         run_walk(spec, wrong)
+    values = sample_landscape(DisorderSpec("spatial", seed=2), 61, 0).values.copy()
+    values[30] = math.nan
+    with pytest.raises(ValueError, match="landscape"):
+        run_walk(spec, PhaseLandscape("spatial", values))
 
 
 def test_full2d_spatial_disorder_unsupported():

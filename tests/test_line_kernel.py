@@ -1,0 +1,140 @@
+"""Properties of the batched line kernel behind run_walk and the ensembles.
+
+Each row of a batch must be bit-identical to the same walk run alone, and
+a walk run alone must match the dense matrix-on-statevector oracle.
+"""
+
+import cmath
+import math
+
+import numpy as np
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from aqwalk import (
+    BoundaryOverflowError,
+    CoinSchedule,
+    DisorderSpec,
+    InitialState,
+    WalkSpec,
+    run_walk,
+    sample_landscape,
+    theta_at,
+)
+from aqwalk.evolve import RECORD_KEYS, landscape_size, run_walk_batch
+
+from oracles import evolve_dense, negativity_pt_loops, pp_negativity_loops
+
+# per layout: coin-vector slots of the (L, R) components and their phase powers
+LAYOUTS = {
+    "1p": ((0, 1), (0, 1)),
+    "xline": ((0, 3), (0, 2)),
+    "yline": ((2, 1), (1, 1)),  # L = du moves to y - 1, R = ud to y + 1
+}
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None,
+                             suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+
+
+@st.composite
+def walks(draw):
+    """(layout, WalkSpec, L and R start amplitudes, origin along the line)."""
+    layout = draw(st.sampled_from(sorted(LAYOUTS)))
+    steps = draw(st.integers(1, 60))
+    mix = draw(st.floats(0.0, math.pi / 2))
+    amps = (math.cos(mix), math.sin(mix) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi))))
+    origin = draw(st.sampled_from([0, 0, draw(st.integers(-steps, steps))]))
+    slots, _ = LAYOUTS[layout]
+    coin = np.zeros(2 if layout == "1p" else 4, dtype=complex)
+    coin[list(slots)] = amps
+    if layout == "1p":
+        init = InitialState(coin, origin)
+    else:
+        other = draw(st.integers(-steps, steps))
+        init = InitialState(coin, (origin, other) if layout == "xline" else (other, origin))
+    keys = [k for k in RECORD_KEYS if layout != "1p" or k != "negativity_particle_particle"]
+    record = draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
+    disorder = DisorderSpec(draw(st.sampled_from(["none", "spatial", "temporal"])),
+                            seed=draw(st.integers(0, 2**32 - 1)))
+    # angles in (0, 1e-6) only add subnormal amplitudes, on which the dense
+    # eigensolver of the loop oracle loses accuracy (the walk does not)
+    theta0 = draw(st.one_of(st.just(0.0), st.floats(1e-6, math.pi / 2)))
+    schedule = CoinSchedule(theta0, draw(st.floats(0.0, 0.2)))
+    spec = WalkSpec(1 if layout == "1p" else 2, schedule, init, steps, disorder=disorder, record=record)
+    return layout, spec, amps, origin
+
+
+def _landscapes(spec, count):
+    return [sample_landscape(spec.disorder, landscape_size(spec), i) for i in range(count)]
+
+
+def _components(layout, state):
+    names = {"1p": ("up", "down"), "xline": ("uu", "dd"), "yline": ("du", "ud")}[layout]
+    return [getattr(state, name) for name in names]
+
+
+@PROPERTY_SETTINGS
+@given(walk=walks(), rows=st.integers(2, 7))
+def test_batch_rows_are_bit_identical_to_single_runs(walk, rows):
+    layout, spec, _, _ = walk
+    landscapes = _landscapes(spec, rows)
+    try:
+        singles = [run_walk(spec, landscape) for landscape in landscapes]
+    except BoundaryOverflowError:
+        # the leaving amplitude is nonzero in every row, whatever its phases
+        try:
+            run_walk_batch(spec, landscapes)
+        except BoundaryOverflowError:
+            return
+        raise AssertionError("the batch ran where a single walk overflowed")
+    batch = run_walk_batch(spec, landscapes)
+    for single, row in zip(singles, batch):
+        for key in spec.record:
+            if key == "distribution":
+                assert row.distribution.p.tobytes() == single.distribution.p.tobytes()
+                assert np.array_equal(row.distribution.x, single.distribution.x)
+            else:
+                assert row.series(key).tobytes() == single.series(key).tobytes()
+        for a, b in zip(_components(layout, row.final_state), _components(layout, single.final_state)):
+            assert a.tobytes() == b.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(walk=walks())
+def test_single_run_matches_dense_oracle(walk):
+    layout, spec, (alpha, beta), origin = walk
+    landscape = _landscapes(spec, 1)[0]
+    try:
+        result = run_walk(spec, landscape)
+    except BoundaryOverflowError:
+        assume(False)
+    steps = spec.steps
+    thetas = [theta_at(spec.schedule, t) for t in range(1, steps + 1)]
+    phis = {"none": None, "spatial": [landscape.values] * steps,
+            "temporal": None if landscape.values is None else list(landscape.values)}[spec.disorder.kind]
+    left, right = evolve_dense(alpha, beta, steps, thetas, phis, x0=origin, powers=LAYOUTS[layout][1])
+    got_left, got_right = _components(layout, result.final_state)
+    assert np.max(np.abs(got_left - left)) < 1e-12
+    assert np.max(np.abs(got_right - right)) < 1e-12
+
+    p = np.abs(left) ** 2 + np.abs(right) ** 2
+    x = np.arange(-steps, steps + 1)
+    second = np.dot(x * x, p)
+    expected = {
+        # sigma^2 = second - mean^2 carries rounding of order eps * second
+        "sigma": (np.sqrt(max(second - np.dot(x, p) ** 2, 0.0)), 1e-12 * max(1.0, second)),
+        "ipr": (float(np.sum(p * p)), 1e-12),
+        "negativity_particle_particle": (pp_negativity_loops(left, np.zeros_like(left),
+                                                             np.zeros_like(left), right), 1e-12),
+    }
+    if steps <= 20:  # the loop partial transpose is O(sites^2) Python steps
+        expected["negativity_coin_position"] = (negativity_pt_loops(np.vstack([left, right])), 1e-12)
+    for key in spec.record:
+        if key == "distribution":
+            assert np.max(np.abs(result.distribution.p - p)) < 1e-12
+        elif key == "sigma":
+            value, tol = expected[key]
+            assert abs(result.sigma[-1] ** 2 - value ** 2) < tol
+        elif key in expected:
+            value, tol = expected[key]
+            assert abs(result.series(key)[-1] - value) < tol

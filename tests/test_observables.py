@@ -251,3 +251,40 @@ def test_two_particle_coin_position_negativity_confined():
     loops = negativity_pt_loops(amplitude_matrix(state))
     assert result.negativity_coin_position[-1] == pytest.approx(loops, abs=1e-10)
     assert result.negativity_coin_position.max() <= 0.5 + 1e-12
+
+
+def _random_line_state(rng, layout):
+    """Random normalized one-line state on a random window, off-center origin."""
+    half = int(rng.integers(0, 6))
+    n = 2 * half + 1
+    left, right = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    if rng.random() < 0.3:  # near-product: R almost parallel to L
+        right = (0.3 - 0.7j) * left + 1e-7 * right
+    lo = int(rng.integers(0, n))
+    hi = int(rng.integers(lo, n))
+    for comp in (left, right):
+        comp[:lo] = 0.0
+        comp[hi + 1:] = 0.0
+    scale = math.sqrt(np.sum(np.abs(left) ** 2) + np.sum(np.abs(right) ** 2))
+    left, right = left / scale, right / scale
+    x0, y0 = (int(v) for v in rng.integers(-half, half + 1, size=2))
+    if layout == "1p":
+        return SpinorField1P(half, left, right)
+    if layout == "xline":
+        return TwoParticleField("xline", half, 0, left, None, None, right, x0, y0)
+    return TwoParticleField("yline", 0, half, None, right, left, None, x0, y0)
+
+
+def test_closed_form_negativities_match_loop_oracles():
+    rng = np.random.default_rng(1729)
+    for _ in range(150):
+        layout = str(rng.choice(["1p", "xline", "yline"]))
+        state = _random_line_state(rng, layout)
+        m = amplitude_matrix(state)
+        assert abs(negativity_coin_position(state).value - negativity_pt_loops(m)) < 1e-12
+        if layout == "1p":
+            with pytest.raises(ValueError, match="two-particle"):
+                negativity_particle_particle(state)
+        else:
+            oracle = pp_negativity_loops(*(m[i] for i in range(4)))
+            assert abs(negativity_particle_particle(state).value - oracle) < 1e-12
