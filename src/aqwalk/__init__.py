@@ -9,7 +9,7 @@ ensembles with a CSV/JSON experiment CLI.
 
 __version__ = "0.1.0"
 
-from .coins import CoinSchedule, coin2, coin2_with_phase, coin4, coin4_with_phase, theta_at
+from .coins import CoinSchedule, theta_at
 from .ensemble import ConvergenceReport, EnsembleSpec, EnsembleSummary, convergence_report, run_ensemble
 from .errors import (
     AqwalkError,
@@ -43,7 +43,6 @@ from .observables import (
     sigma,
 )
 from .spectral import (
-    DispersionCurve,
     LyapunovEstimate,
     TransferMatrix,
     dispersion_omega,

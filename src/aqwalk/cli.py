@@ -92,7 +92,7 @@ def _cmd_presets(args) -> int:
     width = max(len(p.name) for p in PRESETS.values())
     print(f"{len(PRESETS)} presets:")
     for p in PRESETS.values():
-        print(f"  {p.name:<{width}}  [{p.runtime:>7}]  {p.description}")
+        print(f"  {p.name:<{width}}  {p.description}")
     return 0
 
 

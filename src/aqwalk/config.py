@@ -32,21 +32,25 @@ _ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d*\.?\d+))?$")
 
 
 def parse_angle(value, where: str) -> float:
-    """Number or 'pi'-style string to radians."""
+    """Number or 'pi'-style string to radians; NaN and infinities are rejected."""
+    angle = None
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, str):
+        angle = float(value)
+    elif isinstance(value, str):
         m = _ANGLE_RE.match(value.strip())
         if m:
             coef = m.group(1)
             coef_val = float(coef) if coef not in ("", "+", "-") else float(coef + "1")
             div = float(m.group(2)) if m.group(2) else 1.0
-            return coef_val * math.pi / div
-        try:
-            return float(value)
-        except ValueError:
-            pass
-    raise ConfigError(where, f"expected a number or a 'pi/4'-style angle, got {value!r}")
+            angle = coef_val * math.pi / div
+        else:
+            try:
+                angle = float(value)
+            except ValueError:
+                pass
+    if angle is None or not math.isfinite(angle):
+        raise ConfigError(where, f"expected a finite number or a 'pi/4'-style angle, got {value!r}")
+    return angle
 
 
 @dataclass
@@ -158,7 +162,7 @@ def _parse_walk(raw, where: str) -> WalkSpec:
     if particles == 2:
         if not (isinstance(origin, list) and len(origin) == 2):
             raise ConfigError(f"{where}.origin", "two-particle origin must be [x0, y0]")
-        origin = (int(origin[0]), int(origin[1]))
+        origin = tuple(_as_int(v, f"{where}.origin") for v in origin)
     else:
         origin = _as_int(origin, f"{where}.origin")
     init = _parse_initial(raw.get("initial", "symmetric" if particles == 1 else "uu"),
@@ -192,6 +196,11 @@ def _parse_sweep(raw, where: str):
         parsed = [parse_angle(v, f"{where}.{key}") for v in values]
     else:
         parsed = [_as_number(v, f"{where}.{key}") for v in values]
+    for value in parsed:
+        try:
+            CoinSchedule(value) if key == "theta0" else CoinSchedule(0.0, value)
+        except ValueError as exc:
+            raise ConfigError(f"{where}.{key}", str(exc))
     return key, parsed
 
 
@@ -258,6 +267,8 @@ def parse_config(data: dict) -> Experiment:
         if variant not in DISPERSION_VARIANTS:
             raise ConfigError("dispersion.variant", f"must be one of {DISPERSION_VARIANTS}")
         kgrid = raw.get("kappa", {})
+        if not isinstance(kgrid, dict):
+            raise ConfigError("dispersion.kappa", "expected a mapping with min, max and count")
         exp.payload = {
             "variant": variant,
             "theta0": parse_angle(_require(raw, "theta0", "dispersion"), "dispersion.theta0"),
@@ -266,6 +277,8 @@ def parse_config(data: dict) -> Experiment:
             "kappa_max": parse_angle(kgrid.get("max", math.pi), "dispersion.kappa.max"),
             "kappa_count": _as_int(kgrid.get("count", 256), "dispersion.kappa.count"),
         }
+        if exp.payload["kappa_count"] < 1:
+            raise ConfigError("dispersion.kappa.count", f"must be >= 1, got {exp.payload['kappa_count']}")
     elif kind == "transfer":
         raw = data["transfer"]
         if not isinstance(raw, dict):

@@ -14,9 +14,8 @@ sums, p = sum |L|^2, q = sum |R|^2 and c = sum L conj(R):
   density supported on two basis states; its partial transpose has
   eigenvalues p, q, +|c| and -|c|.
 
-The general routes stay for what the sums do not cover: the dense
-partial transpose (method="partial_transpose") as a cross-check, and the
-4x4 partial transpose of the traced-out coin density for full-2D states.
+Full-2D states, which the sums do not cover, take the particle/particle
+negativity from the 4x4 partial transpose of the traced-out coin density.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ __all__ = [
     "sigma",
     "ipr",
     "front_position",
-    "amplitude_matrix",
     "negativity_coin_position",
     "negativity_particle_particle",
     "reduced_particle_density",
@@ -73,7 +71,7 @@ class Distribution2D:
 class NegativityResult:
     value: float
     bipartition: str  # "coin_position" | "particle_particle"
-    method: str  # "schmidt_pure" | "partial_transpose" | "closed_form"
+    method: str  # "closed_form" | "partial_transpose"
 
 
 def distribution(state):
@@ -131,55 +129,9 @@ def front_position(dist: Distribution1D, tail_mass: float = 0.01) -> int:
     return int(dist.x[idx[-1]])
 
 
-def amplitude_matrix(state) -> np.ndarray:
-    """Coin-by-position amplitude matrix of a pure walker state.
-
-    Shape (2, N) for one particle, (4, N) for a confined two-particle
-    state (absent components are zero rows).  Full-2D states are not
-    supported: the coin/position split used here is defined against a
-    single position axis.
-    """
-    if isinstance(state, SpinorField1P):
-        return np.vstack([state.up, state.down])
-    if state.confinement == "xline":
-        zeros = np.zeros_like(state.uu)
-        return np.vstack([state.uu, zeros, zeros, state.dd])
-    if state.confinement == "yline":
-        zeros = np.zeros_like(state.ud)
-        return np.vstack([zeros, state.ud, state.du, zeros])
-    raise ValueError("coin/position bipartition is not supported for full-2D states")
-
-
-def _check_normalized(m: np.ndarray):
-    nrm = float(np.sum(np.abs(m) ** 2))
-    if abs(nrm - 1.0) > STATE_NORM_TOL:
-        raise ValueError(f"state must be normalized, |amp|^2 sums to {nrm!r}")
-
-
 def _negativity_from_eigenvalues(eigvals: np.ndarray) -> float:
     lam = np.real(eigvals)
     return float(np.sum((np.abs(lam) - lam) / 2.0))
-
-
-def negativity_schmidt(m: np.ndarray) -> float:
-    """Negativity of a pure bipartite state from its amplitude matrix."""
-    s = np.linalg.svd(m, compute_uv=False)
-    value = (float(np.sum(s)) ** 2 - 1.0) / 2.0
-    return max(value, 0.0)
-
-
-def negativity_partial_transpose_pure(m: np.ndarray) -> float:
-    """Dense partial-transpose negativity of a pure bipartite state.
-
-    Builds the full density matrix, transposes the position index, and
-    sums the negative eigenvalues.  O((dN)^3): intended as an oracle for
-    moderate position dimension, not for production time series.
-    """
-    d, n = m.shape
-    psi = m.reshape(-1)
-    rho = np.outer(psi, psi.conj()).reshape(d, n, d, n)
-    rho_pt = rho.transpose(0, 3, 2, 1).reshape(d * n, d * n)
-    return _negativity_from_eigenvalues(np.linalg.eigvalsh(rho_pt))
 
 
 def line_sums(lr, li, rr, ri):
@@ -223,25 +175,17 @@ def _state_planes(state):
             for part in (getattr(state, name).real, getattr(state, name).imag)]
 
 
-def negativity_coin_position(state, method: str = "schmidt_pure") -> NegativityResult:
+def negativity_coin_position(state) -> NegativityResult:
     """Entanglement negativity between coin and position space.
 
-    The state must be pure and normalized.  method "schmidt_pure"
-    (default) uses the closed form sqrt(pq - |c|^2); "partial_transpose"
-    builds the dense partially transposed density matrix.
+    The state must be a pure, normalized one-line state; the value is the
+    closed form sqrt(pq - |c|^2).
     """
-    if method == "schmidt_pure":
-        planes = _state_planes(state)
-        if planes is None:
-            raise ValueError("coin/position bipartition is not supported for full-2D states")
-        value = float(line_coin_position(*planes, *line_sums(*planes))[0])
-    elif method == "partial_transpose":
-        m = amplitude_matrix(state)
-        _check_normalized(m)
-        value = negativity_partial_transpose_pure(m)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return NegativityResult(value, "coin_position", method)
+    planes = _state_planes(state)
+    if planes is None:
+        raise ValueError("coin/position bipartition is not supported for full-2D states")
+    value = float(line_coin_position(*planes, *line_sums(*planes))[0])
+    return NegativityResult(value, "coin_position", "closed_form")
 
 
 def reduced_particle_density(state: TwoParticleField) -> np.ndarray:

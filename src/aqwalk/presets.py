@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Preset", "PRESETS", "preset_configs", "preset_table"]
+__all__ = ["Preset", "PRESETS", "preset_configs"]
 
 # default acceleration sweeps (documented choice, see module docstring)
 A_SWEEP_1P = [0.0, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 3e-2]
@@ -26,7 +26,6 @@ A_SURFACE = [0.0005, 0.001, 0.002, 0.003, 0.005, 0.008, 0.013, 0.02, 0.03, 0.05]
 class Preset:
     name: str
     description: str
-    runtime: str
     configs: tuple
 
 
@@ -88,13 +87,12 @@ def _ens(name, particles, theta0, steps, record, kind, runs, initial, sweep_a=No
 def _build_presets() -> dict[str, Preset]:
     presets = {}
 
-    def add(name, description, runtime, *configs):
-        presets[name] = Preset(name, description, runtime, tuple(configs))
+    def add(name, description, *configs):
+        presets[name] = Preset(name, description, tuple(configs))
 
     add(
         "fig1",
         "Angle schedule: cos(theta0 e^{-a t}) vs t for a range of a (theta0 = pi/2)",
-        "<1 s",
         {
             "name": "fig1",
             "schedule": {
@@ -107,21 +105,18 @@ def _build_presets() -> dict[str, Preset]:
     add(
         "fig2",
         "1p distribution at t=200 for an a sweep; theta0 = pi/4 (inset pi/2), symmetric start",
-        "<5 s",
         _w1("fig2", "pi/4", 200, ["distribution"], sweep_a=A_SWEEP_1P),
         _w1("fig2-inset", "pi/2", 200, ["distribution"], sweep_a=A_SWEEP_1P),
     )
     add(
         "fig3",
         "1p spread sigma(t) for an a sweep; theta0 = pi/4 (inset pi/2)",
-        "<5 s",
         _w1("fig3", "pi/4", 200, ["sigma"], sweep_a=A_SWEEP_1P),
         _w1("fig3-inset", "pi/2", 200, ["sigma"], sweep_a=A_SWEEP_1P),
     )
     add(
         "fig4",
         "1p sigma at t=200 as a function of a, one series per theta0",
-        "<5 s",
         *[
             _w1(f"fig4-theta{i}", th, 200, ["sigma"],
                 sweep_a=[0.0, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1])
@@ -131,7 +126,6 @@ def _build_presets() -> dict[str, Preset]:
     add(
         "fig5",
         "1p coin-position negativity vs t for an a sweep; theta0 = pi/4 (inset pi/2)",
-        "<10 s",
         _w1("fig5", "pi/4", 200, ["negativity_coin_position"], sweep_a=A_SWEEP_1P),
         _w1("fig5-inset", "pi/2", 200, ["negativity_coin_position"], sweep_a=A_SWEEP_1P),
     )
@@ -140,13 +134,11 @@ def _build_presets() -> dict[str, Preset]:
     add(
         "fig6",
         "2p 2D distribution after 10 steps from |uu>, theta0 = pi/4",
-        "<1 s",
         fig6,
     )
     add(
         "fig7",
         "2p 2D distribution after 10 steps from (|uu>+|ud>)/sqrt2, theta0 = pi/4",
-        "<1 s",
         {
             "name": "fig7",
             "walk": {
@@ -161,7 +153,6 @@ def _build_presets() -> dict[str, Preset]:
     add(
         "fig8",
         "2p 2D distribution after 10 steps from the uniform coin superposition, theta0 = pi/4",
-        "<1 s",
         {
             "name": "fig8",
             "walk": {
@@ -176,21 +167,18 @@ def _build_presets() -> dict[str, Preset]:
     add(
         "fig9",
         "2p line distribution from |uu>: theta0 = pi/2 at t=500 (inset pi/4 at t=400), a sweep",
-        "<10 s",
         _w2("fig9", "pi/2", 500, ["distribution"], sweep_a=A_SWEEP_2P_NONZERO),
         _w2("fig9-inset", "pi/4", 400, ["distribution"], sweep_a=A_SWEEP_2P),
     )
     add(
         "fig10",
         "2p coin vs x-line negativity vs t from |uu>; theta0 = pi/2 (inset pi/4), a sweep",
-        "<10 s",
         _w2("fig10", "pi/2", 500, ["negativity_coin_position"], sweep_a=A_SWEEP_2P),
         _w2("fig10-inset", "pi/4", 400, ["negativity_coin_position"], sweep_a=A_SWEEP_2P),
     )
     add(
         "fig11",
         "2p particle-particle negativity surface over (a, t); theta0 = pi/2, clean walk",
-        "<10 s",
         {
             "name": "fig11",
             "surface": {
@@ -209,7 +197,6 @@ def _build_presets() -> dict[str, Preset]:
     add(
         "fig12",
         "1p disordered distributions (spatial and temporal), 500 runs, t=200, start |up>",
-        "~20 s",
         _ens("fig12-spatial", 1, "pi/2", 200, ["distribution"], "spatial", 500, "up",
              sweep_a=A_SWEEP_DISORDER),
         _ens("fig12-temporal", 1, "pi/2", 200, ["distribution"], "temporal", 500, "up",
@@ -218,28 +205,24 @@ def _build_presets() -> dict[str, Preset]:
     add(
         "fig13",
         "2p particle-particle negativity vs t, clean walk; theta0 = pi/2 (inset pi/4), a sweep",
-        "<5 s",
         _w2("fig13", "pi/2", 500, ["negativity_particle_particle"], sweep_a=A_SWEEP_2P),
         _w2("fig13-inset", "pi/4", 400, ["negativity_particle_particle"], sweep_a=A_SWEEP_2P),
     )
     add(
         "fig14",
         "2p spatial-disorder distributions on the x line, 500 runs, theta0 = pi/2",
-        "~1 min",
         _ens("fig14", 2, "pi/2", 500, ["distribution"], "spatial", 500, "uu",
              sweep_a=A_SWEEP_2P_NONZERO),
     )
     add(
         "fig15",
         "2p temporal-disorder distributions on the x line, 500 runs, theta0 = pi/2",
-        "~1 min",
         _ens("fig15", 2, "pi/2", 500, ["distribution"], "temporal", 500, "uu",
              sweep_a=A_SWEEP_2P_NONZERO),
     )
     add(
         "fig16",
         "2p clean vs spatial vs temporal distributions at a in {0.002, 0.02}, theta0 = pi/2",
-        "~30 s",
         _w2("fig16-clean", "pi/2", 500, ["distribution"], sweep_a=[0.002, 0.02]),
         _ens("fig16-spatial", 2, "pi/2", 500, ["distribution"], "spatial", 500, "uu",
              sweep_a=[0.002, 0.02]),
@@ -249,7 +232,6 @@ def _build_presets() -> dict[str, Preset]:
     add(
         "fig17",
         "2p particle-particle negativity under spatial disorder, 1000 runs, a sweep",
-        "~4 min",
         _ens("fig17", 2, "pi/2", 500, ["negativity_particle_particle"], "spatial", 1000, "uu",
              sweep_a=A_SWEEP_2P_NONZERO),
     )
@@ -257,35 +239,30 @@ def _build_presets() -> dict[str, Preset]:
         "fig18",
         "1p localization diagnostics: mean distribution, sigma, IPR at a=0.002 vs 0.02 "
         "(spatial disorder, 500 runs, t=200)",
-        "~10 s",
         _ens("fig18", 1, "pi/2", 200, ["distribution", "sigma", "ipr"], "spatial", 500,
              "symmetric", sweep_a=[0.002, 0.02]),
     )
     add(
         "fig19",
         "2p particle-particle negativity under temporal disorder, 1000 runs, a sweep",
-        "~4 min",
         _ens("fig19", 2, "pi/2", 500, ["negativity_particle_particle"], "temporal", 1000, "uu",
              sweep_a=A_SWEEP_2P_NONZERO),
     )
     add(
         "fig20",
         "2p coin vs x-line negativity under spatial disorder, 500 runs, a sweep",
-        "~3 min",
         _ens("fig20", 2, "pi/2", 500, ["negativity_coin_position"], "spatial", 500, "uu",
              sweep_a=A_SWEEP_2P_NONZERO),
     )
     add(
         "fig21",
         "2p coin vs x-line negativity under temporal disorder, 500 runs, a sweep",
-        "~3 min",
         _ens("fig21", 2, "pi/2", 500, ["negativity_coin_position"], "temporal", 500, "uu",
              sweep_a=A_SWEEP_2P_NONZERO),
     )
     add(
         "fig22",
         "2p particle-particle negativity at a=0.002: clean vs spatial vs temporal (1000 runs)",
-        "~2 min",
         _w2("fig22-clean", "pi/2", 500, ["negativity_particle_particle"], a=0.002),
         _ens("fig22-spatial", 2, "pi/2", 500, ["negativity_particle_particle"], "spatial",
              1000, "uu", a=0.002),
@@ -295,7 +272,6 @@ def _build_presets() -> dict[str, Preset]:
     add(
         "fig23",
         "2p particle-particle negativity at a=0.02: clean vs spatial vs temporal (1000 runs)",
-        "~2 min",
         _w2("fig23-clean", "pi/2", 500, ["negativity_particle_particle"], a=0.02),
         _ens("fig23-spatial", 2, "pi/2", 500, ["negativity_particle_particle"], "spatial",
              1000, "uu", a=0.02),
@@ -313,6 +289,3 @@ def preset_configs(name: str) -> tuple:
         raise KeyError(f"unknown preset {name!r}; run 'aqwalk presets' for the list")
     return PRESETS[name].configs
 
-
-def preset_table() -> list[tuple[str, str, str]]:
-    return [(p.name, p.description, p.runtime) for p in PRESETS.values()]

@@ -19,19 +19,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import NonConvergenceError, SingularParameterError
 from .evolve import DisorderSpec
 
 __all__ = [
     "DISPERSION_VARIANTS",
-    "DispersionCurve",
     "TransferMatrix",
     "LyapunovEstimate",
     "dispersion_omega",
     "dispersion_residual",
-    "dispersion_curve",
     "group_velocity",
     "max_group_velocity",
     "transfer_matrix_1p",
@@ -42,18 +39,6 @@ __all__ = [
 DISPERSION_VARIANTS = ("single", "two_particle_xline", "two_particle_yline")
 
 _SEC_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class DispersionCurve:
-    """Sampled (kappa, omega) pairs of one dispersion branch."""
-
-    kappa: np.ndarray
-    omega: np.ndarray
-    branch: str  # "+" | "-"
-    variant: str
-    theta0: float
-    phi: float
 
 
 @dataclass(frozen=True)
@@ -103,18 +88,6 @@ def dispersion_residual(theta0: float, kappa, omega, phi: float = 0.0, variant: 
     return np.cos(np.asarray(omega) + w_off) - np.cos(theta0) * np.cos(np.asarray(kappa) + k_off)
 
 
-def dispersion_curve(
-    theta0: float,
-    kappa: np.ndarray,
-    phi: float = 0.0,
-    variant: str = "single",
-    branch: str = "+",
-) -> DispersionCurve:
-    plus, minus = dispersion_omega(theta0, kappa, phi, variant)
-    omega = plus if branch == "+" else minus
-    return DispersionCurve(np.asarray(kappa), omega, branch, variant, theta0, phi)
-
-
 def group_velocity(theta0: float, kappa, phi: float = 0.0):
     """Signed group velocity d(omega)/d(kappa) of the propagating branch.
 
@@ -136,22 +109,14 @@ def group_velocity(theta0: float, kappa, phi: float = 0.0):
 
 
 def max_group_velocity(theta0: float, phi: float = 0.0) -> tuple[float, float]:
-    """Numerically maximize the group velocity over kappa in (0, pi).
+    """Maximum of the group velocity over kappa, as (kappa_star, v_max).
 
-    Returns (kappa_star, v_max).  For phi = 0 the maximum sits at
-    kappa = pi/2 with v = cos(theta0).
+    group_velocity depends on kappa only through u = kappa + phi/2, as
+    cos(th0) sin(u) / sqrt(1 - cos(th0)^2 cos(u)^2), which grows with
+    sin(u) and peaks at u = pi/2: kappa_star = pi/2 - phi/2 and
+    v_max = cos(theta0) for every phi (zero on the flat band theta0 = pi/2).
     """
-    if math.cos(theta0) == 0.0:
-        # flat band: velocity identically zero, report the symmetric point
-        return math.pi / 2.0 - phi / 2.0, 0.0
-
-    def neg_v(k):
-        return -group_velocity(theta0, k, phi)
-
-    lo = 1e-12 - phi / 2.0
-    hi = math.pi - 1e-12 - phi / 2.0
-    res = minimize_scalar(neg_v, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
-    return float(res.x), float(-res.fun)
+    return math.pi / 2.0 - phi / 2.0, math.cos(theta0)
 
 
 def _check_sec(theta: float):

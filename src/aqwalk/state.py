@@ -108,9 +108,6 @@ class SpinorField1P:
     def norm(self) -> float:
         return float(np.sum(np.abs(self.up) ** 2) + np.sum(np.abs(self.down) ** 2))
 
-    def copy(self) -> "SpinorField1P":
-        return SpinorField1P(self.half_width, self.up.copy(), self.down.copy())
-
 
 @dataclass
 class TwoParticleField:
@@ -148,22 +145,6 @@ class TwoParticleField:
             if comp is not None:
                 total += float(np.sum(np.abs(comp) ** 2))
         return total
-
-    def copy(self) -> "TwoParticleField":
-        def cp(a):
-            return None if a is None else a.copy()
-
-        return TwoParticleField(
-            self.confinement,
-            self.half_width_x,
-            self.half_width_y,
-            cp(self.uu),
-            cp(self.ud),
-            cp(self.du),
-            cp(self.dd),
-            self.x0,
-            self.y0,
-        )
 
 
 def new_one_particle(init: InitialState, steps: int) -> SpinorField1P:

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from aqwalk.state import SpinorField1P
+
 
 def dense_step_matrix(nsites, theta, phis=None, powers=(0, 1)):
     """Full 2N x 2N one-step unitary: coin (+ phase) then shift.
@@ -113,3 +115,20 @@ def random_pure_amplitude_matrix(rng, d, n):
     """Haar-ish random normalized amplitude matrix of shape (d, n)."""
     m = rng.normal(size=(d, n)) + 1j * rng.normal(size=(d, n))
     return m / np.linalg.norm(m)
+
+
+def amplitude_matrix(state):
+    """Coin-by-position amplitude matrix of a pure one-line walker state.
+
+    Shape (2, N) for one particle, (4, N) for a confined two-particle
+    state (coin order uu, ud, du, dd; absent components are zero rows).
+    """
+    if isinstance(state, SpinorField1P):
+        return np.vstack([state.up, state.down])
+    if state.confinement == "xline":
+        zeros = np.zeros_like(state.uu)
+        return np.vstack([state.uu, zeros, zeros, state.dd])
+    if state.confinement == "yline":
+        zeros = np.zeros_like(state.ud)
+        return np.vstack([zeros, state.ud, state.du, zeros])
+    raise ValueError("coin/position bipartition is not supported for full-2D states")

@@ -41,9 +41,10 @@ from aqwalk import (
     transfer_matrix_2p,
 )
 from aqwalk.cli import main as cli_main
-from aqwalk.observables import distribution, negativity_partial_transpose_pure, negativity_schmidt
+from aqwalk.observables import distribution
+from aqwalk.state import SpinorField1P, TwoParticleField
 
-from oracles import evolve_dense, random_pure_amplitude_matrix
+from oracles import amplitude_matrix, evolve_dense, negativity_pt_loops, random_pure_amplitude_matrix
 
 R = 1.0 / math.sqrt(2.0)
 
@@ -217,12 +218,12 @@ def test_criterion_04_negativity_bound_and_saturation():
     plateau = bool(np.all(after >= 0.45)) and float(
         np.max(np.maximum.accumulate(after) - after)) < 1e-3
 
-    # threshold values verified against the dense partial-transpose oracle
+    # threshold values verified against the loop partial-transpose oracle
     probe = WalkSpec(1, CoinSchedule(math.pi / 2, 0.03), InitialState.symmetric(), 100,
                      record=("negativity_coin_position",))
     probe_state = run_walk(probe).final_state
     fast = negativity_coin_position(probe_state).value
-    dense = negativity_coin_position(probe_state, method="partial_transpose").value
+    dense = negativity_pt_loops(amplitude_matrix(probe_state))
     oracle_ok = abs(fast - dense) < 1e-10
 
     ok = bound_ok and within_200 and plateau and oracle_ok
@@ -263,11 +264,21 @@ def test_criterion_06_entanglement_rise_and_decay():
 
 
 def test_criterion_07_oracle_equivalence():
+    # closed-form coin/position negativity vs the loop partial transpose
     rng = np.random.default_rng(777)
     worst_neg = 0.0
     for _ in range(100):
-        m = random_pure_amplitude_matrix(rng, int(rng.choice([2, 4])), int(rng.integers(2, 33)))
-        worst_neg = max(worst_neg, abs(negativity_schmidt(m) - negativity_partial_transpose_pure(m)))
+        half = int(rng.integers(0, 17))
+        left, right = random_pure_amplitude_matrix(rng, 2, 2 * half + 1)
+        layout = rng.choice(["1p", "xline", "yline"])
+        if layout == "1p":
+            state = SpinorField1P(half, left, right)
+        elif layout == "xline":
+            state = TwoParticleField("xline", half, 0, left, None, None, right)
+        else:
+            state = TwoParticleField("yline", 0, half, None, right, left, None)
+        oracle = negativity_pt_loops(amplitude_matrix(state))
+        worst_neg = max(worst_neg, abs(negativity_coin_position(state).value - oracle))
 
     # confined two-particle evolution vs the one-particle walk, pointwise
     steps = 50
@@ -281,7 +292,7 @@ def test_criterion_07_oracle_equivalence():
     worst_amp = max(float(np.abs(two.uu - one.up).max()), float(np.abs(two.dd - one.down).max()))
 
     ok = worst_neg < 1e-9 and worst_amp < 1e-12
-    _report(7, ok, f"negativity routes differ by {worst_neg:.2e}; "
+    _report(7, ok, f"closed-form negativity vs loop oracle differ by {worst_neg:.2e}; "
                    f"2p-line vs 1p amplitudes differ by {worst_amp:.2e}")
     assert worst_neg < 1e-9
     assert worst_amp < 1e-12

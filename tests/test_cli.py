@@ -3,11 +3,14 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import aqwalk
 from aqwalk.cli import main
 from aqwalk.presets import PRESETS
 
@@ -157,6 +160,33 @@ def test_non_finite_walk_parameters_give_exit_2(tmp_path, capsys, walk_field):
     assert "walk" in capsys.readouterr().err
 
 
+WALK_2P = dict(BASE_WALK, particles=2, initial="uu", record=["sigma"])
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"dispersion": {"theta0": "pi/4", "kappa": 5}}, "dispersion.kappa"),
+    ({"dispersion": {"theta0": "pi/4", "kappa": {"count": 0}}}, "dispersion.kappa.count"),
+    ({"dispersion": {"theta0": math.nan}}, "dispersion.theta0"),
+    ({"dispersion": {"theta0": "pi/4", "phi": math.inf}}, "dispersion.phi"),
+    ({"transfer": {"theta": math.nan, "omega": 0.5}}, "transfer.theta"),
+    ({"transfer": {"theta": "pi/4", "omega": "inf"}}, "transfer.omega"),
+    ({"transfer": {"theta": "pi/4", "omega": 0.5, "phi": math.nan}}, "transfer.phi"),
+    ({"lyapunov": {"theta": math.nan, "omega": 0.5}}, "lyapunov.theta"),
+    ({"lyapunov": {"theta": "pi/4", "omega": -math.inf}}, "lyapunov.omega"),
+    ({"walk": dict(WALK_2P, origin=[1.7, 0])}, "walk.origin"),
+    ({"walk": dict(WALK_2P, origin=["a", 0])}, "walk.origin"),
+    ({"walk": BASE_WALK, "sweep": {"acceleration": [0.0, math.nan]}}, "sweep.acceleration"),
+    ({"walk": BASE_WALK, "sweep": {"acceleration": [-0.1]}}, "sweep.acceleration"),
+    ({"walk": BASE_WALK, "sweep": {"theta0": ["pi/4", 2.0]}}, "sweep.theta0"),
+])
+def test_bad_config_values_give_exit_2(tmp_path, capsys, config, field):
+    path = _write(tmp_path, dict(config, name="bad"))
+    for verb in (["validate", path], ["run", path, "-o", str(tmp_path / "out")]):
+        assert main(verb) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_field_gives_exit_2(tmp_path, capsys):
     cfg = {"name": "broken", "walk": {"steps": 10}}  # theta0 missing
     code = main(["run", _write(tmp_path, cfg), "-o", str(tmp_path / "out")])
@@ -292,3 +322,11 @@ def test_surface_kind(tmp_path):
     lines = (tmp_path / "out" / "surf" / "negativity_particle_particle_surface.csv").read_text().splitlines()
     assert lines[0] == "a,t,value"
     assert len(lines) == 1 + 2 * 31  # two accelerations, t in 0..30
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; the runtime needs numpy and PyYAML
+    code = "import sys, aqwalk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aqwalk.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"

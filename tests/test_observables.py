@@ -20,17 +20,12 @@ from aqwalk import (
     sigma,
     step_two_particle,
 )
-from aqwalk.observables import amplitude_matrix, partial_transpose_second
+from aqwalk.observables import partial_transpose_second
 from aqwalk.state import SpinorField1P, TwoParticleField
 
-from oracles import negativity_pt_loops, pp_negativity_loops, random_pure_amplitude_matrix
+from oracles import amplitude_matrix, negativity_pt_loops, pp_negativity_loops
 
 R = 1.0 / math.sqrt(2.0)
-
-
-def _state_from_matrix(m):
-    half = (m.shape[1] - 1) // 2
-    return SpinorField1P(half, m[0].astype(complex), m[1].astype(complex))
 
 
 def test_distribution_one_step_symmetric():
@@ -95,7 +90,7 @@ def test_negativity_bell_like_state_is_half():
     state = SpinorField1P(1, up, down)
     result = negativity_coin_position(state)
     assert result.value == pytest.approx(0.5, abs=1e-12)
-    assert result.method == "schmidt_pure"
+    assert result.method == "closed_form"
 
 
 def test_negativity_walk_state_matches_dense_oracle():
@@ -103,23 +98,8 @@ def test_negativity_walk_state_matches_dense_oracle():
                     record=("distribution",))
     state = run_walk(spec).final_state
     fast = negativity_coin_position(state).value
-    dense = negativity_coin_position(state, method="partial_transpose").value
     loops = negativity_pt_loops(amplitude_matrix(state))
-    assert fast == pytest.approx(dense, abs=1e-10)
     assert fast == pytest.approx(loops, abs=1e-10)
-
-
-def test_schmidt_and_partial_transpose_agree_on_random_states():
-    from aqwalk.observables import negativity_partial_transpose_pure, negativity_schmidt
-
-    rng = np.random.default_rng(2718)
-    for _ in range(100):
-        d = int(rng.choice([2, 4]))
-        n = int(rng.integers(2, 33))
-        m = random_pure_amplitude_matrix(rng, d, n)
-        fast = negativity_schmidt(m)
-        dense = negativity_partial_transpose_pure(m)
-        assert abs(fast - dense) < 1e-9
 
 
 def test_negativity_rejects_unnormalized():
