@@ -182,6 +182,22 @@ def _parse_walk(raw, where: str) -> WalkSpec:
         raise ConfigError(where, str(exc))
 
 
+def _schedule_values(values, key: str, where: str) -> list[float]:
+    """A non-empty list of theta0 or acceleration values, each valid in a CoinSchedule."""
+    if not isinstance(values, list) or not values:
+        raise ConfigError(where, "expected a non-empty list")
+    if key == "theta0":
+        parsed = [parse_angle(v, where) for v in values]
+    else:
+        parsed = [_as_number(v, where) for v in values]
+    for value in parsed:
+        try:
+            CoinSchedule(value) if key == "theta0" else CoinSchedule(0.0, value)
+        except ValueError as exc:
+            raise ConfigError(where, str(exc))
+    return parsed
+
+
 def _parse_sweep(raw, where: str):
     if raw is None:
         return None, None
@@ -190,18 +206,7 @@ def _parse_sweep(raw, where: str):
     (key, values), = raw.items()
     if key not in ("acceleration", "theta0"):
         raise ConfigError(where, f"sweep field must be 'acceleration' or 'theta0', got {key!r}")
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"{where}.{key}", "expected a non-empty list")
-    if key == "theta0":
-        parsed = [parse_angle(v, f"{where}.{key}") for v in values]
-    else:
-        parsed = [_as_number(v, f"{where}.{key}") for v in values]
-    for value in parsed:
-        try:
-            CoinSchedule(value) if key == "theta0" else CoinSchedule(0.0, value)
-        except ValueError as exc:
-            raise ConfigError(f"{where}.{key}", str(exc))
-    return key, parsed
+    return key, _schedule_values(values, key, f"{where}.{key}")
 
 
 def parse_config(data: dict) -> Experiment:
@@ -217,6 +222,8 @@ def parse_config(data: dict) -> Experiment:
     if fmt not in ("csv", "json"):
         raise ConfigError("format", f"must be 'csv' or 'json', got {fmt!r}")
     output_dir = data.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ConfigError("output_dir", f"expected a string, got {output_dir!r}")
     known_top = {"name", "format", "output_dir", "sweep", kind}
     unknown = set(data) - known_top
     if unknown:
@@ -246,9 +253,7 @@ def parse_config(data: dict) -> Experiment:
         if not isinstance(raw, dict):
             raise ConfigError("surface", "expected a mapping")
         walk = _parse_walk(_require(raw, "walk", "surface"), "surface.walk")
-        accels = raw.get("accelerations")
-        if not isinstance(accels, list) or not accels:
-            raise ConfigError("surface.accelerations", "expected a non-empty list")
+        accels = _schedule_values(raw.get("accelerations"), "acceleration", "surface.accelerations")
         observable = raw.get("observable", "negativity_particle_particle")
         if observable not in RECORD_KEYS or observable == "distribution":
             raise ConfigError("surface.observable", f"not a per-step observable: {observable!r}")
@@ -256,7 +261,7 @@ def parse_config(data: dict) -> Experiment:
             raise ConfigError("surface.walk.record", f"must include {observable!r}")
         exp.walk = walk
         exp.payload = {
-            "accelerations": [_as_number(v, "surface.accelerations") for v in accels],
+            "accelerations": accels,
             "observable": observable,
         }
     elif kind == "dispersion":
@@ -302,16 +307,21 @@ def parse_config(data: dict) -> Experiment:
             "chain_length": _as_int(raw.get("chain_length", 200_000), "lyapunov.chain_length"),
             "disorder": _parse_disorder(raw.get("disorder", {"kind": "spatial"}), "lyapunov.disorder"),
         }
+        if exp.payload["chain_length"] < 1000:
+            raise ConfigError("lyapunov.chain_length", f"must be >= 1000, got {exp.payload['chain_length']}")
+        if exp.payload["disorder"].kind == "temporal":
+            raise ConfigError("lyapunov.disorder",
+                              "transfer chains take spatial disorder only (kind 'none' or 'spatial')")
     elif kind == "schedule":
         raw = data["schedule"]
         if not isinstance(raw, dict):
             raise ConfigError("schedule", "expected a mapping")
-        accels = raw.get("accelerations")
-        if not isinstance(accels, list) or not accels:
-            raise ConfigError("schedule.accelerations", "expected a non-empty list")
         exp.payload = {
-            "theta0": parse_angle(_require(raw, "theta0", "schedule"), "schedule.theta0"),
-            "accelerations": [_as_number(v, "schedule.accelerations") for v in accels],
+            "theta0": _schedule_values([_require(raw, "theta0", "schedule")], "theta0", "schedule.theta0")[0],
+            "accelerations": _schedule_values(raw.get("accelerations"), "acceleration",
+                                              "schedule.accelerations"),
             "steps": _as_int(raw.get("steps", 200), "schedule.steps"),
         }
+        if exp.payload["steps"] < 1:
+            raise ConfigError("schedule.steps", f"must be >= 1, got {exp.payload['steps']}")
     return exp

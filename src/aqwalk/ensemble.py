@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import RealizationError
 from .evolve import DisorderSpec, WalkSpec, landscape_size, run_walk, run_walk_batch, sample_landscape
-from .state import two_particle_confinement
 
 __all__ = [
     "EnsembleSpec",
@@ -52,6 +51,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
+        if self.walk.full2d and "distribution" in self.walk.record:
+            raise ValueError("ensembles average 1D distributions; a full-2D walk cannot record distribution")
 
 
 @dataclass
@@ -90,11 +91,10 @@ def _effective_walk(spec: EnsembleSpec) -> WalkSpec:
 
 
 def _chunk_rows(walk: WalkSpec) -> int:
-    """Largest chunk for this walk: full-2D walks do not batch, so they run
-    one realization per chunk and keep one 2D field per worker alive."""
-    if walk.particle_count == 2 and two_particle_confinement(walk.init.coin, walk.layout == "full2d") == "full2d":
-        return 1
-    return _MAX_CHUNK_ROWS
+    """Largest chunk for this walk: the final state of a full-2D row is a
+    whole 2D field, so full-2D walks run one realization per chunk and keep
+    one such field per worker alive."""
+    return 1 if walk.full2d else _MAX_CHUNK_ROWS
 
 
 def _chunks(runs: int, workers: int, rows: int) -> list[range]:
@@ -170,9 +170,8 @@ def run_ensemble(spec: EnsembleSpec, workers: int | None = None) -> EnsembleSumm
 
     summary = EnsembleSummary(runs=runs, steps=walk.steps, mean=mean, stderr=stderr)
     if dists is not None:
-        flat = dists.reshape(computed, -1)
-        summary.mean_distribution = np.mean(flat, axis=0).reshape(dists.shape[1:])
-        summary.stderr_distribution = _stderr(flat).reshape(dists.shape[1:])
+        summary.mean_distribution = np.mean(dists, axis=0)
+        summary.stderr_distribution = _stderr(dists)
         # every field is sized to its step count, so the axis is fixed
         summary.positions = np.arange(-walk.steps, walk.steps + 1)
     return summary

@@ -24,8 +24,9 @@ Conventions (fixed throughout the package):
 * A one-particle walk and a confined two-particle walk are the same
   two-component update: a component L that moves to lower positions, a
   component R that moves to higher ones, and row phases e^{i k phi} with
-  k the number of down spins of each.  One batched line kernel runs all
-  three (see _LineBatch); only full-2D fields have their own stepper.
+  k the number of down spins of each.  A full-2D field is two families of
+  such lines, (uu, dd) along x and (du, ud) along y.  One batched line
+  kernel steps every layout (see _LineBatch and _lines).
 
 All steps are unitary: the norm of the state is preserved to machine
 precision, and boundary overflow is a hard error rather than a silent
@@ -41,15 +42,19 @@ import numpy as np
 
 from .coins import CoinSchedule, theta_at
 from .errors import BoundaryOverflowError
-from .observables import (
+# sigma, ipr and the per-state negativities are unused here: perfbench's replay patches them
+from .observables import (  # noqa: F401
     Distribution1D,
     Distribution2D,
+    check_normalized,
+    crossing_coin_density,
     distribution,
     ipr,
     line_coin_position,
     line_sums,
     negativity_coin_position,
     negativity_particle_particle,
+    particle_particle_from_density,
     sigma,
 )
 from .state import (
@@ -60,6 +65,7 @@ from .state import (
     line_layout,
     new_one_particle,
     new_two_particle,
+    two_particle_confinement,
 )
 
 __all__ = [
@@ -172,6 +178,19 @@ class WalkSpec:
                 f"initial coin vector length {self.init.coin.shape[0]} does not match "
                 f"particle_count {self.particle_count}"
             )
+        if self.full2d:
+            for key in self.record:
+                if key in ("sigma", "ipr", "negativity_coin_position"):
+                    raise ValueError(f"{key} needs a one-line walk; a full-2D walk records "
+                                     "distribution and negativity_particle_particle")
+            if self.disorder.kind == "spatial":
+                raise ValueError("spatial disorder is only supported on confined (single-line) walks")
+
+    @property
+    def full2d(self) -> bool:
+        """True for a two-particle walk kept on the 2D grid: a mixed start or layout 'full2d'."""
+        return (self.particle_count == 2
+                and two_particle_confinement(self.init.coin, self.layout == "full2d") == "full2d")
 
 
 @dataclass
@@ -219,25 +238,21 @@ def _phase_planes(rows, power: int):
 class _LineBatch:
     """The batched line kernel: rows of one-line walks advanced together.
 
-    Every row starts from the same state and carries its own phases.  The
-    field is held as float64 planes (Re L, Im L, Re R, Im R) of shape
-    (4, rows, sites), and every value is made by single multiplies and
-    adds, each rounded once.  numpy's complex loops may round differently
-    with the array layout; the planes keep each row bit-identical to the
-    same walk run alone.  Only the support [lo, hi] is touched.  It grows
+    Each row has its own start and phases.  The field is held as float64
+    planes (Re L, Im L, Re R, Im R) of shape (4, rows, sites), and every
+    value is made by single multiplies and adds, each rounded once.
+    numpy's complex loops may round differently with the array layout; the
+    planes keep each row bit-identical to the same walk run alone.  Only the support [lo, hi] is touched.  It grows
     by one site per side and step (the light cone), clipped to the lattice.
     """
 
-    def __init__(self, state, rows: int):
-        self.layout = line_layout(state)
-        self.template = state
-        left, right = (getattr(state, name) for name in LINE_FIELDS[self.layout])
-        self.n = len(left)
-        parts = np.array([left.real, left.imag, right.real, right.imag])
-        self.planes = np.repeat(parts[:, None, :], rows, axis=1)
+    def __init__(self, layout: str, planes: np.ndarray):
+        self.layout = layout
+        self.planes = planes
+        self.n = planes.shape[2]
         self.x = np.arange(self.n) - (self.n - 1) / 2.0
         self.x2 = self.x * self.x
-        support = np.flatnonzero((left != 0) | (right != 0))
+        support = np.flatnonzero(planes.any(axis=(0, 1)))
         self.lo, self.hi = (int(support[0]), int(support[-1])) if len(support) else (0, 0)
 
     def step(self, c: float, s: float, phases):
@@ -290,25 +305,13 @@ class _LineBatch:
             if "ipr" in keys:
                 out["ipr"] = np.add.reduce(p * p, axis=1)
         if "negativity_coin_position" in keys or "negativity_particle_particle" in keys:
-            p, c_re, c_im = line_sums(*view)
+            p, q, c_re, c_im = line_sums(*view)
+            check_normalized(p + q)
             if "negativity_coin_position" in keys:
                 out["negativity_coin_position"] = line_coin_position(*view, p, c_re, c_im)
             if "negativity_particle_particle" in keys:
                 out["negativity_particle_particle"] = np.sqrt(c_re * c_re + c_im * c_im)
         return out
-
-    def probabilities(self) -> np.ndarray:
-        """Per-site probabilities of every row, shape (rows, sites)."""
-        return _site_probabilities(self.planes)
-
-    def state(self, row: int):
-        """One row as a state of the starting layout."""
-        comps = []
-        for re, im in (self.planes[:2, row], self.planes[2:, row]):
-            z = np.empty(self.n, dtype=np.complex128)
-            z.real, z.imag = re, im
-            comps.append(z)
-        return replace(self.template, **dict(zip(LINE_FIELDS[self.layout], comps)))
 
 
 def _site_probabilities(planes):
@@ -320,13 +323,54 @@ def _site_probabilities(planes):
     return p
 
 
-def _step_line(state, theta: float, phases):
-    batch = _LineBatch(state, 1)
-    if np.ndim(phases) == 1 and len(phases) != batch.n:
-        raise ValueError(f"per-site phases need {batch.n} values, got {len(phases)}")
-    planes = [_phase_planes([phases], power) for power in _PHASE_POWERS[batch.layout]]
-    batch.step(math.cos(theta), math.sin(theta), planes)
-    return batch.state(0)
+def _lines(state):
+    """(layout, L, R) of each family of lines of a state, L and R of shape (lines, sites).
+
+    A full-2D field has x lines (uu, dd along x, one per y) and y lines
+    (du, ud along y, one per x): the coin mixes only uu with dd and ud with
+    du, and the shift moves each pair along its own axis.
+    """
+    layout = line_layout(state)
+    if layout is None:
+        return [("xline", state.uu.T, state.dd.T), ("yline", state.du, state.ud)]
+    return [(layout, *(getattr(state, name)[None] for name in LINE_FIELDS[layout]))]
+
+
+def _with_lines(state, pairs):
+    """state with each family of _lines(state) replaced by an (L, R) pair."""
+    layout = line_layout(state)
+    if layout is None:
+        (uu, dd), (du, ud) = pairs
+        return replace(state, uu=np.ascontiguousarray(uu.T), dd=np.ascontiguousarray(dd.T), du=du, ud=ud)
+    (left, right), = pairs
+    return replace(state, **dict(zip(LINE_FIELDS[layout], (left[0], right[0]))))
+
+
+def _planes(left, right) -> np.ndarray:
+    return np.array([left.real, left.imag, right.real, right.imag])
+
+
+def _complex(planes):
+    """(L, R) of planes (Re L, Im L, Re R, Im R); exact, as 1j * x only moves x."""
+    return planes[0] + 1j * planes[1], planes[2] + 1j * planes[3]
+
+
+def _step(state, theta: float, phases):
+    """One step of every line of a state on the line kernel."""
+    lines = _lines(state)
+    if np.ndim(phases) == 1:
+        if len(lines) > 1:
+            raise ValueError("spatial disorder is only supported on confined (single-line) walks")
+        n = lines[0][1].shape[1]
+        if len(phases) != n:
+            raise ValueError(f"per-site phases need {n} values, got {len(phases)}")
+    c, s = math.cos(theta), math.sin(theta)
+    stepped = []
+    for layout, left, right in lines:
+        batch = _LineBatch(layout, _planes(left, right))
+        batch.step(c, s, [_phase_planes([phases], power) for power in _PHASE_POWERS[layout]])
+        stepped.append(_complex(batch.planes))
+    return _with_lines(state, stepped)
 
 
 def step_one_particle(state: SpinorField1P, theta: float, phases=None) -> SpinorField1P:
@@ -335,36 +379,7 @@ def step_one_particle(state: SpinorField1P, theta: float, phases=None) -> Spinor
     phases: None for the clean walk, a scalar phi (temporal disorder) or a
     per-site array of length 2*half_width+1 (spatial disorder).
     """
-    return _step_line(state, theta, phases)
-
-
-def _step_full2d(state: TwoParticleField, c: float, s: float, phases) -> TwoParticleField:
-    if phases is not None and np.ndim(phases) != 0:
-        raise ValueError("spatial disorder is only supported on confined (single-line) walks")
-    uu, ud, du, dd = state.uu, state.ud, state.du, state.dd
-    a = c * uu - 1j * s * dd
-    b = -1j * s * uu + c * dd
-    cc = c * ud - 1j * s * du
-    d = -1j * s * ud + c * du
-    if phases is not None:
-        e1 = np.exp(1j * float(phases))
-        b = b * (e1 * e1)
-        cc = cc * e1
-        d = d * e1
-    for leaving, name in ((a[0, :], "uu/left"), (b[-1, :], "dd/right"), (cc[:, -1], "ud/top"), (d[:, 0], "du/bottom")):
-        if np.any(leaving != 0):
-            raise BoundaryOverflowError(f"{name}: amplitude would leave the lattice")
-    new_uu = np.zeros_like(uu)
-    new_dd = np.zeros_like(dd)
-    new_ud = np.zeros_like(ud)
-    new_du = np.zeros_like(du)
-    new_uu[:-1, :] = a[1:, :]
-    new_dd[1:, :] = b[:-1, :]
-    new_ud[:, 1:] = cc[:, :-1]
-    new_du[:, :-1] = d[:, 1:]
-    return TwoParticleField(
-        "full2d", state.half_width_x, state.half_width_y, new_uu, new_ud, new_du, new_dd, state.x0, state.y0
-    )
+    return _step(state, theta, phases)
 
 
 def step_two_particle(state: TwoParticleField, theta: float, phases=None) -> TwoParticleField:
@@ -372,10 +387,9 @@ def step_two_particle(state: TwoParticleField, theta: float, phases=None) -> Two
 
     For confined fields the per-site phase array is indexed along the
     active axis; the frozen coordinate never sees a phase difference.
+    Full-2D fields take a scalar phase or none.
     """
-    if state.confinement == "full2d":
-        return _step_full2d(state, math.cos(theta), math.sin(theta), phases)
-    return _step_line(state, theta, phases)
+    return _step(state, theta, phases)
 
 
 def landscape_size(spec: WalkSpec) -> int:
@@ -417,89 +431,62 @@ def run_walk(spec: WalkSpec, landscape: PhaseLandscape | None = None) -> RunResu
 
 
 def run_walk_batch(spec: WalkSpec, landscapes) -> list[RunResult]:
-    """run_walk once per landscape; one-line walks run as one batch.
+    """run_walk once per landscape, all landscapes as one batch.
 
     Result i is bit-identical to run_walk(spec, landscapes[i]) whatever
-    the batch size.  Memory grows with the batch, so callers keep it to a
-    few dozen rows.  Full-2D walks run one after another.
+    the batch size.  A full-2D walk runs as two line batches stepped in
+    lockstep, the x line and the y line through its origin.  Memory grows
+    with the batch, so callers keep it to a few dozen rows.
     """
     for landscape in landscapes:
         _check_landscape(spec, landscape)
     if not landscapes:
         return []
     state = _new_state(spec)
-    if line_layout(state) is None:
-        return [_run_full2d(spec, state, landscape) for landscape in landscapes]
-
     rows = len(landscapes)
-    batch = _LineBatch(state, rows)
+    lines = _lines(state)
+    one_line = len(lines) == 1
+    # a walk started at one site stays on the line through it in each family;
+    # the x line (index y0) and the y line (index x0) of a full-2D walk cross there
+    origin = [0] if one_line else [state.y0 + state.half_width_y, state.x0 + state.half_width_x]
+    batches = [_LineBatch(layout, np.repeat(_planes(left[i:i + 1], right[i:i + 1]), rows, axis=1))
+               for (layout, left, right), i in zip(lines, origin)]
     values = [landscape.values for landscape in landscapes]
-    phases = [_phase_planes(values, power) for power in _PHASE_POWERS[batch.layout]]
+    phases = [[_phase_planes(values, power) for power in _PHASE_POWERS[batch.layout]] for batch in batches]
     scalar_keys = [k for k in spec.record if k != "distribution"]
     series = {k: np.zeros((rows, spec.steps + 1)) for k in scalar_keys}
 
     def record(t):
-        for key, value in batch.observe(scalar_keys).items():
+        if one_line:
+            observed = batches[0].observe(scalar_keys)
+        else:  # the spec lets a full-2D walk record no other scalar
+            observed = {key: particle_particle_from_density(crossing_coin_density(
+                batches[0].planes, batches[1].planes, origin[1], origin[0])) for key in scalar_keys}
+        for key, value in observed.items():
             series[key][:, t] = value
 
     record(0)
     for t in range(1, spec.steps + 1):
         theta = theta_at(spec.schedule, t)
-        step_phases = phases
-        if spec.disorder.kind == "temporal":
-            step_phases = [None if f is None else (f[0][:, t - 1:t], f[1][:, :, t - 1:t]) for f in phases]
-        batch.step(math.cos(theta), math.sin(theta), step_phases)
+        c, s = math.cos(theta), math.sin(theta)
+        for batch, planes in zip(batches, phases):
+            if spec.disorder.kind == "temporal":
+                planes = [None if f is None else (f[0][:, t - 1:t], f[1][:, :, t - 1:t]) for f in planes]
+            batch.step(c, s, planes)
         record(t)
 
-    probs = batch.probabilities() if "distribution" in spec.record else None
+    probs = _site_probabilities(batches[0].planes) if one_line and "distribution" in spec.record else None
     positions = np.arange(-spec.steps, spec.steps + 1)
     results = []
     for row in range(rows):
-        result = RunResult(steps=spec.steps, final_state=batch.state(row))
+        filled = [(np.zeros_like(left), np.zeros_like(right)) for _, left, right in lines]
+        for (left, right), i, batch in zip(filled, origin, batches):
+            left[i], right[i] = _complex(batch.planes[:, row])
+        result = RunResult(steps=spec.steps, final_state=_with_lines(state, filled))
         for key in scalar_keys:
             setattr(result, key, series[key][row])
-        if probs is not None:
-            result.distribution = Distribution1D(positions, probs[row])
+        if "distribution" in spec.record:
+            result.distribution = (distribution(result.final_state) if probs is None
+                                   else Distribution1D(positions, probs[row]))
         results.append(result)
     return results
-
-
-def _run_full2d(spec: WalkSpec, state: TwoParticleField, landscape: PhaseLandscape) -> RunResult:
-    """The per-state stepping loop for walks kept on the full 2D grid."""
-    result = RunResult(steps=spec.steps)
-    n = spec.steps + 1
-    scalar_keys = [k for k in spec.record if k != "distribution"]
-    for key in scalar_keys:
-        setattr(result, key, np.zeros(n))
-
-    def record(t, st):
-        if not scalar_keys:
-            return
-        dist = None
-        if "sigma" in scalar_keys or "ipr" in scalar_keys:
-            dist = distribution(st)
-        if "sigma" in scalar_keys:
-            result.sigma[t] = sigma(dist)
-        if "ipr" in scalar_keys:
-            result.ipr[t] = ipr(dist)
-        if "negativity_coin_position" in scalar_keys:
-            result.negativity_coin_position[t] = negativity_coin_position(st).value
-        if "negativity_particle_particle" in scalar_keys:
-            result.negativity_particle_particle[t] = negativity_particle_particle(st).value
-
-    record(0, state)
-    for t in range(1, spec.steps + 1):
-        theta = theta_at(spec.schedule, t)
-        if landscape.kind == "none":
-            phases = None
-        elif landscape.kind == "spatial":
-            phases = landscape.values
-        else:
-            phases = landscape.values[t - 1]
-        state = _step_full2d(state, math.cos(theta), math.sin(theta), phases)
-        record(t, state)
-
-    if "distribution" in spec.record:
-        result.distribution = distribution(state)
-    result.final_state = state
-    return result

@@ -14,8 +14,8 @@ sums, p = sum |L|^2, q = sum |R|^2 and c = sum L conj(R):
   density supported on two basis states; its partial transpose has
   eigenvalues p, q, +|c| and -|c|.
 
-Full-2D states, which the sums do not cover, take the particle/particle
-negativity from the 4x4 partial transpose of the traced-out coin density.
+Full-2D states take the particle/particle negativity from the 4x4 partial
+transpose of the traced-out coin density (see crossing_coin_density).
 """
 
 from __future__ import annotations
@@ -38,7 +38,10 @@ __all__ = [
     "negativity_particle_particle",
     "reduced_particle_density",
     "line_sums",
+    "check_normalized",
     "line_coin_position",
+    "crossing_coin_density",
+    "particle_particle_from_density",
 ]
 
 STATE_NORM_TOL = 1e-8
@@ -129,27 +132,25 @@ def front_position(dist: Distribution1D, tail_mass: float = 0.01) -> int:
     return int(dist.x[idx[-1]])
 
 
-def _negativity_from_eigenvalues(eigvals: np.ndarray) -> float:
-    lam = np.real(eigvals)
-    return float(np.sum((np.abs(lam) - lam) / 2.0))
-
-
 def line_sums(lr, li, rr, ri):
-    """Row sums (p, Re c, Im c) of a batch of normalized one-line states.
+    """Row sums (p, q, Re c, Im c) of a batch of one-line states.
 
     lr, li, rr, ri are the real and imaginary parts of the L and R
-    components, arrays of shape (rows, sites); p = sum |L|^2 and
-    c = sum L conj(R) over each row.  Raises ValueError unless every row
-    is normalized, p + sum |R|^2 = 1 within STATE_NORM_TOL.
+    components, arrays of shape (rows, sites); p = sum |L|^2,
+    q = sum |R|^2 and c = sum L conj(R) over each row.
     """
     p = np.add.reduce(lr * lr + li * li, axis=1)
-    total = p + np.add.reduce(rr * rr + ri * ri, axis=1)
+    q = np.add.reduce(rr * rr + ri * ri, axis=1)
+    c_re = np.add.reduce(lr * rr + li * ri, axis=1)
+    c_im = np.add.reduce(li * rr - lr * ri, axis=1)
+    return p, q, c_re, c_im
+
+
+def check_normalized(total):
+    """Raise ValueError unless every row total is 1 within STATE_NORM_TOL."""
     drift = np.abs(total - 1.0) > STATE_NORM_TOL
     if drift.any():
         raise ValueError(f"state must be normalized, |amp|^2 sums to {float(total[np.argmax(drift)])!r}")
-    c_re = np.add.reduce(lr * rr + li * ri, axis=1)
-    c_im = np.add.reduce(li * rr - lr * ri, axis=1)
-    return p, c_re, c_im
 
 
 def line_coin_position(lr, li, rr, ri, p, c_re, c_im):
@@ -184,7 +185,9 @@ def negativity_coin_position(state) -> NegativityResult:
     planes = _state_planes(state)
     if planes is None:
         raise ValueError("coin/position bipartition is not supported for full-2D states")
-    value = float(line_coin_position(*planes, *line_sums(*planes))[0])
+    p, q, c_re, c_im = line_sums(*planes)
+    check_normalized(p + q)
+    value = float(line_coin_position(*planes, p, c_re, c_im)[0])
     return NegativityResult(value, "coin_position", "closed_form")
 
 
@@ -205,9 +208,36 @@ def reduced_particle_density(state: TwoParticleField) -> np.ndarray:
     return rho
 
 
+def crossing_coin_density(x_planes, y_planes, x_site: int, y_site: int) -> np.ndarray:
+    """4x4 coin densities of full-2D rows that live on an x and a y line.
+
+    x_planes and y_planes are the (4, rows, sites) planes of the x lines
+    (L = uu, R = dd) and the y lines (L = du, R = ud), which cross at
+    x_site and y_site.  uu and dd meet ud and du only there, so the
+    entries between the two pairs are products of the amplitudes there.
+    """
+    x_sums, y_sums = line_sums(*x_planes), line_sums(*y_planes)
+    (uu_re, uu_im, dd_re, dd_im), (du_re, du_im, ud_re, ud_im) = x_planes[..., x_site], y_planes[..., y_site]
+    at = np.stack([uu_re + 1j * uu_im, ud_re + 1j * ud_im, du_re + 1j * du_im, dd_re + 1j * dd_im], axis=1)
+    rho = at[:, :, None] * at[:, None, :].conj()
+    for (i, j), (p, q, c_re, c_im) in (((UU, DD), x_sums), ((DU, UD), y_sums)):
+        c = c_re + 1j * c_im
+        rho[:, i, i], rho[:, j, j], rho[:, i, j], rho[:, j, i] = p, q, c, c.conj()
+    return rho
+
+
 def partial_transpose_second(rho4: np.ndarray) -> np.ndarray:
-    """Partial transpose of a 4x4 two-qubit matrix on the second factor."""
-    return rho4.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    """Partial transpose on the second factor of (stacked) 4x4 two-qubit matrices."""
+    return rho4.reshape(rho4.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(rho4.shape)
+
+
+def particle_particle_from_density(rho4: np.ndarray) -> np.ndarray:
+    """Negativity of stacked 4x4 coin densities: the sum of (|lambda| - lambda)/2
+    over the eigenvalues of each partial transpose, clipped at 0.  Raises
+    ValueError unless every density has unit trace (a normalized state)."""
+    check_normalized(np.trace(rho4, axis1=-2, axis2=-1).real)
+    lam = np.linalg.eigvalsh(partial_transpose_second(rho4))
+    return np.maximum(np.add.reduce((np.abs(lam) - lam) / 2.0, axis=-1), 0.0)
 
 
 def negativity_particle_particle(state: TwoParticleField) -> NegativityResult:
@@ -221,10 +251,8 @@ def negativity_particle_particle(state: TwoParticleField) -> NegativityResult:
         raise ValueError("particle/particle negativity needs a two-particle state")
     planes = _state_planes(state)
     if planes is not None:
-        _, c_re, c_im = line_sums(*planes)
+        p, q, c_re, c_im = line_sums(*planes)
+        check_normalized(p + q)
         return NegativityResult(float(np.sqrt(c_re * c_re + c_im * c_im)[0]), "particle_particle", "closed_form")
-    if abs(state.norm() - 1.0) > STATE_NORM_TOL:
-        raise ValueError(f"state must be normalized, norm is {state.norm()!r}")
-    rho = reduced_particle_density(state)
-    value = _negativity_from_eigenvalues(np.linalg.eigvalsh(partial_transpose_second(rho)))
-    return NegativityResult(max(value, 0.0), "particle_particle", "partial_transpose")
+    value = particle_particle_from_density(reduced_particle_density(state)[None])[0]
+    return NegativityResult(float(value), "particle_particle", "partial_transpose")

@@ -15,6 +15,7 @@ import os
 import numpy as np
 
 from . import __version__
+from .coins import CoinSchedule, theta_at
 from .config import Experiment
 from .ensemble import EnsembleSpec, run_ensemble
 from .evolve import WalkSpec, run_walk
@@ -107,8 +108,6 @@ def _run_ensemble_outputs(writer: _Writer, suffix: str, spec: EnsembleSpec, work
     summary = run_ensemble(spec, workers=workers)
     for key in spec.walk.record:
         if key == "distribution":
-            if summary.mean_distribution.ndim != 1:
-                raise ValueError("ensemble distributions are only emitted for 1D walks")
             dist = Distribution1D(summary.positions, summary.mean_distribution)
             _emit_distribution(writer, f"distribution{suffix}", dist)
         else:
@@ -172,8 +171,9 @@ def execute(exp: Experiment, output_dir: str, workers: int | None = None) -> tup
         p = exp.payload
         rows = []
         for a in p["accelerations"]:
+            schedule = CoinSchedule(p["theta0"], a)
             for t in range(1, p["steps"] + 1):
-                rows.append((a, t, math.cos(p["theta0"] * math.exp(-a * t))))
+                rows.append((a, t, math.cos(theta_at(schedule, t))))
         writer.emit("schedule", ["a", "t", "value"], rows)
     else:  # pragma: no cover - parse_config rejects unknown kinds
         raise ValueError(f"unknown experiment kind {exp.kind!r}")

@@ -54,6 +54,47 @@ def evolve_dense(alpha, beta, steps, thetas, phis_per_step=None, x0=0, powers=(0
     return vec[:n], vec[n:]
 
 
+def dense_step_matrix_2d(nsites, theta, phi=None):
+    """Full 4N^2 x 4N^2 one-step unitary of a two-particle field on an N x N grid.
+
+    The coin diag(1, e^{i phi}, e^{i phi}, e^{2i phi}) (cos theta - i sin
+    theta sx@sx) acts at every site, then uu moves to x-1, dd to x+1, ud to
+    y+1 and du to y-1.  The state vector is indexed [component, x, y] with
+    components in the order uu, ud, du, dd; amplitude shifted off the grid
+    is dropped.
+    """
+    n = nsites
+    sxx = np.fliplr(np.eye(4))
+    coin = math.cos(theta) * np.eye(4) - 1j * math.sin(theta) * sxx
+    if phi is not None:
+        coin = np.diag(np.exp(1j * phi * np.array([0.0, 1.0, 1.0, 2.0]))) @ coin
+    moves = [(-1, 0), (0, 1), (0, -1), (1, 0)]
+    shift = np.zeros((4 * n * n, 4 * n * n))
+    for k, (dx, dy) in enumerate(moves):
+        for x in range(n):
+            for y in range(n):
+                if 0 <= x + dx < n and 0 <= y + dy < n:
+                    shift[(k * n + x + dx) * n + y + dy, (k * n + x) * n + y] = 1.0
+    return shift @ np.kron(coin, np.eye(n * n))
+
+
+def evolve_dense_2d(coin, steps, thetas, phis=None, origin=(0, 0)):
+    """States of a two-particle walk on the grid [-steps, steps]^2 after each step.
+
+    coin: the four start amplitudes (uu, ud, du, dd) at origin (x0, y0).
+    thetas: per-step angles; phis: None or per-step scalar phases.
+    Returns a list of steps + 1 arrays of shape (4, N, N), the start first.
+    """
+    n = 2 * steps + 1
+    vec = np.zeros((4, n, n), dtype=complex)
+    vec[:, steps + origin[0], steps + origin[1]] = coin
+    states = [vec]
+    for t in range(steps):
+        step = dense_step_matrix_2d(n, thetas[t], None if phis is None else phis[t])
+        states.append((step @ states[-1].ravel()).reshape(4, n, n))
+    return states
+
+
 def negativity_pt_loops(amp):
     """Negativity of a pure coin-position state via an explicit loop PT."""
     d, n = amp.shape

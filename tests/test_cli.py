@@ -161,6 +161,7 @@ def test_non_finite_walk_parameters_give_exit_2(tmp_path, capsys, walk_field):
 
 
 WALK_2P = dict(BASE_WALK, particles=2, initial="uu", record=["sigma"])
+WALK_MIXED = dict(BASE_WALK, particles=2, initial=[[0.5, 0.0]] * 4, record=["distribution"])
 
 
 @pytest.mark.parametrize("config, field", [
@@ -178,6 +179,21 @@ WALK_2P = dict(BASE_WALK, particles=2, initial="uu", record=["sigma"])
     ({"walk": BASE_WALK, "sweep": {"acceleration": [0.0, math.nan]}}, "sweep.acceleration"),
     ({"walk": BASE_WALK, "sweep": {"acceleration": [-0.1]}}, "sweep.acceleration"),
     ({"walk": BASE_WALK, "sweep": {"theta0": ["pi/4", 2.0]}}, "sweep.theta0"),
+    ({"walk": dict(WALK_2P, layout="full2d")}, "walk"),
+    ({"walk": dict(WALK_MIXED, record=["negativity_coin_position"])}, "walk"),
+    ({"ensemble": {"runs": 2, "walk": dict(WALK_MIXED, disorder={"kind": "temporal"})}}, "ensemble"),
+    ({"walk": dict(WALK_2P, layout="full2d", record=["distribution"], disorder={"kind": "spatial"})}, "walk"),
+    ({"walk": BASE_WALK, "output_dir": 5}, "output_dir"),
+    ({"surface": {"walk": WALK_2P, "observable": "sigma", "accelerations": [math.nan]}},
+     "surface.accelerations"),
+    ({"surface": {"walk": WALK_2P, "observable": "sigma", "accelerations": [0.1, -0.5]}},
+     "surface.accelerations"),
+    ({"schedule": {"theta0": "pi/2", "accelerations": [-0.5, math.nan]}}, "schedule.accelerations"),
+    ({"schedule": {"theta0": "pi/2", "accelerations": [0.1, math.nan]}}, "schedule.accelerations"),
+    ({"schedule": {"theta0": "pi/2", "accelerations": [0.1], "steps": 0}}, "schedule.steps"),
+    ({"schedule": {"theta0": 2.0, "accelerations": [0.1]}}, "schedule.theta0"),
+    ({"lyapunov": {"theta": "pi/4", "omega": 0.5, "chain_length": 10}}, "lyapunov.chain_length"),
+    ({"lyapunov": {"theta": "pi/4", "omega": 0.5, "disorder": {"kind": "temporal"}}}, "lyapunov.disorder"),
 ])
 def test_bad_config_values_give_exit_2(tmp_path, capsys, config, field):
     path = _write(tmp_path, dict(config, name="bad"))

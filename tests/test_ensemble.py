@@ -212,7 +212,8 @@ def test_full2d_ensembles_run_one_realization_per_chunk():
     assert _chunk_rows(walk) == 1
     assert _chunk_rows(_walk(particles=2)) == _MAX_CHUNK_ROWS
     forced = WalkSpec(2, CoinSchedule(0.8, 0.01), InitialState.basis_two_particle("uu"), 8,
-                      disorder=DisorderSpec("temporal"), record=("sigma",), layout="full2d")
+                      disorder=DisorderSpec("temporal"), record=("negativity_particle_particle",),
+                      layout="full2d")
     assert _chunk_rows(forced) == 1
     spec = EnsembleSpec(walk, runs=5, base_seed=2)
     serial, parallel = run_ensemble(spec, workers=1), run_ensemble(spec, workers=2)

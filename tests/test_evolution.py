@@ -266,9 +266,9 @@ def test_mismatched_landscape_rejected():
 
 
 def test_full2d_spatial_disorder_unsupported():
-    spec = WalkSpec(2, CoinSchedule(1.0, 0.0), InitialState.basis_two_particle("uu"), 5,
-                    disorder=DisorderSpec("spatial"), record=("distribution",), layout="full2d")
     with pytest.raises(ValueError, match="confined"):
+        spec = WalkSpec(2, CoinSchedule(1.0, 0.0), InitialState.basis_two_particle("uu"), 5,
+                        disorder=DisorderSpec("spatial"), record=("distribution",), layout="full2d")
         run_walk(spec)
 
 

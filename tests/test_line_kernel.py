@@ -1,7 +1,8 @@
 """Properties of the batched line kernel behind run_walk and the ensembles.
 
 Each row of a batch must be bit-identical to the same walk run alone, and
-a walk run alone must match the dense matrix-on-statevector oracle.
+a walk run alone must match the dense matrix-on-statevector oracle: the
+one-line oracle for line walks, the whole-grid oracle for full-2D walks.
 """
 
 import cmath
@@ -23,7 +24,7 @@ from aqwalk import (
 )
 from aqwalk.evolve import RECORD_KEYS, landscape_size, run_walk_batch
 
-from oracles import evolve_dense, negativity_pt_loops, pp_negativity_loops
+from oracles import evolve_dense, evolve_dense_2d, negativity_pt_loops, pp_negativity_loops
 
 # per layout: coin-vector slots of the (L, R) components and their phase powers
 LAYOUTS = {
@@ -138,3 +139,50 @@ def test_single_run_matches_dense_oracle(walk):
         elif key in expected:
             value, tol = expected[key]
             assert abs(result.series(key)[-1] - value) < tol
+
+
+@st.composite
+def grid_walks(draw):
+    """(WalkSpec of a full-2D walk of at most 5 steps, its start amplitudes)."""
+    steps = draw(st.integers(1, 5))
+    # components drawn as zero let walks from an origin off the centre stay on the grid
+    amps = np.array([0.0 if draw(st.booleans()) else complex(draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
+                     for _ in range(4)])
+    assume(np.sum(np.abs(amps) ** 2) > 1e-3)
+    amps /= np.sqrt(np.sum(np.abs(amps) ** 2))
+    origin = tuple(draw(st.sampled_from([0, draw(st.integers(-steps, steps))])) for _ in range(2))
+    theta0 = draw(st.one_of(st.just(0.0), st.floats(1e-6, math.pi / 2)))
+    spec = WalkSpec(2, CoinSchedule(theta0, draw(st.floats(0.0, 0.2))), InitialState(amps, origin), steps,
+                    disorder=DisorderSpec(draw(st.sampled_from(["none", "temporal"])),
+                                          seed=draw(st.integers(0, 2**32 - 1))),
+                    record=("distribution", "negativity_particle_particle"),
+                    layout=draw(st.sampled_from(["auto", "full2d"])))
+    assume(spec.full2d)
+    return spec, amps
+
+
+@PROPERTY_SETTINGS
+@given(walk=grid_walks(), rows=st.integers(2, 4))
+def test_full2d_walk_matches_dense_grid_oracle(walk, rows):
+    spec, amps = walk
+    landscapes = _landscapes(spec, rows)
+    try:
+        result = run_walk(spec, landscapes[0])
+    except BoundaryOverflowError:
+        assume(False)
+    steps = spec.steps
+    thetas = [theta_at(spec.schedule, t) for t in range(1, steps + 1)]
+    states = evolve_dense_2d(amps, steps, thetas, landscapes[0].values, spec.init.origin)
+    final = result.final_state
+    got = np.array([final.uu, final.ud, final.du, final.dd])
+    assert np.max(np.abs(got - states[-1])) < 1e-12
+    assert np.max(np.abs(result.distribution.p - np.sum(np.abs(states[-1]) ** 2, axis=0))) < 1e-12
+    for t, state in enumerate(states):
+        assert abs(result.negativity_particle_particle[t] - pp_negativity_loops(*state)) < 1e-12
+
+    for single, row in zip([result] + [run_walk(spec, landscape) for landscape in landscapes[1:]],
+                           run_walk_batch(spec, landscapes)):
+        assert row.negativity_particle_particle.tobytes() == single.negativity_particle_particle.tobytes()
+        assert row.distribution.p.tobytes() == single.distribution.p.tobytes()
+        for name in ("uu", "ud", "du", "dd"):
+            assert getattr(row.final_state, name).tobytes() == getattr(single.final_state, name).tobytes()
