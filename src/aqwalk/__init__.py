@@ -10,7 +10,7 @@ ensembles with a CSV/JSON experiment CLI.
 __version__ = "0.1.0"
 
 from .coins import CoinSchedule, theta_at
-from .ensemble import ConvergenceReport, EnsembleSpec, EnsembleSummary, convergence_report, run_ensemble
+from .ensemble import EnsembleSpec, EnsembleSummary, run_ensemble
 from .errors import (
     AqwalkError,
     BoundaryOverflowError,
@@ -35,7 +35,6 @@ from .observables import (
     Distribution2D,
     NegativityResult,
     distribution,
-    front_position,
     ipr,
     negativity_coin_position,
     negativity_particle_particle,
@@ -46,7 +45,6 @@ from .spectral import (
     LyapunovEstimate,
     TransferMatrix,
     dispersion_omega,
-    dispersion_residual,
     group_velocity,
     lyapunov_localization_length,
     max_group_velocity,
@@ -59,7 +57,6 @@ from .state import (
     TwoParticleField,
     new_one_particle,
     new_two_particle,
-    norm,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .evolve import RECORD_KEYS, DisorderSpec, WalkSpec
 from .ensemble import EnsembleSpec
 from .spectral import DISPERSION_VARIANTS
-from .state import InitialState
+from .state import InitialState, two_particle_confinement
 
 __all__ = ["Experiment", "load_config", "parse_config", "parse_angle"]
 
@@ -176,10 +176,17 @@ def _parse_walk(raw, where: str) -> WalkSpec:
             raise ConfigError(f"{where}.record", f"unknown record key {key!r}; known: {RECORD_KEYS}")
     layout = raw.get("layout", "auto")
     try:
-        schedule = CoinSchedule(theta0, accel)
-        return WalkSpec(particles, schedule, init, steps, disorder, tuple(record), layout)
+        spec = WalkSpec(particles, CoinSchedule(theta0, accel), init, steps, disorder, tuple(record), layout)
     except ValueError as exc:
         raise ConfigError(where, str(exc))
+    # the lattice spans [-steps, steps]: a walk starts at 0 on each axis it moves along
+    moving = (0,) if particles == 1 else {"xline": (0,), "yline": (1,)}.get(
+        two_particle_confinement(init.coin, layout == "full2d"), (0, 1))
+    coords = (origin,) if particles == 1 else origin
+    if any(coords[axis] for axis in moving) or max(map(abs, coords)) > steps:
+        raise ConfigError(f"{where}.origin", "must be 0 on each axis the walk moves along and "
+                                             f"within [-steps, steps] on the other, got {origin}")
+    return spec
 
 
 def _schedule_values(values, key: str, where: str) -> list[float]:
@@ -212,7 +219,9 @@ def _parse_sweep(raw, where: str):
 def parse_config(data: dict) -> Experiment:
     """Validate a config mapping and build the corresponding specs."""
     name = data.get("name")
-    if not isinstance(name, str) or not name:
+    if name is not None and not isinstance(name, str):
+        raise ConfigError("name", f"experiment name must be a string, got {name!r}")
+    if not name:
         raise ConfigError("name", "missing or empty experiment name")
     present = [k for k in KINDS if k in data]
     if len(present) != 1:

@@ -24,9 +24,7 @@ from .evolve import DisorderSpec, WalkSpec, landscape_size, run_walk, run_walk_b
 __all__ = [
     "EnsembleSpec",
     "EnsembleSummary",
-    "ConvergenceReport",
     "run_ensemble",
-    "convergence_report",
 ]
 
 # Rows per batch of a line walk: large enough to amortize the per-step
@@ -70,19 +68,6 @@ class EnsembleSummary:
     positions: np.ndarray | None = None
     mean_distribution: np.ndarray | None = None
     stderr_distribution: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Comparison of two ensemble summaries of the same walk."""
-
-    max_abs_diff: dict
-    frac_steps_within: dict
-    flagged: dict
-
-    @property
-    def any_flagged(self) -> bool:
-        return any(self.flagged.values())
 
 
 def _effective_walk(spec: EnsembleSpec) -> WalkSpec:
@@ -175,30 +160,3 @@ def run_ensemble(spec: EnsembleSpec, workers: int | None = None) -> EnsembleSumm
         # every field is sized to its step count, so the axis is fixed
         summary.positions = np.arange(-walk.steps, walk.steps + 1)
     return summary
-
-
-def convergence_report(summary: EnsembleSummary, reference: EnsembleSummary) -> ConvergenceReport:
-    """Compare mean curves of an ensemble against a reference ensemble.
-
-    The reference must not be smaller.  For each observable the report
-    gives the max absolute difference of the mean curves, the fraction of
-    steps where the difference stays within 3x the pooled standard error,
-    and a flag raised when more than 5% of steps exceed that band.
-    """
-    if reference.runs < summary.runs:
-        raise ValueError("reference ensemble must have at least as many runs")
-    if reference.steps != summary.steps:
-        raise ValueError("ensembles must cover the same number of steps")
-    max_abs_diff = {}
-    frac_within = {}
-    flagged = {}
-    for key in summary.mean:
-        if key not in reference.mean:
-            continue
-        diff = np.abs(summary.mean[key] - reference.mean[key])
-        pooled = 3.0 * np.sqrt(summary.stderr[key] ** 2 + reference.stderr[key] ** 2)
-        within = diff <= pooled
-        max_abs_diff[key] = float(np.max(diff))
-        frac_within[key] = float(np.mean(within))
-        flagged[key] = frac_within[key] < 0.95
-    return ConvergenceReport(max_abs_diff, frac_within, flagged)

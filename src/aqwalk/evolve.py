@@ -25,8 +25,8 @@ Conventions (fixed throughout the package):
   two-component update: a component L that moves to lower positions, a
   component R that moves to higher ones, and row phases e^{i k phi} with
   k the number of down spins of each.  A full-2D field is two families of
-  such lines, (uu, dd) along x and (du, ud) along y.  One batched line
-  kernel steps every layout (see _LineBatch and _lines).
+  such lines, (uu, dd) along x and (du, ud) along y.  One batched kernel
+  steps every layout, in frames that move with L and R (see _Frame).
 
 All steps are unitary: the norm of the state is preserved to machine
 precision, and boundary overflow is a hard error rather than a silent
@@ -55,6 +55,7 @@ from .observables import (  # noqa: F401
     negativity_coin_position,
     negativity_particle_particle,
     particle_particle_from_density,
+    row_sums,
     sigma,
 )
 from .state import (
@@ -215,116 +216,140 @@ class RunResult:
 # phase powers (L, R) of each one-line layout: k down spins give e^{i k phi}
 _PHASE_POWERS = {"1p": (0, 1), "xline": (0, 2), "yline": (1, 1)}
 
-# On the planes (Re L, Im L, Re R, Im R) the coin [[c, -i s], [-i s, c]]
-# adds s * (Im R, -Re R, Im L, -Re L): the planes reversed, times these signs.
-_COIN_SIGNS = np.array([1.0, -1.0, 1.0, -1.0]).reshape(4, 1, 1)
+# On the (Re, Im) planes of one component the coin [[c, -i s], [-i s, c]] adds
+# s * (Im X, -Re X) of the other component X: its planes reversed, times these signs.
+_COIN_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)
 
 
 def _phase_planes(rows, power: int):
     """Factors e^{i power phi} as (cos, [-sin, sin]); None without a phase.
 
     rows holds, per batch row, a scalar phi or an array of phases (per
-    site or per step); the planes have shapes (rows, m) and (2, rows, m).
+    site or per step); the planes have shapes (m, rows) and (2, m, rows).
     Each row is computed by its own call, so its values do not depend on
     the batch it sits in.
     """
     if power == 0 or rows[0] is None:
         return None
     angles = [power * np.atleast_1d(np.asarray(phi, dtype=float)) for phi in rows]
-    sin = np.array([np.sin(a) for a in angles])
-    return np.array([np.cos(a) for a in angles]), np.stack([-sin, sin])
+    cos = np.array([np.cos(a) for a in angles]).T
+    sin = np.array([np.sin(a) for a in angles]).T
+    return np.ascontiguousarray(cos), np.stack([-sin, sin])
 
 
-class _LineBatch:
-    """The batched line kernel: rows of one-line walks advanced together.
+class _Frame:
+    """The line kernel: rows of one-line walks advanced together in a moving frame.
 
-    Each row has its own start and phases.  The field is held as float64
-    planes (Re L, Im L, Re R, Im R) of shape (4, rows, sites), and every
+    At time t a walk from x0 holds amplitude only on the sites
+    x = x0 + 2k - t, k = 0..t.  L moves to x - 1 and R to x + 1 at every
+    step, so L at that site is kept in slot k and R in slot k - t + T:
+    neither moves in memory, the shift costs nothing, and T + 1 slots hold
+    a walk of up to T steps.  Slots whose site lies off the lattice
+    [-H, H] are never stepped, and amplitude that would shift onto one
+    raises BoundaryOverflowError.
+
+    planes has shape (2, 2, T + 1, rows): component (L, R), part (Re, Im),
+    slot, row, so the slots of one step are a contiguous block.  Every
     value is made by single multiplies and adds, each rounded once.
-    numpy's complex loops may round differently with the array layout; the
-    planes keep each row bit-identical to the same walk run alone.  Only the support [lo, hi] is touched.  It grows
-    by one site per side and step (the light cone), clipped to the lattice.
+    numpy's complex loops may round differently with the array layout;
+    the planes keep each row bit-identical to the same walk run alone.
     """
 
-    def __init__(self, layout: str, planes: np.ndarray):
+    def __init__(self, layout: str, rows: int, half_width: int, origin: int, t: int, capacity: int):
         self.layout = layout
-        self.planes = planes
-        self.n = planes.shape[2]
-        self.x = np.arange(self.n) - (self.n - 1) / 2.0
-        self.x2 = self.x * self.x
-        support = np.flatnonzero(planes.any(axis=(0, 1)))
-        self.lo, self.hi = (int(support[0]), int(support[-1])) if len(support) else (0, 0)
+        self.half_width = half_width
+        self.origin = origin
+        self.t = t
+        self.capacity = capacity
+        self.planes = np.zeros((2, 2, capacity + 1, rows))
+
+    def cone(self):
+        """(L, R, sites) at time t: the site-aligned (2, sites, rows) planes of
+        the cone on the lattice, and the lattice indices of those sites."""
+        index = self.origin + self.half_width - self.t  # of slot 0, which may lie off the lattice
+        first = max(0, (1 - index) // 2)
+        last = min(self.t, (2 * self.half_width - index) // 2)
+        offset = self.capacity - self.t
+        start = index + 2 * first
+        return (self.planes[0, :, first:last + 1], self.planes[1, :, first + offset:last + offset + 1],
+                slice(start, start + 2 * (last - first) + 1, 2))
+
+    def load(self, planes):
+        """Take the cone at time t from planes over the whole lattice, shape (2, 2, 2H + 1, rows or 1)."""
+        left, right, sites = self.cone()
+        left[...], right[...] = planes[0][:, sites], planes[1][:, sites]
+
+    def unload(self, planes):
+        """Write the cone at time t into planes over the whole lattice, shape (2, 2, 2H + 1, rows)."""
+        left, right, sites = self.cone()
+        planes[0][:, sites], planes[1][:, sites] = left, right
+
+    def crossing(self):
+        """Planes (Re L, Im L, Re R, Im R) of the cone and the origin's index in them (None at odd t)."""
+        left, right, sites = self.cone()
+        offset = self.origin + self.half_width - sites.start
+        return (*left, *right), None if offset % 2 else offset // 2
 
     def step(self, c: float, s: float, phases):
-        """Coin [[c, -i s], [-i s, c]], row phases, then the split shift.
+        """Coin [[c, -i s], [-i s, c]] and row phases at time t, then the shift to t + 1.
 
         phases holds one entry per component (L, R): None, or planes from
-        _phase_planes with one column per site or one for the whole row.
+        _phase_planes with one entry per lattice site or one for all sites.
         """
-        lo, hi, n = self.lo, self.hi, self.n
-        cone = slice(lo, hi + 1)
-        view = self.planes[:, :, cone]
-        new = c * view
-        new += view[::-1] * (s * _COIN_SIGNS)
-        for block, phase in zip((new[:2], new[2:]), phases):
+        left, right, sites = self.cone()
+        mix = s * _COIN_SIGNS
+        turned = left[::-1] * mix
+        left *= c
+        left += right[::-1] * mix
+        right *= c
+        right += turned
+        for block, phase in zip((left, right), phases):
             if phase is not None:
                 cos, signed_sin = phase
-                if cos.shape[1] > 1:
-                    cos, signed_sin = cos[:, cone], signed_sin[:, :, cone]
+                if len(cos) > 1:
+                    cos, signed_sin = cos[sites], signed_sin[:, sites]
                 turned = block[::-1] * signed_sin  # (-Im sin, Re sin)
                 block *= cos
                 block += turned
         left_name, right_name = LINE_FIELDS[self.layout]
-        if lo == 0 and new[:2, :, 0].any():
+        if sites.start == 0 and left[:, 0].any():
             raise BoundaryOverflowError(f"{left_name} amplitude would leave the lattice at the lower edge")
-        if hi == n - 1 and new[2:, :, -1].any():
+        if sites.stop - 1 == 2 * self.half_width and right[:, -1].any():
             raise BoundaryOverflowError(f"{right_name} amplitude would leave the lattice at the upper edge")
-        # L moves to site x - 1 and R to x + 1; the checked-zero edge column is dropped
-        first = 1 if lo == 0 else 0
-        last = hi - lo if hi == n - 1 else hi - lo + 1
-        planes = self.planes
-        planes[:2, :, lo - 1 + first:hi] = new[:2, :, first:]
-        planes[:2, :, hi] = 0.0
-        planes[2:, :, lo + 1:lo + 1 + last] = new[2:, :, :last]
-        planes[2:, :, lo] = 0.0
-        self.lo, self.hi = max(lo - 1, 0), min(hi + 1, n - 1)
+        self.t += 1
 
     def observe(self, keys) -> dict:
         """The scalar observables named in keys, one value per row."""
-        cone = slice(self.lo, self.hi + 1)
-        view = self.planes[:, :, cone]
+        left, right, sites = self.cone()
         out = {}
         if "sigma" in keys or "ipr" in keys:
-            p = _site_probabilities(view)
+            p = _site_probabilities(left, right)
             if "sigma" in keys:
-                mean = np.add.reduce(p * self.x[cone], axis=1)
-                var = np.add.reduce(p * self.x2[cone], axis=1)
+                x = 2.0 * np.arange(len(p))[:, None] + float(sites.start - self.half_width)
+                mean = row_sums(p * x)
+                var = row_sums(p * (x * x))
                 var -= mean * mean
                 # variance can go epsilon-negative for a point mass
                 out["sigma"] = np.sqrt(np.maximum(var, 0.0, out=var), out=var)
             if "ipr" in keys:
-                out["ipr"] = np.add.reduce(p * p, axis=1)
+                out["ipr"] = row_sums(p * p)
         if "negativity_coin_position" in keys or "negativity_particle_particle" in keys:
-            p, q, c_re, c_im = line_sums(*view)
+            p, q, c_re, c_im = line_sums(*left, *right)
             check_normalized(p + q)
             if "negativity_coin_position" in keys:
-                out["negativity_coin_position"] = line_coin_position(*view, p, c_re, c_im)
+                out["negativity_coin_position"] = line_coin_position(*left, *right, p, c_re, c_im)
             if "negativity_particle_particle" in keys:
                 out["negativity_particle_particle"] = np.sqrt(c_re * c_re + c_im * c_im)
         return out
 
 
-def _site_probabilities(planes):
+def _site_probabilities(left, right):
     # |L|^2 + |R|^2 summed plane by plane, in a fixed order
-    sq = planes * planes
-    p = sq[0] + sq[1]
-    p += sq[2]
-    p += sq[3]
-    return p
+    return left[0] * left[0] + left[1] * left[1] + right[0] * right[0] + right[1] * right[1]
 
 
 def _lines(state):
-    """(layout, L, R) of each family of lines of a state, L and R of shape (lines, sites).
+    """(layout, L, R) of each family of lines of a state, L and R of shape (sites, lines).
 
     A full-2D field has x lines (uu, dd along x, one per y) and y lines
     (du, ud along y, one per x): the coin mixes only uu with dd and ud with
@@ -332,8 +357,8 @@ def _lines(state):
     """
     layout = line_layout(state)
     if layout is None:
-        return [("xline", state.uu.T, state.dd.T), ("yline", state.du, state.ud)]
-    return [(layout, *(getattr(state, name)[None] for name in LINE_FIELDS[layout]))]
+        return [("xline", state.uu, state.dd), ("yline", state.du.T, state.ud.T)]
+    return [(layout, *(getattr(state, name)[:, None] for name in LINE_FIELDS[layout]))]
 
 
 def _with_lines(state, pairs):
@@ -341,35 +366,47 @@ def _with_lines(state, pairs):
     layout = line_layout(state)
     if layout is None:
         (uu, dd), (du, ud) = pairs
-        return replace(state, uu=np.ascontiguousarray(uu.T), dd=np.ascontiguousarray(dd.T), du=du, ud=ud)
+        return replace(state, uu=uu, dd=dd, du=np.ascontiguousarray(du.T), ud=np.ascontiguousarray(ud.T))
     (left, right), = pairs
-    return replace(state, **dict(zip(LINE_FIELDS[layout], (left[0], right[0]))))
+    return replace(state, **dict(zip(LINE_FIELDS[layout], (left[:, 0], right[:, 0]))))
 
 
 def _planes(left, right) -> np.ndarray:
-    return np.array([left.real, left.imag, right.real, right.imag])
+    return np.array([[left.real, left.imag], [right.real, right.imag]])
 
 
 def _complex(planes):
-    """(L, R) of planes (Re L, Im L, Re R, Im R); exact, as 1j * x only moves x."""
-    return planes[0] + 1j * planes[1], planes[2] + 1j * planes[3]
+    """(L, R) of planes ((Re L, Im L), (Re R, Im R)); exact, as 1j * x only moves x."""
+    return planes[0, 0] + 1j * planes[0, 1], planes[1, 0] + 1j * planes[1, 1]
 
 
 def _step(state, theta: float, phases):
-    """One step of every line of a state on the line kernel."""
+    """One step of every line of a state on the line kernel.
+
+    The coin acts on one site and the shift moves by one, so the two
+    parity classes of sites never mix: each runs as a frame of its own,
+    the sites -H, -H + 2, ..., H as the cone of time H and the others as
+    that of time H - 1, both from origin 0.
+    """
     lines = _lines(state)
     if np.ndim(phases) == 1:
         if len(lines) > 1:
             raise ValueError("spatial disorder is only supported on confined (single-line) walks")
-        n = lines[0][1].shape[1]
+        n = len(lines[0][1])
         if len(phases) != n:
             raise ValueError(f"per-site phases need {n} values, got {len(phases)}")
     c, s = math.cos(theta), math.sin(theta)
     stepped = []
     for layout, left, right in lines:
-        batch = _LineBatch(layout, _planes(left, right))
-        batch.step(c, s, [_phase_planes([phases], power) for power in _PHASE_POWERS[layout]])
-        stepped.append(_complex(batch.planes))
+        planes = _planes(left, right)
+        half = (len(left) - 1) // 2
+        out = np.zeros_like(planes)
+        for t in range(max(half - 1, 0), half + 1):
+            frame = _Frame(layout, left.shape[1], half, 0, t, t + 1)
+            frame.load(planes)
+            frame.step(c, s, [_phase_planes([phases], power) for power in _PHASE_POWERS[layout]])
+            frame.unload(out)
+        stepped.append(_complex(out))
     return _with_lines(state, stepped)
 
 
@@ -434,7 +471,7 @@ def run_walk_batch(spec: WalkSpec, landscapes) -> list[RunResult]:
     """run_walk once per landscape, all landscapes as one batch.
 
     Result i is bit-identical to run_walk(spec, landscapes[i]) whatever
-    the batch size.  A full-2D walk runs as two line batches stepped in
+    the batch size.  A full-2D walk runs as two frames stepped in
     lockstep, the x line and the y line through its origin.  Memory grows
     with the batch, so callers keep it to a few dozen rows.
     """
@@ -443,46 +480,57 @@ def run_walk_batch(spec: WalkSpec, landscapes) -> list[RunResult]:
     if not landscapes:
         return []
     state = _new_state(spec)
-    rows = len(landscapes)
+    rows, steps = len(landscapes), spec.steps
     lines = _lines(state)
     one_line = len(lines) == 1
-    # a walk started at one site stays on the line through it in each family;
-    # the x line (index y0) and the y line (index x0) of a full-2D walk cross there
-    origin = [0] if one_line else [state.y0 + state.half_width_y, state.x0 + state.half_width_x]
-    batches = [_LineBatch(layout, np.repeat(_planes(left[i:i + 1], right[i:i + 1]), rows, axis=1))
-               for (layout, left, right), i in zip(lines, origin)]
+    x0, y0 = (state.x0, state.y0) if spec.particle_count == 2 else (int(spec.init.origin), 0)
+    # a walk started at one site stays on the line through it in each family,
+    # given as (line, origin along it); the x and y lines of a full-2D walk cross there
+    starts = ({"1p": (0, x0), "xline": (0, x0), "yline": (0, y0)} if one_line
+              else {"xline": (y0 + steps, x0), "yline": (x0 + steps, y0)})
+    frames = []
+    for layout, left, right in lines:
+        line, origin = starts[layout]
+        frames.append(_Frame(layout, rows, steps, origin, 0, steps))
+        frames[-1].load(_planes(left[:, line:line + 1], right[:, line:line + 1]))
     values = [landscape.values for landscape in landscapes]
-    phases = [[_phase_planes(values, power) for power in _PHASE_POWERS[batch.layout]] for batch in batches]
+    phases = [[_phase_planes(values, power) for power in _PHASE_POWERS[frame.layout]] for frame in frames]
     scalar_keys = [k for k in spec.record if k != "distribution"]
-    series = {k: np.zeros((rows, spec.steps + 1)) for k in scalar_keys}
+    series = {k: np.zeros((rows, steps + 1)) for k in scalar_keys}
 
     def record(t):
         if one_line:
-            observed = batches[0].observe(scalar_keys)
+            observed = frames[0].observe(scalar_keys) if scalar_keys else {}
         else:  # the spec lets a full-2D walk record no other scalar
             observed = {key: particle_particle_from_density(crossing_coin_density(
-                batches[0].planes, batches[1].planes, origin[1], origin[0])) for key in scalar_keys}
+                *frames[0].crossing(), *frames[1].crossing())) for key in scalar_keys}
         for key, value in observed.items():
             series[key][:, t] = value
 
     record(0)
-    for t in range(1, spec.steps + 1):
+    for t in range(1, steps + 1):
         theta = theta_at(spec.schedule, t)
         c, s = math.cos(theta), math.sin(theta)
-        for batch, planes in zip(batches, phases):
+        for frame, planes in zip(frames, phases):
             if spec.disorder.kind == "temporal":
-                planes = [None if f is None else (f[0][:, t - 1:t], f[1][:, :, t - 1:t]) for f in planes]
-            batch.step(c, s, planes)
+                planes = [None if f is None else (f[0][t - 1:t], f[1][:, t - 1:t]) for f in planes]
+            frame.step(c, s, planes)
         record(t)
 
-    probs = _site_probabilities(batches[0].planes) if one_line and "distribution" in spec.record else None
-    positions = np.arange(-spec.steps, spec.steps + 1)
+    final = [np.zeros((2, 2, len(left), rows)) for _, left, _ in lines]
+    for frame, planes in zip(frames, final):
+        frame.unload(planes)
+    probs = (np.ascontiguousarray(_site_probabilities(*final[0]).T)
+             if one_line and "distribution" in spec.record else None)
+    positions = np.arange(-steps, steps + 1)
     results = []
     for row in range(rows):
-        filled = [(np.zeros_like(left), np.zeros_like(right)) for _, left, right in lines]
-        for (left, right), i, batch in zip(filled, origin, batches):
-            left[i], right[i] = _complex(batch.planes[:, row])
-        result = RunResult(steps=spec.steps, final_state=_with_lines(state, filled))
+        filled = []
+        for (layout, left, right), planes in zip(lines, final):
+            filled.append((np.zeros_like(left), np.zeros_like(right)))
+            line = starts[layout][0]
+            filled[-1][0][:, line], filled[-1][1][:, line] = _complex(planes[..., row])
+        result = RunResult(steps=steps, final_state=_with_lines(state, filled))
         for key in scalar_keys:
             setattr(result, key, series[key][row])
         if "distribution" in spec.record:

@@ -33,10 +33,10 @@ __all__ = [
     "distribution",
     "sigma",
     "ipr",
-    "front_position",
     "negativity_coin_position",
     "negativity_particle_particle",
     "reduced_particle_density",
+    "row_sums",
     "line_sums",
     "check_normalized",
     "line_coin_position",
@@ -119,30 +119,26 @@ def ipr(dist: Distribution1D) -> float:
     return float(np.sum(np.asarray(dist.p) ** 2))
 
 
-def front_position(dist: Distribution1D, tail_mass: float = 0.01) -> int:
-    """Rightmost position where the right-tail probability still reaches tail_mass.
+def row_sums(values):
+    """Sums over the sites of a (sites, rows) array, one per row.
 
-    Used to measure the ballistic front: front_position / t estimates the
-    maximal group velocity of the walk.
+    Each row is summed on its own, pairwise over a contiguous copy, so its
+    sum does not depend on the rows beside it.
     """
-    tail = np.cumsum(dist.p[::-1])[::-1]  # tail[i] = sum of p from i to the end
-    idx = np.nonzero(tail >= tail_mass)[0]
-    if len(idx) == 0:
-        raise ValueError("tail_mass exceeds the total probability")
-    return int(dist.x[idx[-1]])
+    return np.add.reduce(np.ascontiguousarray(values.T), axis=1)
 
 
 def line_sums(lr, li, rr, ri):
     """Row sums (p, q, Re c, Im c) of a batch of one-line states.
 
     lr, li, rr, ri are the real and imaginary parts of the L and R
-    components, arrays of shape (rows, sites); p = sum |L|^2,
+    components, site-aligned arrays of shape (sites, rows); p = sum |L|^2,
     q = sum |R|^2 and c = sum L conj(R) over each row.
     """
-    p = np.add.reduce(lr * lr + li * li, axis=1)
-    q = np.add.reduce(rr * rr + ri * ri, axis=1)
-    c_re = np.add.reduce(lr * rr + li * ri, axis=1)
-    c_im = np.add.reduce(li * rr - lr * ri, axis=1)
+    p = row_sums(lr * lr + li * li)
+    q = row_sums(rr * rr + ri * ri)
+    c_re = row_sums(lr * rr + li * ri)
+    c_im = row_sums(li * rr - lr * ri)
     return p, q, c_re, c_im
 
 
@@ -161,10 +157,10 @@ def line_coin_position(lr, li, rr, ri, p, c_re, c_im):
     where the difference of the two products would cancel to noise.
     """
     safe = np.where(p > 0.0, p, 1.0)
-    k_re, k_im = (c_re / safe)[:, None], (-c_im / safe)[:, None]
+    k_re, k_im = c_re / safe, -c_im / safe
     w_re = rr - (k_re * lr - k_im * li)
     w_im = ri - (k_re * li + k_im * lr)
-    return np.sqrt(p * np.add.reduce(w_re * w_re + w_im * w_im, axis=1))
+    return np.sqrt(p * row_sums(w_re * w_re + w_im * w_im))
 
 
 def _state_planes(state):
@@ -172,7 +168,7 @@ def _state_planes(state):
     layout = line_layout(state)
     if layout is None:
         return None
-    return [part[None, :] for name in LINE_FIELDS[layout]
+    return [part[:, None] for name in LINE_FIELDS[layout]
             for part in (getattr(state, name).real, getattr(state, name).imag)]
 
 
@@ -208,18 +204,23 @@ def reduced_particle_density(state: TwoParticleField) -> np.ndarray:
     return rho
 
 
-def crossing_coin_density(x_planes, y_planes, x_site: int, y_site: int) -> np.ndarray:
+def crossing_coin_density(x_planes, x_site, y_planes, y_site) -> np.ndarray:
     """4x4 coin densities of full-2D rows that live on an x and a y line.
 
-    x_planes and y_planes are the (4, rows, sites) planes of the x lines
-    (L = uu, R = dd) and the y lines (L = du, R = ud), which cross at
-    x_site and y_site.  uu and dd meet ud and du only there, so the
-    entries between the two pairs are products of the amplitudes there.
+    x_planes and y_planes are the site-aligned planes (Re L, Im L, Re R,
+    Im R), each of shape (sites, rows), of the x lines (L = uu, R = dd)
+    and the y lines (L = du, R = ud), which cross at index x_site of the
+    one and y_site of the other.  uu and dd meet ud and du only there, so
+    the entries between the two pairs are products of the amplitudes
+    there; they vanish when the sites are None (the crossing is empty).
     """
     x_sums, y_sums = line_sums(*x_planes), line_sums(*y_planes)
-    (uu_re, uu_im, dd_re, dd_im), (du_re, du_im, ud_re, ud_im) = x_planes[..., x_site], y_planes[..., y_site]
-    at = np.stack([uu_re + 1j * uu_im, ud_re + 1j * ud_im, du_re + 1j * du_im, dd_re + 1j * dd_im], axis=1)
-    rho = at[:, :, None] * at[:, None, :].conj()
+    rho = np.zeros((len(x_sums[0]), 4, 4), dtype=np.complex128)
+    if x_site is not None:
+        uu_re, uu_im, dd_re, dd_im = (plane[x_site] for plane in x_planes)
+        du_re, du_im, ud_re, ud_im = (plane[y_site] for plane in y_planes)
+        at = np.stack([uu_re + 1j * uu_im, ud_re + 1j * ud_im, du_re + 1j * du_im, dd_re + 1j * dd_im], axis=1)
+        rho[:] = at[:, :, None] * at[:, None, :].conj()
     for (i, j), (p, q, c_re, c_im) in (((UU, DD), x_sums), ((DU, UD), y_sums)):
         c = c_re + 1j * c_im
         rho[:, i, i], rho[:, j, j], rho[:, i, j], rho[:, j, i] = p, q, c, c.conj()

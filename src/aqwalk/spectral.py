@@ -28,7 +28,6 @@ __all__ = [
     "TransferMatrix",
     "LyapunovEstimate",
     "dispersion_omega",
-    "dispersion_residual",
     "group_velocity",
     "max_group_velocity",
     "transfer_matrix_1p",
@@ -80,12 +79,6 @@ def dispersion_omega(theta0: float, kappa, phi: float = 0.0, variant: str = "sin
     rhs = np.cos(theta0) * np.cos(np.asarray(kappa) + k_off)
     root = np.arccos(np.clip(rhs, -1.0, 1.0))
     return root - w_off, -root - w_off
-
-
-def dispersion_residual(theta0: float, kappa, omega, phi: float = 0.0, variant: str = "single"):
-    """cos(omega + off_w) - cos(theta0) cos(kappa + off_k); zero on the curve."""
-    w_off, k_off = _shifts(variant, phi)
-    return np.cos(np.asarray(omega) + w_off) - np.cos(theta0) * np.cos(np.asarray(kappa) + k_off)
 
 
 def group_velocity(theta0: float, kappa, phi: float = 0.0):

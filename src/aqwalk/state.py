@@ -27,7 +27,6 @@ __all__ = [
     "two_particle_confinement",
     "new_one_particle",
     "new_two_particle",
-    "norm",
 ]
 
 COIN_NORM_TOL = 1e-9
@@ -233,8 +232,3 @@ def line_layout(state) -> str | None:
     if isinstance(state, SpinorField1P):
         return "1p"
     return state.confinement if state.confinement in LINE_FIELDS else None
-
-
-def norm(state) -> float:
-    """Total squared amplitude of a state (1 for any evolved walk state)."""
-    return state.norm()

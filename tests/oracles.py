@@ -7,9 +7,11 @@ these slow and obvious.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from aqwalk.ensemble import EnsembleSummary
 from aqwalk.state import SpinorField1P
 
 
@@ -132,6 +134,30 @@ def pp_negativity_loops(uu, ud, du, dd):
     return float(-lam[lam < 0].sum())
 
 
+def front_position(dist, tail_mass: float = 0.01) -> int:
+    """Rightmost position where the right-tail probability still reaches tail_mass.
+
+    Used to measure the ballistic front: front_position / t estimates the
+    maximal group velocity of the walk.
+    """
+    tail = np.cumsum(dist.p[::-1])[::-1]  # tail[i] = sum of p from i to the end
+    idx = np.nonzero(tail >= tail_mass)[0]
+    if len(idx) == 0:
+        raise ValueError("tail_mass exceeds the total probability")
+    return int(dist.x[idx[-1]])
+
+
+# phases entering the dispersion relation cos(omega + w phi) = cos(theta0) cos(kappa + k phi),
+# as (w, k) per variant: the one-particle walk and the x and y lines of two particles
+DISPERSION_SHIFTS = {"single": (0.5, 0.5), "two_particle_xline": (1.0, 1.0), "two_particle_yline": (1.0, 0.0)}
+
+
+def dispersion_residual(theta0, kappa, omega, phi=0.0, variant="single"):
+    """cos(omega + w phi) - cos(theta0) cos(kappa + k phi); zero on the dispersion curve."""
+    w, k = DISPERSION_SHIFTS[variant]
+    return math.cos(omega + w * phi) - math.cos(theta0) * math.cos(kappa + k * phi)
+
+
 def golden_section_max(f, lo, hi, tol=1e-12):
     """Classic golden-section maximizer, returns (x*, f(x*))."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -173,3 +199,43 @@ def amplitude_matrix(state):
         zeros = np.zeros_like(state.ud)
         return np.vstack([zeros, state.ud, state.du, zeros])
     raise ValueError("coin/position bipartition is not supported for full-2D states")
+
+
+@dataclass(frozen=True)
+class ConvergenceReport:
+    """Comparison of two ensemble summaries of the same walk."""
+
+    max_abs_diff: dict
+    frac_steps_within: dict
+    flagged: dict
+
+    @property
+    def any_flagged(self) -> bool:
+        return any(self.flagged.values())
+
+
+def convergence_report(summary: EnsembleSummary, reference: EnsembleSummary) -> ConvergenceReport:
+    """Compare mean curves of an ensemble against a reference ensemble.
+
+    The reference must not be smaller.  For each observable the report
+    gives the max absolute difference of the mean curves, the fraction of
+    steps where the difference stays within 3x the pooled standard error,
+    and a flag raised when more than 5% of steps exceed that band.
+    """
+    if reference.runs < summary.runs:
+        raise ValueError("reference ensemble must have at least as many runs")
+    if reference.steps != summary.steps:
+        raise ValueError("ensembles must cover the same number of steps")
+    max_abs_diff = {}
+    frac_within = {}
+    flagged = {}
+    for key in summary.mean:
+        if key not in reference.mean:
+            continue
+        diff = np.abs(summary.mean[key] - reference.mean[key])
+        pooled = 3.0 * np.sqrt(summary.stderr[key] ** 2 + reference.stderr[key] ** 2)
+        within = diff <= pooled
+        max_abs_diff[key] = float(np.max(diff))
+        frac_within[key] = float(np.mean(within))
+        flagged[key] = frac_within[key] < 0.95
+    return ConvergenceReport(max_abs_diff, frac_within, flagged)

@@ -25,7 +25,6 @@ from aqwalk import (
     InitialState,
     WalkSpec,
     dispersion_omega,
-    front_position,
     group_velocity,
     max_group_velocity,
     negativity_coin_position,
@@ -44,7 +43,7 @@ from aqwalk.cli import main as cli_main
 from aqwalk.observables import distribution
 from aqwalk.state import SpinorField1P, TwoParticleField
 
-from oracles import amplitude_matrix, evolve_dense, negativity_pt_loops, random_pure_amplitude_matrix
+from oracles import amplitude_matrix, evolve_dense, front_position, negativity_pt_loops, random_pure_amplitude_matrix
 
 R = 1.0 / math.sqrt(2.0)
 

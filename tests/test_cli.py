@@ -194,6 +194,10 @@ WALK_MIXED = dict(BASE_WALK, particles=2, initial=[[0.5, 0.0]] * 4, record=["dis
     ({"schedule": {"theta0": 2.0, "accelerations": [0.1]}}, "schedule.theta0"),
     ({"lyapunov": {"theta": "pi/4", "omega": 0.5, "chain_length": 10}}, "lyapunov.chain_length"),
     ({"lyapunov": {"theta": "pi/4", "omega": 0.5, "disorder": {"kind": "temporal"}}}, "lyapunov.disorder"),
+    ({"walk": dict(WALK_MIXED, steps=60, origin=[3, -2])}, "walk.origin"),
+    ({"walk": dict(BASE_WALK, origin=4)}, "walk.origin"),
+    ({"walk": dict(WALK_2P, origin=[2, 0])}, "walk.origin"),
+    ({"ensemble": {"runs": 2, "walk": dict(WALK_2P, origin=[0, 50])}}, "ensemble.walk.origin"),
 ])
 def test_bad_config_values_give_exit_2(tmp_path, capsys, config, field):
     path = _write(tmp_path, dict(config, name="bad"))
@@ -201,6 +205,25 @@ def test_bad_config_values_give_exit_2(tmp_path, capsys, config, field):
         assert main(verb) == 2
         assert f"config error: {field}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_confined_walk_may_start_off_its_line_axis(tmp_path):
+    # an x-line walk moves along x only, so its frozen y0 may sit off the centre
+    cfg = {"name": "offline", "walk": dict(WALK_2P, origin=[0, 5])}
+    path = _write(tmp_path, cfg)
+    assert main(["validate", path]) == 0
+    assert main(["run", path, "-o", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "offline" / "sigma.csv").exists()
+
+
+def test_non_string_name_gives_exit_2(tmp_path, capsys):
+    # YAML 1.1 reads `off` as False: a name of the wrong type, not a missing one
+    path = tmp_path / "exp.yaml"
+    path.write_text("name: off\n" + yaml.safe_dump({"walk": BASE_WALK}))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: name:" in err
+    assert "experiment name must be a string, got False" in err
 
 
 def test_missing_field_gives_exit_2(tmp_path, capsys):

@@ -10,10 +10,11 @@ from aqwalk import (
     EnsembleSpec,
     InitialState,
     WalkSpec,
-    convergence_report,
     run_ensemble,
     run_walk,
 )
+
+from oracles import convergence_report
 
 
 def _walk(kind="spatial", steps=60, a=0.01, record=("sigma",), particles=1, theta0=math.pi / 2):

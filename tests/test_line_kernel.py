@@ -7,6 +7,7 @@ one-line oracle for line walks, the whole-grid oracle for full-2D walks.
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
@@ -139,6 +140,45 @@ def test_single_run_matches_dense_oracle(walk):
         elif key in expected:
             value, tol = expected[key]
             assert abs(result.series(key)[-1] - value) < tol
+
+
+@PROPERTY_SETTINGS
+@given(walk=walks())
+def test_norm_is_preserved_on_random_walks(walk):
+    _, spec, _, _ = walk
+    try:
+        result = run_walk(spec, _landscapes(spec, 1)[0])
+    except BoundaryOverflowError:
+        assume(False)
+    assert abs(result.final_state.norm() - 1.0) < 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(walk=walks())
+def test_mirrored_start_gives_the_mirrored_walk(walk):
+    # x -> -x with L and R swapped maps the clean walk onto itself, so the start
+    # (beta, alpha) at -x0 gives the mirror image of the start (alpha, beta) at x0
+    layout, spec, (alpha, beta), origin = walk
+    keys = tuple(k for k in RECORD_KEYS if layout != "1p" or k != "negativity_particle_particle")
+    spec = replace(spec, disorder=DisorderSpec("none"), record=keys)
+    coin = spec.init.coin.copy()
+    coin[list(LAYOUTS[layout][0])] = beta, alpha
+    if layout == "1p":
+        mirrored_origin = -origin
+    else:
+        x0, y0 = spec.init.origin
+        mirrored_origin = (-x0, y0) if layout == "xline" else (x0, -y0)
+    mirrored = replace(spec, init=InitialState(coin, mirrored_origin))
+    try:
+        result, image = run_walk(spec), run_walk(mirrored)
+    except BoundaryOverflowError:
+        assume(False)
+    t = np.arange(spec.steps + 1)
+    # sigma^2 = second - mean^2 carries rounding of order eps * second <= eps * (|x0| + t)^2
+    assert np.all(np.abs(result.sigma ** 2 - image.sigma ** 2) < 1e-12 * np.maximum(1.0, (abs(origin) + t) ** 2))
+    for key in set(keys) - {"distribution", "sigma"}:
+        assert np.max(np.abs(result.series(key) - image.series(key))) < 1e-12
+    assert np.max(np.abs(result.distribution.p - image.distribution.p[::-1])) < 1e-12
 
 
 @st.composite

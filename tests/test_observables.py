@@ -9,7 +9,6 @@ from aqwalk import (
     InitialState,
     WalkSpec,
     distribution,
-    front_position,
     ipr,
     negativity_coin_position,
     negativity_particle_particle,
@@ -23,7 +22,7 @@ from aqwalk import (
 from aqwalk.observables import partial_transpose_second
 from aqwalk.state import SpinorField1P, TwoParticleField
 
-from oracles import amplitude_matrix, negativity_pt_loops, pp_negativity_loops
+from oracles import amplitude_matrix, front_position, negativity_pt_loops, pp_negativity_loops
 
 R = 1.0 / math.sqrt(2.0)
 

@@ -8,7 +8,6 @@ from aqwalk import (
     NonConvergenceError,
     SingularParameterError,
     dispersion_omega,
-    dispersion_residual,
     group_velocity,
     lyapunov_localization_length,
     max_group_velocity,
@@ -16,7 +15,7 @@ from aqwalk import (
     transfer_matrix_2p,
 )
 
-from oracles import golden_section_max
+from oracles import dispersion_residual, golden_section_max
 
 
 def test_dispersion_massless_limit():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from aqwalk import InitialState, new_one_particle, new_two_particle, norm
+from aqwalk import InitialState, new_one_particle, new_two_particle
 
 
 def test_up_placement():
@@ -12,12 +12,12 @@ def test_up_placement():
     assert field.up[3] == 1.0
     assert np.count_nonzero(field.up) == 1
     assert np.count_nonzero(field.down) == 0
-    assert norm(field) == pytest.approx(1.0, abs=1e-15)
+    assert field.norm() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_symmetric_placement_large():
     field = new_one_particle(InitialState.symmetric(), 200)
-    assert norm(field) == pytest.approx(1.0, abs=1e-12)
+    assert field.norm() == pytest.approx(1.0, abs=1e-12)
     support = np.nonzero(np.abs(field.up) + np.abs(field.down))[0]
     assert list(support) == [200]  # only the origin
 
@@ -66,14 +66,14 @@ def test_force_full2d_layout():
     assert field.confinement == "full2d"
     assert field.uu.shape == (9, 9)
     assert field.uu[4, 4] == 1.0
-    assert norm(field) == pytest.approx(1.0, abs=1e-15)
+    assert field.norm() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_norm_scaling():
     field = new_one_particle(InitialState.symmetric(), 2)
     field.up *= 2.0
     field.down *= 2.0
-    assert norm(field) == pytest.approx(4.0, abs=1e-12)
+    assert field.norm() == pytest.approx(4.0, abs=1e-12)
 
 
 def test_two_particle_needs_pair_origin():
