@@ -27,6 +27,12 @@ from .runner import execute
 ENV_OUTPUT_DIR = "AQWALK_OUTPUT_DIR"
 
 
+def _worker_count(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="aqwalk", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -36,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--preset", help="name of a bundled preset (see 'aqwalk presets')")
     run.add_argument("-o", "--output-dir", help="output directory (default $AQWALK_OUTPUT_DIR)")
     run.add_argument("--format", choices=["csv", "json"], help="override the config's format")
-    run.add_argument("--workers", type=int, help="cap ensemble worker processes")
+    run.add_argument("--workers", type=_worker_count, help="cap ensemble worker processes (>= 1)")
 
     pres = sub.add_parser("presets", help="list bundled figure presets")
     pres.add_argument("--dump", metavar="NAME", help="print the YAML configs of one preset")

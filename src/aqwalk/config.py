@@ -1,19 +1,25 @@
 """Declarative experiment configs: schema validation and spec construction.
 
-Configs are YAML mappings with exactly one experiment kind.  Angles accept
-plain numbers or strings like "pi", "pi/4", "3pi/4", "0.5*pi".  All
-validation errors carry the dotted field path (exit code 2 territory).
+Configs are YAML mappings with exactly one experiment kind.  `KINDS` lists
+each kind once, with the fields its mapping may hold, its parser and its
+runner.  Angles accept plain numbers or strings like "pi", "pi/4", "3pi/4",
+"0.5*pi".  All validation errors carry the dotted field path (exit code 2
+territory).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import os
 import re
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import yaml
 
+from . import runner
 from .coins import CoinSchedule
 from .errors import ConfigError
 from .evolve import RECORD_KEYS, DisorderSpec, WalkSpec
@@ -21,9 +27,7 @@ from .ensemble import EnsembleSpec
 from .spectral import DISPERSION_VARIANTS
 from .state import InitialState, two_particle_confinement
 
-__all__ = ["Experiment", "load_config", "parse_config", "parse_angle"]
-
-KINDS = ("walk", "ensemble", "surface", "dispersion", "transfer", "lyapunov", "schedule")
+__all__ = ["Experiment", "KINDS", "load_config", "parse_config", "parse_angle"]
 
 _NAMED_INITIALS_1P = ("up", "down", "symmetric")
 _NAMED_INITIALS_2P = ("uu", "ud", "du", "dd")
@@ -55,17 +59,18 @@ def parse_angle(value, where: str) -> float:
 
 @dataclass
 class Experiment:
-    """Parsed config, ready to run."""
+    """Parsed config, ready to run: `run(spec, workers)` yields its files."""
 
     name: str
     kind: str
+    run: Callable
+    spec: object = None
     fmt: str = "csv"
     output_dir: str | None = None
     walk: WalkSpec | None = None
     ensemble: EnsembleSpec | None = None
     sweep_field: str | None = None
     sweep_values: list | None = None
-    payload: dict = field(default_factory=dict)  # kind-specific extras
     raw: dict = field(default_factory=dict)  # config as given, echoed in the manifest
 
 
@@ -86,6 +91,16 @@ def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise ConfigError(f"{where}.{key}" if where else key, "missing required field")
     return mapping[key]
+
+
+def _mapping(raw, where: str, fields) -> dict:
+    """raw itself, once it is a mapping that holds no field outside fields."""
+    if not isinstance(raw, dict):
+        raise ConfigError(where, "expected a mapping")
+    unknown = set(raw) - set(fields)
+    if unknown:
+        raise ConfigError(where, f"unknown fields {sorted(unknown)}")
+    return raw
 
 
 def _as_int(value, where: str) -> int:
@@ -125,33 +140,24 @@ def _parse_initial(raw, particles: int, origin, where: str) -> InitialState:
 def _parse_disorder(raw, where: str) -> DisorderSpec:
     if raw is None:
         return DisorderSpec()
-    if not isinstance(raw, dict):
-        raise ConfigError(where, "expected a mapping")
-    kind = raw.get("kind", "none")
-    spec = dict(
-        kind=kind,
-        phase_min=parse_angle(raw.get("phase_min", 0.0), f"{where}.phase_min"),
-        phase_max=parse_angle(raw.get("phase_max", math.pi), f"{where}.phase_max"),
-        seed=_as_int(raw.get("seed", 0), f"{where}.seed"),
-    )
-    unknown = set(raw) - {"kind", "phase_min", "phase_max", "seed"}
-    if unknown:
-        raise ConfigError(where, f"unknown fields {sorted(unknown)}")
+    raw = _mapping(raw, where, ("kind", "phase_min", "phase_max", "seed"))
     try:
-        return DisorderSpec(**spec)
+        return DisorderSpec(
+            kind=raw.get("kind", "none"),
+            phase_min=parse_angle(raw.get("phase_min", 0.0), f"{where}.phase_min"),
+            phase_max=parse_angle(raw.get("phase_max", math.pi), f"{where}.phase_max"),
+            seed=_as_int(raw.get("seed", 0), f"{where}.seed"),
+        )
     except ValueError as exc:
         raise ConfigError(where, str(exc))
 
 
+WALK_FIELDS = ("particles", "theta0", "acceleration", "steps", "initial", "origin", "disorder", "record",
+               "layout")
+
+
 def _parse_walk(raw, where: str) -> WalkSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError(where, "expected a mapping")
-    unknown = set(raw) - {
-        "particles", "theta0", "acceleration", "steps", "initial", "origin", "disorder",
-        "record", "layout",
-    }
-    if unknown:
-        raise ConfigError(where, f"unknown fields {sorted(unknown)}")
+    raw = _mapping(raw, where, WALK_FIELDS)
     particles = _as_int(raw.get("particles", 1), f"{where}.particles")
     if particles not in (1, 2):
         raise ConfigError(f"{where}.particles", f"must be 1 or 2, got {particles}")
@@ -171,9 +177,11 @@ def _parse_walk(raw, where: str) -> WalkSpec:
     record = raw.get("record", ["distribution", "sigma"])
     if not isinstance(record, list) or not record:
         raise ConfigError(f"{where}.record", "expected a non-empty list")
-    for key in record:
+    for i, key in enumerate(record):
         if key not in RECORD_KEYS:
             raise ConfigError(f"{where}.record", f"unknown record key {key!r}; known: {RECORD_KEYS}")
+        if key in record[:i]:
+            raise ConfigError(f"{where}.record", f"{key!r} is listed twice")
     layout = raw.get("layout", "auto")
     try:
         spec = WalkSpec(particles, CoinSchedule(theta0, accel), init, steps, disorder, tuple(record), layout)
@@ -216,6 +224,119 @@ def _parse_sweep(raw, where: str):
     return key, _schedule_values(values, key, f"{where}.{key}")
 
 
+def _with_schedule(walk: WalkSpec, **change) -> WalkSpec:
+    return dataclasses.replace(walk, schedule=dataclasses.replace(walk.schedule, **change))
+
+
+def _sweep_runs(exp: Experiment, walk: WalkSpec) -> list[tuple[str, WalkSpec]]:
+    """(output file suffix, walk) per sweep point of exp; one unsuffixed run without a sweep."""
+    if exp.sweep_field is None:
+        return [("", walk)]
+    attr, tag = {"acceleration": ("a", "_a"), "theta0": ("theta0", "_theta")}[exp.sweep_field]
+    runs = [(f"{tag}{value:g}", _with_schedule(walk, **{attr: value})) for value in exp.sweep_values]
+    for i, (suffix, _) in enumerate(runs):
+        if suffix in (earlier for earlier, _ in runs[:i]):
+            raise ConfigError(f"sweep.{exp.sweep_field}", f"two values write the same files (suffix {suffix!r})")
+    return runs
+
+
+# Kind parsers: each takes the kind's mapping (its fields already checked) and
+# the Experiment under construction, and returns the spec its runner takes.
+
+def _walk_kind(raw: dict, exp: Experiment):
+    exp.walk = _parse_walk(raw, "walk")
+    return _sweep_runs(exp, exp.walk)
+
+
+def _ensemble_kind(raw: dict, exp: Experiment):
+    walk = _parse_walk(_require(raw, "walk", "ensemble"), "ensemble.walk")
+    runs = _as_int(_require(raw, "runs", "ensemble"), "ensemble.runs")
+    base_seed = _as_int(raw.get("base_seed", 0), "ensemble.base_seed")
+    try:
+        exp.ensemble = EnsembleSpec(walk, runs, base_seed)
+    except ValueError as exc:
+        raise ConfigError("ensemble", str(exc))
+    return exp.ensemble, _sweep_runs(exp, walk)
+
+
+def _surface_kind(raw: dict, exp: Experiment):
+    exp.walk = _parse_walk(_require(raw, "walk", "surface"), "surface.walk")
+    accels = _schedule_values(raw.get("accelerations"), "acceleration", "surface.accelerations")
+    observable = raw.get("observable", "negativity_particle_particle")
+    if observable not in RECORD_KEYS or observable == "distribution":
+        raise ConfigError("surface.observable", f"not a per-step observable: {observable!r}")
+    if observable not in exp.walk.record:
+        raise ConfigError("surface.walk.record", f"must include {observable!r}")
+    return [_with_schedule(exp.walk, a=a) for a in accels], observable
+
+
+def _dispersion_kind(raw: dict, exp: Experiment):
+    variant = raw.get("variant", "single")
+    if variant not in DISPERSION_VARIANTS:
+        raise ConfigError("dispersion.variant", f"must be one of {DISPERSION_VARIANTS}")
+    kgrid = _mapping(raw.get("kappa", {}), "dispersion.kappa", ("min", "max", "count"))
+    theta0 = parse_angle(_require(raw, "theta0", "dispersion"), "dispersion.theta0")
+    phi = parse_angle(raw.get("phi", 0.0), "dispersion.phi")
+    kappa_min = parse_angle(kgrid.get("min", -math.pi), "dispersion.kappa.min")
+    kappa_max = parse_angle(kgrid.get("max", math.pi), "dispersion.kappa.max")
+    count = _as_int(kgrid.get("count", 256), "dispersion.kappa.count")
+    if count < 1:
+        raise ConfigError("dispersion.kappa.count", f"must be >= 1, got {count}")
+    return variant, theta0, phi, np.linspace(kappa_min, kappa_max, count)
+
+
+def _transfer_kind(raw: dict, exp: Experiment):
+    particles = _as_int(raw.get("particles", 1), "transfer.particles")
+    if particles not in (1, 2):
+        raise ConfigError("transfer.particles", "must be 1 or 2")
+    return (particles, parse_angle(_require(raw, "theta", "transfer"), "transfer.theta"),
+            parse_angle(raw.get("phi", 0.0), "transfer.phi"),
+            parse_angle(_require(raw, "omega", "transfer"), "transfer.omega"))
+
+
+def _lyapunov_kind(raw: dict, exp: Experiment):
+    theta = parse_angle(_require(raw, "theta", "lyapunov"), "lyapunov.theta")
+    omega = parse_angle(_require(raw, "omega", "lyapunov"), "lyapunov.omega")
+    chain_length = _as_int(raw.get("chain_length", 200_000), "lyapunov.chain_length")
+    if chain_length < 1000:
+        raise ConfigError("lyapunov.chain_length", f"must be >= 1000, got {chain_length}")
+    disorder = _parse_disorder(raw.get("disorder", {"kind": "spatial"}), "lyapunov.disorder")
+    if disorder.kind == "temporal":
+        raise ConfigError("lyapunov.disorder",
+                          "transfer chains take spatial disorder only (kind 'none' or 'spatial')")
+    return disorder, theta, omega, chain_length
+
+
+def _schedule_kind(raw: dict, exp: Experiment):
+    theta0 = _schedule_values([_require(raw, "theta0", "schedule")], "theta0", "schedule.theta0")[0]
+    accelerations = _schedule_values(raw.get("accelerations"), "acceleration", "schedule.accelerations")
+    steps = _as_int(raw.get("steps", 200), "schedule.steps")
+    if steps < 1:
+        raise ConfigError("schedule.steps", f"must be >= 1, got {steps}")
+    return theta0, accelerations, steps
+
+
+@dataclass(frozen=True)
+class Kind:
+    """An experiment kind: its mapping's fields, parser, runner, and whether a sweep applies."""
+
+    fields: tuple[str, ...]
+    parse: Callable
+    run: Callable
+    sweeps: bool = False
+
+
+KINDS = {
+    "walk": Kind(WALK_FIELDS, _walk_kind, runner.walk_files, sweeps=True),
+    "ensemble": Kind(("walk", "runs", "base_seed"), _ensemble_kind, runner.ensemble_files, sweeps=True),
+    "surface": Kind(("walk", "accelerations", "observable"), _surface_kind, runner.surface_files),
+    "dispersion": Kind(("variant", "theta0", "phi", "kappa"), _dispersion_kind, runner.dispersion_files),
+    "transfer": Kind(("particles", "theta", "phi", "omega"), _transfer_kind, runner.transfer_files),
+    "lyapunov": Kind(("theta", "omega", "chain_length", "disorder"), _lyapunov_kind, runner.lyapunov_files),
+    "schedule": Kind(("theta0", "accelerations", "steps"), _schedule_kind, runner.schedule_files),
+}
+
+
 def parse_config(data: dict) -> Experiment:
     """Validate a config mapping and build the corresponding specs."""
     name = data.get("name")
@@ -223,114 +344,23 @@ def parse_config(data: dict) -> Experiment:
         raise ConfigError("name", f"experiment name must be a string, got {name!r}")
     if not name:
         raise ConfigError("name", "missing or empty experiment name")
+    if name in (".", "..") or "/" in name or os.sep in name:  # also rejects absolute paths
+        raise ConfigError("name", f"must be a plain directory name, got {name!r}")
     present = [k for k in KINDS if k in data]
     if len(present) != 1:
-        raise ConfigError("kind", f"config must contain exactly one of {KINDS}, found {present}")
-    kind = present[0]
+        raise ConfigError("kind", f"config must contain exactly one of {tuple(KINDS)}, found {present}")
+    kind = KINDS[present[0]]
     fmt = data.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError("format", f"must be 'csv' or 'json', got {fmt!r}")
     output_dir = data.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("output_dir", f"expected a string, got {output_dir!r}")
-    known_top = {"name", "format", "output_dir", "sweep", kind}
-    unknown = set(data) - known_top
-    if unknown:
-        raise ConfigError("config", f"unknown top-level fields {sorted(unknown)}")
+    _mapping(data, "config", ("name", "format", "output_dir", "sweep", present[0]))
     sweep_field, sweep_values = _parse_sweep(data.get("sweep"), "sweep")
-    if sweep_field is not None and kind not in ("walk", "ensemble"):
-        raise ConfigError("sweep", f"sweep is only supported for walk/ensemble, not {kind!r}")
-
-    exp = Experiment(name=name, kind=kind, fmt=fmt, output_dir=output_dir,
+    if sweep_field is not None and not kind.sweeps:
+        raise ConfigError("sweep", f"the {present[0]!r} kind takes no sweep")
+    exp = Experiment(name, present[0], kind.run, fmt=fmt, output_dir=output_dir,
                      sweep_field=sweep_field, sweep_values=sweep_values, raw=data)
-
-    if kind == "walk":
-        exp.walk = _parse_walk(data["walk"], "walk")
-    elif kind == "ensemble":
-        raw = data["ensemble"]
-        if not isinstance(raw, dict):
-            raise ConfigError("ensemble", "expected a mapping")
-        walk = _parse_walk(_require(raw, "walk", "ensemble"), "ensemble.walk")
-        runs = _as_int(_require(raw, "runs", "ensemble"), "ensemble.runs")
-        base_seed = _as_int(raw.get("base_seed", 0), "ensemble.base_seed")
-        try:
-            exp.ensemble = EnsembleSpec(walk, runs, base_seed)
-        except ValueError as exc:
-            raise ConfigError("ensemble", str(exc))
-    elif kind == "surface":
-        raw = data["surface"]
-        if not isinstance(raw, dict):
-            raise ConfigError("surface", "expected a mapping")
-        walk = _parse_walk(_require(raw, "walk", "surface"), "surface.walk")
-        accels = _schedule_values(raw.get("accelerations"), "acceleration", "surface.accelerations")
-        observable = raw.get("observable", "negativity_particle_particle")
-        if observable not in RECORD_KEYS or observable == "distribution":
-            raise ConfigError("surface.observable", f"not a per-step observable: {observable!r}")
-        if observable not in walk.record:
-            raise ConfigError("surface.walk.record", f"must include {observable!r}")
-        exp.walk = walk
-        exp.payload = {
-            "accelerations": accels,
-            "observable": observable,
-        }
-    elif kind == "dispersion":
-        raw = data["dispersion"]
-        if not isinstance(raw, dict):
-            raise ConfigError("dispersion", "expected a mapping")
-        variant = raw.get("variant", "single")
-        if variant not in DISPERSION_VARIANTS:
-            raise ConfigError("dispersion.variant", f"must be one of {DISPERSION_VARIANTS}")
-        kgrid = raw.get("kappa", {})
-        if not isinstance(kgrid, dict):
-            raise ConfigError("dispersion.kappa", "expected a mapping with min, max and count")
-        exp.payload = {
-            "variant": variant,
-            "theta0": parse_angle(_require(raw, "theta0", "dispersion"), "dispersion.theta0"),
-            "phi": parse_angle(raw.get("phi", 0.0), "dispersion.phi"),
-            "kappa_min": parse_angle(kgrid.get("min", -math.pi), "dispersion.kappa.min"),
-            "kappa_max": parse_angle(kgrid.get("max", math.pi), "dispersion.kappa.max"),
-            "kappa_count": _as_int(kgrid.get("count", 256), "dispersion.kappa.count"),
-        }
-        if exp.payload["kappa_count"] < 1:
-            raise ConfigError("dispersion.kappa.count", f"must be >= 1, got {exp.payload['kappa_count']}")
-    elif kind == "transfer":
-        raw = data["transfer"]
-        if not isinstance(raw, dict):
-            raise ConfigError("transfer", "expected a mapping")
-        particles = _as_int(raw.get("particles", 1), "transfer.particles")
-        if particles not in (1, 2):
-            raise ConfigError("transfer.particles", "must be 1 or 2")
-        exp.payload = {
-            "particles": particles,
-            "theta": parse_angle(_require(raw, "theta", "transfer"), "transfer.theta"),
-            "phi": parse_angle(raw.get("phi", 0.0), "transfer.phi"),
-            "omega": parse_angle(_require(raw, "omega", "transfer"), "transfer.omega"),
-        }
-    elif kind == "lyapunov":
-        raw = data["lyapunov"]
-        if not isinstance(raw, dict):
-            raise ConfigError("lyapunov", "expected a mapping")
-        exp.payload = {
-            "theta": parse_angle(_require(raw, "theta", "lyapunov"), "lyapunov.theta"),
-            "omega": parse_angle(_require(raw, "omega", "lyapunov"), "lyapunov.omega"),
-            "chain_length": _as_int(raw.get("chain_length", 200_000), "lyapunov.chain_length"),
-            "disorder": _parse_disorder(raw.get("disorder", {"kind": "spatial"}), "lyapunov.disorder"),
-        }
-        if exp.payload["chain_length"] < 1000:
-            raise ConfigError("lyapunov.chain_length", f"must be >= 1000, got {exp.payload['chain_length']}")
-        if exp.payload["disorder"].kind == "temporal":
-            raise ConfigError("lyapunov.disorder",
-                              "transfer chains take spatial disorder only (kind 'none' or 'spatial')")
-    elif kind == "schedule":
-        raw = data["schedule"]
-        if not isinstance(raw, dict):
-            raise ConfigError("schedule", "expected a mapping")
-        exp.payload = {
-            "theta0": _schedule_values([_require(raw, "theta0", "schedule")], "theta0", "schedule.theta0")[0],
-            "accelerations": _schedule_values(raw.get("accelerations"), "acceleration",
-                                              "schedule.accelerations"),
-            "steps": _as_int(raw.get("steps", 200), "schedule.steps"),
-        }
-        if exp.payload["steps"] < 1:
-            raise ConfigError("schedule.steps", f"must be >= 1, got {exp.payload['steps']}")
+    exp.spec = kind.parse(_mapping(data[exp.kind], exp.kind, kind.fields), exp)
     return exp

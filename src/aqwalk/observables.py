@@ -73,8 +73,6 @@ class Distribution2D:
 @dataclass(frozen=True)
 class NegativityResult:
     value: float
-    bipartition: str  # "coin_position" | "particle_particle"
-    method: str  # "closed_form" | "partial_transpose"
 
 
 def distribution(state):
@@ -184,7 +182,7 @@ def negativity_coin_position(state) -> NegativityResult:
     p, q, c_re, c_im = line_sums(*planes)
     check_normalized(p + q)
     value = float(line_coin_position(*planes, p, c_re, c_im)[0])
-    return NegativityResult(value, "coin_position", "closed_form")
+    return NegativityResult(value)
 
 
 def reduced_particle_density(state: TwoParticleField) -> np.ndarray:
@@ -254,6 +252,6 @@ def negativity_particle_particle(state: TwoParticleField) -> NegativityResult:
     if planes is not None:
         p, q, c_re, c_im = line_sums(*planes)
         check_normalized(p + q)
-        return NegativityResult(float(np.sqrt(c_re * c_re + c_im * c_im)[0]), "particle_particle", "closed_form")
+        return NegativityResult(float(np.sqrt(c_re * c_re + c_im * c_im)[0]))
     value = particle_particle_from_density(reduced_particle_density(state)[None])[0]
-    return NegativityResult(float(value), "particle_particle", "partial_transpose")
+    return NegativityResult(float(value))

@@ -1,5 +1,9 @@
 """Execute parsed experiments and write their datasets.
 
+Each experiment kind has a runner here, listed with its fields and parser
+in `config.KINDS`. A runner takes the kind's parsed spec and the worker
+cap and yields one (stem, header, rows) triple per output file.
+
 File schemas: distributions are `x,p` (`x,y,p` in 2D), per-step series
 are `t,value` (`t,value,stderr` for ensembles), surfaces are `a,t,value`.
 Every experiment directory also gets a manifest.json with the resolved
@@ -16,9 +20,9 @@ import numpy as np
 
 from . import __version__
 from .coins import CoinSchedule, theta_at
-from .config import Experiment
-from .ensemble import EnsembleSpec, run_ensemble
-from .evolve import WalkSpec, run_walk
+from .ensemble import run_ensemble
+from .errors import SingularParameterError
+from .evolve import run_walk
 from .io import write_json_atomic, write_manifest, write_rows_atomic
 from .observables import Distribution1D
 from .spectral import (
@@ -30,31 +34,6 @@ from .spectral import (
 )
 
 __all__ = ["execute"]
-
-
-def _with_acceleration(walk: WalkSpec, a: float) -> WalkSpec:
-    return dataclasses.replace(walk, schedule=dataclasses.replace(walk.schedule, a=a))
-
-
-def _with_theta0(walk: WalkSpec, theta0: float) -> WalkSpec:
-    return dataclasses.replace(walk, schedule=dataclasses.replace(walk.schedule, theta0=theta0))
-
-
-def _sweep_runs(exp: Experiment):
-    """Yield (suffix, walk or ensemble spec) for each sweep point."""
-    base = exp.ensemble if exp.kind == "ensemble" else exp.walk
-    if exp.sweep_field is None:
-        yield "", base
-        return
-    for value in exp.sweep_values:
-        suffix = f"_a{value:g}" if exp.sweep_field == "acceleration" else f"_theta{value:g}"
-        if exp.kind == "ensemble":
-            walk = base.walk
-            walk = _with_acceleration(walk, value) if exp.sweep_field == "acceleration" else _with_theta0(walk, value)
-            yield suffix, dataclasses.replace(base, walk=walk)
-        else:
-            walk = _with_acceleration(base, value) if exp.sweep_field == "acceleration" else _with_theta0(base, value)
-            yield suffix, walk
 
 
 class _Writer:
@@ -76,107 +55,89 @@ class _Writer:
 
 
 def _jsonify(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
+    return value.item() if isinstance(value, (np.integer, np.floating)) else value
 
 
-def _emit_distribution(writer: _Writer, stem: str, dist):
+def _distribution_file(stem: str, dist):
     if isinstance(dist, Distribution1D):
-        writer.emit(stem, ["x", "p"], zip(dist.x.tolist(), dist.p))
-    else:
-        rows = []
-        for i, xv in enumerate(dist.x.tolist()):
-            for j, yv in enumerate(dist.y.tolist()):
-                rows.append((xv, yv, dist.p[i, j]))
-        writer.emit(stem, ["x", "y", "p"], rows)
+        return stem, ["x", "p"], zip(dist.x.tolist(), dist.p)
+    rows = [(xv, yv, dist.p[i, j]) for i, xv in enumerate(dist.x.tolist()) for j, yv in enumerate(dist.y.tolist())]
+    return stem, ["x", "y", "p"], rows
 
 
-def _run_walk_outputs(writer: _Writer, suffix: str, walk: WalkSpec):
-    result = run_walk(walk)
-    for key in walk.record:
-        if key == "distribution":
-            _emit_distribution(writer, f"distribution{suffix}", result.distribution)
-        else:
-            series = result.series(key)
-            writer.emit(f"{key}{suffix}", ["t", "value"], enumerate(series))
+def walk_files(runs, workers):
+    """runs: (file suffix, WalkSpec) per sweep point."""
+    for suffix, walk in runs:
+        result = run_walk(walk)
+        for key in walk.record:
+            if key == "distribution":
+                yield _distribution_file(f"distribution{suffix}", result.distribution)
+            else:
+                yield f"{key}{suffix}", ["t", "value"], enumerate(result.series(key))
 
 
-def _run_ensemble_outputs(writer: _Writer, suffix: str, spec: EnsembleSpec, workers):
-    summary = run_ensemble(spec, workers=workers)
-    for key in spec.walk.record:
-        if key == "distribution":
-            dist = Distribution1D(summary.positions, summary.mean_distribution)
-            _emit_distribution(writer, f"distribution{suffix}", dist)
-        else:
-            rows = zip(range(spec.walk.steps + 1), summary.mean[key], summary.stderr[key])
-            writer.emit(f"{key}{suffix}", ["t", "value", "stderr"], rows)
+def ensemble_files(spec, workers):
+    """spec: (EnsembleSpec, [(file suffix, WalkSpec) per sweep point])."""
+    ensemble, runs = spec
+    for suffix, walk in runs:
+        summary = run_ensemble(dataclasses.replace(ensemble, walk=walk), workers=workers)
+        for key in walk.record:
+            if key == "distribution":
+                dist = Distribution1D(summary.positions, summary.mean_distribution)
+                yield _distribution_file(f"distribution{suffix}", dist)
+            else:
+                rows = zip(range(walk.steps + 1), summary.mean[key], summary.stderr[key])
+                yield f"{key}{suffix}", ["t", "value", "stderr"], rows
 
 
-def execute(exp: Experiment, output_dir: str, workers: int | None = None) -> tuple[str, list[str]]:
-    """Run one experiment, returning (directory, written files incl. manifest)."""
+def surface_files(spec, workers):
+    """spec: (one WalkSpec per acceleration, observable)."""
+    walks, observable = spec
+    rows = [(walk.schedule.a, t, value)
+            for walk in walks for t, value in enumerate(run_walk(walk).series(observable))]
+    yield observable + "_surface", ["a", "t", "value"], rows
+
+
+def dispersion_files(spec, workers):
+    """spec: (variant, theta0, phi, kappa grid)."""
+    variant, theta0, phi, kappa = spec
+    plus, minus = dispersion_omega(theta0, kappa, phi, variant)
+    vg = []
+    for k in kappa:
+        try:
+            vg.append(group_velocity(theta0, float(k), phi))
+        except SingularParameterError:
+            vg.append(math.nan)
+    yield "dispersion", ["kappa", "omega_plus", "omega_minus", "group_velocity"], zip(kappa, plus, minus, vg)
+
+
+def transfer_files(spec, workers):
+    """spec: (particles, theta, phi, omega)."""
+    particles, theta, phi, omega = spec
+    matrix = (transfer_matrix_1p if particles == 1 else transfer_matrix_2p)(theta, phi, omega).matrix
+    yield "transfer", ["row", "col", "re", "im"], [(i, j, v.real, v.imag) for (i, j), v in np.ndenumerate(matrix)]
+
+
+def lyapunov_files(spec, workers):
+    """spec: the arguments of lyapunov_localization_length."""
+    est = lyapunov_localization_length(*spec)
+    yield "lyapunov", ["gamma", "localization_length"], [(est.gamma, est.localization_length)]
+
+
+def schedule_files(spec, workers):
+    """spec: (theta0, accelerations, steps)."""
+    theta0, accelerations, steps = spec
+    schedules = [CoinSchedule(theta0, a) for a in accelerations]
+    rows = [(s.a, t, math.cos(theta_at(s, t))) for s in schedules for t in range(1, steps + 1)]
+    yield "schedule", ["a", "t", "value"], rows
+
+
+def execute(exp, output_dir: str, workers: int | None = None) -> tuple[str, list[str]]:
+    """Run one parsed config.Experiment, returning (directory, written files incl. manifest)."""
     directory = os.path.join(output_dir, exp.name)
     os.makedirs(directory, exist_ok=True)
     writer = _Writer(directory, exp.fmt)
-
-    if exp.kind == "walk":
-        for suffix, walk in _sweep_runs(exp):
-            _run_walk_outputs(writer, suffix, walk)
-    elif exp.kind == "ensemble":
-        for suffix, spec in _sweep_runs(exp):
-            _run_ensemble_outputs(writer, suffix, spec, workers)
-    elif exp.kind == "surface":
-        observable = exp.payload["observable"]
-        rows = []
-        for a in exp.payload["accelerations"]:
-            result = run_walk(_with_acceleration(exp.walk, a))
-            for t, value in enumerate(result.series(observable)):
-                rows.append((a, t, value))
-        writer.emit(observable + "_surface", ["a", "t", "value"], rows)
-    elif exp.kind == "dispersion":
-        p = exp.payload
-        kappa = np.linspace(p["kappa_min"], p["kappa_max"], p["kappa_count"])
-        plus, minus = dispersion_omega(p["theta0"], kappa, p["phi"], p["variant"])
-        vg = []
-        for k in kappa:
-            try:
-                vg.append(group_velocity(p["theta0"], float(k), p["phi"]))
-            except Exception:
-                vg.append(math.nan)
-        writer.emit(
-            "dispersion",
-            ["kappa", "omega_plus", "omega_minus", "group_velocity"],
-            zip(kappa, plus, minus, vg),
-        )
-    elif exp.kind == "transfer":
-        p = exp.payload
-        builder = transfer_matrix_1p if p["particles"] == 1 else transfer_matrix_2p
-        matrix = builder(p["theta"], p["phi"], p["omega"]).matrix
-        rows = []
-        for i in range(matrix.shape[0]):
-            for j in range(matrix.shape[1]):
-                rows.append((i, j, matrix[i, j].real, matrix[i, j].imag))
-        writer.emit("transfer", ["row", "col", "re", "im"], rows)
-    elif exp.kind == "lyapunov":
-        p = exp.payload
-        est = lyapunov_localization_length(p["disorder"], p["theta"], p["omega"], p["chain_length"])
-        writer.emit(
-            "lyapunov",
-            ["gamma", "localization_length"],
-            [(est.gamma, est.localization_length)],
-        )
-    elif exp.kind == "schedule":
-        p = exp.payload
-        rows = []
-        for a in p["accelerations"]:
-            schedule = CoinSchedule(p["theta0"], a)
-            for t in range(1, p["steps"] + 1):
-                rows.append((a, t, math.cos(theta_at(schedule, t))))
-        writer.emit("schedule", ["a", "t", "value"], rows)
-    else:  # pragma: no cover - parse_config rejects unknown kinds
-        raise ValueError(f"unknown experiment kind {exp.kind!r}")
-
+    for stem, header, rows in exp.run(exp.spec, workers):
+        writer.emit(stem, header, rows)
     manifest = write_manifest(directory, exp.name, exp.raw, writer.files, __version__)
     return directory, writer.files + [manifest]

@@ -12,6 +12,7 @@ import yaml
 
 import aqwalk
 from aqwalk.cli import main
+from aqwalk.config import KINDS
 from aqwalk.presets import PRESETS
 
 
@@ -198,6 +199,19 @@ WALK_MIXED = dict(BASE_WALK, particles=2, initial=[[0.5, 0.0]] * 4, record=["dis
     ({"walk": dict(BASE_WALK, origin=4)}, "walk.origin"),
     ({"walk": dict(WALK_2P, origin=[2, 0])}, "walk.origin"),
     ({"ensemble": {"runs": 2, "walk": dict(WALK_2P, origin=[0, 50])}}, "ensemble.walk.origin"),
+    ({"ensemble": {"runs": 2, "walk": BASE_WALK, "base_sed": 3}}, "ensemble"),
+    ({"surface": {"walk": dict(WALK_2P, record=["negativity_particle_particle"]), "accelerations": [0.1],
+                  "observabel": "sigma"}}, "surface"),
+    ({"dispersion": {"theta0": "pi/4", "varaint": "single"}}, "dispersion"),
+    ({"dispersion": {"theta0": "pi/4", "kappa": {"cont": 16}}}, "dispersion.kappa"),
+    ({"transfer": {"theta": "pi/4", "omega": 0.5, "particle": 2}}, "transfer"),
+    ({"lyapunov": {"theta": "pi/4", "omega": 0.5, "chain_lenght": 5000}}, "lyapunov"),
+    ({"schedule": {"theta0": "pi/2", "accelerations": [0.1], "step": 5}}, "schedule"),
+    ({"walk": BASE_WALK, "sweep": {"acceleration": [0.0001, 0.00010000001, 0.01, 0.01]}}, "sweep.acceleration"),
+    ({"walk": BASE_WALK, "sweep": {"theta0": ["pi/4", 0.7853981633974483, 0.785398]}}, "sweep.theta0"),
+    ({"ensemble": {"runs": 2, "walk": BASE_WALK}, "sweep": {"acceleration": [0.01, 0.010000001]}},
+     "sweep.acceleration"),
+    ({"walk": dict(BASE_WALK, record=["sigma", "sigma"])}, "walk.record"),
 ])
 def test_bad_config_values_give_exit_2(tmp_path, capsys, config, field):
     path = _write(tmp_path, dict(config, name="bad"))
@@ -214,6 +228,52 @@ def test_confined_walk_may_start_off_its_line_axis(tmp_path):
     assert main(["validate", path]) == 0
     assert main(["run", path, "-o", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "offline" / "sigma.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["ABSOLUTE", "..", ".", "sub/dir", "../escape"])
+def test_path_like_name_gives_exit_2_and_writes_nothing(tmp_path, capsys, name):
+    # the name is one directory under the output directory, never a path out of it
+    name = str(tmp_path / "absolute") if name == "ABSOLUTE" else name
+    path = _write(tmp_path, {"name": name, "walk": BASE_WALK})
+    for verb in (["validate", path], ["run", path, "-o", str(tmp_path / "run" / "out")]):
+        assert main(verb) == 2
+        assert "config error: name:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["exp.yaml"]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_gives_exit_2(tmp_path, capsys, workers):
+    path = _write(tmp_path, {"name": "few", "walk": BASE_WALK})
+    with pytest.raises(SystemExit) as exc:
+        main(["run", path, "-o", str(tmp_path / "out"), "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# one minimal config per experiment kind and the data files its run writes
+KIND_SMOKE = {
+    "walk": ({"walk": BASE_WALK}, ["distribution.csv", "sigma.csv"]),
+    "ensemble": ({"ensemble": {"runs": 3, "walk": dict(BASE_WALK, disorder={"kind": "temporal"})}},
+                 ["distribution.csv", "sigma.csv"]),
+    "surface": ({"surface": {"walk": WALK_2P, "observable": "sigma", "accelerations": [0.0, 0.01]}},
+                ["sigma_surface.csv"]),
+    "dispersion": ({"dispersion": {"theta0": "pi/4", "kappa": {"count": 8}}}, ["dispersion.csv"]),
+    "transfer": ({"transfer": {"theta": "pi/4", "omega": 0.5}}, ["transfer.csv"]),
+    "lyapunov": ({"lyapunov": {"theta": "pi/4", "omega": 0.5, "chain_length": 5000,
+                               "disorder": {"kind": "none"}}}, ["lyapunov.csv"]),
+    "schedule": ({"schedule": {"theta0": "pi/2", "accelerations": [0.01], "steps": 5}}, ["schedule.csv"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(set(KINDS) | set(KIND_SMOKE)))
+def test_every_kind_validates_and_runs(tmp_path, kind):
+    config, files = KIND_SMOKE[kind]
+    path = _write(tmp_path, dict(config, name=kind))
+    assert main(["validate", path]) == 0
+    assert main(["run", path, "-o", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / kind / "manifest.json").read_text())
+    assert sorted(manifest["outputs"]) == files
 
 
 def test_non_string_name_gives_exit_2(tmp_path, capsys):

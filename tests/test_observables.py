@@ -89,7 +89,6 @@ def test_negativity_bell_like_state_is_half():
     state = SpinorField1P(1, up, down)
     result = negativity_coin_position(state)
     assert result.value == pytest.approx(0.5, abs=1e-12)
-    assert result.method == "closed_form"
 
 
 def test_negativity_walk_state_matches_dense_oracle():
