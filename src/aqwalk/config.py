@@ -156,8 +156,11 @@ WALK_FIELDS = ("particles", "theta0", "acceleration", "steps", "initial", "origi
                "layout")
 
 
-def _parse_walk(raw, where: str) -> WalkSpec:
+def _parse_walk(raw, where: str, exp: Experiment | None = None) -> WalkSpec:
     raw = _mapping(raw, where, WALK_FIELDS)
+    if exp is not None and exp.sweep_field is not None:
+        # a field the sweep sets may be left out; the walk then holds its first value
+        raw = {exp.sweep_field: exp.sweep_values[0], **raw}
     particles = _as_int(raw.get("particles", 1), f"{where}.particles")
     if particles not in (1, 2):
         raise ConfigError(f"{where}.particles", f"must be 1 or 2, got {particles}")
@@ -244,12 +247,12 @@ def _sweep_runs(exp: Experiment, walk: WalkSpec) -> list[tuple[str, WalkSpec]]:
 # the Experiment under construction, and returns the spec its runner takes.
 
 def _walk_kind(raw: dict, exp: Experiment):
-    exp.walk = _parse_walk(raw, "walk")
+    exp.walk = _parse_walk(raw, "walk", exp)
     return _sweep_runs(exp, exp.walk)
 
 
 def _ensemble_kind(raw: dict, exp: Experiment):
-    walk = _parse_walk(_require(raw, "walk", "ensemble"), "ensemble.walk")
+    walk = _parse_walk(_require(raw, "walk", "ensemble"), "ensemble.walk", exp)
     runs = _as_int(_require(raw, "runs", "ensemble"), "ensemble.runs")
     base_seed = _as_int(raw.get("base_seed", 0), "ensemble.base_seed")
     try:

@@ -158,25 +158,62 @@ def transfer_matrix_2p(theta: float, phi: float, omega: float) -> TransferMatrix
     return TransferMatrix(m, theta, phi, omega)
 
 
+# the chain is renormalized every _BLOCK sites, as the per-site loop did, so
+# the largest unnormalized product (the overflow envelope) is unchanged
+_BLOCK = 16
+_SEGMENT = 1 << 14  # sites per streamed segment; a multiple of _BLOCK
+
+
+def _block_products(phis: np.ndarray, theta: float, omega: float):
+    """Yield, a segment at a time, the products of each _BLOCK consecutive
+    transfer_matrix_1p(theta, phi, omega) along phis, entry-major (4, blocks).
+
+    A short last block is padded with identities, which multiply exactly.
+    """
+    sec = 1.0 / math.cos(theta)
+    tan = math.tan(theta)
+    for start in range(0, phis.size, _SEGMENT):
+        part = phis[start:start + _SEGMENT]
+        p = np.exp(-1j * part)
+        m = np.empty((4, -(-part.size // _BLOCK) * _BLOCK), dtype=np.complex128)
+        m[:, part.size:] = [[1.0], [0.0], [0.0], [1.0]]
+        m[0, :part.size] = np.exp(1j * omega) * sec
+        m[1, :part.size] = -1j * tan * p
+        m[2, :part.size] = 1j * tan
+        m[3, :part.size] = np.exp(-1j * omega) * sec * p
+        for _ in range(_BLOCK.bit_length() - 1):
+            a, b, c, d = m[:, 0::2]  # earlier matrix of each pair
+            e, f, g, h = m[:, 1::2]  # later matrix, on the left
+            m = np.array([e * a + f * c, e * b + f * d, g * a + h * c, g * b + h * d])
+        yield m
+
+
 def lyapunov_localization_length(
     disorder: DisorderSpec,
     theta: float,
     omega: float,
     chain_length: int,
     realization_index: int = 0,
-    renorm_every: int = 16,
 ) -> LyapunovEstimate:
     """Lyapunov exponent of the disordered single-walker transfer chain.
 
     Multiplies chain_length transfer matrices with per-site phases drawn
-    from the disorder spec, renormalizing the propagated vector every few
-    sites and accumulating log norms.  gamma > 0 means exponential
+    from the disorder spec and accumulates the log norms of the propagated
+    vector.  The matrices are built in segments of 2^14 sites and each run
+    of 16 sites is multiplied out by a pairwise tree of elementwise 2x2
+    products; the vector then steps over the block products, renormalized
+    after every block with an overflow-safe norm (math.hypot), so no theta
+    that transfer_matrix_1p accepts overflows.  Blocks
+    never cross the middle of the chain.  gamma > 0 means exponential
     envelope decay with localization length 1/gamma; the clean chain at
     an allowed frequency gives gamma -> 0.
 
     Raises NonConvergenceError when the two half-chain estimates disagree
     by more than 1% (relative, with an absolute floor so the clean case
-    does not trip the check).
+    does not trip the check), and SingularParameterError when a block
+    product cancels to zero, as it can within about 1e-8 of theta = pi/2,
+    where sin(theta) rounds to 1 and each matrix is singular to working
+    precision.
     """
     if chain_length < 1000:
         raise ValueError(f"chain_length must be >= 1000, got {chain_length}")
@@ -190,33 +227,25 @@ def lyapunov_localization_length(
         rng = np.random.default_rng([disorder.seed & ((1 << 64) - 1), realization_index])
         phis = rng.uniform(disorder.phase_min, disorder.phase_max, chain_length)
 
-    # vectorized construction of all 2x2 matrices along the chain
-    sec = 1.0 / math.cos(theta)
-    tan = math.tan(theta)
-    half = np.exp(-0.5j * phis)
-    mats = np.empty((chain_length, 2, 2), dtype=np.complex128)
-    mats[:, 0, 0] = half * np.exp(1j * (omega + phis / 2.0)) * sec
-    mats[:, 0, 1] = half * (-1j * np.exp(-0.5j * phis) * tan)
-    mats[:, 1, 0] = half * (1j * np.exp(0.5j * phis) * tan)
-    mats[:, 1, 1] = half * np.exp(-1j * (omega + phis / 2.0)) * sec
-
-    v = np.array([1.0, 1j / math.sqrt(13.0)], dtype=np.complex128)
-    v /= np.linalg.norm(v)
-    log_sum = 0.0
-    half_logs = [0.0, 0.0]
+    v0, v1 = complex(math.sqrt(13.0 / 14.0)), 1j / math.sqrt(14.0)  # (1, i/sqrt(13)), normalized
     mid = chain_length // 2
-    since_renorm = 0
-    for i in range(chain_length):
-        v = mats[i] @ v
-        since_renorm += 1
-        if since_renorm == renorm_every or i == chain_length - 1 or i == mid - 1:
-            nrm = np.linalg.norm(v)
-            log_sum += math.log(nrm)
-            half_logs[0 if i < mid else 1] += math.log(nrm)
-            v /= nrm
-            since_renorm = 0
+    half_logs = []
+    for half in (phis[:mid], phis[mid:]):
+        log_sum = 0.0
+        for blocks in _block_products(half, theta, omega):
+            for a, b, c, d in zip(*blocks.tolist()):
+                v0, v1 = a * v0 + b * v1, c * v0 + d * v1
+                nrm = math.hypot(abs(v0), abs(v1))
+                if nrm == 0.0:
+                    raise SingularParameterError(
+                        "transfer chain singular to working precision: a 16-site product "
+                        "cancelled to zero (theta too close to pi/2 for this omega)"
+                    )
+                log_sum += math.log(nrm)
+                v0, v1 = v0 / nrm, v1 / nrm
+        half_logs.append(log_sum)
 
-    gamma = log_sum / chain_length
+    gamma = (half_logs[0] + half_logs[1]) / chain_length
     g1 = half_logs[0] / mid
     g2 = half_logs[1] / (chain_length - mid)
     spread = abs(g1 - g2)

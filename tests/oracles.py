@@ -178,6 +178,49 @@ def golden_section_max(f, lo, hi, tol=1e-12):
     return x, f(x)
 
 
+def lyapunov_loop(disorder, theta, omega, chain_length, realization_index=0):
+    """Per-site transfer-chain loop: (gamma, (g1, g2), spread, threshold).
+
+    Takes the arguments of lyapunov_localization_length.  Steps the vector
+    one matrix at a time and renormalizes every 16 sites and at the end of
+    each half, with a math.hypot norm.  spread = |g1 - g2| is compared
+    against threshold by the library's rule.
+    """
+    if disorder.kind == "none":
+        phis = np.zeros(chain_length)
+    else:
+        rng = np.random.default_rng([disorder.seed & ((1 << 64) - 1), realization_index])
+        phis = rng.uniform(disorder.phase_min, disorder.phase_max, chain_length)
+    sec = 1.0 / math.cos(theta)
+    tan = math.tan(theta)
+    half = np.exp(-0.5j * phis)
+    mats = np.empty((chain_length, 2, 2), dtype=np.complex128)
+    mats[:, 0, 0] = half * np.exp(1j * (omega + phis / 2.0)) * sec
+    mats[:, 0, 1] = half * (-1j * np.exp(-0.5j * phis) * tan)
+    mats[:, 1, 0] = half * (1j * np.exp(0.5j * phis) * tan)
+    mats[:, 1, 1] = half * np.exp(-1j * (omega + phis / 2.0)) * sec
+
+    v = np.array([1.0, 1j / math.sqrt(13.0)], dtype=np.complex128)
+    v /= math.hypot(*np.abs(v))
+    log_sum = 0.0
+    half_logs = [0.0, 0.0]
+    mid = chain_length // 2
+    since_renorm = 0
+    for i in range(chain_length):
+        v = mats[i] @ v
+        since_renorm += 1
+        if since_renorm == 16 or i == chain_length - 1 or i == mid - 1:
+            nrm = math.hypot(abs(v[0]), abs(v[1]))
+            log_sum += math.log(nrm)
+            half_logs[0 if i < mid else 1] += math.log(nrm)
+            v /= nrm
+            since_renorm = 0
+    gamma = log_sum / chain_length
+    g1 = half_logs[0] / mid
+    g2 = half_logs[1] / (chain_length - mid)
+    return gamma, (g1, g2), abs(g1 - g2), max(0.01 * abs(gamma), 25.0 / chain_length)
+
+
 def random_pure_amplitude_matrix(rng, d, n):
     """Haar-ish random normalized amplitude matrix of shape (d, n)."""
     m = rng.normal(size=(d, n)) + 1j * rng.normal(size=(d, n))

@@ -74,6 +74,19 @@ def test_sweep_emits_one_file_per_value(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("config, files", [
+    ({"walk": {"particles": 1, "steps": 10}, "sweep": {"theta0": [0.3, 0.6]}},
+     ["distribution_theta0.3.csv", "distribution_theta0.6.csv", "sigma_theta0.3.csv", "sigma_theta0.6.csv"]),
+    ({"ensemble": {"runs": 2, "walk": {"steps": 10, "record": ["sigma"], "disorder": {"kind": "temporal"}}},
+      "sweep": {"theta0": ["pi/4"]}}, ["sigma_theta0.785398.csv"]),
+])
+def test_swept_field_may_be_left_out_of_the_walk(tmp_path, config, files):
+    path = _write(tmp_path, dict(config, name="swept"))
+    assert main(["validate", path]) == 0
+    assert main(["run", path, "-o", str(tmp_path / "out")]) == 0
+    assert sorted(os.listdir(tmp_path / "out" / "swept")) == sorted(files + ["manifest.json"])
+
+
 def test_csv_round_trip_exact(tmp_path):
     from aqwalk import CoinSchedule, InitialState, WalkSpec, run_walk
 
@@ -376,6 +389,17 @@ def test_dispersion_transfer_lyapunov_schedule_kinds(tmp_path):
     assert sched[0] == "a,t,value"
     lyap = (tmp_path / "out" / "lyap" / "lyapunov.csv").read_text().splitlines()
     assert lyap[0] == "gamma,localization_length"
+
+
+def test_lyapunov_next_to_half_pi_is_finite(tmp_path):
+    # 16-site products near sec(theta) ~ 1e10 reach ~1e164, whose square overflows
+    cfg = {"name": "steep", "lyapunov": {"theta": 1.5707963267, "omega": 0.3, "chain_length": 2000,
+                                         "disorder": {"kind": "none"}}}
+    assert main(["run", _write(tmp_path, cfg), "-o", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "steep" / "lyapunov.csv").read_text().splitlines()
+    gamma, length = map(float, rows[1].split(","))
+    assert math.isfinite(gamma) and gamma > 0
+    assert gamma * length == pytest.approx(1.0)
 
 
 def test_fig2_preset_writes_one_distribution_per_acceleration(tmp_path):

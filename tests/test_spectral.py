@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from aqwalk import (
     DisorderSpec,
@@ -15,7 +17,7 @@ from aqwalk import (
     transfer_matrix_2p,
 )
 
-from oracles import dispersion_residual, golden_section_max
+from oracles import dispersion_residual, golden_section_max, lyapunov_loop
 
 
 def test_dispersion_massless_limit():
@@ -214,3 +216,71 @@ def test_lyapunov_nonconvergence_reported():
     # chain fluctuate well beyond the 1% band; this seed trips the check
     with pytest.raises(NonConvergenceError):
         lyapunov_localization_length(DisorderSpec("spatial", seed=0), 1.45, 0.3, 1000)
+
+
+# chain lengths around the 16-site blocks, the 2^14-site segments and the
+# middle of the chain: odd, one short of or one past a multiple, exact halves
+EDGE_LENGTHS = [1000, 1001, 1023, 1055, 32_768, 32_769, 32_770, 32_799, 32_800, 39_999]
+
+
+@st.composite
+def chains(draw):
+    """Arguments of lyapunov_localization_length for one transfer chain."""
+    theta = draw(st.floats(0.0, math.pi / 2 - 1.01e-12))
+    omega = draw(st.floats(-math.pi, math.pi))
+    length = draw(st.one_of(st.integers(1000, 40_000), st.sampled_from(EDGE_LENGTHS)))
+    kind = draw(st.sampled_from(["none", "spatial"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    phase_min = draw(st.floats(-math.pi, math.pi))
+    phase_max = phase_min + draw(st.floats(0.0, 2 * math.pi))
+    index = draw(st.integers(0, 1000))
+    return DisorderSpec(kind, phase_min, phase_max, seed), theta, omega, length, index
+
+
+def _assert_matches_loop(disorder, theta, omega, length, index=0):
+    gamma, halves, spread, threshold = lyapunov_loop(disorder, theta, omega, length, index)
+    # per-site rounding grows with the condition number of one transfer
+    # matrix, ((1 + sin)/cos)^2, and a clean chain in or at the edge of its
+    # band never forgets it, so two multiplication orders can drift apart by
+    # up to its square (measured: below 3e-15 cond^2 max(1, |gamma|))
+    cond = ((1.0 + math.sin(theta)) / math.cos(theta)) ** 2
+    tol = 1e-12 * max(1.0, abs(gamma)) * cond**2
+    borderline = abs(spread - threshold) <= 1e-9 * threshold + 3 * tol
+    try:
+        est = lyapunov_localization_length(disorder, theta, omega, length, index)
+    except NonConvergenceError:
+        assert spread > threshold or borderline
+        return
+    except SingularParameterError:
+        assert cond * np.finfo(float).eps >= 1.0  # each matrix singular to working precision
+        return
+    assert spread <= threshold or borderline
+    assert abs(est.gamma - gamma) <= tol
+    assert all(abs(got - want) <= tol for got, want in zip(est.half_estimates, halves))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(chains())
+def test_lyapunov_block_products_match_per_site_loop(chain):
+    _assert_matches_loop(*chain)
+
+
+@pytest.mark.parametrize("seed", [0, 3])  # seed 3 raises NonConvergenceError
+def test_lyapunov_matches_per_site_loop_at_default_length(seed):
+    _assert_matches_loop(DisorderSpec("spatial", seed=seed), 1.0, 0.5, 200_000)
+
+
+def test_lyapunov_singular_chain_is_reported():
+    # sin(theta) rounds to 1 here, each matrix is singular in float64 and
+    # at the flat-band frequency a 16-site product cancels to exactly zero
+    with pytest.raises(SingularParameterError, match="working precision"):
+        lyapunov_localization_length(DisorderSpec("none"), math.pi / 2 - 1.01e-12, math.pi / 2, 2000)
+
+
+def test_lyapunov_finite_next_to_half_pi():
+    # a 16-site product reaches ~1e196 here; squaring it in the norm overflowed
+    theta = math.pi / 2 - 1.01e-12
+    for disorder in (DisorderSpec("none"), DisorderSpec("spatial", seed=4)):
+        est = lyapunov_localization_length(disorder, theta, 0.3, 2000)
+        assert math.isfinite(est.gamma) and est.gamma > 0
+        assert est.localization_length == pytest.approx(1.0 / est.gamma)
