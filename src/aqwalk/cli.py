@@ -6,8 +6,8 @@ Verbs:
   aqwalk validate CONFIG
 
 Exit codes: 0 ok, 1 runtime or numeric failure, 2 config error.  The
-default output directory comes from $AQWALK_OUTPUT_DIR (falling back to
-./aqwalk-out).
+output directory is -o if given, else the config's output_dir, else
+$AQWALK_OUTPUT_DIR, else ./aqwalk-out.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a config file or a bundled preset")
     run.add_argument("config", nargs="?", help="path to a YAML experiment config")
     run.add_argument("--preset", help="name of a bundled preset (see 'aqwalk presets')")
-    run.add_argument("-o", "--output-dir", help="output directory (default $AQWALK_OUTPUT_DIR)")
+    run.add_argument("-o", "--output-dir", help="output directory (overrides the config's output_dir)")
     run.add_argument("--format", choices=["csv", "json"], help="override the config's format")
     run.add_argument("--workers", type=_worker_count, help="cap ensemble worker processes (>= 1)")
 
@@ -52,10 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _output_dir(args) -> str:
-    if args.output_dir:
-        return args.output_dir
-    return os.environ.get(ENV_OUTPUT_DIR, "aqwalk-out")
+def _output_dir(args, exp) -> str:
+    return args.output_dir or exp.output_dir or os.environ.get(ENV_OUTPUT_DIR, "aqwalk-out")
 
 
 def _experiments(args):
@@ -78,11 +76,8 @@ def _experiments(args):
 
 
 def _cmd_run(args) -> int:
-    experiments = _experiments(args)
-    out_root = _output_dir(args)
-    for exp in experiments:
-        target = exp.output_dir or out_root
-        directory, files = execute(exp, target, workers=args.workers)
+    for exp in _experiments(args):
+        directory, files = execute(exp, _output_dir(args, exp), workers=args.workers)
         print(f"{exp.name}: wrote {len(files)} files to {directory}")
     return 0
 

@@ -2,7 +2,7 @@
 
 The coins themselves, [[cos, -i sin], [-i sin, cos]] with the phase
 diagonal applied after it, are inlined in the evolution engine (see
-evolve._COIN_SIGNS and evolve._PHASE_POWERS).
+evolve._COIN_SIGNS and the phase powers in state.LINES).
 """
 
 from __future__ import annotations

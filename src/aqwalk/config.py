@@ -25,7 +25,7 @@ from .errors import ConfigError
 from .evolve import RECORD_KEYS, DisorderSpec, WalkSpec
 from .ensemble import EnsembleSpec
 from .spectral import DISPERSION_VARIANTS
-from .state import InitialState, two_particle_confinement
+from .state import LINES, InitialState, families, two_particle_confinement
 
 __all__ = ["Experiment", "KINDS", "load_config", "parse_config", "parse_angle"]
 
@@ -36,7 +36,11 @@ _ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d*\.?\d+))?$")
 
 
 def parse_angle(value, where: str) -> float:
-    """Number or 'pi'-style string to radians; NaN and infinities are rejected."""
+    """Number, numeric string or 'pi'-style string to a float; NaN and infinities are rejected.
+
+    Every real number of a config is read here: YAML 1.1 reads an exponent
+    without a dot, such as 1e-4, as a string.
+    """
     angle = None
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         angle = float(value)
@@ -109,12 +113,6 @@ def _as_int(value, where: str) -> int:
     return value
 
 
-def _as_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(where, f"expected a number, got {value!r}")
-    return float(value)
-
-
 def _parse_initial(raw, particles: int, origin, where: str) -> InitialState:
     if isinstance(raw, str):
         label = raw.strip().lower()
@@ -126,10 +124,9 @@ def _parse_initial(raw, particles: int, origin, where: str) -> InitialState:
             raise ConfigError(where, f"unknown two-particle initial state {raw!r}")
         return InitialState.basis_two_particle(label, origin)
     if isinstance(raw, list):
-        try:
-            amps = np.array([complex(pair[0], pair[1]) for pair in raw])
-        except (TypeError, IndexError):
+        if not all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in raw):
             raise ConfigError(where, "amplitudes must be [re, im] pairs")
+        amps = np.array([complex(parse_angle(re, where), parse_angle(im, where)) for re, im in raw])
         try:
             return InitialState(amps, origin)
         except ValueError as exc:
@@ -165,7 +162,7 @@ def _parse_walk(raw, where: str, exp: Experiment | None = None) -> WalkSpec:
     if particles not in (1, 2):
         raise ConfigError(f"{where}.particles", f"must be 1 or 2, got {particles}")
     theta0 = parse_angle(_require(raw, "theta0", where), f"{where}.theta0")
-    accel = _as_number(raw.get("acceleration", 0.0), f"{where}.acceleration")
+    accel = parse_angle(raw.get("acceleration", 0.0), f"{where}.acceleration")
     steps = _as_int(_require(raw, "steps", where), f"{where}.steps")
     origin = raw.get("origin", 0 if particles == 1 else [0, 0])
     if particles == 2:
@@ -191,10 +188,9 @@ def _parse_walk(raw, where: str, exp: Experiment | None = None) -> WalkSpec:
     except ValueError as exc:
         raise ConfigError(where, str(exc))
     # the lattice spans [-steps, steps]: a walk starts at 0 on each axis it moves along
-    moving = (0,) if particles == 1 else {"xline": (0,), "yline": (1,)}.get(
-        two_particle_confinement(init.coin, layout == "full2d"), (0, 1))
-    coords = (origin,) if particles == 1 else origin
-    if any(coords[axis] for axis in moving) or max(map(abs, coords)) > steps:
+    lattice_layout = "1p" if particles == 1 else two_particle_confinement(init.coin, layout == "full2d")
+    coords = init.coords
+    if any(coords[LINES[name].axis] for name in families(lattice_layout)) or max(map(abs, coords)) > steps:
         raise ConfigError(f"{where}.origin", "must be 0 on each axis the walk moves along and "
                                              f"within [-steps, steps] on the other, got {origin}")
     return spec
@@ -204,10 +200,7 @@ def _schedule_values(values, key: str, where: str) -> list[float]:
     """A non-empty list of theta0 or acceleration values, each valid in a CoinSchedule."""
     if not isinstance(values, list) or not values:
         raise ConfigError(where, "expected a non-empty list")
-    if key == "theta0":
-        parsed = [parse_angle(v, where) for v in values]
-    else:
-        parsed = [_as_number(v, where) for v in values]
+    parsed = [parse_angle(v, where) for v in values]
     for value in parsed:
         try:
             CoinSchedule(value) if key == "theta0" else CoinSchedule(0.0, value)
@@ -253,6 +246,9 @@ def _walk_kind(raw: dict, exp: Experiment):
 
 def _ensemble_kind(raw: dict, exp: Experiment):
     walk = _parse_walk(_require(raw, "walk", "ensemble"), "ensemble.walk", exp)
+    if "seed" in (raw["walk"].get("disorder") or {}):
+        # realization i draws stream (base_seed, i), so a walk seed would be ignored
+        raise ConfigError("ensemble.walk.disorder.seed", "an ensemble takes its seed from ensemble.base_seed")
     runs = _as_int(_require(raw, "runs", "ensemble"), "ensemble.runs")
     base_seed = _as_int(raw.get("base_seed", 0), "ensemble.base_seed")
     try:

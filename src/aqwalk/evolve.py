@@ -36,7 +36,7 @@ truncation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,23 +50,26 @@ from .observables import (  # noqa: F401
     crossing_coin_density,
     distribution,
     ipr,
+    ipr_rows,
     line_coin_position,
     line_sums,
     negativity_coin_position,
     negativity_particle_particle,
     particle_particle_from_density,
-    row_sums,
     sigma,
+    sigma_rows,
+    site_probabilities,
 )
 from .state import (
-    LINE_FIELDS,
+    LINES,
     InitialState,
     SpinorField1P,
     TwoParticleField,
-    line_layout,
+    lines,
     new_one_particle,
     new_two_particle,
     two_particle_confinement,
+    with_lines,
 )
 
 __all__ = [
@@ -213,9 +216,6 @@ class RunResult:
         return value
 
 
-# phase powers (L, R) of each one-line layout: k down spins give e^{i k phi}
-_PHASE_POWERS = {"1p": (0, 1), "xline": (0, 2), "yline": (1, 1)}
-
 # On the (Re, Im) planes of one component the coin [[c, -i s], [-i s, c]] adds
 # s * (Im X, -Re X) of the other component X: its planes reversed, times these signs.
 _COIN_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)
@@ -311,7 +311,7 @@ class _Frame:
                 turned = block[::-1] * signed_sin  # (-Im sin, Re sin)
                 block *= cos
                 block += turned
-        left_name, right_name = LINE_FIELDS[self.layout]
+        left_name, right_name = LINES[self.layout].fields
         if sites.start == 0 and left[:, 0].any():
             raise BoundaryOverflowError(f"{left_name} amplitude would leave the lattice at the lower edge")
         if sites.stop - 1 == 2 * self.half_width and right[:, -1].any():
@@ -323,16 +323,12 @@ class _Frame:
         left, right, sites = self.cone()
         out = {}
         if "sigma" in keys or "ipr" in keys:
-            p = _site_probabilities(left, right)
+            p = site_probabilities(*left, *right)
             if "sigma" in keys:
                 x = 2.0 * np.arange(len(p))[:, None] + float(sites.start - self.half_width)
-                mean = row_sums(p * x)
-                var = row_sums(p * (x * x))
-                var -= mean * mean
-                # variance can go epsilon-negative for a point mass
-                out["sigma"] = np.sqrt(np.maximum(var, 0.0, out=var), out=var)
+                out["sigma"] = sigma_rows(x, p)
             if "ipr" in keys:
-                out["ipr"] = row_sums(p * p)
+                out["ipr"] = ipr_rows(p)
         if "negativity_coin_position" in keys or "negativity_particle_particle" in keys:
             p, q, c_re, c_im = line_sums(*left, *right)
             check_normalized(p + q)
@@ -341,34 +337,6 @@ class _Frame:
             if "negativity_particle_particle" in keys:
                 out["negativity_particle_particle"] = np.sqrt(c_re * c_re + c_im * c_im)
         return out
-
-
-def _site_probabilities(left, right):
-    # |L|^2 + |R|^2 summed plane by plane, in a fixed order
-    return left[0] * left[0] + left[1] * left[1] + right[0] * right[0] + right[1] * right[1]
-
-
-def _lines(state):
-    """(layout, L, R) of each family of lines of a state, L and R of shape (sites, lines).
-
-    A full-2D field has x lines (uu, dd along x, one per y) and y lines
-    (du, ud along y, one per x): the coin mixes only uu with dd and ud with
-    du, and the shift moves each pair along its own axis.
-    """
-    layout = line_layout(state)
-    if layout is None:
-        return [("xline", state.uu, state.dd), ("yline", state.du.T, state.ud.T)]
-    return [(layout, *(getattr(state, name)[:, None] for name in LINE_FIELDS[layout]))]
-
-
-def _with_lines(state, pairs):
-    """state with each family of _lines(state) replaced by an (L, R) pair."""
-    layout = line_layout(state)
-    if layout is None:
-        (uu, dd), (du, ud) = pairs
-        return replace(state, uu=uu, dd=dd, du=np.ascontiguousarray(du.T), ud=np.ascontiguousarray(ud.T))
-    (left, right), = pairs
-    return replace(state, **dict(zip(LINE_FIELDS[layout], (left[:, 0], right[:, 0]))))
 
 
 def _planes(left, right) -> np.ndarray:
@@ -388,26 +356,26 @@ def _step(state, theta: float, phases):
     the sites -H, -H + 2, ..., H as the cone of time H and the others as
     that of time H - 1, both from origin 0.
     """
-    lines = _lines(state)
+    state_lines = lines(state)
     if np.ndim(phases) == 1:
-        if len(lines) > 1:
+        if len(state_lines) > 1:
             raise ValueError("spatial disorder is only supported on confined (single-line) walks")
-        n = len(lines[0][1])
+        n = len(state_lines[0][1])
         if len(phases) != n:
             raise ValueError(f"per-site phases need {n} values, got {len(phases)}")
     c, s = math.cos(theta), math.sin(theta)
     stepped = []
-    for layout, left, right in lines:
+    for layout, left, right in state_lines:
         planes = _planes(left, right)
         half = (len(left) - 1) // 2
         out = np.zeros_like(planes)
         for t in range(max(half - 1, 0), half + 1):
             frame = _Frame(layout, left.shape[1], half, 0, t, t + 1)
             frame.load(planes)
-            frame.step(c, s, [_phase_planes([phases], power) for power in _PHASE_POWERS[layout]])
+            frame.step(c, s, [_phase_planes([phases], power) for power in LINES[layout].powers])
             frame.unload(out)
         stepped.append(_complex(out))
-    return _with_lines(state, stepped)
+    return with_lines(state, stepped)
 
 
 def step_one_particle(state: SpinorField1P, theta: float, phases=None) -> SpinorField1P:
@@ -481,20 +449,19 @@ def run_walk_batch(spec: WalkSpec, landscapes) -> list[RunResult]:
         return []
     state = _new_state(spec)
     rows, steps = len(landscapes), spec.steps
-    lines = _lines(state)
-    one_line = len(lines) == 1
-    x0, y0 = (state.x0, state.y0) if spec.particle_count == 2 else (int(spec.init.origin), 0)
-    # a walk started at one site stays on the line through it in each family,
-    # given as (line, origin along it); the x and y lines of a full-2D walk cross there
-    starts = ({"1p": (0, x0), "xline": (0, x0), "yline": (0, y0)} if one_line
-              else {"xline": (y0 + steps, x0), "yline": (x0 + steps, y0)})
+    state_lines = lines(state)
+    one_line = len(state_lines) == 1
+    coords = spec.init.coords
+    # a walk started at one site stays on the line through it in each family (line 0 of a
+    # one-line state); the x and y lines of a full-2D walk cross there
+    starts = [(0 if one_line else coords[1 - LINES[layout].axis] + steps, coords[LINES[layout].axis])
+              for layout, _, _ in state_lines]
     frames = []
-    for layout, left, right in lines:
-        line, origin = starts[layout]
+    for (layout, left, right), (line, origin) in zip(state_lines, starts):
         frames.append(_Frame(layout, rows, steps, origin, 0, steps))
         frames[-1].load(_planes(left[:, line:line + 1], right[:, line:line + 1]))
     values = [landscape.values for landscape in landscapes]
-    phases = [[_phase_planes(values, power) for power in _PHASE_POWERS[frame.layout]] for frame in frames]
+    phases = [[_phase_planes(values, power) for power in LINES[frame.layout].powers] for frame in frames]
     scalar_keys = [k for k in spec.record if k != "distribution"]
     series = {k: np.zeros((rows, steps + 1)) for k in scalar_keys}
 
@@ -517,24 +484,19 @@ def run_walk_batch(spec: WalkSpec, landscapes) -> list[RunResult]:
             frame.step(c, s, planes)
         record(t)
 
-    final = [np.zeros((2, 2, len(left), rows)) for _, left, _ in lines]
+    final = [np.zeros((2, 2, len(left), rows)) for _, left, _ in state_lines]
     for frame, planes in zip(frames, final):
         frame.unload(planes)
-    probs = (np.ascontiguousarray(_site_probabilities(*final[0]).T)
-             if one_line and "distribution" in spec.record else None)
-    positions = np.arange(-steps, steps + 1)
     results = []
     for row in range(rows):
         filled = []
-        for (layout, left, right), planes in zip(lines, final):
+        for (_, left, right), (line, _), planes in zip(state_lines, starts, final):
             filled.append((np.zeros_like(left), np.zeros_like(right)))
-            line = starts[layout][0]
             filled[-1][0][:, line], filled[-1][1][:, line] = _complex(planes[..., row])
-        result = RunResult(steps=steps, final_state=_with_lines(state, filled))
+        result = RunResult(steps=steps, final_state=with_lines(state, filled))
         for key in scalar_keys:
             setattr(result, key, series[key][row])
         if "distribution" in spec.record:
-            result.distribution = (distribution(result.final_state) if probs is None
-                                   else Distribution1D(positions, probs[row]))
+            result.distribution = distribution(result.final_state)
         results.append(result)
     return results

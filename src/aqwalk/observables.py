@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import DD, DU, LINE_FIELDS, UD, UU, SpinorField1P, TwoParticleField, line_layout
+from .state import LINES, SpinorField1P, TwoParticleField, families, lines
 
 __all__ = [
     "Distribution1D",
@@ -37,6 +37,9 @@ __all__ = [
     "negativity_particle_particle",
     "reduced_particle_density",
     "row_sums",
+    "site_probabilities",
+    "sigma_rows",
+    "ipr_rows",
     "line_sums",
     "check_normalized",
     "line_coin_position",
@@ -81,29 +84,19 @@ def distribution(state):
     One-particle and confined two-particle states give a Distribution1D
     along the active axis; full-2D states give a Distribution2D.
     """
-    if isinstance(state, SpinorField1P):
-        p = np.abs(state.up) ** 2 + np.abs(state.down) ** 2
-        return Distribution1D(state.positions, p)
-    if state.confinement == "xline":
-        p = np.abs(state.uu) ** 2 + np.abs(state.dd) ** 2
-        return Distribution1D(state.positions_x, p)
-    if state.confinement == "yline":
-        p = np.abs(state.ud) ** 2 + np.abs(state.du) ** 2
-        return Distribution1D(state.positions_y, p)
-    p = sum(np.abs(c) ** 2 for c in (state.uu, state.ud, state.du, state.dd))
-    return Distribution2D(state.positions_x, state.positions_y, p)
+    p = 0
+    for name in families(state.confinement):
+        left, right = (getattr(state, component) for component in LINES[name].fields)
+        p = p + site_probabilities(left.real, left.imag, right.real, right.imag)
+    kind = Distribution1D if p.ndim == 1 else Distribution2D
+    return kind(*(np.arange(-(n // 2), n // 2 + 1) for n in p.shape), p)
 
 
 def sigma(dist: Distribution1D) -> float:
     """Standard deviation sqrt(<x^2> - <x>^2) of a 1D distribution."""
     if np.ndim(dist.p) != 1:
         raise ValueError("sigma expects a 1D distribution")
-    x = dist.x.astype(float)
-    mean = float(np.dot(x, dist.p))
-    second = float(np.dot(x * x, dist.p))
-    var = second - mean * mean
-    # variance can go epsilon-negative for a point mass
-    return float(np.sqrt(var)) if var > 0.0 else 0.0
+    return float(sigma_rows(dist.x.astype(float)[:, None], np.asarray(dist.p)[:, None])[0])
 
 
 def ipr(dist: Distribution1D) -> float:
@@ -114,7 +107,7 @@ def ipr(dist: Distribution1D) -> float:
     """
     if np.ndim(dist.p) != 1:
         raise ValueError("ipr expects a 1D distribution")
-    return float(np.sum(np.asarray(dist.p) ** 2))
+    return float(ipr_rows(np.asarray(dist.p)[:, None])[0])
 
 
 def row_sums(values):
@@ -124,6 +117,26 @@ def row_sums(values):
     sum does not depend on the rows beside it.
     """
     return np.add.reduce(np.ascontiguousarray(values.T), axis=1)
+
+
+def site_probabilities(lr, li, rr, ri):
+    """|L|^2 + |R|^2 per site, summed plane by plane in this order: the line
+    kernel and distribution both take |psi|^2 from here, so they agree bitwise."""
+    return lr * lr + li * li + rr * rr + ri * ri
+
+
+def sigma_rows(x, p):
+    """Spread sqrt(<x^2> - <x>^2) of each row of p (sites, rows) over positions x (sites, 1)."""
+    mean = row_sums(p * x)
+    var = row_sums(p * (x * x))
+    var -= mean * mean
+    # variance can go epsilon-negative for a point mass
+    return np.sqrt(np.maximum(var, 0.0, out=var), out=var)
+
+
+def ipr_rows(p):
+    """Inverse participation ratio sum_x p(x)^2 of each row of p (sites, rows)."""
+    return row_sums(p * p)
 
 
 def line_sums(lr, li, rr, ri):
@@ -161,13 +174,10 @@ def line_coin_position(lr, li, rr, ri, p, c_re, c_im):
     return np.sqrt(p * row_sums(w_re * w_re + w_im * w_im))
 
 
-def _state_planes(state):
-    """Real and imaginary planes (one row) of a one-line state, None for full 2D."""
-    layout = line_layout(state)
-    if layout is None:
-        return None
-    return [part[:, None] for name in LINE_FIELDS[layout]
-            for part in (getattr(state, name).real, getattr(state, name).imag)]
+def _line_planes(state):
+    """Real and imaginary planes (one row each) of a one-line state."""
+    (_, left, right), = lines(state)
+    return left.real, left.imag, right.real, right.imag
 
 
 def negativity_coin_position(state) -> NegativityResult:
@@ -176,9 +186,9 @@ def negativity_coin_position(state) -> NegativityResult:
     The state must be a pure, normalized one-line state; the value is the
     closed form sqrt(pq - |c|^2).
     """
-    planes = _state_planes(state)
-    if planes is None:
+    if state.confinement not in LINES:
         raise ValueError("coin/position bipartition is not supported for full-2D states")
+    planes = _line_planes(state)
     p, q, c_re, c_im = line_sums(*planes)
     check_normalized(p + q)
     value = float(line_coin_position(*planes, p, c_re, c_im)[0])
@@ -187,17 +197,12 @@ def negativity_coin_position(state) -> NegativityResult:
 
 def reduced_particle_density(state: TwoParticleField) -> np.ndarray:
     """4x4 density matrix of the two-particle coin space, position traced out."""
-    n = 4
-    rho = np.zeros((n, n), dtype=np.complex128)
-    if state.confinement == "xline":
-        comps = {UU: state.uu, DD: state.dd}
-    elif state.confinement == "yline":
-        comps = {UD: state.ud, DU: state.du}
-    else:
-        comps = {UU: state.uu, UD: state.ud, DU: state.du, DD: state.dd}
-    keys = sorted(comps)
-    for i in keys:
-        for j in keys:
+    comps = {}
+    for name in families(state.confinement):
+        comps.update(zip(LINES[name].slots, (getattr(state, c) for c in LINES[name].fields)))
+    rho = np.zeros((4, 4), dtype=np.complex128)
+    for i in comps:
+        for j in comps:
             rho[i, j] = np.sum(comps[i] * comps[j].conj())
     return rho
 
@@ -215,11 +220,12 @@ def crossing_coin_density(x_planes, x_site, y_planes, y_site) -> np.ndarray:
     x_sums, y_sums = line_sums(*x_planes), line_sums(*y_planes)
     rho = np.zeros((len(x_sums[0]), 4, 4), dtype=np.complex128)
     if x_site is not None:
-        uu_re, uu_im, dd_re, dd_im = (plane[x_site] for plane in x_planes)
-        du_re, du_im, ud_re, ud_im = (plane[y_site] for plane in y_planes)
-        at = np.stack([uu_re + 1j * uu_im, ud_re + 1j * ud_im, du_re + 1j * du_im, dd_re + 1j * dd_im], axis=1)
+        at = np.zeros((len(rho), 4), dtype=np.complex128)
+        for name, planes, site in (("xline", x_planes, x_site), ("yline", y_planes, y_site)):
+            l_re, l_im, r_re, r_im = (plane[site] for plane in planes)
+            at[:, LINES[name].slots] = np.stack([l_re + 1j * l_im, r_re + 1j * r_im], axis=1)
         rho[:] = at[:, :, None] * at[:, None, :].conj()
-    for (i, j), (p, q, c_re, c_im) in (((UU, DD), x_sums), ((DU, UD), y_sums)):
+    for (i, j), (p, q, c_re, c_im) in ((LINES["xline"].slots, x_sums), (LINES["yline"].slots, y_sums)):
         c = c_re + 1j * c_im
         rho[:, i, i], rho[:, j, j], rho[:, i, j], rho[:, j, i] = p, q, c, c.conj()
     return rho
@@ -248,9 +254,8 @@ def negativity_particle_particle(state: TwoParticleField) -> NegativityResult:
     """
     if isinstance(state, SpinorField1P):
         raise ValueError("particle/particle negativity needs a two-particle state")
-    planes = _state_planes(state)
-    if planes is not None:
-        p, q, c_re, c_im = line_sums(*planes)
+    if state.confinement in LINES:
+        p, q, c_re, c_im = line_sums(*_line_planes(state))
         check_normalized(p + q)
         return NegativityResult(float(np.sqrt(c_re * c_re + c_im * c_im)[0]))
     value = particle_particle_from_density(reduced_particle_density(state)[None])[0]

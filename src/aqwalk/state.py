@@ -14,7 +14,7 @@ than mutating in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,8 +22,11 @@ __all__ = [
     "InitialState",
     "SpinorField1P",
     "TwoParticleField",
-    "LINE_FIELDS",
-    "line_layout",
+    "Line",
+    "LINES",
+    "families",
+    "lines",
+    "with_lines",
     "two_particle_confinement",
     "new_one_particle",
     "new_two_particle",
@@ -35,10 +38,31 @@ COIN_NORM_TOL = 1e-9
 UU, UD, DU, DD = 0, 1, 2, 3
 
 _BASIS_2P = {"uu": UU, "ud": UD, "du": DU, "dd": DD}
+_BASIS = {"up": 0, "down": 1, **_BASIS_2P}
 
-# The two stored components of each one-line layout, the one that moves
-# toward lower positions first: up moves to x-1, uu to x-1, du to y-1.
-LINE_FIELDS = {"1p": ("up", "down"), "xline": ("uu", "dd"), "yline": ("du", "ud")}
+
+@dataclass(frozen=True)
+class Line:
+    """A one-line layout: the two components (L, R) it stores, L the one that
+    moves toward lower positions, the lattice axis they move along, and
+    their phase powers (k down spins pick up e^{i k phi})."""
+
+    fields: tuple[str, str]
+    axis: int
+    powers: tuple[int, int]
+
+    @property
+    def slots(self) -> tuple[int, int]:
+        """Indices of L and R in the coin vector."""
+        return _BASIS[self.fields[0]], _BASIS[self.fields[1]]
+
+
+# up moves to x-1, uu to x-1, du to y-1
+LINES = {
+    "1p": Line(("up", "down"), 0, (0, 1)),
+    "xline": Line(("uu", "dd"), 0, (0, 2)),
+    "yline": Line(("du", "ud"), 1, (1, 1)),
+}
 
 
 @dataclass(frozen=True)
@@ -59,8 +83,13 @@ class InitialState:
         if vec.shape not in ((2,), (4,)):
             raise ValueError(f"coin vector must have length 2 or 4, got shape {vec.shape}")
         nrm = float(np.sum(np.abs(vec) ** 2))
-        if abs(nrm - 1.0) > COIN_NORM_TOL:
+        if not abs(nrm - 1.0) <= COIN_NORM_TOL:  # also rejects NaN
             raise ValueError(f"coin vector must be normalized, |amp|^2 sums to {nrm!r}")
+
+    @property
+    def coords(self) -> tuple[int, ...]:
+        """The origin as one int per lattice axis."""
+        return tuple(int(v) for v in np.atleast_1d(self.origin))
 
     @classmethod
     def up(cls, origin: int = 0) -> "InitialState":
@@ -99,6 +128,7 @@ class SpinorField1P:
     half_width: int
     up: np.ndarray
     down: np.ndarray
+    confinement = "1p"  # its key in LINES, as a two-particle field's confinement is
 
     @property
     def positions(self) -> np.ndarray:
@@ -130,14 +160,6 @@ class TwoParticleField:
     x0: int = 0
     y0: int = 0
 
-    @property
-    def positions_x(self) -> np.ndarray:
-        return np.arange(-self.half_width_x, self.half_width_x + 1)
-
-    @property
-    def positions_y(self) -> np.ndarray:
-        return np.arange(-self.half_width_y, self.half_width_y + 1)
-
     def norm(self) -> float:
         total = 0.0
         for comp in (self.uu, self.ud, self.du, self.dd):
@@ -160,13 +182,20 @@ def new_one_particle(init: InitialState, steps: int) -> SpinorField1P:
     x0 = int(init.origin)
     if abs(x0) > steps:
         raise ValueError(f"origin {x0} outside lattice [-{steps}, {steps}]")
-    n = 2 * steps + 1
-    up = np.zeros(n, dtype=np.complex128)
-    down = np.zeros(n, dtype=np.complex128)
-    idx = x0 + steps
-    up[idx] = init.coin[0]
-    down[idx] = init.coin[1]
-    return SpinorField1P(steps, up, down)
+    return SpinorField1P(steps, **_placed(init, steps, "1p"))
+
+
+def _placed(init: InitialState, steps: int, layout: str) -> dict:
+    """The components of a layout, zero but for the coin at the origin: a one-line
+    layout stores them along its axis only, a full-2D field on the whole grid."""
+    moving = sorted({LINES[name].axis for name in families(layout)})
+    site = tuple(init.coords[axis] + steps for axis in moving)
+    arrays = {}
+    for name in families(layout):
+        for component in LINES[name].fields:
+            arrays[component] = np.zeros((2 * steps + 1,) * len(moving), dtype=np.complex128)
+            arrays[component][site] = init.coin[_BASIS[component]]
+    return arrays
 
 
 def two_particle_confinement(coin: np.ndarray, force_full2d: bool = False) -> str:
@@ -175,13 +204,11 @@ def two_particle_confinement(coin: np.ndarray, force_full2d: bool = False) -> st
     Coin support in {uu, dd} gives "xline", support in {ud, du} "yline",
     anything mixed (or force_full2d) "full2d".
     """
-    support = {i for i in range(4) if coin[i] != 0}
-    if force_full2d:
-        return "full2d"
-    if support <= {UU, DD}:
-        return "xline"
-    if support <= {UD, DU}:
-        return "yline"
+    if not force_full2d:
+        support = {i for i in range(4) if coin[i] != 0}
+        for name in ("xline", "yline"):
+            if support <= set(LINES[name].slots):
+                return name
     return "full2d"
 
 
@@ -197,38 +224,50 @@ def new_two_particle(init: InitialState, steps: int, force_full2d: bool = False)
         raise ValueError(f"steps must be >= 0, got {steps}")
     if init.coin.shape != (4,):
         raise ValueError("two-particle walk needs a length-4 coin vector")
-    origin = init.origin
-    if np.isscalar(origin):
+    if np.isscalar(init.origin):
         raise ValueError("two-particle origin must be a pair (x0, y0)")
-    x0, y0 = int(origin[0]), int(origin[1])
+    x0, y0 = init.coords
     if abs(x0) > steps or abs(y0) > steps:
         raise ValueError(f"origin {(x0, y0)} outside lattice [-{steps}, {steps}]^2")
 
     confinement = two_particle_confinement(init.coin, force_full2d)
-    n = 2 * steps + 1
-
-    if confinement == "xline":
-        uu = np.zeros(n, dtype=np.complex128)
-        dd = np.zeros(n, dtype=np.complex128)
-        uu[x0 + steps] = init.coin[UU]
-        dd[x0 + steps] = init.coin[DD]
-        return TwoParticleField("xline", steps, 0, uu, None, None, dd, x0, y0)
-
-    if confinement == "yline":
-        ud = np.zeros(n, dtype=np.complex128)
-        du = np.zeros(n, dtype=np.complex128)
-        ud[y0 + steps] = init.coin[UD]
-        du[y0 + steps] = init.coin[DU]
-        return TwoParticleField("yline", 0, steps, None, ud, du, None, x0, y0)
-
-    comps = [np.zeros((n, n), dtype=np.complex128) for _ in range(4)]
-    for k in range(4):
-        comps[k][x0 + steps, y0 + steps] = init.coin[k]
-    return TwoParticleField("full2d", steps, steps, comps[0], comps[1], comps[2], comps[3], x0, y0)
+    arrays = {**dict.fromkeys(_BASIS_2P), **_placed(init, steps, confinement)}
+    moving = {LINES[name].axis for name in families(confinement)}
+    widths = [steps if axis in moving else 0 for axis in (0, 1)]
+    return TwoParticleField(confinement, *widths, x0=x0, y0=y0, **arrays)
 
 
-def line_layout(state) -> str | None:
-    """Key of LINE_FIELDS for a one-line state, None for a full-2D field."""
-    if isinstance(state, SpinorField1P):
-        return "1p"
-    return state.confinement if state.confinement in LINE_FIELDS else None
+def families(layout: str) -> tuple[str, ...]:
+    """Keys of LINES for the families of lines a layout is made of.
+
+    A one-line layout is one line.  A full-2D field is x lines (uu, dd
+    along x, one per y) and y lines (du, ud along y, one per x): the coin
+    mixes only uu with dd and ud with du, and the shift moves each pair
+    along its own axis.
+    """
+    return (layout,) if layout in LINES else ("xline", "yline")
+
+
+def lines(state):
+    """(layout, L, R) of each family of lines of a state, L and R of shape (sites, lines)."""
+    out = []
+    for name in families(state.confinement):
+        left, right = (getattr(state, component) for component in LINES[name].fields)
+        if state.confinement in LINES:
+            left, right = left[:, None], right[:, None]
+        else:
+            left, right = (np.moveaxis(a, LINES[name].axis, 0) for a in (left, right))
+        out.append((name, left, right))
+    return out
+
+
+def with_lines(state, pairs):
+    """state with each family of lines(state) replaced by an (L, R) pair of the same shapes."""
+    arrays = {}
+    for name, (left, right) in zip(families(state.confinement), pairs):
+        if state.confinement in LINES:
+            left, right = left[:, 0], right[:, 0]
+        else:
+            left, right = (np.ascontiguousarray(np.moveaxis(a, 0, LINES[name].axis)) for a in (left, right))
+        arrays.update(zip(LINES[name].fields, (left, right)))
+    return replace(state, **arrays)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +226,9 @@ WALK_MIXED = dict(BASE_WALK, particles=2, initial=[[0.5, 0.0]] * 4, record=["dis
     ({"ensemble": {"runs": 2, "walk": BASE_WALK}, "sweep": {"acceleration": [0.01, 0.010000001]}},
      "sweep.acceleration"),
     ({"walk": dict(BASE_WALK, record=["sigma", "sigma"])}, "walk.record"),
+    ({"walk": dict(BASE_WALK, initial=[[math.nan, 0], [1, 0]])}, "walk.initial"),
+    ({"walk": dict(BASE_WALK, initial=[[True, False], [False, False]])}, "walk.initial"),
+    ({"walk": dict(BASE_WALK, acceleration=math.inf)}, "walk.acceleration"),
 ])
 def test_bad_config_values_give_exit_2(tmp_path, capsys, config, field):
     path = _write(tmp_path, dict(config, name="bad"))
@@ -367,6 +371,38 @@ def test_env_var_output_dir(tmp_path, monkeypatch):
     cfg = {"name": "envy", "walk": dict(BASE_WALK, record=["sigma"])}
     assert main(["run", _write(tmp_path, cfg)]) == 0
     assert (tmp_path / "envout" / "envy" / "sigma.csv").exists()
+
+
+def test_output_dir_flag_wins_over_config_and_env(tmp_path, monkeypatch):
+    # -o, then the config's output_dir, then $AQWALK_OUTPUT_DIR
+    monkeypatch.setenv("AQWALK_OUTPUT_DIR", str(tmp_path / "envout"))
+    cfg = {"name": "where", "output_dir": str(tmp_path / "cfgout"), "walk": dict(BASE_WALK, record=["sigma"])}
+    path = _write(tmp_path, cfg)
+    assert main(["run", path, "-o", str(tmp_path / "flagout")]) == 0
+    assert (tmp_path / "flagout" / "where" / "sigma.csv").exists()
+    assert not (tmp_path / "cfgout").exists() and not (tmp_path / "envout").exists()
+    assert main(["run", path]) == 0
+    assert (tmp_path / "cfgout" / "where" / "sigma.csv").exists()
+    assert not (tmp_path / "envout").exists()
+
+
+def test_ensemble_walk_seed_gives_exit_2(tmp_path, capsys):
+    # realization i always draws (base_seed, i): a seed in the walk would be ignored
+    walk = dict(BASE_WALK, disorder={"kind": "temporal", "seed": 99})
+    path = _write(tmp_path, {"name": "seeded", "ensemble": {"runs": 2, "base_seed": 5, "walk": walk}})
+    for verb in (["validate", path], ["run", path, "-o", str(tmp_path / "out")]):
+        assert main(verb) == 2
+        err = capsys.readouterr().err
+        assert "config error: ensemble.walk.disorder.seed:" in err and "ensemble.base_seed" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_example_config_validates(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.yaml"
+    path.write_text(block)
+    assert main(["validate", str(path)]) == 0, capsys.readouterr().err
 
 
 def test_dispersion_transfer_lyapunov_schedule_kinds(tmp_path):

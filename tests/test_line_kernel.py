@@ -19,8 +19,13 @@ from aqwalk import (
     DisorderSpec,
     InitialState,
     WalkSpec,
+    distribution,
+    ipr,
+    negativity_coin_position,
+    negativity_particle_particle,
     run_walk,
     sample_landscape,
+    sigma,
     theta_at,
 )
 from aqwalk.evolve import RECORD_KEYS, landscape_size, run_walk_batch
@@ -140,6 +145,30 @@ def test_single_run_matches_dense_oracle(walk):
         elif key in expected:
             value, tol = expected[key]
             assert abs(result.series(key)[-1] - value) < tol
+
+
+@PROPERTY_SETTINGS
+@given(walk=walks())
+def test_per_state_observables_agree_with_the_walk(walk):
+    # the public per-state functions read the final state the way the kernel reads its frame
+    layout, spec, _, _ = walk
+    keys = tuple(k for k in RECORD_KEYS if layout != "1p" or k != "negativity_particle_particle")
+    spec = replace(spec, record=keys)
+    try:
+        result = run_walk(spec, _landscapes(spec, 1)[0])
+    except BoundaryOverflowError:
+        assume(False)
+    state = result.final_state
+    dist = distribution(state)
+    assert dist.p.tobytes() == result.distribution.p.tobytes()
+    assert dist.x.tobytes() == result.distribution.x.tobytes()
+    # sigma^2 = second - mean^2 carries rounding of order eps * second
+    second = float(np.dot(dist.x * dist.x, dist.p))
+    assert abs(sigma(dist) ** 2 - result.sigma[-1] ** 2) < 1e-12 * max(1.0, second)
+    assert abs(ipr(dist) - result.ipr[-1]) < 1e-12
+    assert abs(negativity_coin_position(state).value - result.negativity_coin_position[-1]) < 1e-12
+    if layout != "1p":
+        assert abs(negativity_particle_particle(state).value - result.negativity_particle_particle[-1]) < 1e-12
 
 
 @PROPERTY_SETTINGS

@@ -34,6 +34,11 @@ def test_rejects_non_normalized_coin():
         InitialState(np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="normalized"):
         InitialState(np.array([0.6, 0.8 + 1e-4]))
+    # NaN compares false with every bound, so the norm check must not pass it
+    with pytest.raises(ValueError, match="normalized"):
+        InitialState(np.array([math.nan, 1.0]))
+    with pytest.raises(ValueError, match="normalized"):
+        InitialState.two_particle([1.0, 0.0, 0.0, complex(0.0, math.nan)])
 
 
 def test_rejects_origin_outside_lattice():
