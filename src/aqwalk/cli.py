@@ -21,7 +21,6 @@ from numpy.linalg import LinAlgError
 
 from .config import load_config, parse_config
 from .errors import AqwalkError, ConfigError
-from .presets import PRESETS, preset_configs
 from .runner import execute
 
 ENV_OUTPUT_DIR = "AQWALK_OUTPUT_DIR"
@@ -60,6 +59,9 @@ def _experiments(args):
     if (args.config is None) == (args.preset is None):
         raise ConfigError("run", "give exactly one of CONFIG or --preset")
     if args.preset:
+        # building the preset table costs every run, so only --preset and `presets` import it
+        from .presets import preset_configs
+
         try:
             raws = [dict(c) for c in preset_configs(args.preset)]
         except KeyError as exc:
@@ -83,6 +85,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_presets(args) -> int:
+    from .presets import PRESETS
+
     if args.dump:
         if args.dump not in PRESETS:
             raise ConfigError("preset", f"unknown preset {args.dump!r}")

@@ -13,7 +13,6 @@ every chunk size.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -142,6 +141,9 @@ def run_ensemble(spec: EnsembleSpec, workers: int | None = None) -> EnsembleSumm
     if workers == 1:
         chunks = [_run_chunk(task) for task in tasks]
     else:
+        # the pool pulls in multiprocessing, so only a multi-worker run imports it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_chunk, tasks))
 

@@ -58,7 +58,6 @@ from .observables import (  # noqa: F401
     particle_particle_from_density,
     sigma,
     sigma_rows,
-    site_probabilities,
 )
 from .state import (
     LINES,
@@ -68,6 +67,7 @@ from .state import (
     lines,
     new_one_particle,
     new_two_particle,
+    site_probabilities,
     two_particle_confinement,
     with_lines,
 )

@@ -1,7 +1,7 @@
 """Atomic CSV/JSON writers and the run manifest.
 
-Numbers are serialized with 17 significant digits so every emitted file
-re-parses to the exact in-memory float64 values.
+A CSV column of Python ints is written with %d, any other column with
+%.17g, so every emitted file re-parses to the exact in-memory values.
 """
 
 from __future__ import annotations
@@ -11,20 +11,14 @@ import json
 import os
 import tempfile
 from datetime import datetime, timezone
+from itertools import chain
 
 __all__ = [
-    "format_number",
     "write_rows_atomic",
     "write_json_atomic",
     "sha256_file",
     "write_manifest",
 ]
-
-
-def format_number(value) -> str:
-    if isinstance(value, (int,)) and not isinstance(value, bool):
-        return str(value)
-    return format(float(value), ".17g")
 
 
 def _atomic_write(path: str, data: str):
@@ -41,11 +35,18 @@ def _atomic_write(path: str, data: str):
         raise
 
 
+def _column_format(column) -> str:
+    """%d for a column of Python ints (bools are not), %.17g for any other."""
+    return "%d" if all(issubclass(kind, int) and kind is not bool for kind in set(map(type, column))) else "%.17g"
+
+
 def write_rows_atomic(path: str, header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_number(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Write the header and one line per row: the whole body is one %-format
+    of the row template, repeated once per row."""
+    values = tuple(chain.from_iterable(rows))
+    width = len(header)
+    template = ",".join(_column_format(values[i::width]) for i in range(width)) + "\n"
+    _atomic_write(path, ",".join(header) + "\n" + template * (len(values) // width) % values)
     return path
 
 

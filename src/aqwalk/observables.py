@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import LINES, SpinorField1P, TwoParticleField, families, lines
+from .state import LINES, SpinorField1P, TwoParticleField, families, lines, probabilities
 
 __all__ = [
     "Distribution1D",
@@ -37,7 +37,6 @@ __all__ = [
     "negativity_particle_particle",
     "reduced_particle_density",
     "row_sums",
-    "site_probabilities",
     "sigma_rows",
     "ipr_rows",
     "line_sums",
@@ -84,10 +83,7 @@ def distribution(state):
     One-particle and confined two-particle states give a Distribution1D
     along the active axis; full-2D states give a Distribution2D.
     """
-    p = 0
-    for name in families(state.confinement):
-        left, right = (getattr(state, component) for component in LINES[name].fields)
-        p = p + site_probabilities(left.real, left.imag, right.real, right.imag)
+    p = probabilities(state)
     kind = Distribution1D if p.ndim == 1 else Distribution2D
     return kind(*(np.arange(-(n // 2), n // 2 + 1) for n in p.shape), p)
 
@@ -117,12 +113,6 @@ def row_sums(values):
     sum does not depend on the rows beside it.
     """
     return np.add.reduce(np.ascontiguousarray(values.T), axis=1)
-
-
-def site_probabilities(lr, li, rr, ri):
-    """|L|^2 + |R|^2 per site, summed plane by plane in this order: the line
-    kernel and distribution both take |psi|^2 from here, so they agree bitwise."""
-    return lr * lr + li * li + rr * rr + ri * ri
 
 
 def sigma_rows(x, p):

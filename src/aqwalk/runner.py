@@ -36,33 +36,17 @@ from .spectral import (
 __all__ = ["execute"]
 
 
-class _Writer:
-    """Accumulates output files in one directory, csv or json flavor."""
-
-    def __init__(self, directory: str, fmt: str):
-        self.directory = directory
-        self.fmt = fmt
-        self.files: list[str] = []
-
-    def emit(self, stem: str, header: list[str], rows):
-        path = os.path.join(self.directory, f"{stem}.{self.fmt}")
-        if self.fmt == "csv":
-            write_rows_atomic(path, header, rows)
-        else:
-            payload = {"header": header, "rows": [[_jsonify(v) for v in row] for row in rows]}
-            write_json_atomic(path, payload)
-        self.files.append(path)
-
-
 def _jsonify(value):
     return value.item() if isinstance(value, (np.integer, np.floating)) else value
 
 
 def _distribution_file(stem: str, dist):
     if isinstance(dist, Distribution1D):
-        return stem, ["x", "p"], zip(dist.x.tolist(), dist.p)
-    rows = [(xv, yv, dist.p[i, j]) for i, xv in enumerate(dist.x.tolist()) for j, yv in enumerate(dist.y.tolist())]
-    return stem, ["x", "y", "p"], rows
+        return stem, ["x", "p"], zip(dist.x.tolist(), dist.p.tolist())
+    # p is indexed [x, y]: x is the outer loop of the rows
+    xs = np.repeat(dist.x, len(dist.y)).tolist()
+    ys = np.tile(dist.y, len(dist.x)).tolist()
+    return stem, ["x", "y", "p"], zip(xs, ys, dist.p.ravel().tolist())
 
 
 def walk_files(runs, workers):
@@ -136,8 +120,13 @@ def execute(exp, output_dir: str, workers: int | None = None) -> tuple[str, list
     """Run one parsed config.Experiment, returning (directory, written files incl. manifest)."""
     directory = os.path.join(output_dir, exp.name)
     os.makedirs(directory, exist_ok=True)
-    writer = _Writer(directory, exp.fmt)
+    files = []
     for stem, header, rows in exp.run(exp.spec, workers):
-        writer.emit(stem, header, rows)
-    manifest = write_manifest(directory, exp.name, exp.raw, writer.files, __version__)
-    return directory, writer.files + [manifest]
+        path = os.path.join(directory, f"{stem}.{exp.fmt}")
+        if exp.fmt == "csv":
+            write_rows_atomic(path, header, rows)
+        else:
+            write_json_atomic(path, {"header": header, "rows": [[_jsonify(v) for v in row] for row in rows]})
+        files.append(path)
+    manifest = write_manifest(directory, exp.name, exp.raw, files, __version__)
+    return directory, files + [manifest]

@@ -27,6 +27,8 @@ __all__ = [
     "families",
     "lines",
     "with_lines",
+    "site_probabilities",
+    "probabilities",
     "two_particle_confinement",
     "new_one_particle",
     "new_two_particle",
@@ -135,7 +137,7 @@ class SpinorField1P:
         return np.arange(-self.half_width, self.half_width + 1)
 
     def norm(self) -> float:
-        return float(np.sum(np.abs(self.up) ** 2) + np.sum(np.abs(self.down) ** 2))
+        return float(np.sum(probabilities(self)))
 
 
 @dataclass
@@ -161,11 +163,7 @@ class TwoParticleField:
     y0: int = 0
 
     def norm(self) -> float:
-        total = 0.0
-        for comp in (self.uu, self.ud, self.du, self.dd):
-            if comp is not None:
-                total += float(np.sum(np.abs(comp) ** 2))
-        return total
+        return float(np.sum(probabilities(self)))
 
 
 def new_one_particle(init: InitialState, steps: int) -> SpinorField1P:
@@ -271,3 +269,18 @@ def with_lines(state, pairs):
             left, right = (np.ascontiguousarray(np.moveaxis(a, 0, LINES[name].axis)) for a in (left, right))
         arrays.update(zip(LINES[name].fields, (left, right)))
     return replace(state, **arrays)
+
+
+def site_probabilities(lr, li, rr, ri):
+    """|L|^2 + |R|^2 per site, summed plane by plane in this order: the line
+    kernel, distribution and norm all take |psi|^2 from here, so they agree bitwise."""
+    return lr * lr + li * li + rr * rr + ri * ri
+
+
+def probabilities(state) -> np.ndarray:
+    """|psi|^2 of a state per site of its layout, its families summed in order."""
+    p = 0
+    for name in families(state.confinement):
+        left, right = (getattr(state, component) for component in LINES[name].fields)
+        p = p + site_probabilities(left.real, left.imag, right.real, right.imag)
+    return p

@@ -282,3 +282,11 @@ def convergence_report(summary: EnsembleSummary, reference: EnsembleSummary) -> 
         frac_within[key] = float(np.mean(within))
         flagged[key] = frac_within[key] < 0.95
     return ConvergenceReport(max_abs_diff, frac_within, flagged)
+
+
+def format_number(value) -> str:
+    """One CSV value, formatted on its own: str() of a Python int (bools
+    excluded), 17 significant digits of float(value) for anything else."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    return format(float(value), ".17g")

@@ -489,3 +489,18 @@ def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aqwalk.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_loads_the_pool_and_presets_only_on_demand(tmp_path):
+    # the process pool (multiprocessing) and the preset table cost every run
+    # their import; a plain import and a validate load neither
+    path = _write(tmp_path, dict(KIND_SMOKE["ensemble"][0], name="ens"))
+    code = ("import sys, aqwalk.cli\n"
+            "def loaded(): return sorted(m for m in sys.modules if m in {"
+            "'multiprocessing', 'concurrent.futures.process', 'aqwalk.presets'})\n"
+            "print(loaded())\n"
+            "assert aqwalk.cli.main(['validate', sys.argv[1]]) == 0\n"
+            "print(loaded())\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aqwalk.__file__)))
+    out = subprocess.run([sys.executable, "-c", code, path], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.splitlines() == ["[]", "ok: ens (ensemble)", "[]"]

@@ -266,3 +266,19 @@ def test_closed_form_negativities_match_loop_oracles():
         else:
             oracle = pp_negativity_loops(*(m[i] for i in range(4)))
             assert abs(negativity_particle_particle(state).value - oracle) < 1e-12
+
+
+@pytest.mark.parametrize("particles, coin, steps, confinement", [
+    (1, [R, R], 200, "1p"),
+    (2, [R, 0, 0, 1j * R], 60, "xline"),
+    (2, [0, R, R, 0], 60, "yline"),
+    (2, [0.5, 0.5, 0.5, 0.5], 40, "full2d"),
+])
+def test_norm_is_the_total_of_the_distribution(particles, coin, steps, confinement):
+    # one |psi|^2 formula: norm() sums exactly what distribution records
+    origin = 0 if particles == 1 else (0, 0)
+    spec = WalkSpec(particles, CoinSchedule(math.pi / 4, 0.0), InitialState(np.array(coin), origin), steps,
+                    record=("distribution",))
+    state = run_walk(spec).final_state
+    assert state.confinement == confinement
+    assert state.norm() == distribution(state).total()
