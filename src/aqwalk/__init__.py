@@ -33,7 +33,6 @@ from .evolve import (
 from .observables import (
     Distribution1D,
     Distribution2D,
-    NegativityResult,
     distribution,
     ipr,
     negativity_coin_position,

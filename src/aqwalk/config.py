@@ -50,7 +50,7 @@ def parse_angle(value, where: str) -> float:
             coef = m.group(1)
             coef_val = float(coef) if coef not in ("", "+", "-") else float(coef + "1")
             div = float(m.group(2)) if m.group(2) else 1.0
-            angle = coef_val * math.pi / div
+            angle = coef_val * math.pi / div if div else None
         else:
             try:
                 angle = float(value)
@@ -271,8 +271,8 @@ def _surface_kind(raw: dict, exp: Experiment):
 
 def _dispersion_kind(raw: dict, exp: Experiment):
     variant = raw.get("variant", "single")
-    if variant not in DISPERSION_VARIANTS:
-        raise ConfigError("dispersion.variant", f"must be one of {DISPERSION_VARIANTS}")
+    if not isinstance(variant, str) or variant not in DISPERSION_VARIANTS:
+        raise ConfigError("dispersion.variant", f"must be one of {tuple(DISPERSION_VARIANTS)}")
     kgrid = _mapping(raw.get("kappa", {}), "dispersion.kappa", ("min", "max", "count"))
     theta0 = parse_angle(_require(raw, "theta0", "dispersion"), "dispersion.theta0")
     phi = parse_angle(raw.get("phi", 0.0), "dispersion.phi")

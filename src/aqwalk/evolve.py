@@ -46,18 +46,14 @@ from .errors import BoundaryOverflowError
 from .observables import (  # noqa: F401
     Distribution1D,
     Distribution2D,
-    check_normalized,
     crossing_coin_density,
     distribution,
     ipr,
-    ipr_rows,
-    line_coin_position,
-    line_sums,
+    line_observables,
     negativity_coin_position,
     negativity_particle_particle,
     particle_particle_from_density,
     sigma,
-    sigma_rows,
 )
 from .state import (
     LINES,
@@ -67,7 +63,6 @@ from .state import (
     lines,
     new_one_particle,
     new_two_particle,
-    site_probabilities,
     two_particle_confinement,
     with_lines,
 )
@@ -321,22 +316,10 @@ class _Frame:
     def observe(self, keys) -> dict:
         """The scalar observables named in keys, one value per row."""
         left, right, sites = self.cone()
-        out = {}
-        if "sigma" in keys or "ipr" in keys:
-            p = site_probabilities(*left, *right)
-            if "sigma" in keys:
-                x = 2.0 * np.arange(len(p))[:, None] + float(sites.start - self.half_width)
-                out["sigma"] = sigma_rows(x, p)
-            if "ipr" in keys:
-                out["ipr"] = ipr_rows(p)
-        if "negativity_coin_position" in keys or "negativity_particle_particle" in keys:
-            p, q, c_re, c_im = line_sums(*left, *right)
-            check_normalized(p + q)
-            if "negativity_coin_position" in keys:
-                out["negativity_coin_position"] = line_coin_position(*left, *right, p, c_re, c_im)
-            if "negativity_particle_particle" in keys:
-                out["negativity_particle_particle"] = np.sqrt(c_re * c_re + c_im * c_im)
-        return out
+        x = None
+        if "sigma" in keys:
+            x = 2.0 * np.arange(left.shape[1])[:, None] + float(sites.start - self.half_width)
+        return line_observables(keys, *left, *right, x)
 
 
 def _planes(left, right) -> np.ndarray:

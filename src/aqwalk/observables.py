@@ -24,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import LINES, SpinorField1P, TwoParticleField, families, lines, probabilities
+from .state import LINES, SpinorField1P, TwoParticleField, families, lines, probabilities, site_probabilities
 
 __all__ = [
     "Distribution1D",
     "Distribution2D",
-    "NegativityResult",
     "distribution",
     "sigma",
     "ipr",
@@ -41,7 +40,7 @@ __all__ = [
     "ipr_rows",
     "line_sums",
     "check_normalized",
-    "line_coin_position",
+    "line_observables",
     "crossing_coin_density",
     "particle_particle_from_density",
 ]
@@ -70,11 +69,6 @@ class Distribution2D:
 
     def total(self) -> float:
         return float(np.sum(self.p))
-
-
-@dataclass(frozen=True)
-class NegativityResult:
-    value: float
 
 
 def distribution(state):
@@ -150,27 +144,44 @@ def check_normalized(total):
         raise ValueError(f"state must be normalized, |amp|^2 sums to {float(total[np.argmax(drift)])!r}")
 
 
-def line_coin_position(lr, li, rr, ri, p, c_re, c_im):
-    """Coin/position negativity sqrt(pq - |c|^2) of each row, from line_sums.
+def line_observables(keys, lr, li, rr, ri, x=None) -> dict:
+    """The observables named in keys (sigma, ipr and the two negativities) of
+    a batch of one-line states, one value per row.
 
-    pq - |c|^2 is evaluated as p |R - (conj(c)/p) L|^2 (R minus its
-    projection on L), which keeps full accuracy near product states,
-    where the difference of the two products would cancel to noise.
+    lr, li, rr, ri are the planes of L and R, of shape (sites, rows); x holds
+    the positions of the sites, shape (sites, 1), and is read only for sigma.
+    The negativities need a normalized state: ValueError otherwise.
     """
-    safe = np.where(p > 0.0, p, 1.0)
-    k_re, k_im = c_re / safe, -c_im / safe
-    w_re = rr - (k_re * lr - k_im * li)
-    w_im = ri - (k_re * li + k_im * lr)
-    return np.sqrt(p * row_sums(w_re * w_re + w_im * w_im))
+    out = {}
+    if "sigma" in keys or "ipr" in keys:
+        p = site_probabilities(lr, li, rr, ri)
+        if "sigma" in keys:
+            out["sigma"] = sigma_rows(x, p)
+        if "ipr" in keys:
+            out["ipr"] = ipr_rows(p)
+    if "negativity_coin_position" in keys or "negativity_particle_particle" in keys:
+        p, q, c_re, c_im = line_sums(lr, li, rr, ri)
+        check_normalized(p + q)
+        if "negativity_coin_position" in keys:
+            # sqrt(pq - |c|^2) as sqrt(p |R - (conj(c)/p) L|^2), R minus its projection on L: this keeps
+            # full accuracy near product states, where the difference of the products cancels to noise
+            safe = np.where(p > 0.0, p, 1.0)
+            k_re, k_im = c_re / safe, -c_im / safe
+            w_re = rr - (k_re * lr - k_im * li)
+            w_im = ri - (k_re * li + k_im * lr)
+            out["negativity_coin_position"] = np.sqrt(p * row_sums(w_re * w_re + w_im * w_im))
+        if "negativity_particle_particle" in keys:
+            out["negativity_particle_particle"] = np.sqrt(c_re * c_re + c_im * c_im)
+    return out
 
 
-def _line_planes(state):
-    """Real and imaginary planes (one row each) of a one-line state."""
+def _line_value(state, key: str) -> float:
+    """The observable named key of a one-line state, from line_observables."""
     (_, left, right), = lines(state)
-    return left.real, left.imag, right.real, right.imag
+    return float(line_observables((key,), left.real, left.imag, right.real, right.imag)[key][0])
 
 
-def negativity_coin_position(state) -> NegativityResult:
+def negativity_coin_position(state) -> float:
     """Entanglement negativity between coin and position space.
 
     The state must be a pure, normalized one-line state; the value is the
@@ -178,11 +189,7 @@ def negativity_coin_position(state) -> NegativityResult:
     """
     if state.confinement not in LINES:
         raise ValueError("coin/position bipartition is not supported for full-2D states")
-    planes = _line_planes(state)
-    p, q, c_re, c_im = line_sums(*planes)
-    check_normalized(p + q)
-    value = float(line_coin_position(*planes, p, c_re, c_im)[0])
-    return NegativityResult(value)
+    return _line_value(state, "negativity_coin_position")
 
 
 def reduced_particle_density(state: TwoParticleField) -> np.ndarray:
@@ -235,7 +242,7 @@ def particle_particle_from_density(rho4: np.ndarray) -> np.ndarray:
     return np.maximum(np.add.reduce((np.abs(lam) - lam) / 2.0, axis=-1), 0.0)
 
 
-def negativity_particle_particle(state: TwoParticleField) -> NegativityResult:
+def negativity_particle_particle(state: TwoParticleField) -> float:
     """Entanglement negativity between the two walkers.
 
     Confined states use the closed form |c|.  Full-2D states trace out
@@ -245,8 +252,5 @@ def negativity_particle_particle(state: TwoParticleField) -> NegativityResult:
     if isinstance(state, SpinorField1P):
         raise ValueError("particle/particle negativity needs a two-particle state")
     if state.confinement in LINES:
-        p, q, c_re, c_im = line_sums(*_line_planes(state))
-        check_normalized(p + q)
-        return NegativityResult(float(np.sqrt(c_re * c_re + c_im * c_im)[0]))
-    value = particle_particle_from_density(reduced_particle_density(state)[None])[0]
-    return NegativityResult(float(value))
+        return _line_value(state, "negativity_particle_particle")
+    return float(particle_particle_from_density(reduced_particle_density(state)[None])[0])

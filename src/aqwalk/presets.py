@@ -29,56 +29,22 @@ class Preset:
     configs: tuple
 
 
-def _w1(name, theta0, steps, record, initial="symmetric", sweep_a=None):
-    cfg = {
-        "name": name,
-        "walk": {
-            "particles": 1,
-            "theta0": theta0,
-            "steps": steps,
-            "initial": initial,
-            "record": record,
-        },
-    }
-    if sweep_a is not None:
-        cfg["sweep"] = {"acceleration": list(sweep_a)}
-    return cfg
+BASE_SEED = 2024  # of every ensemble preset
 
 
-def _w2(name, theta0, steps, record, initial="uu", sweep_a=None, a=0.0):
-    cfg = {
-        "name": name,
-        "walk": {
-            "particles": 2,
-            "theta0": theta0,
-            "acceleration": a,
-            "steps": steps,
-            "initial": initial,
-            "record": record,
-        },
-    }
-    if sweep_a is not None:
-        cfg["sweep"] = {"acceleration": list(sweep_a)}
-    return cfg
-
-
-def _ens(name, particles, theta0, steps, record, kind, runs, initial, sweep_a=None, a=0.0, seed=2024):
-    cfg = {
-        "name": name,
-        "ensemble": {
-            "runs": runs,
-            "base_seed": seed,
-            "walk": {
-                "particles": particles,
-                "theta0": theta0,
-                "acceleration": a,
-                "steps": steps,
-                "initial": initial,
-                "disorder": {"kind": kind},
-                "record": record,
-            },
-        },
-    }
+def _config(name, particles, theta0, steps, record, initial, sweep_a=None, a=0.0, kind=None, runs=None):
+    """One preset config: a walk or, given runs, an ensemble of the walk under
+    disorder `kind`; with sweep_a, one run per acceleration.  A one-particle
+    walk config leaves the acceleration out (its sweep sets it); the others state it."""
+    walk = {"particles": particles, "theta0": theta0, "acceleration": a, "steps": steps, "initial": initial,
+            "disorder": {"kind": kind}, "record": record}
+    if runs is None:
+        del walk["disorder"]
+        if particles == 1:
+            del walk["acceleration"]
+        cfg = {"name": name, "walk": walk}
+    else:
+        cfg = {"name": name, "ensemble": {"runs": runs, "base_seed": BASE_SEED, "walk": walk}}
     if sweep_a is not None:
         cfg["sweep"] = {"acceleration": list(sweep_a)}
     return cfg
@@ -105,31 +71,31 @@ def _build_presets() -> dict[str, Preset]:
     add(
         "fig2",
         "1p distribution at t=200 for an a sweep; theta0 = pi/4 (inset pi/2), symmetric start",
-        _w1("fig2", "pi/4", 200, ["distribution"], sweep_a=A_SWEEP_1P),
-        _w1("fig2-inset", "pi/2", 200, ["distribution"], sweep_a=A_SWEEP_1P),
+        _config("fig2", 1, "pi/4", 200, ["distribution"], "symmetric", A_SWEEP_1P),
+        _config("fig2-inset", 1, "pi/2", 200, ["distribution"], "symmetric", A_SWEEP_1P),
     )
     add(
         "fig3",
         "1p spread sigma(t) for an a sweep; theta0 = pi/4 (inset pi/2)",
-        _w1("fig3", "pi/4", 200, ["sigma"], sweep_a=A_SWEEP_1P),
-        _w1("fig3-inset", "pi/2", 200, ["sigma"], sweep_a=A_SWEEP_1P),
+        _config("fig3", 1, "pi/4", 200, ["sigma"], "symmetric", A_SWEEP_1P),
+        _config("fig3-inset", 1, "pi/2", 200, ["sigma"], "symmetric", A_SWEEP_1P),
     )
     add(
         "fig4",
         "1p sigma at t=200 as a function of a, one series per theta0",
         *[
-            _w1(f"fig4-theta{i}", th, 200, ["sigma"],
-                sweep_a=[0.0, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1])
+            _config(f"fig4-theta{i}", 1, th, 200, ["sigma"], "symmetric",
+                    [0.0, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1])
             for i, th in enumerate(["pi/6", "pi/4", "pi/3", "pi/2"])
         ],
     )
     add(
         "fig5",
         "1p coin-position negativity vs t for an a sweep; theta0 = pi/4 (inset pi/2)",
-        _w1("fig5", "pi/4", 200, ["negativity_coin_position"], sweep_a=A_SWEEP_1P),
-        _w1("fig5-inset", "pi/2", 200, ["negativity_coin_position"], sweep_a=A_SWEEP_1P),
+        _config("fig5", 1, "pi/4", 200, ["negativity_coin_position"], "symmetric", A_SWEEP_1P),
+        _config("fig5-inset", 1, "pi/2", 200, ["negativity_coin_position"], "symmetric", A_SWEEP_1P),
     )
-    fig6 = _w2("fig6", "pi/4", 10, ["distribution"], initial="uu")
+    fig6 = _config("fig6", 2, "pi/4", 10, ["distribution"], "uu")
     fig6["walk"]["layout"] = "full2d"
     add(
         "fig6",
@@ -167,14 +133,14 @@ def _build_presets() -> dict[str, Preset]:
     add(
         "fig9",
         "2p line distribution from |uu>: theta0 = pi/2 at t=500 (inset pi/4 at t=400), a sweep",
-        _w2("fig9", "pi/2", 500, ["distribution"], sweep_a=A_SWEEP_2P_NONZERO),
-        _w2("fig9-inset", "pi/4", 400, ["distribution"], sweep_a=A_SWEEP_2P),
+        _config("fig9", 2, "pi/2", 500, ["distribution"], "uu", A_SWEEP_2P_NONZERO),
+        _config("fig9-inset", 2, "pi/4", 400, ["distribution"], "uu", A_SWEEP_2P),
     )
     add(
         "fig10",
         "2p coin vs x-line negativity vs t from |uu>; theta0 = pi/2 (inset pi/4), a sweep",
-        _w2("fig10", "pi/2", 500, ["negativity_coin_position"], sweep_a=A_SWEEP_2P),
-        _w2("fig10-inset", "pi/4", 400, ["negativity_coin_position"], sweep_a=A_SWEEP_2P),
+        _config("fig10", 2, "pi/2", 500, ["negativity_coin_position"], "uu", A_SWEEP_2P),
+        _config("fig10-inset", 2, "pi/4", 400, ["negativity_coin_position"], "uu", A_SWEEP_2P),
     )
     add(
         "fig11",
@@ -197,86 +163,86 @@ def _build_presets() -> dict[str, Preset]:
     add(
         "fig12",
         "1p disordered distributions (spatial and temporal), 500 runs, t=200, start |up>",
-        _ens("fig12-spatial", 1, "pi/2", 200, ["distribution"], "spatial", 500, "up",
-             sweep_a=A_SWEEP_DISORDER),
-        _ens("fig12-temporal", 1, "pi/2", 200, ["distribution"], "temporal", 500, "up",
-             sweep_a=A_SWEEP_DISORDER),
+        _config("fig12-spatial", 1, "pi/2", 200, ["distribution"], "up", A_SWEEP_DISORDER,
+                kind="spatial", runs=500),
+        _config("fig12-temporal", 1, "pi/2", 200, ["distribution"], "up", A_SWEEP_DISORDER,
+                kind="temporal", runs=500),
     )
     add(
         "fig13",
         "2p particle-particle negativity vs t, clean walk; theta0 = pi/2 (inset pi/4), a sweep",
-        _w2("fig13", "pi/2", 500, ["negativity_particle_particle"], sweep_a=A_SWEEP_2P),
-        _w2("fig13-inset", "pi/4", 400, ["negativity_particle_particle"], sweep_a=A_SWEEP_2P),
+        _config("fig13", 2, "pi/2", 500, ["negativity_particle_particle"], "uu", A_SWEEP_2P),
+        _config("fig13-inset", 2, "pi/4", 400, ["negativity_particle_particle"], "uu", A_SWEEP_2P),
     )
     add(
         "fig14",
         "2p spatial-disorder distributions on the x line, 500 runs, theta0 = pi/2",
-        _ens("fig14", 2, "pi/2", 500, ["distribution"], "spatial", 500, "uu",
-             sweep_a=A_SWEEP_2P_NONZERO),
+        _config("fig14", 2, "pi/2", 500, ["distribution"], "uu", A_SWEEP_2P_NONZERO,
+                kind="spatial", runs=500),
     )
     add(
         "fig15",
         "2p temporal-disorder distributions on the x line, 500 runs, theta0 = pi/2",
-        _ens("fig15", 2, "pi/2", 500, ["distribution"], "temporal", 500, "uu",
-             sweep_a=A_SWEEP_2P_NONZERO),
+        _config("fig15", 2, "pi/2", 500, ["distribution"], "uu", A_SWEEP_2P_NONZERO,
+                kind="temporal", runs=500),
     )
     add(
         "fig16",
         "2p clean vs spatial vs temporal distributions at a in {0.002, 0.02}, theta0 = pi/2",
-        _w2("fig16-clean", "pi/2", 500, ["distribution"], sweep_a=[0.002, 0.02]),
-        _ens("fig16-spatial", 2, "pi/2", 500, ["distribution"], "spatial", 500, "uu",
-             sweep_a=[0.002, 0.02]),
-        _ens("fig16-temporal", 2, "pi/2", 500, ["distribution"], "temporal", 500, "uu",
-             sweep_a=[0.002, 0.02]),
+        _config("fig16-clean", 2, "pi/2", 500, ["distribution"], "uu", [0.002, 0.02]),
+        _config("fig16-spatial", 2, "pi/2", 500, ["distribution"], "uu", [0.002, 0.02],
+                kind="spatial", runs=500),
+        _config("fig16-temporal", 2, "pi/2", 500, ["distribution"], "uu", [0.002, 0.02],
+                kind="temporal", runs=500),
     )
     add(
         "fig17",
         "2p particle-particle negativity under spatial disorder, 1000 runs, a sweep",
-        _ens("fig17", 2, "pi/2", 500, ["negativity_particle_particle"], "spatial", 1000, "uu",
-             sweep_a=A_SWEEP_2P_NONZERO),
+        _config("fig17", 2, "pi/2", 500, ["negativity_particle_particle"], "uu", A_SWEEP_2P_NONZERO,
+                kind="spatial", runs=1000),
     )
     add(
         "fig18",
         "1p localization diagnostics: mean distribution, sigma, IPR at a=0.002 vs 0.02 "
         "(spatial disorder, 500 runs, t=200)",
-        _ens("fig18", 1, "pi/2", 200, ["distribution", "sigma", "ipr"], "spatial", 500,
-             "symmetric", sweep_a=[0.002, 0.02]),
+        _config("fig18", 1, "pi/2", 200, ["distribution", "sigma", "ipr"], "symmetric", [0.002, 0.02],
+                kind="spatial", runs=500),
     )
     add(
         "fig19",
         "2p particle-particle negativity under temporal disorder, 1000 runs, a sweep",
-        _ens("fig19", 2, "pi/2", 500, ["negativity_particle_particle"], "temporal", 1000, "uu",
-             sweep_a=A_SWEEP_2P_NONZERO),
+        _config("fig19", 2, "pi/2", 500, ["negativity_particle_particle"], "uu", A_SWEEP_2P_NONZERO,
+                kind="temporal", runs=1000),
     )
     add(
         "fig20",
         "2p coin vs x-line negativity under spatial disorder, 500 runs, a sweep",
-        _ens("fig20", 2, "pi/2", 500, ["negativity_coin_position"], "spatial", 500, "uu",
-             sweep_a=A_SWEEP_2P_NONZERO),
+        _config("fig20", 2, "pi/2", 500, ["negativity_coin_position"], "uu", A_SWEEP_2P_NONZERO,
+                kind="spatial", runs=500),
     )
     add(
         "fig21",
         "2p coin vs x-line negativity under temporal disorder, 500 runs, a sweep",
-        _ens("fig21", 2, "pi/2", 500, ["negativity_coin_position"], "temporal", 500, "uu",
-             sweep_a=A_SWEEP_2P_NONZERO),
+        _config("fig21", 2, "pi/2", 500, ["negativity_coin_position"], "uu", A_SWEEP_2P_NONZERO,
+                kind="temporal", runs=500),
     )
     add(
         "fig22",
         "2p particle-particle negativity at a=0.002: clean vs spatial vs temporal (1000 runs)",
-        _w2("fig22-clean", "pi/2", 500, ["negativity_particle_particle"], a=0.002),
-        _ens("fig22-spatial", 2, "pi/2", 500, ["negativity_particle_particle"], "spatial",
-             1000, "uu", a=0.002),
-        _ens("fig22-temporal", 2, "pi/2", 500, ["negativity_particle_particle"], "temporal",
-             1000, "uu", a=0.002),
+        _config("fig22-clean", 2, "pi/2", 500, ["negativity_particle_particle"], "uu", a=0.002),
+        _config("fig22-spatial", 2, "pi/2", 500, ["negativity_particle_particle"], "uu", a=0.002,
+                kind="spatial", runs=1000),
+        _config("fig22-temporal", 2, "pi/2", 500, ["negativity_particle_particle"], "uu", a=0.002,
+                kind="temporal", runs=1000),
     )
     add(
         "fig23",
         "2p particle-particle negativity at a=0.02: clean vs spatial vs temporal (1000 runs)",
-        _w2("fig23-clean", "pi/2", 500, ["negativity_particle_particle"], a=0.02),
-        _ens("fig23-spatial", 2, "pi/2", 500, ["negativity_particle_particle"], "spatial",
-             1000, "uu", a=0.02),
-        _ens("fig23-temporal", 2, "pi/2", 500, ["negativity_particle_particle"], "temporal",
-             1000, "uu", a=0.02),
+        _config("fig23-clean", 2, "pi/2", 500, ["negativity_particle_particle"], "uu", a=0.02),
+        _config("fig23-spatial", 2, "pi/2", 500, ["negativity_particle_particle"], "uu", a=0.02,
+                kind="spatial", runs=1000),
+        _config("fig23-temporal", 2, "pi/2", 500, ["negativity_particle_particle"], "uu", a=0.02,
+                kind="temporal", runs=1000),
     )
     return presets
 

@@ -1,11 +1,14 @@
 """Analytic toolbox: dispersion relations, group velocity, transfer matrices.
 
 The plane-wave modes of the walk obey cosine dispersion relations.  With
-the phase angle phi in the combined coin they read
+the phase angle phi in the combined coin, a line whose components carry
+the phase powers (k0, k1) (state.LINES) has
 
-    single walker      : cos(w + phi/2) = cos(th0) cos(k + phi/2)
-    two walkers, uu/dd : cos(w + phi)   = cos(th0) cos(k + phi)
-    two walkers, ud/du : cos(w + phi)   = cos(th0) cos(k)
+    cos(w + (k0 + k1) phi/2) = cos(th0) cos(k + (k1 - k0) phi/2)
+
+    single walker      (0, 1): cos(w + phi/2) = cos(th0) cos(k + phi/2)
+    two walkers, uu/dd (0, 2): cos(w + phi)   = cos(th0) cos(k + phi)
+    two walkers, du/ud (1, 1): cos(w + phi)   = cos(th0) cos(k)
 
 At fixed mode frequency w the amplitudes at neighboring sites are related
 by a transfer matrix whose determinant has unit modulus (flux
@@ -22,6 +25,7 @@ import numpy as np
 
 from .errors import NonConvergenceError, SingularParameterError
 from .evolve import DisorderSpec, sample_landscape
+from .state import LINES, Line
 
 __all__ = [
     "DISPERSION_VARIANTS",
@@ -35,7 +39,8 @@ __all__ = [
     "lyapunov_localization_length",
 ]
 
-DISPERSION_VARIANTS = ("single", "two_particle_xline", "two_particle_yline")
+DISPERSION_VARIANTS = {"single": LINES["1p"], "two_particle_xline": LINES["xline"],
+                       "two_particle_yline": LINES["yline"]}
 
 _SEC_TOL = 1e-12
 
@@ -59,15 +64,10 @@ class LyapunovEstimate:
     half_estimates: tuple[float, float]
 
 
-def _shifts(variant: str, phi: float) -> tuple[float, float]:
-    """(omega offset, kappa offset) entering the cosine relation."""
-    if variant == "single":
-        return phi / 2.0, phi / 2.0
-    if variant == "two_particle_xline":
-        return phi, phi
-    if variant == "two_particle_yline":
-        return phi, 0.0
-    raise ValueError(f"unknown dispersion variant {variant!r}; known: {DISPERSION_VARIANTS}")
+def _offsets(line: Line, phi: float) -> tuple[float, float]:
+    """(omega offset, kappa offset) of a line's cosine relation: phi ((k0 + k1)/2, (k1 - k0)/2)."""
+    k0, k1 = line.powers
+    return phi * (k0 + k1) / 2, phi * (k1 - k0) / 2
 
 
 def dispersion_omega(theta0: float, kappa, phi: float = 0.0, variant: str = "single"):
@@ -75,7 +75,9 @@ def dispersion_omega(theta0: float, kappa, phi: float = 0.0, variant: str = "sin
 
     Returns (omega_plus, omega_minus); kappa may be a scalar or an array.
     """
-    w_off, k_off = _shifts(variant, phi)
+    if variant not in DISPERSION_VARIANTS:
+        raise ValueError(f"unknown dispersion variant {variant!r}; known: {tuple(DISPERSION_VARIANTS)}")
+    w_off, k_off = _offsets(DISPERSION_VARIANTS[variant], phi)
     rhs = np.cos(theta0) * np.cos(np.asarray(kappa) + k_off)
     root = np.arccos(np.clip(rhs, -1.0, 1.0))
     return root - w_off, -root - w_off
@@ -88,7 +90,7 @@ def group_velocity(theta0: float, kappa, phi: float = 0.0):
     where cos(theta0) cos(kappa + phi/2) = +-1 (theta0 = 0 with the
     shifted kappa at 0 or pi), which is rejected.
     """
-    arg = np.asarray(kappa, dtype=float) + phi / 2.0
+    arg = np.asarray(kappa, dtype=float) + _offsets(LINES["1p"], phi)[1]
     ct = math.cos(theta0)
     denom_sq = 1.0 - (ct * np.cos(arg)) ** 2
     if np.any(denom_sq <= 1e-30):
@@ -109,12 +111,29 @@ def max_group_velocity(theta0: float, phi: float = 0.0) -> tuple[float, float]:
     sin(u) and peaks at u = pi/2: kappa_star = pi/2 - phi/2 and
     v_max = cos(theta0) for every phi (zero on the flat band theta0 = pi/2).
     """
-    return math.pi / 2.0 - phi / 2.0, math.cos(theta0)
+    return math.pi / 2.0 - _offsets(LINES["1p"], phi)[1], math.cos(theta0)
 
 
 def _check_sec(theta: float):
     if abs(math.cos(theta)) < _SEC_TOL:
         raise SingularParameterError("transfer matrix undefined at theta = pi/2 (sec diverges)")
+
+
+def _transfer_entries(line: Line, theta: float, phi, omega: float):
+    """Entries (a, b, c, d) of the transfer matrix of a line with phase powers (k0, k1),
+    [[e^{i w} sec e^{i k0 phi}, -i tan e^{-i (k1 - k0) phi}], [i tan, e^{-i (w + k1 phi)} sec]],
+    one per phase if phi is an array.  Powers 0 and 1 of e^{-i phi} take no array power, so
+    a single-walker chain costs one complex exponential per site."""
+    _check_sec(theta)
+    sec, tan = 1.0 / math.cos(theta), math.tan(theta)
+    turn = np.exp(-1j * phi)
+
+    def turned(value, k):  # value e^{-i k phi}
+        return value if k == 0 else value * (turn if k == 1 else turn ** k)
+
+    k0, k1 = line.powers
+    return (turned(np.exp(1j * omega) * sec, -k0), turned(-1j * tan, k1 - k0), 1j * tan,
+            turned(np.exp(-1j * omega) * sec, k1))
 
 
 def transfer_matrix_1p(theta: float, phi: float, omega: float) -> TransferMatrix:
@@ -123,38 +142,20 @@ def transfer_matrix_1p(theta: float, phi: float, omega: float) -> TransferMatrix
     Propagates the two-component field (up_x, down_{x-1}) from site x to
     x+1.  det = e^{-i phi} exactly.
     """
-    _check_sec(theta)
-    sec = 1.0 / math.cos(theta)
-    tan = math.tan(theta)
-    half = np.exp(-0.5j * phi)
-    m = np.array(
-        [
-            [np.exp(1j * (omega + phi / 2.0)) * sec, -1j * np.exp(-0.5j * phi) * tan],
-            [1j * np.exp(0.5j * phi) * tan, np.exp(-1j * (omega + phi / 2.0)) * sec],
-        ],
-        dtype=np.complex128,
-    )
-    return TransferMatrix(half * m, theta, phi, omega)
+    matrix = np.reshape(_transfer_entries(LINES["1p"], theta, phi, omega), (2, 2))
+    return TransferMatrix(matrix, theta, phi, omega)
 
 
 def transfer_matrix_2p(theta: float, phi: float, omega: float) -> TransferMatrix:
     """4x4 transfer matrix of the confined two-walker chain.
 
-    Couples only the (uu, dd) pair and the (ud, du) pair; all entries
-    between the pairs are exactly zero.  det = e^{-2i phi} exactly.
+    Couples only the (uu, dd) pair and the (du, ud) pair, each by its
+    line's matrix at its coin slots; all entries between the pairs are
+    exactly zero.  det = e^{-2i phi} exactly.
     """
-    _check_sec(theta)
-    sec = 1.0 / math.cos(theta)
-    tan = math.tan(theta)
     m = np.zeros((4, 4), dtype=np.complex128)
-    m[0, 0] = np.exp(1j * omega) * sec
-    m[0, 3] = -1j * np.exp(-2j * phi) * tan
-    m[1, 1] = np.exp(-1j * (omega + phi)) * sec
-    m[1, 2] = 1j * tan
-    m[2, 1] = -1j * tan
-    m[2, 2] = np.exp(1j * (omega + phi)) * sec
-    m[3, 0] = 1j * tan
-    m[3, 3] = np.exp(-1j * (omega + 2.0 * phi)) * sec
+    for line in (LINES["xline"], LINES["yline"]):
+        m[np.ix_(line.slots, line.slots)] = np.reshape(_transfer_entries(line, theta, phi, omega), (2, 2))
     return TransferMatrix(m, theta, phi, omega)
 
 
@@ -170,17 +171,12 @@ def _block_products(phis: np.ndarray, theta: float, omega: float):
 
     A short last block is padded with identities, which multiply exactly.
     """
-    sec = 1.0 / math.cos(theta)
-    tan = math.tan(theta)
     for start in range(0, phis.size, _SEGMENT):
         part = phis[start:start + _SEGMENT]
-        p = np.exp(-1j * part)
         m = np.empty((4, -(-part.size // _BLOCK) * _BLOCK), dtype=np.complex128)
         m[:, part.size:] = [[1.0], [0.0], [0.0], [1.0]]
-        m[0, :part.size] = np.exp(1j * omega) * sec
-        m[1, :part.size] = -1j * tan * p
-        m[2, :part.size] = 1j * tan
-        m[3, :part.size] = np.exp(-1j * omega) * sec * p
+        for row, entry in zip(m, _transfer_entries(LINES["1p"], theta, part, omega)):
+            row[:part.size] = entry
         for _ in range(_BLOCK.bit_length() - 1):
             a, b, c, d = m[:, 0::2]  # earlier matrix of each pair
             e, f, g, h = m[:, 1::2]  # later matrix, on the left

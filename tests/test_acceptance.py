@@ -221,7 +221,7 @@ def test_criterion_04_negativity_bound_and_saturation():
     probe = WalkSpec(1, CoinSchedule(math.pi / 2, 0.03), InitialState.symmetric(), 100,
                      record=("negativity_coin_position",))
     probe_state = run_walk(probe).final_state
-    fast = negativity_coin_position(probe_state).value
+    fast = negativity_coin_position(probe_state)
     dense = negativity_pt_loops(amplitude_matrix(probe_state))
     oracle_ok = abs(fast - dense) < 1e-10
 
@@ -277,7 +277,7 @@ def test_criterion_07_oracle_equivalence():
         else:
             state = TwoParticleField("yline", 0, half, None, right, left, None)
         oracle = negativity_pt_loops(amplitude_matrix(state))
-        worst_neg = max(worst_neg, abs(negativity_coin_position(state).value - oracle))
+        worst_neg = max(worst_neg, abs(negativity_coin_position(state) - oracle))
 
     # confined two-particle evolution vs the one-particle walk, pointwise
     steps = 50

@@ -229,6 +229,9 @@ WALK_MIXED = dict(BASE_WALK, particles=2, initial=[[0.5, 0.0]] * 4, record=["dis
     ({"walk": dict(BASE_WALK, initial=[[math.nan, 0], [1, 0]])}, "walk.initial"),
     ({"walk": dict(BASE_WALK, initial=[[True, False], [False, False]])}, "walk.initial"),
     ({"walk": dict(BASE_WALK, acceleration=math.inf)}, "walk.acceleration"),
+    ({"walk": dict(BASE_WALK, theta0="pi/0")}, "walk.theta0"),
+    ({"dispersion": {"theta0": "pi/4", "phi": "3pi/0.0"}}, "dispersion.phi"),
+    ({"dispersion": {"theta0": "pi/4", "variant": ["single"]}}, "dispersion.variant"),
 ])
 def test_bad_config_values_give_exit_2(tmp_path, capsys, config, field):
     path = _write(tmp_path, dict(config, name="bad"))
@@ -256,6 +259,16 @@ def test_path_like_name_gives_exit_2_and_writes_nothing(tmp_path, capsys, name):
         assert main(verb) == 2
         assert "config error: name:" in capsys.readouterr().err
     assert [p.name for p in tmp_path.rglob("*")] == ["exp.yaml"]
+
+
+def test_walk_too_large_to_allocate_exits_1(tmp_path, capsys):
+    # 2 * 10^17 + 1 complex sites per component: more than any address space holds
+    path = _write(tmp_path, {"name": "huge", "walk": dict(BASE_WALK, steps=10**17)})
+    assert main(["validate", path]) == 0
+    capsys.readouterr()
+    assert main(["run", path, "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "MemoryError" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import multiprocessing
 
@@ -71,6 +72,22 @@ def test_acceleration_increases_mean_spread():
     slow = run_ensemble(EnsembleSpec(_walk(a=0.002, steps=200), runs=60, base_seed=4), workers=1)
     fast = run_ensemble(EnsembleSpec(_walk(a=0.02, steps=200), runs=60, base_seed=4), workers=1)
     assert fast.mean["sigma"][-1] > slow.mean["sigma"][-1]
+
+
+@pytest.mark.parametrize("start", ["ud", "du"])
+def test_temporal_disorder_on_a_y_line_is_a_global_phase(start):
+    # both y-line components carry e^{i phi} (phase powers (1, 1)), so a phase that is the
+    # same at every site multiplies the whole state: every realization is the clean walk
+    record = ("distribution", "negativity_particle_particle", "negativity_coin_position")
+    walk = WalkSpec(2, CoinSchedule(math.pi / 4, 0.01), InitialState.basis_two_particle(start), 60,
+                    disorder=DisorderSpec("temporal"), record=record)
+    summary = run_ensemble(EnsembleSpec(walk, runs=64, base_seed=5), workers=1)
+    clean = run_walk(dataclasses.replace(walk, disorder=DisorderSpec()))
+    assert np.max(np.abs(summary.mean_distribution - clean.distribution.p)) <= 1e-14
+    assert np.max(summary.stderr_distribution) <= 1e-14
+    for key in record[1:]:
+        assert np.max(np.abs(summary.mean[key] - clean.series(key))) <= 1e-14
+        assert np.max(summary.stderr[key]) <= 1e-14
 
 
 def test_convergence_report_identical_clean():

@@ -166,9 +166,9 @@ def test_per_state_observables_agree_with_the_walk(walk):
     second = float(np.dot(dist.x * dist.x, dist.p))
     assert abs(sigma(dist) ** 2 - result.sigma[-1] ** 2) < 1e-12 * max(1.0, second)
     assert abs(ipr(dist) - result.ipr[-1]) < 1e-12
-    assert abs(negativity_coin_position(state).value - result.negativity_coin_position[-1]) < 1e-12
+    assert abs(negativity_coin_position(state) - result.negativity_coin_position[-1]) < 1e-12
     if layout != "1p":
-        assert abs(negativity_particle_particle(state).value - result.negativity_particle_particle[-1]) < 1e-12
+        assert abs(negativity_particle_particle(state) - result.negativity_particle_particle[-1]) < 1e-12
 
 
 @PROPERTY_SETTINGS

@@ -78,7 +78,7 @@ def test_front_position_simple():
 
 def test_negativity_product_state_is_zero():
     state = new_one_particle(InitialState.symmetric(), 3)
-    assert negativity_coin_position(state).value == pytest.approx(0.0, abs=1e-15)
+    assert negativity_coin_position(state) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_negativity_bell_like_state_is_half():
@@ -88,14 +88,14 @@ def test_negativity_bell_like_state_is_half():
     down[2] = R  # |down> at x = +1
     state = SpinorField1P(1, up, down)
     result = negativity_coin_position(state)
-    assert result.value == pytest.approx(0.5, abs=1e-12)
+    assert result == pytest.approx(0.5, abs=1e-12)
 
 
 def test_negativity_walk_state_matches_dense_oracle():
     spec = WalkSpec(1, CoinSchedule(math.pi / 4, 0.0), InitialState.symmetric(), 10,
                     record=("distribution",))
     state = run_walk(spec).final_state
-    fast = negativity_coin_position(state).value
+    fast = negativity_coin_position(state)
     loops = negativity_pt_loops(amplitude_matrix(state))
     assert fast == pytest.approx(loops, abs=1e-10)
 
@@ -127,21 +127,21 @@ def test_negativity_full2d_unsupported():
 
 def test_pp_negativity_initial_product_state():
     state = new_two_particle(InitialState.basis_two_particle("uu"), 3)
-    assert negativity_particle_particle(state).value == pytest.approx(0.0, abs=1e-15)
+    assert negativity_particle_particle(state) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_pp_negativity_half_pi_always_zero():
     state = new_two_particle(InitialState.basis_two_particle("uu"), 50)
     for _ in range(50):
         state = step_two_particle(state, math.pi / 2)
-        assert negativity_particle_particle(state).value < 1e-12
+        assert negativity_particle_particle(state) < 1e-12
 
 
 def test_pp_negativity_one_step_matches_loop_oracle():
     # one step from |uu> puts the two branches on disjoint sites; tracing
     # position decoheres them, so the reduced state is separable
     state = step_two_particle(new_two_particle(InitialState.basis_two_particle("uu"), 1), math.pi / 4)
-    value = negativity_particle_particle(state).value
+    value = negativity_particle_particle(state)
     zeros = np.zeros_like(state.uu)
     oracle = pp_negativity_loops(state.uu, zeros, zeros, state.dd)
     assert value == pytest.approx(oracle, abs=1e-12)
@@ -152,7 +152,7 @@ def test_pp_negativity_builds_after_overlap():
     state = new_two_particle(InitialState.basis_two_particle("uu"), 4)
     for _ in range(2):
         state = step_two_particle(state, math.pi / 4)
-    value = negativity_particle_particle(state).value
+    value = negativity_particle_particle(state)
     zeros = np.zeros_like(state.uu)
     assert value == pytest.approx(pp_negativity_loops(state.uu, zeros, zeros, state.dd), abs=1e-12)
     # amplitude overlap at the origin: cos * sin^3 for two fixed-angle steps
@@ -216,8 +216,8 @@ def test_observables_mirror_invariant():
     assert np.allclose(d1.p, d0.p[::-1], atol=1e-15)
     assert sigma(d1) == pytest.approx(sigma(d0), abs=1e-12)
     assert ipr(d1) == pytest.approx(ipr(d0), abs=1e-12)
-    n0 = negativity_coin_position(state).value
-    n1 = negativity_coin_position(mirrored).value
+    n0 = negativity_coin_position(state)
+    n1 = negativity_coin_position(mirrored)
     assert n1 == pytest.approx(n0, abs=1e-12)
 
 
@@ -259,13 +259,13 @@ def test_closed_form_negativities_match_loop_oracles():
         layout = str(rng.choice(["1p", "xline", "yline"]))
         state = _random_line_state(rng, layout)
         m = amplitude_matrix(state)
-        assert abs(negativity_coin_position(state).value - negativity_pt_loops(m)) < 1e-12
+        assert abs(negativity_coin_position(state) - negativity_pt_loops(m)) < 1e-12
         if layout == "1p":
             with pytest.raises(ValueError, match="two-particle"):
                 negativity_particle_particle(state)
         else:
             oracle = pp_negativity_loops(*(m[i] for i in range(4)))
-            assert abs(negativity_particle_particle(state).value - oracle) < 1e-12
+            assert abs(negativity_particle_particle(state) - oracle) < 1e-12
 
 
 @pytest.mark.parametrize("particles, coin, steps, confinement", [
