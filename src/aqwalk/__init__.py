@@ -7,13 +7,14 @@ dispersion and transfer-matrix analysis, and reproducible disorder
 ensembles with a CSV/JSON experiment CLI.
 """
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .coins import CoinSchedule, theta_at
 from .ensemble import EnsembleSpec, EnsembleSummary, run_ensemble
 from .errors import (
     AqwalkError,
-    BoundaryOverflowError,
     ConfigError,
     NonConvergenceError,
     RealizationError,
@@ -27,8 +28,6 @@ from .evolve import (
     run_walk,
     run_walk_batch,
     sample_landscape,
-    step_one_particle,
-    step_two_particle,
 )
 from .observables import (
     Distribution1D,
@@ -42,7 +41,6 @@ from .observables import (
 )
 from .spectral import (
     LyapunovEstimate,
-    TransferMatrix,
     dispersion_omega,
     group_velocity,
     lyapunov_localization_length,
@@ -58,4 +56,6 @@ from .state import (
     new_two_particle,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every public name but the submodules, which importing them binds here too
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

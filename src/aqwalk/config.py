@@ -25,7 +25,7 @@ from .errors import ConfigError
 from .evolve import RECORD_KEYS, DisorderSpec, WalkSpec
 from .ensemble import EnsembleSpec
 from .spectral import DISPERSION_VARIANTS
-from .state import LINES, InitialState, families, two_particle_confinement
+from .state import InitialState, check_origin, two_particle_confinement
 
 __all__ = ["Experiment", "KINDS", "load_config", "parse_config", "parse_angle"]
 
@@ -183,17 +183,16 @@ def _parse_walk(raw, where: str, exp: Experiment | None = None) -> WalkSpec:
         if key in record[:i]:
             raise ConfigError(f"{where}.record", f"{key!r} is listed twice")
     layout = raw.get("layout", "auto")
+    confinement = "1p" if particles == 1 else two_particle_confinement(init.coin, layout == "full2d")
+    if steps >= 1:  # else WalkSpec reports the step count
+        try:
+            check_origin(confinement, init.coords, steps)
+        except ValueError as exc:
+            raise ConfigError(f"{where}.origin", str(exc))
     try:
-        spec = WalkSpec(particles, CoinSchedule(theta0, accel), init, steps, disorder, tuple(record), layout)
+        return WalkSpec(particles, CoinSchedule(theta0, accel), init, steps, disorder, tuple(record), layout)
     except ValueError as exc:
         raise ConfigError(where, str(exc))
-    # the lattice spans [-steps, steps]: a walk starts at 0 on each axis it moves along
-    lattice_layout = "1p" if particles == 1 else two_particle_confinement(init.coin, layout == "full2d")
-    coords = init.coords
-    if any(coords[LINES[name].axis] for name in families(lattice_layout)) or max(map(abs, coords)) > steps:
-        raise ConfigError(f"{where}.origin", "must be 0 on each axis the walk moves along and "
-                                             f"within [-steps, steps] on the other, got {origin}")
-    return spec
 
 
 def _schedule_values(values, key: str, where: str) -> list[float]:
@@ -343,7 +342,7 @@ def parse_config(data: dict) -> Experiment:
         raise ConfigError("name", f"experiment name must be a string, got {name!r}")
     if not name:
         raise ConfigError("name", "missing or empty experiment name")
-    if name in (".", "..") or "/" in name or os.sep in name:  # also rejects absolute paths
+    if name in (".", "..") or "/" in name or os.sep in name or "\0" in name:  # also rejects absolute paths
         raise ConfigError("name", f"must be a plain directory name, got {name!r}")
     present = [k for k in KINDS if k in data]
     if len(present) != 1:
@@ -353,8 +352,8 @@ def parse_config(data: dict) -> Experiment:
     if fmt not in ("csv", "json"):
         raise ConfigError("format", f"must be 'csv' or 'json', got {fmt!r}")
     output_dir = data.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ConfigError("output_dir", f"expected a string, got {output_dir!r}")
+    if output_dir is not None and (not isinstance(output_dir, str) or "\0" in output_dir):
+        raise ConfigError("output_dir", f"expected a path string without NUL bytes, got {output_dir!r}")
     _mapping(data, "config", ("name", "format", "output_dir", "sweep", present[0]))
     sweep_field, sweep_values = _parse_sweep(data.get("sweep"), "sweep")
     if sweep_field is not None and not kind.sweeps:

@@ -5,10 +5,6 @@ class AqwalkError(Exception):
     """Base class for all package errors."""
 
 
-class BoundaryOverflowError(AqwalkError):
-    """Amplitude would leave the lattice. Indicates an undersized field."""
-
-
 class SingularParameterError(AqwalkError):
     """Parameters hit a singular point of an analytic expression."""
 

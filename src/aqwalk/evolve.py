@@ -28,9 +28,11 @@ Conventions (fixed throughout the package):
   such lines, (uu, dd) along x and (du, ud) along y.  One batched kernel
   steps every layout, in frames that move with L and R (see _Frame).
 
+* A walk starts at 0 on each axis it moves along (state.check_origin), so
+  its lattice [-steps, steps] is exactly its light cone and no amplitude leaves it.
+
 All steps are unitary: the norm of the state is preserved to machine
-precision, and boundary overflow is a hard error rather than a silent
-truncation.
+precision.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coins import CoinSchedule, theta_at
-from .errors import BoundaryOverflowError
 # sigma, ipr and the per-state negativities are unused here: perfbench's replay patches them
 from .observables import (  # noqa: F401
     Distribution1D,
@@ -60,6 +61,7 @@ from .state import (
     InitialState,
     SpinorField1P,
     TwoParticleField,
+    check_origin,
     lines,
     new_one_particle,
     new_two_particle,
@@ -73,8 +75,6 @@ __all__ = [
     "WalkSpec",
     "RunResult",
     "sample_landscape",
-    "step_one_particle",
-    "step_two_particle",
     "run_walk",
     "run_walk_batch",
 ]
@@ -177,6 +177,8 @@ class WalkSpec:
                 f"initial coin vector length {self.init.coin.shape[0]} does not match "
                 f"particle_count {self.particle_count}"
             )
+        check_origin(two_particle_confinement(self.init.coin, self.layout == "full2d") if self.particle_count == 2
+                     else "1p", self.init.coords, self.steps)
         if self.full2d:
             for key in self.record:
                 if key in ("sigma", "ipr", "negativity_coin_position"):
@@ -235,13 +237,12 @@ def _phase_planes(rows, power: int):
 class _Frame:
     """The line kernel: rows of one-line walks advanced together in a moving frame.
 
-    At time t a walk from x0 holds amplitude only on the sites
-    x = x0 + 2k - t, k = 0..t.  L moves to x - 1 and R to x + 1 at every
-    step, so L at that site is kept in slot k and R in slot k - t + T:
-    neither moves in memory, the shift costs nothing, and T + 1 slots hold
-    a walk of up to T steps.  Slots whose site lies off the lattice
-    [-H, H] are never stepped, and amplitude that would shift onto one
-    raises BoundaryOverflowError.
+    At time t a walk from the origin holds amplitude only on the sites
+    x = 2k - t, k = 0..t, of the lattice [-T, T] of a T-step walk.  L moves
+    to x - 1 and R to x + 1 at every step, so L at that site is kept in
+    slot k and R in slot k - t + T: neither moves in memory, the shift
+    costs nothing, and T + 1 slots hold the whole walk.  The cone of time
+    T is the lattice, so no amplitude can leave it.
 
     planes has shape (2, 2, T + 1, rows): component (L, R), part (Re, Im),
     slot, row, so the slots of one step are a contiguous block.  Every
@@ -250,40 +251,32 @@ class _Frame:
     the planes keep each row bit-identical to the same walk run alone.
     """
 
-    def __init__(self, layout: str, rows: int, half_width: int, origin: int, t: int, capacity: int):
+    def __init__(self, layout: str, rows: int, steps: int):
         self.layout = layout
-        self.half_width = half_width
-        self.origin = origin
-        self.t = t
-        self.capacity = capacity
-        self.planes = np.zeros((2, 2, capacity + 1, rows))
+        self.steps = steps
+        self.t = 0
+        self.planes = np.zeros((2, 2, steps + 1, rows))
 
     def cone(self):
         """(L, R, sites) at time t: the site-aligned (2, sites, rows) planes of
-        the cone on the lattice, and the lattice indices of those sites."""
-        index = self.origin + self.half_width - self.t  # of slot 0, which may lie off the lattice
-        first = max(0, (1 - index) // 2)
-        last = min(self.t, (2 * self.half_width - index) // 2)
-        offset = self.capacity - self.t
-        start = index + 2 * first
-        return (self.planes[0, :, first:last + 1], self.planes[1, :, first + offset:last + offset + 1],
-                slice(start, start + 2 * (last - first) + 1, 2))
+        the cone and the lattice indices of its sites."""
+        t, steps = self.t, self.steps
+        return self.planes[0, :, :t + 1], self.planes[1, :, steps - t:], slice(steps - t, steps + t + 1, 2)
 
     def load(self, planes):
-        """Take the cone at time t from planes over the whole lattice, shape (2, 2, 2H + 1, rows or 1)."""
+        """Take the cone at time t from planes over the whole lattice, shape (2, 2, 2T + 1, rows or 1)."""
         left, right, sites = self.cone()
         left[...], right[...] = planes[0][:, sites], planes[1][:, sites]
 
     def unload(self, planes):
-        """Write the cone at time t into planes over the whole lattice, shape (2, 2, 2H + 1, rows)."""
+        """Write the cone at time t into planes over the whole lattice, shape (2, 2, 2T + 1, rows)."""
         left, right, sites = self.cone()
         planes[0][:, sites], planes[1][:, sites] = left, right
 
     def crossing(self):
         """Planes (Re L, Im L, Re R, Im R) of the cone and the origin's index in them (None at odd t)."""
-        left, right, sites = self.cone()
-        offset = self.origin + self.half_width - sites.start
-        return (*left, *right), None if offset % 2 else offset // 2
+        left, right, _ = self.cone()
+        return (*left, *right), None if self.t % 2 else self.t // 2
 
     def step(self, c: float, s: float, phases):
         """Coin [[c, -i s], [-i s, c]] and row phases at time t, then the shift to t + 1.
@@ -306,19 +299,14 @@ class _Frame:
                 turned = block[::-1] * signed_sin  # (-Im sin, Re sin)
                 block *= cos
                 block += turned
-        left_name, right_name = LINES[self.layout].fields
-        if sites.start == 0 and left[:, 0].any():
-            raise BoundaryOverflowError(f"{left_name} amplitude would leave the lattice at the lower edge")
-        if sites.stop - 1 == 2 * self.half_width and right[:, -1].any():
-            raise BoundaryOverflowError(f"{right_name} amplitude would leave the lattice at the upper edge")
         self.t += 1
 
     def observe(self, keys) -> dict:
         """The scalar observables named in keys, one value per row."""
-        left, right, sites = self.cone()
+        left, right, _ = self.cone()
         x = None
         if "sigma" in keys:
-            x = 2.0 * np.arange(left.shape[1])[:, None] + float(sites.start - self.half_width)
+            x = 2.0 * np.arange(left.shape[1])[:, None] + float(-self.t)
         return line_observables(keys, *left, *right, x)
 
 
@@ -329,55 +317,6 @@ def _planes(left, right) -> np.ndarray:
 def _complex(planes):
     """(L, R) of planes ((Re L, Im L), (Re R, Im R)); exact, as 1j * x only moves x."""
     return planes[0, 0] + 1j * planes[0, 1], planes[1, 0] + 1j * planes[1, 1]
-
-
-def _step(state, theta: float, phases):
-    """One step of every line of a state on the line kernel.
-
-    The coin acts on one site and the shift moves by one, so the two
-    parity classes of sites never mix: each runs as a frame of its own,
-    the sites -H, -H + 2, ..., H as the cone of time H and the others as
-    that of time H - 1, both from origin 0.
-    """
-    state_lines = lines(state)
-    if np.ndim(phases) == 1:
-        if len(state_lines) > 1:
-            raise ValueError("spatial disorder is only supported on confined (single-line) walks")
-        n = len(state_lines[0][1])
-        if len(phases) != n:
-            raise ValueError(f"per-site phases need {n} values, got {len(phases)}")
-    c, s = math.cos(theta), math.sin(theta)
-    stepped = []
-    for layout, left, right in state_lines:
-        planes = _planes(left, right)
-        half = (len(left) - 1) // 2
-        out = np.zeros_like(planes)
-        for t in range(max(half - 1, 0), half + 1):
-            frame = _Frame(layout, left.shape[1], half, 0, t, t + 1)
-            frame.load(planes)
-            frame.step(c, s, [_phase_planes([phases], power) for power in LINES[layout].powers])
-            frame.unload(out)
-        stepped.append(_complex(out))
-    return with_lines(state, stepped)
-
-
-def step_one_particle(state: SpinorField1P, theta: float, phases=None) -> SpinorField1P:
-    """Advance a one-particle field by one coin+shift step.
-
-    phases: None for the clean walk, a scalar phi (temporal disorder) or a
-    per-site array of length 2*half_width+1 (spatial disorder).
-    """
-    return _step(state, theta, phases)
-
-
-def step_two_particle(state: TwoParticleField, theta: float, phases=None) -> TwoParticleField:
-    """Advance a two-particle field by one interacting coin+shift step.
-
-    For confined fields the per-site phase array is indexed along the
-    active axis; the frozen coordinate never sees a phase difference.
-    Full-2D fields take a scalar phase or none.
-    """
-    return _step(state, theta, phases)
 
 
 def landscape_size(spec: WalkSpec) -> int:
@@ -434,14 +373,12 @@ def run_walk_batch(spec: WalkSpec, landscapes) -> list[RunResult]:
     rows, steps = len(landscapes), spec.steps
     state_lines = lines(state)
     one_line = len(state_lines) == 1
-    coords = spec.init.coords
-    # a walk started at one site stays on the line through it in each family (line 0 of a
-    # one-line state); the x and y lines of a full-2D walk cross there
-    starts = [(0 if one_line else coords[1 - LINES[layout].axis] + steps, coords[LINES[layout].axis])
-              for layout, _, _ in state_lines]
+    # a walk stays on the line through its origin in each family: the one line of a
+    # one-line state, and the centre lines of a full-2D field, which cross at the origin
+    line = 0 if one_line else steps
     frames = []
-    for (layout, left, right), (line, origin) in zip(state_lines, starts):
-        frames.append(_Frame(layout, rows, steps, origin, 0, steps))
+    for layout, left, right in state_lines:
+        frames.append(_Frame(layout, rows, steps))
         frames[-1].load(_planes(left[:, line:line + 1], right[:, line:line + 1]))
     values = [landscape.values for landscape in landscapes]
     phases = [[_phase_planes(values, power) for power in LINES[frame.layout].powers] for frame in frames]
@@ -473,7 +410,7 @@ def run_walk_batch(spec: WalkSpec, landscapes) -> list[RunResult]:
     results = []
     for row in range(rows):
         filled = []
-        for (_, left, right), (line, _), planes in zip(state_lines, starts, final):
+        for (_, left, right), planes in zip(state_lines, final):
             filled.append((np.zeros_like(left), np.zeros_like(right)))
             filled[-1][0][:, line], filled[-1][1][:, line] = _complex(planes[..., row])
         result = RunResult(steps=steps, final_state=with_lines(state, filled))

@@ -98,7 +98,7 @@ def dispersion_files(spec, workers):
 def transfer_files(spec, workers):
     """spec: (particles, theta, phi, omega)."""
     particles, theta, phi, omega = spec
-    matrix = (transfer_matrix_1p if particles == 1 else transfer_matrix_2p)(theta, phi, omega).matrix
+    matrix = (transfer_matrix_1p if particles == 1 else transfer_matrix_2p)(theta, phi, omega)
     yield "transfer", ["row", "col", "re", "im"], [(i, j, v.real, v.imag) for (i, j), v in np.ndenumerate(matrix)]
 
 
@@ -118,8 +118,7 @@ def schedule_files(spec, workers):
 
 def execute(exp, output_dir: str, workers: int | None = None) -> tuple[str, list[str]]:
     """Run one parsed config.Experiment, returning (directory, written files incl. manifest)."""
-    directory = os.path.join(output_dir, exp.name)
-    os.makedirs(directory, exist_ok=True)
+    directory = os.path.join(output_dir, exp.name)  # made by the first write, so a failed run leaves none
     files = []
     for stem, header, rows in exp.run(exp.spec, workers):
         path = os.path.join(directory, f"{stem}.{exp.fmt}")

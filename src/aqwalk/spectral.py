@@ -29,7 +29,6 @@ from .state import LINES, Line
 
 __all__ = [
     "DISPERSION_VARIANTS",
-    "TransferMatrix",
     "LyapunovEstimate",
     "dispersion_omega",
     "group_velocity",
@@ -43,16 +42,6 @@ DISPERSION_VARIANTS = {"single": LINES["1p"], "two_particle_xline": LINES["xline
                        "two_particle_yline": LINES["yline"]}
 
 _SEC_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Site-to-site propagator at fixed mode frequency, with its parameters."""
-
-    matrix: np.ndarray
-    theta: float
-    phi: float
-    omega: float
 
 
 @dataclass(frozen=True)
@@ -136,17 +125,16 @@ def _transfer_entries(line: Line, theta: float, phi, omega: float):
             turned(np.exp(-1j * omega) * sec, k1))
 
 
-def transfer_matrix_1p(theta: float, phi: float, omega: float) -> TransferMatrix:
+def transfer_matrix_1p(theta: float, phi: float, omega: float) -> np.ndarray:
     """2x2 transfer matrix of the single-walker chain at frequency omega.
 
     Propagates the two-component field (up_x, down_{x-1}) from site x to
     x+1.  det = e^{-i phi} exactly.
     """
-    matrix = np.reshape(_transfer_entries(LINES["1p"], theta, phi, omega), (2, 2))
-    return TransferMatrix(matrix, theta, phi, omega)
+    return np.reshape(_transfer_entries(LINES["1p"], theta, phi, omega), (2, 2))
 
 
-def transfer_matrix_2p(theta: float, phi: float, omega: float) -> TransferMatrix:
+def transfer_matrix_2p(theta: float, phi: float, omega: float) -> np.ndarray:
     """4x4 transfer matrix of the confined two-walker chain.
 
     Couples only the (uu, dd) pair and the (du, ud) pair, each by its
@@ -156,7 +144,7 @@ def transfer_matrix_2p(theta: float, phi: float, omega: float) -> TransferMatrix
     m = np.zeros((4, 4), dtype=np.complex128)
     for line in (LINES["xline"], LINES["yline"]):
         m[np.ix_(line.slots, line.slots)] = np.reshape(_transfer_entries(line, theta, phi, omega), (2, 2))
-    return TransferMatrix(m, theta, phi, omega)
+    return m
 
 
 # the chain is renormalized every _BLOCK sites, as the per-site loop did, so

@@ -30,6 +30,7 @@ __all__ = [
     "site_probabilities",
     "probabilities",
     "two_particle_confinement",
+    "check_origin",
     "new_one_particle",
     "new_two_particle",
 ]
@@ -208,6 +209,16 @@ def two_particle_confinement(coin: np.ndarray, force_full2d: bool = False) -> st
             if support <= set(LINES[name].slots):
                 return name
     return "full2d"
+
+
+def check_origin(layout: str, coords: tuple[int, ...], steps: int):
+    """Reject the origin of a walk of `steps` steps in `layout` unless it is 0 on each axis
+    the walk moves along (its lattice is then its light cone) and within [-steps, steps] on a frozen one."""
+    moving = {LINES[name].axis for name in families(layout)}
+    if any(c if axis in moving else abs(c) > steps for axis, c in enumerate(coords)):
+        shown = coords[0] if len(coords) == 1 else coords
+        raise ValueError(f"origin must be 0 on each axis the walk moves along and within "
+                         f"[-steps, steps] on the other, got {shown}")
 
 
 def new_two_particle(init: InitialState, steps: int, force_full2d: bool = False) -> TwoParticleField:

@@ -28,19 +28,14 @@ from aqwalk import (
     group_velocity,
     max_group_velocity,
     negativity_coin_position,
-    new_one_particle,
-    new_two_particle,
     run_ensemble,
     run_walk,
     sigma as dist_sigma,
-    step_one_particle,
-    step_two_particle,
     theta_at,
     transfer_matrix_1p,
     transfer_matrix_2p,
 )
 from aqwalk.cli import main as cli_main
-from aqwalk.observables import distribution
 from aqwalk.state import SpinorField1P, TwoParticleField
 
 from oracles import amplitude_matrix, evolve_dense, front_position, negativity_pt_loops, random_pure_amplitude_matrix
@@ -112,11 +107,10 @@ def test_criterion_01_homogeneous_baseline():
 
 
 def test_criterion_02_localized_coin():
-    state = new_one_particle(InitialState.symmetric(), 500)
     worst = 0.0
-    for _ in range(500):
-        state = step_one_particle(state, math.pi / 2)
-        dist = distribution(state)
+    for t in range(1, 501):
+        spec = WalkSpec(1, CoinSchedule(math.pi / 2, 0.0), InitialState.symmetric(), t, record=("distribution",))
+        dist = run_walk(spec).distribution
         mass = dist.p[np.abs(dist.x) <= 1].sum()
         worst = max(worst, abs(mass - 1.0))
     ok = worst < 1e-12
@@ -282,12 +276,8 @@ def test_criterion_07_oracle_equivalence():
     # confined two-particle evolution vs the one-particle walk, pointwise
     steps = 50
     sched = CoinSchedule(math.pi / 3, 0.01)
-    one = new_one_particle(InitialState.up(), steps)
-    two = new_two_particle(InitialState.basis_two_particle("uu"), steps)
-    for t in range(1, steps + 1):
-        theta = theta_at(sched, t)
-        one = step_one_particle(one, theta)
-        two = step_two_particle(two, theta)
+    one = run_walk(WalkSpec(1, sched, InitialState.up(), steps, record=())).final_state
+    two = run_walk(WalkSpec(2, sched, InitialState.basis_two_particle("uu"), steps, record=())).final_state
     worst_amp = max(float(np.abs(two.uu - one.up).max()), float(np.abs(two.dd - one.down).max()))
 
     ok = worst_neg < 1e-9 and worst_amp < 1e-12
@@ -349,8 +339,8 @@ def test_criterion_10_transfer_matrices():
         theta = float(rng.uniform(0.05, 1.45))
         phi = float(rng.uniform(0.0, math.pi))
         omega = float(rng.uniform(-math.pi, math.pi))
-        m1 = transfer_matrix_1p(theta, phi, omega).matrix
-        m2 = transfer_matrix_2p(theta, phi, omega).matrix
+        m1 = transfer_matrix_1p(theta, phi, omega)
+        m2 = transfer_matrix_2p(theta, phi, omega)
         worst1 = max(worst1, abs(abs(np.linalg.det(m1)) - 1.0))
         worst2 = max(worst2, abs(abs(np.linalg.det(m2)) - 1.0))
         zeros_exact = zeros_exact and all(m2[r, c] == 0.0 for r, c in off_block)

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -232,6 +233,8 @@ WALK_MIXED = dict(BASE_WALK, particles=2, initial=[[0.5, 0.0]] * 4, record=["dis
     ({"walk": dict(BASE_WALK, theta0="pi/0")}, "walk.theta0"),
     ({"dispersion": {"theta0": "pi/4", "phi": "3pi/0.0"}}, "dispersion.phi"),
     ({"dispersion": {"theta0": "pi/4", "variant": ["single"]}}, "dispersion.variant"),
+    ({"walk": BASE_WALK, "output_dir": "out\0put"}, "output_dir"),
+    ({"walk": dict(WALK_2P, steps=-1)}, "walk"),  # the step count is the error, not the origin
 ])
 def test_bad_config_values_give_exit_2(tmp_path, capsys, config, field):
     path = _write(tmp_path, dict(config, name="bad"))
@@ -250,7 +253,7 @@ def test_confined_walk_may_start_off_its_line_axis(tmp_path):
     assert (tmp_path / "out" / "offline" / "sigma.csv").exists()
 
 
-@pytest.mark.parametrize("name", ["ABSOLUTE", "..", ".", "sub/dir", "../escape"])
+@pytest.mark.parametrize("name", ["ABSOLUTE", "..", ".", "sub/dir", "../escape", "nul\0byte"])
 def test_path_like_name_gives_exit_2_and_writes_nothing(tmp_path, capsys, name):
     # the name is one directory under the output directory, never a path out of it
     name = str(tmp_path / "absolute") if name == "ABSOLUTE" else name
@@ -269,6 +272,22 @@ def test_walk_too_large_to_allocate_exits_1(tmp_path, capsys):
     assert main(["run", path, "-o", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "MemoryError" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cfg, error", [
+    ({"walk": dict(BASE_WALK, steps=10**17)}, "MemoryError"),
+    ({"lyapunov": {"theta": 0.6, "omega": 0.3, "chain_length": 200_000}}, "NonConvergenceError"),
+])
+def test_failed_run_leaves_no_directory(tmp_path, capsys, cfg, error):
+    path = _write(tmp_path, dict(cfg, name="failed"))
+    assert main(["run", path, "-o", str(tmp_path / "out")]) == 1
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "out" / "failed").exists()
+
+
+def test_package_all_holds_no_module():
+    # `from aqwalk import *` gives the public names, not the submodules their imports bind
+    assert aqwalk.__all__ and not [name for name in aqwalk.__all__ if inspect.ismodule(getattr(aqwalk, name))]
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

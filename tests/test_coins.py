@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from aqwalk import InitialState, new_one_particle, new_two_particle, step_one_particle, step_two_particle
-from aqwalk.coins import CoinSchedule, theta_at
+from aqwalk import CoinSchedule, DisorderSpec, InitialState, PhaseLandscape, WalkSpec, run_walk
+from aqwalk.coins import theta_at
 
 # The coin matrices below are read off the engine: one step from each
 # coin basis state at the origin, with the amplitude read where the shift
@@ -21,11 +21,20 @@ BASIS_2P = ("uu", "ud", "du", "dd")
 LANDING_2D = ((0, 1), (1, 2), (1, 0), (2, 1))
 
 
+def one_step(init, theta, phi=None, layout="auto"):
+    """The state one engine step after init: a clean step, or one with the temporal phase phi."""
+    disorder = DisorderSpec("none" if phi is None else "temporal")
+    landscape = PhaseLandscape(disorder.kind, None if phi is None else np.array([phi]))
+    spec = WalkSpec(len(init.coin) // 2, CoinSchedule(theta, 0.0), init, 1, disorder=disorder, record=(),
+                    layout=layout)
+    return run_walk(spec, landscape).final_state
+
+
 def engine_coin2(theta, phi=None):
-    """One-particle coin with phase, columns (up, down), from step_one_particle."""
+    """One-particle coin with phase, columns (up, down), from one step of run_walk."""
     cols = []
     for init in (InitialState.up(), InitialState.down()):
-        out = step_one_particle(new_one_particle(init, 1), theta, phi)
+        out = one_step(init, theta, phi)
         cols.append([out.up[0], out.down[2]])
     return np.array(cols).T
 
@@ -34,7 +43,7 @@ def engine_coin4_lines(theta, phi=None):
     """Two-particle coin with phase: uu/dd columns from x-line steps, ud/du from y-line."""
     m = np.zeros((4, 4), dtype=complex)
     for k, label in enumerate(BASIS_2P):
-        out = step_two_particle(new_two_particle(InitialState.basis_two_particle(label), 1), theta, phi)
+        out = one_step(InitialState.basis_two_particle(label), theta, phi)
         if out.confinement == "xline":
             m[0, k], m[3, k] = out.uu[0], out.dd[2]
         else:
@@ -46,8 +55,7 @@ def engine_coin4_full2d(theta, phi=None):
     """Two-particle coin with phase, all four columns from full-2D steps."""
     cols = []
     for label in BASIS_2P:
-        state = new_two_particle(InitialState.basis_two_particle(label), 1, force_full2d=True)
-        out = step_two_particle(state, theta, phi)
+        out = one_step(InitialState.basis_two_particle(label), theta, phi, layout="full2d")
         cols.append([comp[site] for comp, site in zip((out.uu, out.ud, out.du, out.dd), LANDING_2D)])
     return np.array(cols).T
 

@@ -4,19 +4,13 @@ import numpy as np
 import pytest
 
 from aqwalk import (
-    BoundaryOverflowError,
     CoinSchedule,
     DisorderSpec,
     InitialState,
     PhaseLandscape,
-    SpinorField1P,
     WalkSpec,
-    new_one_particle,
-    new_two_particle,
     run_walk,
     sample_landscape,
-    step_one_particle,
-    step_two_particle,
     theta_at,
 )
 from aqwalk.evolve import landscape_size
@@ -26,9 +20,16 @@ from oracles import evolve_dense
 R = 1.0 / math.sqrt(2.0)
 
 
+def _final_state(particles, init, theta0, steps, a=0.0, landscape=None, layout="auto"):
+    """Final state of a walk recording nothing else; landscape None is the clean walk."""
+    disorder = DisorderSpec("none" if landscape is None else landscape.kind)
+    spec = WalkSpec(particles, CoinSchedule(theta0, a), init, steps, disorder=disorder, record=(), layout=layout)
+    return run_walk(spec, landscape).final_state
+
+
 def test_single_step_hand_values():
     # (1, 0) at the origin, theta = pi/4: up half goes left, down half right
-    state = step_one_particle(new_one_particle(InitialState.up(), 1), math.pi / 4)
+    state = _final_state(1, InitialState.up(), math.pi / 4, 1)
     assert state.up[0] == pytest.approx(R, abs=1e-15)
     assert state.down[2] == pytest.approx(-1j * R, abs=1e-15)
     assert state.norm() == pytest.approx(1.0, abs=1e-15)
@@ -36,11 +37,9 @@ def test_single_step_hand_values():
 
 def test_zero_angle_is_pure_shift():
     init = InitialState.one_particle(0.6, 0.8j)
-    state = new_one_particle(init, 4)
-    for _ in range(3):
-        state = step_one_particle(state, 0.0)
-    assert state.up[4 - 3] == 0.6
-    assert state.down[4 + 3] == 0.8j
+    state = _final_state(1, init, 0.0, 3)
+    assert state.up[state.positions == -3] == 0.6
+    assert state.down[state.positions == 3] == 0.8j
 
 
 def test_half_pi_angle_stays_localized():
@@ -51,42 +50,14 @@ def test_half_pi_angle_stays_localized():
     assert dist.p[inner].sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_boundary_overflow_is_hard_error():
-    # undersized lattice: one step fills the edges, the next would leave
-    state = SpinorField1P(1, np.array([0, R, 0], dtype=complex), np.array([0, R, 0], dtype=complex))
-    state = step_one_particle(state, 0.3)
-    with pytest.raises(BoundaryOverflowError):
-        step_one_particle(state, 0.3)
-
-
-def test_light_cone_clipped_at_lattice_edge():
-    # an origin on the edge of the [-steps, steps] lattice: amplitude that
-    # moves outward leaves at once, amplitude that moves inward never does
-    steps = 5
-    outward = WalkSpec(1, CoinSchedule(0.0, 0.0), InitialState.down(origin=steps), steps,
-                       record=("sigma",))
-    with pytest.raises(BoundaryOverflowError, match="down"):
-        run_walk(outward)
-    inward = WalkSpec(1, CoinSchedule(0.0, 0.0), InitialState.up(origin=steps), steps,
-                      record=("distribution",))
-    dist = run_walk(inward).distribution
-    assert dist.p[dist.x == 0][0] == 1.0  # five steps left from x = 5
-    yline = WalkSpec(2, CoinSchedule(0.3, 0.0), InitialState.basis_two_particle("du", (0, -2)), steps,
-                     record=("negativity_particle_particle",))
-    with pytest.raises(BoundaryOverflowError, match="du"):
-        run_walk(yline)
-
-
 def test_two_particle_single_step_hand_values():
-    state = step_two_particle(new_two_particle(InitialState.basis_two_particle("uu"), 1), math.pi / 4)
+    state = _final_state(2, InitialState.basis_two_particle("uu"), math.pi / 4, 1)
     assert state.uu[0] == pytest.approx(R, abs=1e-15)
     assert state.dd[2] == pytest.approx(-1j * R, abs=1e-15)
 
 
 def test_two_particle_identity_coin_shifts_ud_up_in_y():
-    state = new_two_particle(InitialState.basis_two_particle("ud"), 6)
-    for _ in range(6):
-        state = step_two_particle(state, 0.0)
+    state = _final_state(2, InitialState.basis_two_particle("ud"), 0.0, 6)
     assert state.ud[12] == 1.0  # y = +6
     assert np.count_nonzero(state.ud) == 1
     assert np.count_nonzero(state.du) == 0
@@ -143,26 +114,17 @@ def test_two_particle_line_equals_single_particle_with_doubled_phase():
     steps = 50
     disorder = DisorderSpec("spatial", seed=11)
     landscape = sample_landscape(disorder, 2 * steps + 1, 0)
-    sched = CoinSchedule(math.pi / 3, 0.01)
-    one = new_one_particle(InitialState.up(), steps)
-    two = new_two_particle(InitialState.basis_two_particle("uu"), steps)
-    for t in range(1, steps + 1):
-        theta = theta_at(sched, t)
-        one = step_one_particle(one, theta, 2.0 * landscape.values)
-        two = step_two_particle(two, theta, landscape.values)
+    doubled = PhaseLandscape("spatial", 2.0 * landscape.values)
+    one = _final_state(1, InitialState.up(), math.pi / 3, steps, 0.01, doubled)
+    two = _final_state(2, InitialState.basis_two_particle("uu"), math.pi / 3, steps, 0.01, landscape)
     assert np.max(np.abs(two.uu - one.up)) < 1e-12
     assert np.max(np.abs(two.dd - one.down)) < 1e-12
 
 
 def test_confined_and_full2d_paths_agree():
     steps = 12
-    sched = CoinSchedule(math.pi / 4, 0.02)
-    line = new_two_particle(InitialState.basis_two_particle("uu"), steps)
-    grid = new_two_particle(InitialState.basis_two_particle("uu"), steps, force_full2d=True)
-    for t in range(1, steps + 1):
-        theta = theta_at(sched, t)
-        line = step_two_particle(line, theta)
-        grid = step_two_particle(grid, theta)
+    line = _final_state(2, InitialState.basis_two_particle("uu"), math.pi / 4, steps, 0.02)
+    grid = _final_state(2, InitialState.basis_two_particle("uu"), math.pi / 4, steps, 0.02, layout="full2d")
     mid = steps
     assert np.max(np.abs(grid.ud)) == 0.0
     assert np.max(np.abs(grid.du)) == 0.0
@@ -179,13 +141,6 @@ def test_light_cone_exact_zeros():
     state = run_walk(spec).final_state
     # field is sized exactly to the cone, so just check norm stays inside
     assert state.norm() == pytest.approx(1.0, abs=1e-12)
-    bigger = new_one_particle(InitialState.symmetric(), steps + 10)
-    for _ in range(steps):
-        bigger = step_one_particle(bigger, 0.8)
-    x = bigger.positions
-    outside = np.abs(x) > steps
-    assert np.all(bigger.up[outside] == 0.0)
-    assert np.all(bigger.down[outside] == 0.0)
 
 
 def test_norm_preservation_random_configs():
@@ -209,6 +164,26 @@ def test_run_is_deterministic_bit_for_bit():
     b = run_walk(spec)
     assert np.array_equal(a.sigma, b.sigma)
     assert np.array_equal(a.distribution.p, b.distribution.p)
+
+
+@pytest.mark.parametrize("coin, origin, layout", [
+    ([1.0, 0.0], 1, "auto"),
+    ([1.0, 0.0, 0.0, 0.0], (-2, 0), "auto"),  # an x line moves along x
+    ([0.0, 1.0, 0.0, 0.0], (0, 3), "auto"),  # a y line moves along y
+    ([0.5, 0.5, 0.5, 0.5], (0, 1), "auto"),  # a mixed start moves along both
+    ([1.0, 0.0, 0.0, 0.0], (0, 1), "full2d"),
+    ([1.0, 0.0, 0.0, 0.0], (0, 6), "auto"),  # the frozen y lies off the lattice
+])
+def test_walk_starts_at_zero_on_every_moving_axis(coin, origin, layout):
+    init = InitialState(np.array(coin), origin)
+    with pytest.raises(ValueError, match="origin"):
+        WalkSpec(len(coin) // 2, CoinSchedule(0.5), init, 5, record=("distribution",), layout=layout)
+
+
+@pytest.mark.parametrize("label, origin", [("uu", (0, 5)), ("dd", (0, -5)), ("ud", (5, 0)), ("du", (-3, 0))])
+def test_confined_walk_may_start_off_its_frozen_axis(label, origin):
+    spec = WalkSpec(2, CoinSchedule(0.5), InitialState.basis_two_particle(label, origin), 5, record=("distribution",))
+    assert run_walk(spec).final_state.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rejects_unknown_record_key():

@@ -17,7 +17,6 @@ from aqwalk import (
     reduced_particle_density,
     run_walk,
     sigma,
-    step_two_particle,
 )
 from aqwalk.observables import partial_transpose_second
 from aqwalk.state import SpinorField1P, TwoParticleField
@@ -130,17 +129,21 @@ def test_pp_negativity_initial_product_state():
     assert negativity_particle_particle(state) == pytest.approx(0.0, abs=1e-15)
 
 
+def _uu_walk(theta, steps):
+    """Final state of the clean two-particle walk from uu at a fixed coin angle."""
+    spec = WalkSpec(2, CoinSchedule(theta, 0.0), InitialState.basis_two_particle("uu"), steps, record=())
+    return run_walk(spec).final_state
+
+
 def test_pp_negativity_half_pi_always_zero():
-    state = new_two_particle(InitialState.basis_two_particle("uu"), 50)
-    for _ in range(50):
-        state = step_two_particle(state, math.pi / 2)
-        assert negativity_particle_particle(state) < 1e-12
+    for steps in range(1, 51):
+        assert negativity_particle_particle(_uu_walk(math.pi / 2, steps)) < 1e-12
 
 
 def test_pp_negativity_one_step_matches_loop_oracle():
     # one step from |uu> puts the two branches on disjoint sites; tracing
     # position decoheres them, so the reduced state is separable
-    state = step_two_particle(new_two_particle(InitialState.basis_two_particle("uu"), 1), math.pi / 4)
+    state = _uu_walk(math.pi / 4, 1)
     value = negativity_particle_particle(state)
     zeros = np.zeros_like(state.uu)
     oracle = pp_negativity_loops(state.uu, zeros, zeros, state.dd)
@@ -149,9 +152,7 @@ def test_pp_negativity_one_step_matches_loop_oracle():
 
 
 def test_pp_negativity_builds_after_overlap():
-    state = new_two_particle(InitialState.basis_two_particle("uu"), 4)
-    for _ in range(2):
-        state = step_two_particle(state, math.pi / 4)
+    state = _uu_walk(math.pi / 4, 2)
     value = negativity_particle_particle(state)
     zeros = np.zeros_like(state.uu)
     assert value == pytest.approx(pp_negativity_loops(state.uu, zeros, zeros, state.dd), abs=1e-12)

@@ -89,7 +89,7 @@ def test_max_group_velocity_against_golden_section():
 
 
 def test_transfer_1p_zero_angle_limit():
-    m = transfer_matrix_1p(1e-14, 0.0, 0.8).matrix
+    m = transfer_matrix_1p(1e-14, 0.0, 0.8)
     assert np.allclose(m, np.diag([np.exp(0.8j), np.exp(-0.8j)]), atol=1e-12)
 
 
@@ -99,7 +99,7 @@ def test_transfer_1p_determinant_law():
         theta = rng.uniform(0.05, 1.45)
         phi = rng.uniform(0.0, math.pi)
         omega = rng.uniform(-math.pi, math.pi)
-        det = np.linalg.det(transfer_matrix_1p(theta, phi, omega).matrix)
+        det = np.linalg.det(transfer_matrix_1p(theta, phi, omega))
         assert abs(abs(det) - 1.0) < 1e-12
         assert abs(det - np.exp(-1j * phi)) < 1e-12
 
@@ -113,7 +113,7 @@ def test_transfer_1p_allowed_band_is_unimodular():
     theta = math.pi / 4
     kappa = math.pi / 3
     omega, _ = dispersion_omega(theta, kappa)
-    evals = np.linalg.eigvals(transfer_matrix_1p(theta, 0.0, omega).matrix)
+    evals = np.linalg.eigvals(transfer_matrix_1p(theta, 0.0, omega))
     assert np.allclose(np.abs(evals), 1.0, atol=1e-12)
     assert np.allclose(sorted(np.angle(evals)), sorted([-kappa, kappa]), atol=1e-12)
 
@@ -122,7 +122,7 @@ def test_transfer_1p_bloch_propagation():
     theta = math.pi / 4
     kappa = math.pi / 3
     omega, _ = dispersion_omega(theta, kappa)
-    t = transfer_matrix_1p(theta, 0.0, omega).matrix
+    t = transfer_matrix_1p(theta, 0.0, omega)
     evals, evecs = np.linalg.eig(t)
     i = int(np.argmin(np.abs(evals - np.exp(1j * kappa))))
     v = evecs[:, i]
@@ -132,7 +132,7 @@ def test_transfer_1p_bloch_propagation():
 
 
 def test_transfer_2p_zero_angle_limit():
-    m = transfer_matrix_2p(1e-14, 0.0, 0.8).matrix
+    m = transfer_matrix_2p(1e-14, 0.0, 0.8)
     expected = np.diag([np.exp(0.8j), np.exp(-0.8j), np.exp(0.8j), np.exp(-0.8j)])
     assert np.allclose(m, expected, atol=1e-12)
 
@@ -144,7 +144,7 @@ def test_transfer_2p_block_structure_and_determinant():
         theta = rng.uniform(0.05, 1.45)
         phi = rng.uniform(0.0, math.pi)
         omega = rng.uniform(-math.pi, math.pi)
-        m = transfer_matrix_2p(theta, phi, omega).matrix
+        m = transfer_matrix_2p(theta, phi, omega)
         for row, col in off_block:
             assert m[row, col] == 0.0
         det = np.linalg.det(m)
@@ -168,12 +168,12 @@ def test_transfer_2p_blocks_unimodular_on_their_dispersion_curves():
         kappa = float(rng.uniform(-math.pi, math.pi))
 
         omega_x, _ = dispersion_omega(theta, kappa, phi, "two_particle_xline")
-        m = transfer_matrix_2p(theta, phi, omega_x).matrix
+        m = transfer_matrix_2p(theta, phi, omega_x)
         block_uu_dd = m[np.ix_([0, 3], [0, 3])]
         assert np.allclose(np.abs(np.linalg.eigvals(block_uu_dd)), 1.0, atol=1e-10)
 
         omega_y, _ = dispersion_omega(theta, kappa, phi, "two_particle_yline")
-        m = transfer_matrix_2p(theta, phi, omega_y).matrix
+        m = transfer_matrix_2p(theta, phi, omega_y)
         block_ud_du = m[np.ix_([1, 2], [1, 2])]
         assert np.allclose(np.abs(np.linalg.eigvals(block_ud_du)), 1.0, atol=1e-10)
 
