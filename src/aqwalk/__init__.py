@@ -12,7 +12,7 @@ from types import ModuleType as _ModuleType
 __version__ = "0.1.0"
 
 from .coins import CoinSchedule, theta_at
-from .ensemble import EnsembleSpec, EnsembleSummary, run_ensemble
+from .ensemble import EnsembleSpec, EnsembleSummary, WorkerPool, run_ensemble
 from .errors import (
     AqwalkError,
     ConfigError,

@@ -20,6 +20,7 @@ import yaml
 from numpy.linalg import LinAlgError
 
 from .config import load_config, parse_config
+from .ensemble import WorkerPool
 from .errors import AqwalkError, ConfigError
 from .runner import execute
 
@@ -78,9 +79,10 @@ def _experiments(args):
 
 
 def _cmd_run(args) -> int:
-    for exp in _experiments(args):
-        directory, files = execute(exp, _output_dir(args, exp), workers=args.workers)
-        print(f"{exp.name}: wrote {len(files)} files to {directory}")
+    with WorkerPool(args.workers) as workers:  # one pool for every ensemble; stopped on any exit
+        for exp in _experiments(args):
+            directory, files = execute(exp, _output_dir(args, exp), workers=workers)
+            print(f"{exp.name}: wrote {len(files)} files to {directory}")
     return 0
 
 

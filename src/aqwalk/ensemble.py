@@ -2,16 +2,17 @@
 
 Realization i always uses the landscape drawn with realization index i
 from the ensemble's base seed, so any subset of realizations can be
-recomputed independently.  Realizations are handed out in chunks of
-consecutive indices, and each chunk runs as one batch of the line kernel,
-whose rows do not depend on the batch they sit in.  Results are assembled
-into arrays ordered by realization index before any reduction, which
-makes the output bit-identical for every worker count (including 1) and
-every chunk size.
+recomputed independently.  Realizations are handed out, on the processes
+of a WorkerPool, in chunks of consecutive indices sized by a byte budget,
+and each chunk runs as one batch of the line kernel, whose rows do not
+depend on the batch they sit in.  Results are assembled into arrays
+ordered by realization index before any reduction, which makes the output
+bit-identical for every worker count (including 1) and every chunk size.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass, replace
 
@@ -23,13 +24,14 @@ from .evolve import DisorderSpec, WalkSpec, landscape_size, run_walk, run_walk_b
 __all__ = [
     "EnsembleSpec",
     "EnsembleSummary",
+    "WorkerPool",
     "run_ensemble",
 ]
 
-# Rows per batch of a line walk: large enough to amortize the per-step
-# overhead of the kernel, small enough that memory stays flat as the
-# ensemble grows.
-_MAX_CHUNK_ROWS = 32
+# Bytes of frame planes per batch of a line walk: large enough to amortize
+# the per-step overhead of the kernel, small enough that memory stays flat
+# as the ensemble grows and the planes stay near the CPU caches.
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -75,10 +77,9 @@ def _effective_walk(spec: EnsembleSpec) -> WalkSpec:
 
 
 def _chunk_rows(walk: WalkSpec) -> int:
-    """Largest chunk for this walk: the final state of a full-2D row is a
-    whole 2D field, so full-2D walks run one realization per chunk and keep
-    one such field per worker alive."""
-    return 1 if walk.full2d else _MAX_CHUNK_ROWS
+    """Largest chunk for this walk: the rows of 32 (T + 1) bytes that fit _CHUNK_BYTES, or one for a
+    full-2D walk, whose final state is a whole 2D field per row (each worker keeps one alive)."""
+    return 1 if walk.full2d else max(1, _CHUNK_BYTES // (32 * (walk.steps + 1)))
 
 
 def _chunks(runs: int, workers: int, rows: int) -> list[range]:
@@ -88,6 +89,28 @@ def _chunks(runs: int, workers: int, rows: int) -> list[range]:
     count = min(runs, -(-count // workers) * workers)
     bounds = [runs * i // count for i in range(count + 1)]
     return [range(bounds[i], bounds[i + 1]) for i in range(count)]
+
+
+class WorkerPool(contextlib.AbstractContextManager):
+    """Up to `workers` processes (None: the CPU count) shared by every ensemble run with this
+    pool.  The first ensemble with several chunks and workers starts them, one per chunk up to
+    `workers`, so a serial run never imports multiprocessing; they stop when the with block exits."""
+
+    def __init__(self, workers: int | None = None):
+        self.workers = max(1, (os.cpu_count() or 1) if workers is None else workers)
+        self._executor = None
+
+    def __exit__(self, *exc_info):
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+
+    def map(self, fn, tasks: list) -> list:
+        """fn over tasks in order, in this process unless there are several of both."""
+        if self.workers == 1 or len(tasks) == 1:
+            return [fn(task) for task in tasks]
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+        self._executor = self._executor or ProcessPoolExecutor(max_workers=min(self.workers, len(tasks)))
+        return list(self._executor.map(fn, tasks))
 
 
 def _run_chunk(args):
@@ -122,30 +145,23 @@ def _stderr(samples: np.ndarray) -> np.ndarray:
     return np.std(samples, axis=0, ddof=1) / np.sqrt(runs)
 
 
-def run_ensemble(spec: EnsembleSpec, workers: int | None = None) -> EnsembleSummary:
+def run_ensemble(spec: EnsembleSpec, workers: int | WorkerPool | None = None) -> EnsembleSummary:
     """Run all realizations and aggregate means and standard errors.
 
-    workers: process count for the realization map; None picks the CPU
-    count.  The aggregation is order-fixed, so the result does not depend
-    on the worker count or on how the realizations are chunked.
+    workers: a WorkerPool shared with other ensembles, or the process cap of a
+    pool for this call alone (None: the CPU count).  The aggregation is order-fixed,
+    so the result depends neither on the worker count nor on the chunking.
     """
+    if not isinstance(workers, WorkerPool):
+        with WorkerPool(workers) as pool:
+            return run_ensemble(spec, pool)
     walk = _effective_walk(spec)
     runs = spec.runs
     # without disorder every realization is the same computation, so a
     # clean ensemble of any size collapses to one run exactly
     computed = 1 if walk.disorder.kind == "none" else runs
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = max(1, min(workers, computed))
-    tasks = [(walk, chunk) for chunk in _chunks(computed, workers, _chunk_rows(walk))]
-    if workers == 1:
-        chunks = [_run_chunk(task) for task in tasks]
-    else:
-        # the pool pulls in multiprocessing, so only a multi-worker run imports it
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_chunk, tasks))
+    indices = _chunks(computed, min(workers.workers, computed), _chunk_rows(walk))
+    chunks = workers.map(_run_chunk, [(walk, chunk) for chunk in indices])
 
     # chunks are consecutive index ranges in order, so this is index order
     scalar_keys = [k for k in walk.record if k != "distribution"]

@@ -362,8 +362,8 @@ def run_walk_batch(spec: WalkSpec, landscapes) -> list[RunResult]:
 
     Result i is bit-identical to run_walk(spec, landscapes[i]) whatever
     the batch size.  A full-2D walk runs as two frames stepped in
-    lockstep, the x line and the y line through its origin.  Memory grows
-    with the batch, so callers keep it to a few dozen rows.
+    lockstep, the x line and the y line through its origin.  Memory grows with
+    the batch, by 32 (T + 1) bytes per row of a line walk; callers cap it in bytes.
     """
     for landscape in landscapes:
         _check_landscape(spec, landscape)

@@ -176,9 +176,9 @@ def new_one_particle(init: InitialState, steps: int) -> SpinorField1P:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if init.coin.shape != (2,):
         raise ValueError("one-particle walk needs a length-2 coin vector")
-    if not np.isscalar(init.origin):
+    if len(init.coords) != 1:
         raise ValueError("one-particle origin must be a single integer")
-    x0 = int(init.origin)
+    x0, = init.coords
     if abs(x0) > steps:
         raise ValueError(f"origin {x0} outside lattice [-{steps}, {steps}]")
     return SpinorField1P(steps, **_placed(init, steps, "1p"))
@@ -212,8 +212,10 @@ def two_particle_confinement(coin: np.ndarray, force_full2d: bool = False) -> st
 
 
 def check_origin(layout: str, coords: tuple[int, ...], steps: int):
-    """Reject the origin of a walk of `steps` steps in `layout` unless it is 0 on each axis
-    the walk moves along (its lattice is then its light cone) and within [-steps, steps] on a frozen one."""
+    """Reject the origin of a `steps`-step walk in `layout` unless it has 1 (1p) or 2 coordinates,
+    is 0 on each axis the walk moves along (its lattice is then its light cone) and in [-steps, steps] on the other."""
+    if len(coords) != (1 if layout == "1p" else 2):
+        raise ValueError(f"origin {coords} has the wrong number of coordinates for a {layout} walk")
     moving = {LINES[name].axis for name in families(layout)}
     if any(c if axis in moving else abs(c) > steps for axis, c in enumerate(coords)):
         shown = coords[0] if len(coords) == 1 else coords
@@ -233,7 +235,7 @@ def new_two_particle(init: InitialState, steps: int, force_full2d: bool = False)
         raise ValueError(f"steps must be >= 0, got {steps}")
     if init.coin.shape != (4,):
         raise ValueError("two-particle walk needs a length-4 coin vector")
-    if np.isscalar(init.origin):
+    if len(init.coords) != 2:
         raise ValueError("two-particle origin must be a pair (x0, y0)")
     x0, y0 = init.coords
     if abs(x0) > steps or abs(y0) > steps:

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -160,11 +161,66 @@ def test_chunk_size_independence_via_cli(tmp_path, monkeypatch):
     path = _write(tmp_path, cfg)
     hashes = []
     for rows in (1, 4):
-        monkeypatch.setattr(ensemble, "_MAX_CHUNK_ROWS", rows)
+        monkeypatch.setattr(ensemble, "_chunk_rows", lambda walk, rows=rows: rows)
         assert main(["run", path, "-o", str(tmp_path / f"c{rows}"), "--workers", "1"]) == 0
         hashes.append(_file_hashes(tmp_path / f"c{rows}" / "chunks"))
     assert len(hashes[0]) == 5
     assert hashes[0] == hashes[1]
+
+
+SWEEP_ENSEMBLE = {
+    "name": "sweep",
+    "ensemble": {"runs": 6, "base_seed": 3, "walk": dict(BASE_WALK, disorder={"kind": "temporal"})},
+    "sweep": {"acceleration": [0.0, 0.01, 0.02, 0.04]},
+}
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every ProcessPoolExecutor constructed while the test runs."""
+    import concurrent.futures
+
+    made = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return made
+
+
+def test_sweep_ensemble_runs_on_one_pool(tmp_path, pools):
+    path = _write(tmp_path, SWEEP_ENSEMBLE)
+    hashes = []
+    for workers in ("2", "1"):
+        assert main(["run", path, "-o", str(tmp_path / f"w{workers}"), "--workers", workers]) == 0
+        assert multiprocessing.active_children() == []
+        hashes.append(_file_hashes(tmp_path / f"w{workers}" / "sweep"))
+    assert len(pools) == 1  # four sweep points at --workers 2, none at --workers 1
+    assert len(hashes[0]) == 8
+    assert hashes[0] == hashes[1]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched landscape size reaches the workers only through fork")
+def test_failing_chunk_stops_the_pool(tmp_path, capsys, monkeypatch, pools):
+    from aqwalk import ensemble
+
+    real_size = ensemble.landscape_size
+
+    def size(walk):
+        if walk.schedule.a == 0.04:
+            raise ValueError("synthetic failure at the last sweep point")
+        return real_size(walk)
+
+    monkeypatch.setattr(ensemble, "landscape_size", size)
+    path = _write(tmp_path, SWEEP_ENSEMBLE)
+    assert main(["run", path, "-o", str(tmp_path / "out"), "--workers", "2"]) == 1
+    assert "RealizationError: realization 0: ValueError: synthetic failure" in capsys.readouterr().err
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("walk_field", [{"acceleration": math.nan},
@@ -536,3 +592,18 @@ def test_cli_loads_the_pool_and_presets_only_on_demand(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aqwalk.__file__)))
     out = subprocess.run([sys.executable, "-c", code, path], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.splitlines() == ["[]", "ok: ens (ensemble)", "[]"]
+
+
+def test_walk_and_serial_ensemble_runs_start_no_pool(tmp_path):
+    # a walk, and an ensemble capped at one worker, run in this process
+    walk = _write(tmp_path, {"name": "walk", "walk": BASE_WALK}, "walk.yaml")
+    ens = _write(tmp_path, dict(KIND_SMOKE["ensemble"][0], name="ens"), "ens.yaml")
+    code = ("import sys, aqwalk.cli\n"
+            "out = sys.argv[3]\n"
+            "assert aqwalk.cli.main(['run', sys.argv[1], '-o', out]) == 0\n"
+            "assert aqwalk.cli.main(['run', sys.argv[2], '-o', out, '--workers', '1']) == 0\n"
+            "print(sorted(m for m in sys.modules if m in {'multiprocessing', 'concurrent.futures.process'}))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aqwalk.__file__)))
+    out = subprocess.run([sys.executable, "-c", code, walk, ens, str(tmp_path / "out")],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"

@@ -200,7 +200,7 @@ def test_chunking_does_not_change_results(monkeypatch):
                         runs=11, base_seed=8)
     summaries = []
     for rows in (1, 4, 32):
-        monkeypatch.setattr(ens_module, "_MAX_CHUNK_ROWS", rows)
+        monkeypatch.setattr(ens_module, "_chunk_rows", lambda walk, rows=rows: rows)
         summaries.append(run_ensemble(spec, workers=1))
     for other in summaries[1:]:
         for key in ("sigma", "ipr", "negativity_particle_particle"):
@@ -222,13 +222,15 @@ def test_chunks_cover_every_index_once():
 
 
 def test_full2d_ensembles_run_one_realization_per_chunk():
-    from aqwalk.ensemble import _MAX_CHUNK_ROWS, _chunk_rows
+    from aqwalk.ensemble import _chunk_rows
 
     mixed = InitialState.two_particle([0.5, 0.5, 0.5, 0.5])
     walk = WalkSpec(2, CoinSchedule(0.8, 0.01), mixed, 8, disorder=DisorderSpec("temporal"),
                     record=("negativity_particle_particle",))
     assert _chunk_rows(walk) == 1
-    assert _chunk_rows(_walk(particles=2)) == _MAX_CHUNK_ROWS
+    # line walks batch by bytes: the 1p shape of fig12/fig18 and the x line of fig22
+    assert _chunk_rows(_walk(kind="temporal", steps=200)) >= 32
+    assert _chunk_rows(_walk(particles=2, steps=500)) >= 32
     forced = WalkSpec(2, CoinSchedule(0.8, 0.01), InitialState.basis_two_particle("uu"), 8,
                       disorder=DisorderSpec("temporal"), record=("negativity_particle_particle",),
                       layout="full2d")

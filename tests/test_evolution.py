@@ -173,6 +173,9 @@ def test_run_is_deterministic_bit_for_bit():
     ([0.5, 0.5, 0.5, 0.5], (0, 1), "auto"),  # a mixed start moves along both
     ([1.0, 0.0, 0.0, 0.0], (0, 1), "full2d"),
     ([1.0, 0.0, 0.0, 0.0], (0, 6), "auto"),  # the frozen y lies off the lattice
+    ([1.0, 0.0], (0, 3), "auto"),  # one particle, two coordinates
+    ([1.0, 0.0, 0.0, 0.0], 0, "auto"),  # two particles, one coordinate
+    ([1.0, 0.0, 0.0, 0.0], (0, 0, 0), "auto"),
 ])
 def test_walk_starts_at_zero_on_every_moving_axis(coin, origin, layout):
     init = InitialState(np.array(coin), origin)
