@@ -44,17 +44,10 @@ from .spectral import (
     dispersion_omega,
     group_velocity,
     lyapunov_localization_length,
-    max_group_velocity,
     transfer_matrix_1p,
     transfer_matrix_2p,
 )
-from .state import (
-    InitialState,
-    SpinorField1P,
-    TwoParticleField,
-    new_one_particle,
-    new_two_particle,
-)
+from .state import InitialState, SpinorField1P, TwoParticleField
 
 # every public name but the submodules, which importing them binds here too
 __all__ = [name for name, value in globals().items()

@@ -32,7 +32,7 @@ __all__ = ["Experiment", "KINDS", "load_config", "parse_config", "parse_angle"]
 _NAMED_INITIALS_1P = ("up", "down", "symmetric")
 _NAMED_INITIALS_2P = ("uu", "ud", "du", "dd")
 
-_ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d*\.?\d+))?$")
+_ANGLE_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)?)\s*\*?\s*pi\s*(?:/\s*(\d*\.?\d+))?$")
 
 
 def parse_angle(value, where: str) -> float:
@@ -126,6 +126,9 @@ def _parse_initial(raw, particles: int, origin, where: str) -> InitialState:
     if isinstance(raw, list):
         if not all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in raw):
             raise ConfigError(where, "amplitudes must be [re, im] pairs")
+        if len(raw) != 2 * particles:
+            raise ConfigError(where, f"a {particles}-particle walk needs {2 * particles} amplitudes, "
+                                     f"got {len(raw)}")
         amps = np.array([complex(parse_angle(re, where), parse_angle(im, where)) for re, im in raw])
         try:
             return InitialState(amps, origin)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import RealizationError
 from .evolve import DisorderSpec, WalkSpec, landscape_size, run_walk, run_walk_batch, sample_landscape
+from .state import families
 
 __all__ = [
     "EnsembleSpec",
@@ -28,7 +29,7 @@ __all__ = [
     "run_ensemble",
 ]
 
-# Bytes of frame planes per batch of a line walk: large enough to amortize
+# Bytes of frame planes per batch: large enough to amortize
 # the per-step overhead of the kernel, small enough that memory stays flat
 # as the ensemble grows and the planes stay near the CPU caches.
 _CHUNK_BYTES = 1 << 20
@@ -77,9 +78,8 @@ def _effective_walk(spec: EnsembleSpec) -> WalkSpec:
 
 
 def _chunk_rows(walk: WalkSpec) -> int:
-    """Largest chunk for this walk: the rows of 32 (T + 1) bytes that fit _CHUNK_BYTES, or one for a
-    full-2D walk, whose final state is a whole 2D field per row (each worker keeps one alive)."""
-    return 1 if walk.full2d else max(1, _CHUNK_BYTES // (32 * (walk.steps + 1)))
+    """Largest chunk for this walk: the rows that fit _CHUNK_BYTES, at 32 (T + 1) bytes per family of lines."""
+    return max(1, _CHUNK_BYTES // (32 * (walk.steps + 1) * len(families(walk.confinement))))
 
 
 def _chunks(runs: int, workers: int, rows: int) -> list[range]:

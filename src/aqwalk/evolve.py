@@ -24,8 +24,8 @@ Conventions (fixed throughout the package):
 * A one-particle walk and a confined two-particle walk are the same
   two-component update: a component L that moves to lower positions, a
   component R that moves to higher ones, and row phases e^{i k phi} with
-  k the number of down spins of each.  A full-2D field is two families of
-  such lines, (uu, dd) along x and (du, ud) along y.  One batched kernel
+  k the number of down spins of each.  A full-2D field is two such lines
+  through its origin, (uu, dd) along x and (du, ud) along y.  One batched kernel
   steps every layout, in frames that move with L and R (see _Frame).
 
 * A walk starts at 0 on each axis it moves along (state.check_origin), so
@@ -62,11 +62,9 @@ from .state import (
     SpinorField1P,
     TwoParticleField,
     check_origin,
-    lines,
-    new_one_particle,
-    new_two_particle,
+    families,
+    new_field,
     two_particle_confinement,
-    with_lines,
 )
 
 __all__ = [
@@ -177,8 +175,7 @@ class WalkSpec:
                 f"initial coin vector length {self.init.coin.shape[0]} does not match "
                 f"particle_count {self.particle_count}"
             )
-        check_origin(two_particle_confinement(self.init.coin, self.layout == "full2d") if self.particle_count == 2
-                     else "1p", self.init.coords, self.steps)
+        check_origin(self.confinement, self.init.coords, self.steps)
         if self.full2d:
             for key in self.record:
                 if key in ("sigma", "ipr", "negativity_coin_position"):
@@ -188,10 +185,16 @@ class WalkSpec:
                 raise ValueError("spatial disorder is only supported on confined (single-line) walks")
 
     @property
+    def confinement(self) -> str:
+        """The layout the walk keeps for all time: "1p", "xline", "yline" or "full2d"."""
+        if self.particle_count == 1:
+            return "1p"
+        return two_particle_confinement(self.init.coin, self.layout == "full2d")
+
+    @property
     def full2d(self) -> bool:
-        """True for a two-particle walk kept on the 2D grid: a mixed start or layout 'full2d'."""
-        return (self.particle_count == 2
-                and two_particle_confinement(self.init.coin, self.layout == "full2d") == "full2d")
+        """True for a two-particle walk on the x and y lines: a mixed start or layout 'full2d'."""
+        return self.confinement == "full2d"
 
 
 @dataclass
@@ -251,11 +254,15 @@ class _Frame:
     the planes keep each row bit-identical to the same walk run alone.
     """
 
-    def __init__(self, layout: str, rows: int, steps: int):
+    def __init__(self, layout: str, rows: int, steps: int, coin):
+        """Rows of a walk in `layout` from the coin vector at the origin."""
         self.layout = layout
         self.steps = steps
         self.t = 0
         self.planes = np.zeros((2, 2, steps + 1, rows))
+        left, right, _ = self.cone()
+        for planes, slot in zip((left, right), LINES[layout].slots):
+            planes[0], planes[1] = coin[slot].real, coin[slot].imag
 
     def cone(self):
         """(L, R, sites) at time t: the site-aligned (2, sites, rows) planes of
@@ -263,20 +270,15 @@ class _Frame:
         t, steps = self.t, self.steps
         return self.planes[0, :, :t + 1], self.planes[1, :, steps - t:], slice(steps - t, steps + t + 1, 2)
 
-    def load(self, planes):
-        """Take the cone at time t from planes over the whole lattice, shape (2, 2, 2T + 1, rows or 1)."""
-        left, right, sites = self.cone()
-        left[...], right[...] = planes[0][:, sites], planes[1][:, sites]
-
     def unload(self, planes):
         """Write the cone at time t into planes over the whole lattice, shape (2, 2, 2T + 1, rows)."""
         left, right, sites = self.cone()
         planes[0][:, sites], planes[1][:, sites] = left, right
 
-    def crossing(self):
-        """Planes (Re L, Im L, Re R, Im R) of the cone and the origin's index in them (None at odd t)."""
+    def line(self):
+        """(layout, planes (Re L, Im L, Re R, Im R) of the cone)."""
         left, right, _ = self.cone()
-        return (*left, *right), None if self.t % 2 else self.t // 2
+        return self.layout, (*left, *right)
 
     def step(self, c: float, s: float, phases):
         """Coin [[c, -i s], [-i s, c]] and row phases at time t, then the shift to t + 1.
@@ -310,10 +312,6 @@ class _Frame:
         return line_observables(keys, *left, *right, x)
 
 
-def _planes(left, right) -> np.ndarray:
-    return np.array([[left.real, left.imag], [right.real, right.imag]])
-
-
 def _complex(planes):
     """(L, R) of planes ((Re L, Im L), (Re R, Im R)); exact, as 1j * x only moves x."""
     return planes[0, 0] + 1j * planes[0, 1], planes[1, 0] + 1j * planes[1, 1]
@@ -324,12 +322,6 @@ def landscape_size(spec: WalkSpec) -> int:
     if spec.disorder.kind == "temporal":
         return spec.steps
     return 2 * spec.steps + 1
-
-
-def _new_state(spec: WalkSpec):
-    if spec.particle_count == 1:
-        return new_one_particle(spec.init, spec.steps)
-    return new_two_particle(spec.init, spec.steps, force_full2d=(spec.layout == "full2d"))
 
 
 def _check_landscape(spec: WalkSpec, landscape: PhaseLandscape):
@@ -361,36 +353,28 @@ def run_walk_batch(spec: WalkSpec, landscapes) -> list[RunResult]:
     """run_walk once per landscape, all landscapes as one batch.
 
     Result i is bit-identical to run_walk(spec, landscapes[i]) whatever
-    the batch size.  A full-2D walk runs as two frames stepped in
-    lockstep, the x line and the y line through its origin.  Memory grows with
-    the batch, by 32 (T + 1) bytes per row of a line walk; callers cap it in bytes.
+    the batch size.  A full-2D walk runs as two frames stepped in lockstep,
+    the x line and the y line through its origin, and its final state holds
+    those two lines.  Memory grows with the batch, by 32 (T + 1) bytes per
+    row and family of lines; callers cap it in bytes.
     """
     for landscape in landscapes:
         _check_landscape(spec, landscape)
     if not landscapes:
         return []
-    state = _new_state(spec)
-    rows, steps = len(landscapes), spec.steps
-    state_lines = lines(state)
-    one_line = len(state_lines) == 1
-    # a walk stays on the line through its origin in each family: the one line of a
-    # one-line state, and the centre lines of a full-2D field, which cross at the origin
-    line = 0 if one_line else steps
-    frames = []
-    for layout, left, right in state_lines:
-        frames.append(_Frame(layout, rows, steps))
-        frames[-1].load(_planes(left[:, line:line + 1], right[:, line:line + 1]))
+    layout, rows, steps = spec.confinement, len(landscapes), spec.steps
+    frames = [_Frame(name, rows, steps, spec.init.coin) for name in families(layout)]
     values = [landscape.values for landscape in landscapes]
     phases = [[_phase_planes(values, power) for power in LINES[frame.layout].powers] for frame in frames]
     scalar_keys = [k for k in spec.record if k != "distribution"]
     series = {k: np.zeros((rows, steps + 1)) for k in scalar_keys}
 
     def record(t):
-        if one_line:
+        if len(frames) == 1:
             observed = frames[0].observe(scalar_keys) if scalar_keys else {}
-        else:  # the spec lets a full-2D walk record no other scalar
+        else:  # the spec lets a full-2D walk record no other scalar; its lines cross at the origin at even t
             observed = {key: particle_particle_from_density(crossing_coin_density(
-                *frames[0].crossing(), *frames[1].crossing())) for key in scalar_keys}
+                [frame.line() for frame in frames], None if t % 2 else t // 2)) for key in scalar_keys}
         for key, value in observed.items():
             series[key][:, t] = value
 
@@ -404,19 +388,16 @@ def run_walk_batch(spec: WalkSpec, landscapes) -> list[RunResult]:
             frame.step(c, s, planes)
         record(t)
 
-    final = [np.zeros((2, 2, len(left), rows)) for _, left, _ in state_lines]
+    final = [np.zeros((2, 2, 2 * steps + 1, rows)) for _ in frames]
     for frame, planes in zip(frames, final):
         frame.unload(planes)
     results = []
     for row in range(rows):
-        filled = []
-        for (_, left, right), planes in zip(state_lines, final):
-            filled.append((np.zeros_like(left), np.zeros_like(right)))
-            filled[-1][0][:, line], filled[-1][1][:, line] = _complex(planes[..., row])
-        result = RunResult(steps=steps, final_state=with_lines(state, filled))
+        state = new_field(layout, spec.init.coords, [_complex(planes[..., row]) for planes in final])
+        result = RunResult(steps=steps, final_state=state)
         for key in scalar_keys:
             setattr(result, key, series[key][row])
         if "distribution" in spec.record:
-            result.distribution = distribution(result.final_state)
+            result.distribution = distribution(state)
         results.append(result)
     return results

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import LINES, SpinorField1P, TwoParticleField, families, lines, probabilities, site_probabilities
+from .state import LINES, SpinorField1P, TwoParticleField, lines, probabilities, site_probabilities
 
 __all__ = [
     "Distribution1D",
@@ -194,35 +194,32 @@ def negativity_coin_position(state) -> float:
 
 def reduced_particle_density(state: TwoParticleField) -> np.ndarray:
     """4x4 density matrix of the two-particle coin space, position traced out."""
-    comps = {}
-    for name in families(state.confinement):
-        comps.update(zip(LINES[name].slots, (getattr(state, c) for c in LINES[name].fields)))
-    rho = np.zeros((4, 4), dtype=np.complex128)
-    for i in comps:
-        for j in comps:
-            rho[i, j] = np.sum(comps[i] * comps[j].conj())
-    return rho
+    planes = [(name, (left.real, left.imag, right.real, right.imag)) for name, left, right in lines(state)]
+    # the two lines of a full-2D field cross at the origin, index T of each
+    return crossing_coin_density(planes, state.half_width_x if state.confinement == "full2d" else None)[0]
 
 
-def crossing_coin_density(x_planes, x_site, y_planes, y_site) -> np.ndarray:
-    """4x4 coin densities of full-2D rows that live on an x and a y line.
+def crossing_coin_density(line_planes, site) -> np.ndarray:
+    """4x4 coin densities, position traced out, of rows made of the given lines.
 
-    x_planes and y_planes are the site-aligned planes (Re L, Im L, Re R,
-    Im R), each of shape (sites, rows), of the x lines (L = uu, R = dd)
-    and the y lines (L = du, R = ud), which cross at index x_site of the
-    one and y_site of the other.  uu and dd meet ud and du only there, so
-    the entries between the two pairs are products of the amplitudes
-    there; they vanish when the sites are None (the crossing is empty).
+    line_planes holds (layout, planes) per family of lines present, layout a key
+    of LINES and planes its site-aligned (Re L, Im L, Re R, Im R), each of
+    shape (sites, rows).  A full-2D row is an x line (L = uu, R = dd) and a
+    y line (L = du, R = ud), which meet only at index `site` of each, so the
+    entries between the two pairs are products of the amplitudes there;
+    they vanish when site is None (one line, or an empty crossing).
     """
-    x_sums, y_sums = line_sums(*x_planes), line_sums(*y_planes)
-    rho = np.zeros((len(x_sums[0]), 4, 4), dtype=np.complex128)
-    if x_site is not None:
-        at = np.zeros((len(rho), 4), dtype=np.complex128)
-        for name, planes, site in (("xline", x_planes, x_site), ("yline", y_planes, y_site)):
+    rows = line_planes[0][1][0].shape[1]
+    rho = np.zeros((rows, 4, 4), dtype=np.complex128)
+    if site is not None:
+        at = np.zeros((rows, 4), dtype=np.complex128)
+        for name, planes in line_planes:
             l_re, l_im, r_re, r_im = (plane[site] for plane in planes)
             at[:, LINES[name].slots] = np.stack([l_re + 1j * l_im, r_re + 1j * r_im], axis=1)
         rho[:] = at[:, :, None] * at[:, None, :].conj()
-    for (i, j), (p, q, c_re, c_im) in ((LINES["xline"].slots, x_sums), (LINES["yline"].slots, y_sums)):
+    for name, planes in line_planes:
+        i, j = LINES[name].slots
+        p, q, c_re, c_im = line_sums(*planes)
         c = c_re + 1j * c_im
         rho[:, i, i], rho[:, j, j], rho[:, i, j], rho[:, j, i] = p, q, c, c.conj()
     return rho

@@ -32,7 +32,6 @@ __all__ = [
     "LyapunovEstimate",
     "dispersion_omega",
     "group_velocity",
-    "max_group_velocity",
     "transfer_matrix_1p",
     "transfer_matrix_2p",
     "lyapunov_localization_length",
@@ -90,17 +89,6 @@ def group_velocity(theta0: float, kappa, phi: float = 0.0):
     if np.ndim(kappa) == 0:
         return float(result)
     return result
-
-
-def max_group_velocity(theta0: float, phi: float = 0.0) -> tuple[float, float]:
-    """Maximum of the group velocity over kappa, as (kappa_star, v_max).
-
-    group_velocity depends on kappa only through u = kappa + phi/2, as
-    cos(th0) sin(u) / sqrt(1 - cos(th0)^2 cos(u)^2), which grows with
-    sin(u) and peaks at u = pi/2: kappa_star = pi/2 - phi/2 and
-    v_max = cos(theta0) for every phi (zero on the flat band theta0 = pi/2).
-    """
-    return math.pi / 2.0 - _offsets(LINES["1p"], phi)[1], math.cos(theta0)
 
 
 def _check_sec(theta: float):

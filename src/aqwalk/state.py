@@ -1,11 +1,12 @@
 """State containers for one- and two-particle walkers on integer lattices.
 
 A one-particle state is a pair of complex amplitude arrays (up, down) over
-x in [-half_width, +half_width].  A two-particle state is either a full
-2D field with the four coin components (uu, ud, du, dd), or a compact
-one-line variant when the initial coin state confines the dynamics to a
-single lattice axis: basis support in {uu, dd} evolves only along x,
-support in {ud, du} only along y.
+x in [-half_width, +half_width].  A two-particle state holds the four coin
+components (uu, ud, du, dd) as lines: the coin mixes uu with dd and ud
+with du, and the shift moves uu and dd along x and ud and du along y.  A
+start with coin support in {uu, dd} stays on one x line, support in
+{ud, du} on one y line, and a mixed start (a full-2D field) on the x and
+the y line through its origin, which is all of the 2D grid it ever reaches.
 
 States are plain values; the evolution engine returns new states rather
 than mutating in place.
@@ -14,7 +15,7 @@ than mutating in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,13 +27,11 @@ __all__ = [
     "LINES",
     "families",
     "lines",
-    "with_lines",
+    "new_field",
     "site_probabilities",
     "probabilities",
     "two_particle_confinement",
     "check_origin",
-    "new_one_particle",
-    "new_two_particle",
 ]
 
 COIN_NORM_TOL = 1e-9
@@ -143,12 +142,14 @@ class SpinorField1P:
 
 @dataclass
 class TwoParticleField:
-    """Four-component complex field for two walkers.
+    """Four-component complex field for two walkers, stored as lines.
 
     confinement is one of:
-      "full2d" : uu, ud, du, dd are (Nx, Ny) arrays
       "xline"  : only uu, dd as 1D arrays along x, state pinned at y = y0
       "yline"  : only ud, du as 1D arrays along y, state pinned at x = x0
+      "full2d" : uu, dd as 1D arrays along x at y = 0 and ud, du as 1D
+                 arrays along y at x = 0, all of length 2T + 1; every other
+                 site of the 2D grid holds zero (see probabilities)
     Absent components in the confined variants are identically zero by
     operator structure and are stored as None.
     """
@@ -165,36 +166,6 @@ class TwoParticleField:
 
     def norm(self) -> float:
         return float(np.sum(probabilities(self)))
-
-
-def new_one_particle(init: InitialState, steps: int) -> SpinorField1P:
-    """Fresh one-particle field sized for a walk of `steps` steps.
-
-    The lattice spans [-steps, steps]; the origin must lie inside it.
-    """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    if init.coin.shape != (2,):
-        raise ValueError("one-particle walk needs a length-2 coin vector")
-    if len(init.coords) != 1:
-        raise ValueError("one-particle origin must be a single integer")
-    x0, = init.coords
-    if abs(x0) > steps:
-        raise ValueError(f"origin {x0} outside lattice [-{steps}, {steps}]")
-    return SpinorField1P(steps, **_placed(init, steps, "1p"))
-
-
-def _placed(init: InitialState, steps: int, layout: str) -> dict:
-    """The components of a layout, zero but for the coin at the origin: a one-line
-    layout stores them along its axis only, a full-2D field on the whole grid."""
-    moving = sorted({LINES[name].axis for name in families(layout)})
-    site = tuple(init.coords[axis] + steps for axis in moving)
-    arrays = {}
-    for name in families(layout):
-        for component in LINES[name].fields:
-            arrays[component] = np.zeros((2 * steps + 1,) * len(moving), dtype=np.complex128)
-            arrays[component][site] = init.coin[_BASIS[component]]
-    return arrays
 
 
 def two_particle_confinement(coin: np.ndarray, force_full2d: bool = False) -> str:
@@ -223,65 +194,33 @@ def check_origin(layout: str, coords: tuple[int, ...], steps: int):
                          f"[-steps, steps] on the other, got {shown}")
 
 
-def new_two_particle(init: InitialState, steps: int, force_full2d: bool = False) -> TwoParticleField:
-    """Fresh two-particle field; picks the confined 1D layout when possible.
-
-    Coin support in {uu, dd} gives an x-line field, support in {ud, du}
-    a y-line field, anything mixed the full 2D field.  force_full2d keeps
-    the full layout even for confined initial states (useful when the 2D
-    distribution itself is the output).
-    """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    if init.coin.shape != (4,):
-        raise ValueError("two-particle walk needs a length-4 coin vector")
-    if len(init.coords) != 2:
-        raise ValueError("two-particle origin must be a pair (x0, y0)")
-    x0, y0 = init.coords
-    if abs(x0) > steps or abs(y0) > steps:
-        raise ValueError(f"origin {(x0, y0)} outside lattice [-{steps}, {steps}]^2")
-
-    confinement = two_particle_confinement(init.coin, force_full2d)
-    arrays = {**dict.fromkeys(_BASIS_2P), **_placed(init, steps, confinement)}
-    moving = {LINES[name].axis for name in families(confinement)}
-    widths = [steps if axis in moving else 0 for axis in (0, 1)]
-    return TwoParticleField(confinement, *widths, x0=x0, y0=y0, **arrays)
+def new_field(layout: str, coords: tuple[int, ...], pairs):
+    """The state of a walk in `layout` from origin coords, given the (L, R) arrays
+    of each of its families (see families), each over the lattice [-T, T]."""
+    arrays = {component: line for name, pair in zip(families(layout), pairs)
+              for component, line in zip(LINES[name].fields, pair)}
+    half_width = len(pairs[0][0]) // 2
+    if layout == "1p":
+        return SpinorField1P(half_width, **arrays)
+    moving = {LINES[name].axis for name in families(layout)}
+    widths = [half_width if axis in moving else 0 for axis in (0, 1)]
+    return TwoParticleField(layout, *widths, x0=coords[0], y0=coords[1], **{**dict.fromkeys(_BASIS_2P), **arrays})
 
 
 def families(layout: str) -> tuple[str, ...]:
     """Keys of LINES for the families of lines a layout is made of.
 
-    A one-line layout is one line.  A full-2D field is x lines (uu, dd
-    along x, one per y) and y lines (du, ud along y, one per x): the coin
-    mixes only uu with dd and ud with du, and the shift moves each pair
-    along its own axis.
+    A one-line layout is one line.  A full-2D field is an x line (uu, dd)
+    and a y line (du, ud): the coin mixes only uu with dd and ud with du,
+    and the shift moves each pair along its own axis.
     """
     return (layout,) if layout in LINES else ("xline", "yline")
 
 
 def lines(state):
-    """(layout, L, R) of each family of lines of a state, L and R of shape (sites, lines)."""
-    out = []
-    for name in families(state.confinement):
-        left, right = (getattr(state, component) for component in LINES[name].fields)
-        if state.confinement in LINES:
-            left, right = left[:, None], right[:, None]
-        else:
-            left, right = (np.moveaxis(a, LINES[name].axis, 0) for a in (left, right))
-        out.append((name, left, right))
-    return out
-
-
-def with_lines(state, pairs):
-    """state with each family of lines(state) replaced by an (L, R) pair of the same shapes."""
-    arrays = {}
-    for name, (left, right) in zip(families(state.confinement), pairs):
-        if state.confinement in LINES:
-            left, right = left[:, 0], right[:, 0]
-        else:
-            left, right = (np.ascontiguousarray(np.moveaxis(a, 0, LINES[name].axis)) for a in (left, right))
-        arrays.update(zip(LINES[name].fields, (left, right)))
-    return replace(state, **arrays)
+    """(layout, L, R) of each family of lines of a state, L and R of shape (sites, 1)."""
+    return [(name, *(getattr(state, component)[:, None] for component in LINES[name].fields))
+            for name in families(state.confinement)]
 
 
 def site_probabilities(lr, li, rr, ri):
@@ -291,9 +230,16 @@ def site_probabilities(lr, li, rr, ri):
 
 
 def probabilities(state) -> np.ndarray:
-    """|psi|^2 of a state per site of its layout, its families summed in order."""
-    p = 0
+    """|psi|^2 of a state per site: along its line, or on the 2D grid [x, y] of a
+    full-2D field, which is zero off its two lines and sums the x line first where they cross."""
+    p = []
     for name in families(state.confinement):
         left, right = (getattr(state, component) for component in LINES[name].fields)
-        p = p + site_probabilities(left.real, left.imag, right.real, right.imag)
-    return p
+        p.append(site_probabilities(left.real, left.imag, right.real, right.imag))
+    if len(p) == 1:
+        return p[0]
+    x_line, y_line = p
+    grid = np.zeros((len(x_line), len(y_line)))
+    grid[:, len(y_line) // 2] = x_line
+    grid[len(x_line) // 2, :] += y_line
+    return grid

@@ -113,8 +113,8 @@ def negativity_pt_loops(amp):
     return float(-lam[lam < 0].sum())
 
 
-def pp_negativity_loops(uu, ud, du, dd):
-    """Particle-particle negativity by explicit tracing and index swaps.
+def coin_density_loops(uu, ud, du, dd):
+    """4x4 two-particle coin density, position traced out by explicit sums.
 
     Components are same-shape arrays over position (any dimensionality).
     """
@@ -123,6 +123,15 @@ def pp_negativity_loops(uu, ud, du, dd):
     for i in range(4):
         for j in range(4):
             rho[i, j] = np.sum(comps[i] * comps[j].conj())
+    return rho
+
+
+def pp_negativity_loops(uu, ud, du, dd):
+    """Particle-particle negativity by explicit tracing and index swaps.
+
+    Components are same-shape arrays over position (any dimensionality).
+    """
+    rho = coin_density_loops(uu, ud, du, dd)
     # coin index k = 2*a + b with a, b in {0, 1}; transpose particle b
     rho_pt = np.zeros_like(rho)
     for a1 in range(2):

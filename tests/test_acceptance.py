@@ -26,7 +26,6 @@ from aqwalk import (
     WalkSpec,
     dispersion_omega,
     group_velocity,
-    max_group_velocity,
     negativity_coin_position,
     run_ensemble,
     run_walk,
@@ -38,7 +37,8 @@ from aqwalk import (
 from aqwalk.cli import main as cli_main
 from aqwalk.state import SpinorField1P, TwoParticleField
 
-from oracles import amplitude_matrix, evolve_dense, front_position, negativity_pt_loops, random_pure_amplitude_matrix
+from oracles import (amplitude_matrix, evolve_dense, front_position, golden_section_max, negativity_pt_loops,
+                     random_pure_amplitude_matrix)
 
 R = 1.0 / math.sqrt(2.0)
 
@@ -312,7 +312,7 @@ def test_criterion_09_dispersion_and_front_speed():
     worst_k = worst_v = 0.0
     for _ in range(20):
         theta0 = float(rng.uniform(0.2, 1.35))
-        k_star, v_max = max_group_velocity(theta0)
+        k_star, v_max = golden_section_max(lambda k: group_velocity(theta0, k), 1e-9, math.pi - 1e-9)
         worst_k = max(worst_k, abs(k_star - math.pi / 2))
         worst_v = max(worst_v, abs(v_max - math.cos(theta0)))
 

@@ -15,7 +15,7 @@ import yaml
 
 import aqwalk
 from aqwalk.cli import main
-from aqwalk.config import KINDS
+from aqwalk.config import KINDS, parse_angle
 from aqwalk.presets import PRESETS
 
 
@@ -291,6 +291,11 @@ WALK_MIXED = dict(BASE_WALK, particles=2, initial=[[0.5, 0.0]] * 4, record=["dis
     ({"dispersion": {"theta0": "pi/4", "variant": ["single"]}}, "dispersion.variant"),
     ({"walk": BASE_WALK, "output_dir": "out\0put"}, "output_dir"),
     ({"walk": dict(WALK_2P, steps=-1)}, "walk"),  # the step count is the error, not the origin
+    ({"walk": dict(BASE_WALK, theta0=".pi")}, "walk.theta0"),
+    ({"walk": dict(BASE_WALK, theta0="-.pi")}, "walk.theta0"),
+    ({"walk": dict(BASE_WALK, theta0="+.pi")}, "walk.theta0"),
+    ({"walk": dict(WALK_2P, initial=[[1, 0], [0, 0]])}, "walk.initial"),
+    ({"walk": dict(BASE_WALK, initial=[[1, 0], [0, 0], [0, 0], [0, 0]])}, "walk.initial"),
 ])
 def test_bad_config_values_give_exit_2(tmp_path, capsys, config, field):
     path = _write(tmp_path, dict(config, name="bad"))
@@ -298,6 +303,14 @@ def test_bad_config_values_give_exit_2(tmp_path, capsys, config, field):
         assert main(verb) == 2
         assert f"config error: {field}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, value", [
+    ("pi", math.pi), ("-pi", -math.pi), ("+pi", math.pi), (".5pi", 0.5 * math.pi), ("3.pi", 3 * math.pi),
+    ("3pi/4", 0.75 * math.pi), ("0.5*pi", 0.5 * math.pi), ("2 * pi / 3", 2 * math.pi / 3), ("1e-4", 1e-4),
+])
+def test_angle_strings_parse(text, value):
+    assert parse_angle(text, "walk.theta0") == pytest.approx(value, rel=1e-15)
 
 
 def test_confined_walk_may_start_off_its_line_axis(tmp_path):

@@ -17,8 +17,8 @@ SIGMA_XX = np.kron(SIGMA_X, SIGMA_X)
 
 BASIS_2P = ("uu", "ud", "du", "dd")
 
-# (x, y) index on the 3x3 full-2D grid where each component lands
-LANDING_2D = ((0, 1), (1, 2), (1, 0), (2, 1))
+# index on its line (uu, dd along x; ud, du along y) where each component lands
+LANDING_2D = (0, 2, 0, 2)
 
 
 def one_step(init, theta, phi=None, layout="auto"):

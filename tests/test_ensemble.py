@@ -195,18 +195,24 @@ def test_failing_realization_is_tagged_across_workers(monkeypatch):
 def test_chunking_does_not_change_results(monkeypatch):
     from aqwalk import ensemble as ens_module
 
-    spec = EnsembleSpec(_walk(particles=2, record=("sigma", "ipr", "distribution",
-                                                    "negativity_particle_particle")),
-                        runs=11, base_seed=8)
-    summaries = []
-    for rows in (1, 4, 32):
-        monkeypatch.setattr(ens_module, "_chunk_rows", lambda walk, rows=rows: rows)
-        summaries.append(run_ensemble(spec, workers=1))
-    for other in summaries[1:]:
-        for key in ("sigma", "ipr", "negativity_particle_particle"):
-            assert summaries[0].mean[key].tobytes() == other.mean[key].tobytes()
-            assert summaries[0].stderr[key].tobytes() == other.stderr[key].tobytes()
-        assert summaries[0].mean_distribution.tobytes() == other.mean_distribution.tobytes()
+    mixed = InitialState.two_particle([0.5, 0.5, 0.5, 0.5])
+    full2d = WalkSpec(2, CoinSchedule(0.8, 0.01), mixed, 30, disorder=DisorderSpec("temporal"),
+                      record=("negativity_particle_particle",))
+    specs = [EnsembleSpec(_walk(particles=2, record=("sigma", "ipr", "distribution",
+                                                     "negativity_particle_particle")),
+                          runs=11, base_seed=8),
+             EnsembleSpec(full2d, runs=11, base_seed=8)]
+    for spec in specs:
+        summaries = []
+        for rows in (1, 4, 32):
+            monkeypatch.setattr(ens_module, "_chunk_rows", lambda walk, rows=rows: rows)
+            summaries.append(run_ensemble(spec, workers=1))
+        for other in summaries[1:]:
+            for key in summaries[0].mean:
+                assert summaries[0].mean[key].tobytes() == other.mean[key].tobytes()
+                assert summaries[0].stderr[key].tobytes() == other.stderr[key].tobytes()
+            if "distribution" in spec.walk.record:
+                assert summaries[0].mean_distribution.tobytes() == other.mean_distribution.tobytes()
 
 
 def test_chunks_cover_every_index_once():
@@ -221,20 +227,22 @@ def test_chunks_cover_every_index_once():
                 assert len(chunks) % min(workers, runs) == 0 or len(chunks) == runs
 
 
-def test_full2d_ensembles_run_one_realization_per_chunk():
-    from aqwalk.ensemble import _chunk_rows
+def test_full2d_ensembles_chunk_by_bytes():
+    from aqwalk.ensemble import _CHUNK_BYTES, _chunk_rows
 
+    # a chunk holds the rows whose frames fit the budget, 32 (T + 1) bytes per family of lines
     mixed = InitialState.two_particle([0.5, 0.5, 0.5, 0.5])
     walk = WalkSpec(2, CoinSchedule(0.8, 0.01), mixed, 8, disorder=DisorderSpec("temporal"),
                     record=("negativity_particle_particle",))
-    assert _chunk_rows(walk) == 1
-    # line walks batch by bytes: the 1p shape of fig12/fig18 and the x line of fig22
-    assert _chunk_rows(_walk(kind="temporal", steps=200)) >= 32
-    assert _chunk_rows(_walk(particles=2, steps=500)) >= 32
+    assert _chunk_rows(walk) == _CHUNK_BYTES // (2 * 32 * 9)
+    # line walks: the 1p shape of fig12/fig18 and the x line of fig22
+    assert _chunk_rows(_walk(kind="temporal", steps=200)) == _CHUNK_BYTES // (32 * 201) >= 32
+    assert _chunk_rows(_walk(particles=2, steps=500)) == _CHUNK_BYTES // (32 * 501) >= 32
     forced = WalkSpec(2, CoinSchedule(0.8, 0.01), InitialState.basis_two_particle("uu"), 8,
                       disorder=DisorderSpec("temporal"), record=("negativity_particle_particle",),
                       layout="full2d")
-    assert _chunk_rows(forced) == 1
+    assert _chunk_rows(forced) == _chunk_rows(walk)
+    assert _chunk_rows(dataclasses.replace(walk, steps=_CHUNK_BYTES)) == 1
     spec = EnsembleSpec(walk, runs=5, base_seed=2)
     serial, parallel = run_ensemble(spec, workers=1), run_ensemble(spec, workers=2)
     key = "negativity_particle_particle"

@@ -124,14 +124,11 @@ def test_two_particle_line_equals_single_particle_with_doubled_phase():
 def test_confined_and_full2d_paths_agree():
     steps = 12
     line = _final_state(2, InitialState.basis_two_particle("uu"), math.pi / 4, steps, 0.02)
-    grid = _final_state(2, InitialState.basis_two_particle("uu"), math.pi / 4, steps, 0.02, layout="full2d")
-    mid = steps
-    assert np.max(np.abs(grid.ud)) == 0.0
-    assert np.max(np.abs(grid.du)) == 0.0
-    assert np.max(np.abs(grid.uu[:, mid] - line.uu)) < 1e-15
-    assert np.max(np.abs(grid.dd[:, mid] - line.dd)) < 1e-15
-    off_line = np.delete(grid.uu, mid, axis=1)
-    assert np.count_nonzero(off_line) == 0
+    full = _final_state(2, InitialState.basis_two_particle("uu"), math.pi / 4, steps, 0.02, layout="full2d")
+    assert np.max(np.abs(full.ud)) == 0.0
+    assert np.max(np.abs(full.du)) == 0.0
+    assert np.max(np.abs(full.uu - line.uu)) < 1e-15
+    assert np.max(np.abs(full.dd - line.dd)) < 1e-15
 
 
 def test_light_cone_exact_zeros():

@@ -22,6 +22,7 @@ from aqwalk import (
     ipr,
     negativity_coin_position,
     negativity_particle_particle,
+    reduced_particle_density,
     run_walk,
     sample_landscape,
     sigma,
@@ -29,7 +30,7 @@ from aqwalk import (
 )
 from aqwalk.evolve import RECORD_KEYS, landscape_size, run_walk_batch
 
-from oracles import evolve_dense, evolve_dense_2d, negativity_pt_loops, pp_negativity_loops
+from oracles import coin_density_loops, evolve_dense, evolve_dense_2d, negativity_pt_loops, pp_negativity_loops
 
 # per layout: coin-vector slots of the (L, R) components and their phase powers
 LAYOUTS = {
@@ -219,11 +220,19 @@ def test_full2d_walk_matches_dense_grid_oracle(walk, rows):
     thetas = [theta_at(spec.schedule, t) for t in range(1, steps + 1)]
     states = evolve_dense_2d(amps, steps, thetas, landscapes[0].values, spec.init.origin)
     final = result.final_state
-    got = np.array([final.uu, final.ud, final.du, final.dd])
+    # the state is its x line (uu, dd at y = 0) and its y line (ud, du at x = 0):
+    # on the grid, every other site must hold zero
+    got = np.zeros_like(states[-1])
+    got[[0, 3], :, steps] = final.uu, final.dd
+    got[[1, 2], steps, :] = final.ud, final.du
     assert np.max(np.abs(got - states[-1])) < 1e-12
     assert np.max(np.abs(result.distribution.p - np.sum(np.abs(states[-1]) ** 2, axis=0))) < 1e-12
     for t, state in enumerate(states):
         assert abs(result.negativity_particle_particle[t] - pp_negativity_loops(*state)) < 1e-12
+    # the per-state functions read the two lines of the final state
+    assert abs(negativity_particle_particle(final) - pp_negativity_loops(*states[-1])) < 1e-12
+    assert abs(negativity_particle_particle(final) - result.negativity_particle_particle[-1]) < 1e-12
+    assert np.max(np.abs(reduced_particle_density(final) - coin_density_loops(*states[-1]))) < 1e-12
 
     for single, row in zip([result] + [run_walk(spec, landscape) for landscape in landscapes[1:]],
                            run_walk_batch(spec, landscapes)):

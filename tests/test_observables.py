@@ -12,8 +12,6 @@ from aqwalk import (
     ipr,
     negativity_coin_position,
     negativity_particle_particle,
-    new_one_particle,
-    new_two_particle,
     reduced_particle_density,
     run_walk,
     sigma,
@@ -24,6 +22,13 @@ from aqwalk.state import SpinorField1P, TwoParticleField
 from oracles import amplitude_matrix, front_position, negativity_pt_loops, pp_negativity_loops
 
 R = 1.0 / math.sqrt(2.0)
+
+
+def _at_origin(amp, half):
+    """A line over [-half, half] that holds amp at the origin and zero elsewhere."""
+    line = np.zeros(2 * half + 1, dtype=complex)
+    line[half] = amp
+    return line
 
 
 def test_distribution_one_step_symmetric():
@@ -76,7 +81,7 @@ def test_front_position_simple():
 
 
 def test_negativity_product_state_is_zero():
-    state = new_one_particle(InitialState.symmetric(), 3)
+    state = SpinorField1P(3, _at_origin(R, 3), _at_origin(R, 3))
     assert negativity_coin_position(state) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -100,11 +105,11 @@ def test_negativity_walk_state_matches_dense_oracle():
 
 
 def test_negativity_rejects_unnormalized():
-    state = new_one_particle(InitialState.up(), 2)
+    state = SpinorField1P(2, _at_origin(1.0, 2), _at_origin(0.0, 2))
     state.up *= 1.1
     with pytest.raises(ValueError, match="normalized"):
         negativity_coin_position(state)
-    bad2 = new_two_particle(InitialState.basis_two_particle("uu"), 2)
+    bad2 = TwoParticleField("xline", 2, 0, _at_origin(1.0, 2), None, None, _at_origin(0.0, 2))
     bad2.uu *= 1.1
     with pytest.raises(ValueError, match="normalized"):
         negativity_particle_particle(bad2)
@@ -119,13 +124,13 @@ def test_negativity_bound_along_walk():
 
 
 def test_negativity_full2d_unsupported():
-    state = new_two_particle(InitialState.basis_two_particle("uu"), 3, force_full2d=True)
+    state = TwoParticleField("full2d", 3, 3, _at_origin(1.0, 3), *(_at_origin(0.0, 3) for _ in range(3)))
     with pytest.raises(ValueError, match="full-2D"):
         negativity_coin_position(state)
 
 
 def test_pp_negativity_initial_product_state():
-    state = new_two_particle(InitialState.basis_two_particle("uu"), 3)
+    state = TwoParticleField("xline", 3, 0, _at_origin(1.0, 3), None, None, _at_origin(0.0, 3))
     assert negativity_particle_particle(state) == pytest.approx(0.0, abs=1e-15)
 
 
