@@ -25,7 +25,7 @@ from .errors import ConfigError
 from .evolve import RECORD_KEYS, DisorderSpec, WalkSpec
 from .ensemble import EnsembleSpec
 from .spectral import DISPERSION_VARIANTS
-from .state import InitialState, check_origin, two_particle_confinement
+from .state import InitialState, check_origin, confinement
 
 __all__ = ["Experiment", "KINDS", "load_config", "parse_config", "parse_angle"]
 
@@ -186,10 +186,9 @@ def _parse_walk(raw, where: str, exp: Experiment | None = None) -> WalkSpec:
         if key in record[:i]:
             raise ConfigError(f"{where}.record", f"{key!r} is listed twice")
     layout = raw.get("layout", "auto")
-    confinement = "1p" if particles == 1 else two_particle_confinement(init.coin, layout == "full2d")
     if steps >= 1:  # else WalkSpec reports the step count
         try:
-            check_origin(confinement, init.coords, steps)
+            check_origin(confinement(init.coin, layout == "full2d"), init.coords, steps)
         except ValueError as exc:
             raise ConfigError(f"{where}.origin", str(exc))
     try:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import RealizationError
-from .evolve import DisorderSpec, WalkSpec, landscape_size, run_walk, run_walk_batch, sample_landscape
+from .evolve import WalkSpec, landscape_size, run_walk, run_walk_batch, sample_landscape
 from .state import families
 
 __all__ = [

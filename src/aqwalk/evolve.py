@@ -43,29 +43,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coins import CoinSchedule, theta_at
-# sigma, ipr and the per-state negativities are unused here: perfbench's replay patches them
-from .observables import (  # noqa: F401
+from .observables import (
     Distribution1D,
     Distribution2D,
     crossing_coin_density,
     distribution,
-    ipr,
     line_observables,
-    negativity_coin_position,
-    negativity_particle_particle,
     particle_particle_from_density,
-    sigma,
 )
-from .state import (
-    LINES,
-    InitialState,
-    SpinorField1P,
-    TwoParticleField,
-    check_origin,
-    families,
-    new_field,
-    two_particle_confinement,
-)
+# unused here: perfbench's replay patches them
+from .observables import ipr, negativity_coin_position, negativity_particle_particle, sigma  # noqa: F401
+from .state import LINES, Field, InitialState, check_origin, confinement, families, new_field
 
 __all__ = [
     "DisorderSpec",
@@ -187,9 +175,7 @@ class WalkSpec:
     @property
     def confinement(self) -> str:
         """The layout the walk keeps for all time: "1p", "xline", "yline" or "full2d"."""
-        if self.particle_count == 1:
-            return "1p"
-        return two_particle_confinement(self.init.coin, self.layout == "full2d")
+        return confinement(self.init.coin, self.layout == "full2d")
 
     @property
     def full2d(self) -> bool:
@@ -207,7 +193,7 @@ class RunResult:
     negativity_coin_position: np.ndarray | None = None
     negativity_particle_particle: np.ndarray | None = None
     distribution: Distribution1D | Distribution2D | None = None
-    final_state: SpinorField1P | TwoParticleField | None = None
+    final_state: Field | None = None
 
     def series(self, key: str) -> np.ndarray:
         value = getattr(self, key)
@@ -393,7 +379,7 @@ def run_walk_batch(spec: WalkSpec, landscapes) -> list[RunResult]:
         frame.unload(planes)
     results = []
     for row in range(rows):
-        state = new_field(layout, spec.init.coords, [_complex(planes[..., row]) for planes in final])
+        state = new_field(layout, [_complex(planes[..., row]) for planes in final])
         result = RunResult(steps=steps, final_state=state)
         for key in scalar_keys:
             setattr(result, key, series[key][row])

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import LINES, SpinorField1P, TwoParticleField, lines, probabilities, site_probabilities
+from .state import LINES, Field, lines, probabilities, site_probabilities
 
 __all__ = [
     "Distribution1D",
@@ -35,14 +35,6 @@ __all__ = [
     "negativity_coin_position",
     "negativity_particle_particle",
     "reduced_particle_density",
-    "row_sums",
-    "sigma_rows",
-    "ipr_rows",
-    "line_sums",
-    "check_normalized",
-    "line_observables",
-    "crossing_coin_density",
-    "particle_particle_from_density",
 ]
 
 STATE_NORM_TOL = 1e-8
@@ -192,11 +184,12 @@ def negativity_coin_position(state) -> float:
     return _line_value(state, "negativity_coin_position")
 
 
-def reduced_particle_density(state: TwoParticleField) -> np.ndarray:
+def reduced_particle_density(state: Field) -> np.ndarray:
     """4x4 density matrix of the two-particle coin space, position traced out."""
     planes = [(name, (left.real, left.imag, right.real, right.imag)) for name, left, right in lines(state)]
-    # the two lines of a full-2D field cross at the origin, index T of each
-    return crossing_coin_density(planes, state.half_width_x if state.confinement == "full2d" else None)[0]
+    # the two lines of a full-2D field cross at the origin, the middle site of each
+    site = len(state.components["uu"]) // 2 if state.confinement == "full2d" else None
+    return crossing_coin_density(planes, site)[0]
 
 
 def crossing_coin_density(line_planes, site) -> np.ndarray:
@@ -239,14 +232,14 @@ def particle_particle_from_density(rho4: np.ndarray) -> np.ndarray:
     return np.maximum(np.add.reduce((np.abs(lam) - lam) / 2.0, axis=-1), 0.0)
 
 
-def negativity_particle_particle(state: TwoParticleField) -> float:
+def negativity_particle_particle(state: Field) -> float:
     """Entanglement negativity between the two walkers.
 
     Confined states use the closed form |c|.  Full-2D states trace out
     position, partially transpose the second particle, and sum
     (|lambda| - lambda)/2 over the four eigenvalues.
     """
-    if isinstance(state, SpinorField1P):
+    if state.confinement == "1p":
         raise ValueError("particle/particle negativity needs a two-particle state")
     if state.confinement in LINES:
         return _line_value(state, "negativity_particle_particle")

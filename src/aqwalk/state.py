@@ -1,12 +1,12 @@
-"""State containers for one- and two-particle walkers on integer lattices.
+"""The state of a walk: its layout and the complex arrays of its lines.
 
-A one-particle state is a pair of complex amplitude arrays (up, down) over
-x in [-half_width, +half_width].  A two-particle state holds the four coin
-components (uu, ud, du, dd) as lines: the coin mixes uu with dd and ud
-with du, and the shift moves uu and dd along x and ud and du along y.  A
-start with coin support in {uu, dd} stays on one x line, support in
-{ud, du} on one y line, and a mixed start (a full-2D field) on the x and
-the y line through its origin, which is all of the 2D grid it ever reaches.
+A one-particle state is a line of two coin components (up, down).  A
+two-particle state holds the four coin components (uu, ud, du, dd) as
+lines: the coin mixes uu with dd and ud with du, and the shift moves uu
+and dd along x and ud and du along y.  A start with coin support in
+{uu, dd} stays on one x line, support in {ud, du} on one y line, and a
+mixed start (a full-2D field) on the x and the y line through its origin,
+which is all of the 2D grid it ever reaches.
 
 States are plain values; the evolution engine returns new states rather
 than mutating in place.
@@ -21,25 +21,18 @@ import numpy as np
 
 __all__ = [
     "InitialState",
-    "SpinorField1P",
-    "TwoParticleField",
-    "Line",
+    "Field",
     "LINES",
-    "families",
-    "lines",
     "new_field",
     "site_probabilities",
-    "probabilities",
-    "two_particle_confinement",
+    "confinement",
     "check_origin",
 ]
 
 COIN_NORM_TOL = 1e-9
 
 # basis index order for the two-particle coin space
-UU, UD, DU, DD = 0, 1, 2, 3
-
-_BASIS_2P = {"uu": UU, "ud": UD, "du": DU, "dd": DD}
+_BASIS_2P = {"uu": 0, "ud": 1, "du": 2, "dd": 3}
 _BASIS = {"up": 0, "down": 1, **_BASIS_2P}
 
 
@@ -73,17 +66,19 @@ class InitialState:
 
     coin: complex vector of length 2 (one particle) or 4 (two particles,
     order uu, ud, du, dd).  origin: int x0 for one particle, (x0, y0)
-    for two.
+    for two; by default 0 on every axis.
     """
 
     coin: np.ndarray
-    origin: int | tuple[int, int] = 0
+    origin: int | tuple[int, int] | None = None
 
     def __post_init__(self):
         vec = np.asarray(self.coin, dtype=np.complex128)
         object.__setattr__(self, "coin", vec)
         if vec.shape not in ((2,), (4,)):
             raise ValueError(f"coin vector must have length 2 or 4, got shape {vec.shape}")
+        if self.origin is None:
+            object.__setattr__(self, "origin", 0 if len(vec) == 2 else (0, 0))
         nrm = float(np.sum(np.abs(vec) ** 2))
         if not abs(nrm - 1.0) <= COIN_NORM_TOL:  # also rejects NaN
             raise ValueError(f"coin vector must be normalized, |amp|^2 sums to {nrm!r}")
@@ -108,72 +103,38 @@ class InitialState:
         return cls(np.array([r, r]), origin)
 
     @classmethod
-    def one_particle(cls, alpha: complex, beta: complex, origin: int = 0) -> "InitialState":
-        return cls(np.array([alpha, beta]), origin)
-
-    @classmethod
     def basis_two_particle(cls, label: str, origin: tuple[int, int] = (0, 0)) -> "InitialState":
         """One of the four coin basis states 'uu', 'ud', 'du', 'dd'."""
         vec = np.zeros(4, dtype=np.complex128)
         vec[_BASIS_2P[label]] = 1.0
         return cls(vec, origin)
 
-    @classmethod
-    def two_particle(cls, amplitudes, origin: tuple[int, int] = (0, 0)) -> "InitialState":
-        return cls(np.asarray(amplitudes, dtype=np.complex128), origin)
 
+@dataclass(frozen=True)
+class Field:
+    """The state of a walk: its layout (a key of LINES, or "full2d") and the
+    arrays of its lines by component name, each over the lattice [-T, T].
 
-@dataclass
-class SpinorField1P:
-    """Two-component complex field over x in [-half_width, half_width]."""
-
-    half_width: int
-    up: np.ndarray
-    down: np.ndarray
-    confinement = "1p"  # its key in LINES, as a two-particle field's confinement is
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.arange(-self.half_width, self.half_width + 1)
-
-    def norm(self) -> float:
-        return float(np.sum(probabilities(self)))
-
-
-@dataclass
-class TwoParticleField:
-    """Four-component complex field for two walkers, stored as lines.
-
-    confinement is one of:
-      "xline"  : only uu, dd as 1D arrays along x, state pinned at y = y0
-      "yline"  : only ud, du as 1D arrays along y, state pinned at x = x0
-      "full2d" : uu, dd as 1D arrays along x at y = 0 and ud, du as 1D
-                 arrays along y at x = 0, all of length 2T + 1; every other
-                 site of the 2D grid holds zero (see probabilities)
-    Absent components in the confined variants are identically zero by
-    operator structure and are stored as None.
+    A one-line layout stores the two components (L, R) of its line, along
+    the axis the line moves along.  A full-2D field stores uu and dd along
+    the x line at y = 0 and ud and du along the y line at x = 0; every
+    other site of the 2D grid holds zero (see probabilities).  A component
+    a layout does not hold is not stored.
     """
 
     confinement: str
-    half_width_x: int
-    half_width_y: int
-    uu: np.ndarray | None
-    ud: np.ndarray | None
-    du: np.ndarray | None
-    dd: np.ndarray | None
-    x0: int = 0
-    y0: int = 0
-
-    def norm(self) -> float:
-        return float(np.sum(probabilities(self)))
+    components: dict[str, np.ndarray]
 
 
-def two_particle_confinement(coin: np.ndarray, force_full2d: bool = False) -> str:
-    """Layout a two-particle walk from this coin vector keeps for all time.
+def confinement(coin: np.ndarray, force_full2d: bool = False) -> str:
+    """Layout a walk from this coin vector keeps for all time.
 
-    Coin support in {uu, dd} gives "xline", support in {ud, du} "yline",
-    anything mixed (or force_full2d) "full2d".
+    A one-particle coin gives "1p".  Two-particle coin support in {uu, dd}
+    gives "xline", support in {ud, du} "yline", anything mixed (or
+    force_full2d) "full2d".
     """
+    if len(coin) == 2:
+        return "1p"
     if not force_full2d:
         support = {i for i in range(4) if coin[i] != 0}
         for name in ("xline", "yline"):
@@ -194,17 +155,11 @@ def check_origin(layout: str, coords: tuple[int, ...], steps: int):
                          f"[-steps, steps] on the other, got {shown}")
 
 
-def new_field(layout: str, coords: tuple[int, ...], pairs):
-    """The state of a walk in `layout` from origin coords, given the (L, R) arrays
-    of each of its families (see families), each over the lattice [-T, T]."""
-    arrays = {component: line for name, pair in zip(families(layout), pairs)
-              for component, line in zip(LINES[name].fields, pair)}
-    half_width = len(pairs[0][0]) // 2
-    if layout == "1p":
-        return SpinorField1P(half_width, **arrays)
-    moving = {LINES[name].axis for name in families(layout)}
-    widths = [half_width if axis in moving else 0 for axis in (0, 1)]
-    return TwoParticleField(layout, *widths, x0=coords[0], y0=coords[1], **{**dict.fromkeys(_BASIS_2P), **arrays})
+def new_field(layout: str, pairs) -> Field:
+    """The state of a walk in `layout`, given the (L, R) arrays of each of
+    its families (see families), each over the lattice [-T, T]."""
+    return Field(layout, {component: line for name, pair in zip(families(layout), pairs)
+                          for component, line in zip(LINES[name].fields, pair)})
 
 
 def families(layout: str) -> tuple[str, ...]:
@@ -219,13 +174,13 @@ def families(layout: str) -> tuple[str, ...]:
 
 def lines(state):
     """(layout, L, R) of each family of lines of a state, L and R of shape (sites, 1)."""
-    return [(name, *(getattr(state, component)[:, None] for component in LINES[name].fields))
+    return [(name, *(state.components[component][:, None] for component in LINES[name].fields))
             for name in families(state.confinement)]
 
 
 def site_probabilities(lr, li, rr, ri):
     """|L|^2 + |R|^2 per site, summed plane by plane in this order: the line
-    kernel, distribution and norm all take |psi|^2 from here, so they agree bitwise."""
+    kernel and distribution both take |psi|^2 from here, so they agree bitwise."""
     return lr * lr + li * li + rr * rr + ri * ri
 
 
@@ -234,7 +189,7 @@ def probabilities(state) -> np.ndarray:
     full-2D field, which is zero off its two lines and sums the x line first where they cross."""
     p = []
     for name in families(state.confinement):
-        left, right = (getattr(state, component) for component in LINES[name].fields)
+        left, right = (state.components[component] for component in LINES[name].fields)
         p.append(site_probabilities(left.real, left.imag, right.real, right.imag))
     if len(p) == 1:
         return p[0]

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from aqwalk.ensemble import EnsembleSummary
-from aqwalk.state import SpinorField1P
 
 
 def dense_step_matrix(nsites, theta, phis=None, powers=(0, 1)):
@@ -242,15 +241,13 @@ def amplitude_matrix(state):
     Shape (2, N) for one particle, (4, N) for a confined two-particle
     state (coin order uu, ud, du, dd; absent components are zero rows).
     """
-    if isinstance(state, SpinorField1P):
-        return np.vstack([state.up, state.down])
-    if state.confinement == "xline":
-        zeros = np.zeros_like(state.uu)
-        return np.vstack([state.uu, zeros, zeros, state.dd])
-    if state.confinement == "yline":
-        zeros = np.zeros_like(state.ud)
-        return np.vstack([zeros, state.ud, state.du, zeros])
-    raise ValueError("coin/position bipartition is not supported for full-2D states")
+    components = state.components
+    if state.confinement == "1p":
+        return np.vstack([components["up"], components["down"]])
+    if state.confinement == "full2d":
+        raise ValueError("coin/position bipartition is not supported for full-2D states")
+    zeros = np.zeros_like(next(iter(components.values())))
+    return np.vstack([components.get(name, zeros) for name in ("uu", "ud", "du", "dd")])
 
 
 @dataclass(frozen=True)

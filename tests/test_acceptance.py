@@ -24,18 +24,17 @@ from aqwalk import (
     EnsembleSpec,
     InitialState,
     WalkSpec,
-    dispersion_omega,
+    distribution,
     group_velocity,
     negativity_coin_position,
     run_ensemble,
     run_walk,
-    sigma as dist_sigma,
     theta_at,
     transfer_matrix_1p,
     transfer_matrix_2p,
 )
 from aqwalk.cli import main as cli_main
-from aqwalk.state import SpinorField1P, TwoParticleField
+from aqwalk.state import new_field
 
 from oracles import (amplitude_matrix, evolve_dense, front_position, golden_section_max, negativity_pt_loops,
                      random_pure_amplitude_matrix)
@@ -264,12 +263,7 @@ def test_criterion_07_oracle_equivalence():
         half = int(rng.integers(0, 17))
         left, right = random_pure_amplitude_matrix(rng, 2, 2 * half + 1)
         layout = rng.choice(["1p", "xline", "yline"])
-        if layout == "1p":
-            state = SpinorField1P(half, left, right)
-        elif layout == "xline":
-            state = TwoParticleField("xline", half, 0, left, None, None, right)
-        else:
-            state = TwoParticleField("yline", 0, half, None, right, left, None)
+        state = new_field(str(layout), [(left, right)])
         oracle = negativity_pt_loops(amplitude_matrix(state))
         worst_neg = max(worst_neg, abs(negativity_coin_position(state) - oracle))
 
@@ -278,7 +272,8 @@ def test_criterion_07_oracle_equivalence():
     sched = CoinSchedule(math.pi / 3, 0.01)
     one = run_walk(WalkSpec(1, sched, InitialState.up(), steps, record=())).final_state
     two = run_walk(WalkSpec(2, sched, InitialState.basis_two_particle("uu"), steps, record=())).final_state
-    worst_amp = max(float(np.abs(two.uu - one.up).max()), float(np.abs(two.dd - one.down).max()))
+    worst_amp = max(float(np.abs(two.components["uu"] - one.components["up"]).max()),
+                    float(np.abs(two.components["dd"] - one.components["down"]).max()))
 
     ok = worst_neg < 1e-9 and worst_amp < 1e-12
     _report(7, ok, f"closed-form negativity vs loop oracle differ by {worst_neg:.2e}; "
@@ -300,7 +295,7 @@ def test_criterion_08_unitarity_long_runs():
         spec = WalkSpec(particles, CoinSchedule(theta0, a), init, 1000,
                         disorder=DisorderSpec(kind, seed=int(rng.integers(1 << 48))),
                         record=())
-        drift = abs(run_walk(spec).final_state.norm() - 1.0)
+        drift = abs(distribution(run_walk(spec).final_state).total() - 1.0)
         worst = max(worst, drift)
     ok = worst < 1e-10
     _report(8, ok, f"worst norm drift over 50 configs x 1000 steps: {worst:.2e}")

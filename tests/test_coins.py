@@ -35,7 +35,7 @@ def engine_coin2(theta, phi=None):
     cols = []
     for init in (InitialState.up(), InitialState.down()):
         out = one_step(init, theta, phi)
-        cols.append([out.up[0], out.down[2]])
+        cols.append([out.components["up"][0], out.components["down"][2]])
     return np.array(cols).T
 
 
@@ -45,9 +45,9 @@ def engine_coin4_lines(theta, phi=None):
     for k, label in enumerate(BASIS_2P):
         out = one_step(InitialState.basis_two_particle(label), theta, phi)
         if out.confinement == "xline":
-            m[0, k], m[3, k] = out.uu[0], out.dd[2]
+            m[0, k], m[3, k] = out.components["uu"][0], out.components["dd"][2]
         else:
-            m[1, k], m[2, k] = out.ud[2], out.du[0]
+            m[1, k], m[2, k] = out.components["ud"][2], out.components["du"][0]
     return m
 
 
@@ -56,7 +56,7 @@ def engine_coin4_full2d(theta, phi=None):
     cols = []
     for label in BASIS_2P:
         out = one_step(InitialState.basis_two_particle(label), theta, phi, layout="full2d")
-        cols.append([comp[site] for comp, site in zip((out.uu, out.ud, out.du, out.dd), LANDING_2D)])
+        cols.append([out.components[name][site] for name, site in zip(BASIS_2P, LANDING_2D)])
     return np.array(cols).T
 
 

@@ -13,6 +13,7 @@ from aqwalk import (
     WalkSpec,
     run_ensemble,
     run_walk,
+    sample_landscape,
 )
 
 from oracles import convergence_report
@@ -59,6 +60,19 @@ def test_base_seed_controls_landscapes():
     assert not np.array_equal(sa.mean["sigma"], sb.mean["sigma"])
     again = run_ensemble(spec_a, workers=1)
     assert np.array_equal(sa.mean["sigma"], again.mean["sigma"])
+
+
+def test_two_run_stderr_is_the_sample_standard_error():
+    # the two realizations run one by one and reduced here with numpy's sample std
+    spec = EnsembleSpec(_walk(kind="temporal", record=("sigma", "distribution")), runs=2, base_seed=3)
+    summary = run_ensemble(spec, workers=1)
+    walk = dataclasses.replace(spec.walk, disorder=DisorderSpec("temporal", seed=3))
+    runs = [run_walk(walk, sample_landscape(walk.disorder, walk.steps, i)) for i in range(2)]
+    for got, samples in ((summary.stderr["sigma"], [r.sigma for r in runs]),
+                         (summary.stderr_distribution, [r.distribution.p for r in runs])):
+        expected = np.std(samples, axis=0, ddof=1) / math.sqrt(2)
+        assert np.max(expected) > 0.01  # the two landscapes give different walks
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-15)
 
 
 def test_mean_distribution_normalized():
@@ -195,7 +209,7 @@ def test_failing_realization_is_tagged_across_workers(monkeypatch):
 def test_chunking_does_not_change_results(monkeypatch):
     from aqwalk import ensemble as ens_module
 
-    mixed = InitialState.two_particle([0.5, 0.5, 0.5, 0.5])
+    mixed = InitialState(np.array([0.5, 0.5, 0.5, 0.5]))
     full2d = WalkSpec(2, CoinSchedule(0.8, 0.01), mixed, 30, disorder=DisorderSpec("temporal"),
                       record=("negativity_particle_particle",))
     specs = [EnsembleSpec(_walk(particles=2, record=("sigma", "ipr", "distribution",
@@ -231,7 +245,7 @@ def test_full2d_ensembles_chunk_by_bytes():
     from aqwalk.ensemble import _CHUNK_BYTES, _chunk_rows
 
     # a chunk holds the rows whose frames fit the budget, 32 (T + 1) bytes per family of lines
-    mixed = InitialState.two_particle([0.5, 0.5, 0.5, 0.5])
+    mixed = InitialState(np.array([0.5, 0.5, 0.5, 0.5]))
     walk = WalkSpec(2, CoinSchedule(0.8, 0.01), mixed, 8, disorder=DisorderSpec("temporal"),
                     record=("negativity_particle_particle",))
     assert _chunk_rows(walk) == _CHUNK_BYTES // (2 * 32 * 9)

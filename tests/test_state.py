@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from aqwalk import CoinSchedule, InitialState, SpinorField1P, WalkSpec, run_walk
-from aqwalk.state import two_particle_confinement
+from aqwalk import CoinSchedule, InitialState, WalkSpec, distribution, run_walk
+from aqwalk.state import confinement, new_field
 
 
 def _spec(init, steps, particles=None, layout="auto"):
@@ -21,7 +21,7 @@ def test_rejects_non_normalized_coin():
     with pytest.raises(ValueError, match="normalized"):
         InitialState(np.array([math.nan, 1.0]))
     with pytest.raises(ValueError, match="normalized"):
-        InitialState.two_particle([1.0, 0.0, 0.0, complex(0.0, math.nan)])
+        InitialState(np.array([1.0, 0.0, 0.0, complex(0.0, math.nan)]))
 
 
 def test_rejects_origin_outside_lattice():
@@ -34,21 +34,22 @@ def test_rejects_origin_outside_lattice():
 def test_two_particle_confinement_detection():
     for label, layout in (("uu", "xline"), ("dd", "xline"), ("ud", "yline"), ("du", "yline")):
         init = InitialState.basis_two_particle(label)
-        assert two_particle_confinement(init.coin) == layout
+        assert confinement(init.coin) == layout
         assert _spec(init, 4).confinement == layout
     r = 1.0 / math.sqrt(2.0)
-    mixed = InitialState.two_particle([r, r, 0.0, 0.0])
-    assert two_particle_confinement(mixed.coin) == "full2d"
+    mixed = InitialState(np.array([r, r, 0.0, 0.0]))
+    assert confinement(mixed.coin) == "full2d"
     assert _spec(mixed, 4).confinement == "full2d"
+    assert confinement(InitialState.up().coin) == confinement(InitialState.up().coin, True) == "1p"
     assert _spec(InitialState.up(), 4).confinement == "1p"
 
 
 def test_uu_dd_superposition_stays_on_x_line():
     r = 1.0 / math.sqrt(2.0)
-    init = InitialState.two_particle([r, 0.0, 0.0, r])
+    init = InitialState(np.array([r, 0.0, 0.0, r]))
     field = run_walk(_spec(init, 4)).final_state
     assert field.confinement == "xline"
-    assert field.ud is None and field.du is None
+    assert set(field.components) == {"uu", "dd"}  # an absent component is not stored
 
 
 def test_force_full2d_layout():
@@ -57,18 +58,29 @@ def test_force_full2d_layout():
     assert spec.confinement == "full2d" and spec.full2d
     field = run_walk(spec).final_state
     assert field.confinement == "full2d"
-    assert {getattr(field, name).shape for name in ("uu", "ud", "du", "dd")} == {(9,)}
-    assert np.count_nonzero(field.ud) == np.count_nonzero(field.du) == 0
-    assert field.norm() == pytest.approx(1.0, abs=1e-15)
+    assert sorted(field.components) == ["dd", "du", "ud", "uu"]
+    assert {line.shape for line in field.components.values()} == {(9,)}
+    assert np.count_nonzero(field.components["ud"]) == np.count_nonzero(field.components["du"]) == 0
+    assert distribution(field).total() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_norm_scaling():
     r = 1.0 / math.sqrt(2.0)
-    field = SpinorField1P(2, np.array([0, 0, r, 0, 0], dtype=complex), np.array([0, 0, r, 0, 0], dtype=complex))
-    assert field.norm() == pytest.approx(1.0, abs=1e-15)
-    field.up *= 2.0
-    field.down *= 2.0
-    assert field.norm() == pytest.approx(4.0, abs=1e-12)
+    field = new_field("1p", [(np.array([0, 0, r, 0, 0], dtype=complex), np.array([0, 0, r, 0, 0], dtype=complex))])
+    assert distribution(field).total() == pytest.approx(1.0, abs=1e-15)
+    field.components["up"] *= 2.0
+    field.components["down"] *= 2.0
+    assert distribution(field).total() == pytest.approx(4.0, abs=1e-12)
+
+
+def test_default_origin_is_zero_on_every_axis():
+    assert InitialState(np.array([1.0, 0.0])).origin == 0
+    for coin, layout in (([1.0, 0, 0, 0], "xline"), ([0.5, 0.5, 0.5, 0.5], "full2d")):
+        init = InitialState(np.array(coin))
+        assert init.origin == (0, 0)
+        result = run_walk(WalkSpec(2, CoinSchedule(0.5), init, 3, record=("distribution",)))
+        assert result.final_state.confinement == layout
+        assert distribution(result.final_state).total() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_two_particle_needs_pair_origin():
