@@ -22,7 +22,6 @@ from .errors import (
 )
 from .evolve import (
     DisorderSpec,
-    PhaseLandscape,
     RunResult,
     WalkSpec,
     run_walk,

@@ -25,7 +25,7 @@ from .errors import ConfigError
 from .evolve import RECORD_KEYS, DisorderSpec, WalkSpec
 from .ensemble import EnsembleSpec
 from .spectral import DISPERSION_VARIANTS
-from .state import InitialState, check_origin, confinement
+from .state import InitialState
 
 __all__ = ["Experiment", "KINDS", "load_config", "parse_config", "parse_angle"]
 
@@ -113,16 +113,16 @@ def _as_int(value, where: str) -> int:
     return value
 
 
-def _parse_initial(raw, particles: int, origin, where: str) -> InitialState:
+def _parse_initial(raw, particles: int, where: str) -> InitialState:
     if isinstance(raw, str):
         label = raw.strip().lower()
         if particles == 1:
             if label not in _NAMED_INITIALS_1P:
                 raise ConfigError(where, f"unknown one-particle initial state {raw!r}")
-            return getattr(InitialState, label)(origin)
+            return getattr(InitialState, label)()
         if label not in _NAMED_INITIALS_2P:
             raise ConfigError(where, f"unknown two-particle initial state {raw!r}")
-        return InitialState.basis_two_particle(label, origin)
+        return InitialState.basis_two_particle(label)
     if isinstance(raw, list):
         if not all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in raw):
             raise ConfigError(where, "amplitudes must be [re, im] pairs")
@@ -131,7 +131,7 @@ def _parse_initial(raw, particles: int, origin, where: str) -> InitialState:
                                      f"got {len(raw)}")
         amps = np.array([complex(parse_angle(re, where), parse_angle(im, where)) for re, im in raw])
         try:
-            return InitialState(amps, origin)
+            return InitialState(amps)
         except ValueError as exc:
             raise ConfigError(where, str(exc))
     raise ConfigError(where, "expected a named state or a list of [re, im] pairs")
@@ -152,8 +152,7 @@ def _parse_disorder(raw, where: str) -> DisorderSpec:
         raise ConfigError(where, str(exc))
 
 
-WALK_FIELDS = ("particles", "theta0", "acceleration", "steps", "initial", "origin", "disorder", "record",
-               "layout")
+WALK_FIELDS = ("particles", "theta0", "acceleration", "steps", "initial", "disorder", "record", "layout")
 
 
 def _parse_walk(raw, where: str, exp: Experiment | None = None) -> WalkSpec:
@@ -167,15 +166,8 @@ def _parse_walk(raw, where: str, exp: Experiment | None = None) -> WalkSpec:
     theta0 = parse_angle(_require(raw, "theta0", where), f"{where}.theta0")
     accel = parse_angle(raw.get("acceleration", 0.0), f"{where}.acceleration")
     steps = _as_int(_require(raw, "steps", where), f"{where}.steps")
-    origin = raw.get("origin", 0 if particles == 1 else [0, 0])
-    if particles == 2:
-        if not (isinstance(origin, list) and len(origin) == 2):
-            raise ConfigError(f"{where}.origin", "two-particle origin must be [x0, y0]")
-        origin = tuple(_as_int(v, f"{where}.origin") for v in origin)
-    else:
-        origin = _as_int(origin, f"{where}.origin")
     init = _parse_initial(raw.get("initial", "symmetric" if particles == 1 else "uu"),
-                          particles, origin, f"{where}.initial")
+                          particles, f"{where}.initial")
     disorder = _parse_disorder(raw.get("disorder"), f"{where}.disorder")
     record = raw.get("record", ["distribution", "sigma"])
     if not isinstance(record, list) or not record:
@@ -186,13 +178,8 @@ def _parse_walk(raw, where: str, exp: Experiment | None = None) -> WalkSpec:
         if key in record[:i]:
             raise ConfigError(f"{where}.record", f"{key!r} is listed twice")
     layout = raw.get("layout", "auto")
-    if steps >= 1:  # else WalkSpec reports the step count
-        try:
-            check_origin(confinement(init.coin, layout == "full2d"), init.coords, steps)
-        except ValueError as exc:
-            raise ConfigError(f"{where}.origin", str(exc))
     try:
-        return WalkSpec(particles, CoinSchedule(theta0, accel), init, steps, disorder, tuple(record), layout)
+        return WalkSpec(CoinSchedule(theta0, accel), init, steps, disorder, tuple(record), layout)
     except ValueError as exc:
         raise ConfigError(where, str(exc))
 

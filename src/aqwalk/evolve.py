@@ -25,11 +25,11 @@ Conventions (fixed throughout the package):
   two-component update: a component L that moves to lower positions, a
   component R that moves to higher ones, and row phases e^{i k phi} with
   k the number of down spins of each.  A full-2D field is two such lines
-  through its origin, (uu, dd) along x and (du, ud) along y.  One batched kernel
+  through the origin, (uu, dd) along x and (du, ud) along y.  One batched kernel
   steps every layout, in frames that move with L and R (see _Frame).
 
-* A walk starts at 0 on each axis it moves along (state.check_origin), so
-  its lattice [-steps, steps] is exactly its light cone and no amplitude leaves it.
+* A walk starts at 0, so its lattice [-steps, steps] is exactly its light
+  cone and no amplitude leaves it.
 
 All steps are unitary: the norm of the state is preserved to machine
 precision.
@@ -53,11 +53,10 @@ from .observables import (
 )
 # unused here: perfbench's replay patches them
 from .observables import ipr, negativity_coin_position, negativity_particle_particle, sigma  # noqa: F401
-from .state import LINES, Field, InitialState, check_origin, confinement, families, new_field
+from .state import LINES, Field, InitialState, confinement, families, new_field
 
 __all__ = [
     "DisorderSpec",
-    "PhaseLandscape",
     "WalkSpec",
     "RunResult",
     "sample_landscape",
@@ -101,40 +100,27 @@ class DisorderSpec:
             raise ValueError("phase_min must be <= phase_max")
 
 
-@dataclass(frozen=True)
-class PhaseLandscape:
-    """One realization of the phase disorder.
-
-    values is a per-site array for spatial disorder, a per-step array for
-    temporal disorder, and None for the clean walk.
-    """
-
-    kind: str
-    values: np.ndarray | None = None
-
-
-def sample_landscape(disorder: DisorderSpec, size: int, realization_index: int = 0) -> PhaseLandscape:
+def sample_landscape(disorder: DisorderSpec, size: int, realization_index: int = 0) -> np.ndarray | None:
     """Draw one disorder realization, deterministic in (seed, index).
 
-    size is the number of lattice sites (spatial) or steps (temporal).
-    Each realization index keys an independent, reproducible stream.
+    A landscape is its phases: one per lattice site (spatial disorder) or
+    per step (temporal), size of them, and None for the clean walk.  Each
+    realization index keys an independent, reproducible stream.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     if realization_index < 0:
         raise ValueError("realization_index must be >= 0")
     if disorder.kind == "none":
-        return PhaseLandscape("none", None)
+        return None
     rng = np.random.default_rng([disorder.seed & _SEED_MASK, realization_index])
-    values = rng.uniform(disorder.phase_min, disorder.phase_max, size)
-    return PhaseLandscape(disorder.kind, values)
+    return rng.uniform(disorder.phase_min, disorder.phase_max, size)
 
 
 @dataclass(frozen=True)
 class WalkSpec:
-    """Complete description of a single walk run."""
+    """Complete description of a single walk run; it starts at 0 with the coin vector init.coin."""
 
-    particle_count: int
     schedule: CoinSchedule
     init: InitialState
     steps: int
@@ -143,8 +129,6 @@ class WalkSpec:
     layout: str = "auto"  # "full2d" keeps confined 2p walks on the 2D grid
 
     def __post_init__(self):
-        if self.particle_count not in (1, 2):
-            raise ValueError(f"particle_count must be 1 or 2, got {self.particle_count}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.layout not in ("auto", "full2d"):
@@ -157,13 +141,6 @@ class WalkSpec:
                 raise ValueError(f"unknown record key {key!r}; known keys: {RECORD_KEYS}")
         if "negativity_particle_particle" in self.record and self.particle_count != 2:
             raise ValueError("negativity_particle_particle requires particle_count = 2")
-        expected_len = 2 if self.particle_count == 1 else 4
-        if self.init.coin.shape != (expected_len,):
-            raise ValueError(
-                f"initial coin vector length {self.init.coin.shape[0]} does not match "
-                f"particle_count {self.particle_count}"
-            )
-        check_origin(self.confinement, self.init.coords, self.steps)
         if self.full2d:
             for key in self.record:
                 if key in ("sigma", "ipr", "negativity_coin_position"):
@@ -171,6 +148,11 @@ class WalkSpec:
                                      "distribution and negativity_particle_particle")
             if self.disorder.kind == "spatial":
                 raise ValueError("spatial disorder is only supported on confined (single-line) walks")
+
+    @property
+    def particle_count(self) -> int:
+        """1 or 2, from the length of the coin vector."""
+        return len(self.init.coin) // 2
 
     @property
     def confinement(self) -> str:
@@ -310,23 +292,21 @@ def landscape_size(spec: WalkSpec) -> int:
     return 2 * spec.steps + 1
 
 
-def _check_landscape(spec: WalkSpec, landscape: PhaseLandscape):
-    if landscape.kind != spec.disorder.kind:
-        raise ValueError(
-            f"landscape kind {landscape.kind!r} does not match disorder kind {spec.disorder.kind!r}"
-        )
-    if landscape.kind != "none" and len(landscape.values) != landscape_size(spec):
-        raise ValueError(
-            f"landscape has {len(landscape.values)} values, walk needs {landscape_size(spec)}"
-        )
-    if landscape.kind != "none" and not np.all(np.isfinite(landscape.values)):
+def _check_landscape(spec: WalkSpec, landscape: np.ndarray | None):
+    if (landscape is None) != (spec.disorder.kind == "none"):
+        raise ValueError(f"a walk with disorder kind {spec.disorder.kind!r} "
+                         f"{'needs a' if landscape is None else 'takes no'} landscape")
+    if landscape is not None and len(landscape) != landscape_size(spec):
+        raise ValueError(f"landscape has {len(landscape)} phases, walk needs {landscape_size(spec)}")
+    if landscape is not None and not np.all(np.isfinite(landscape)):
         raise ValueError("landscape phases must be finite")
 
 
-def run_walk(spec: WalkSpec, landscape: PhaseLandscape | None = None) -> RunResult:
+def run_walk(spec: WalkSpec, landscape: np.ndarray | None = None) -> RunResult:
     """Run a full walk, recording the requested observables at every step.
 
-    landscape defaults to realization 0 of spec.disorder.  Scalar series
+    landscape (see sample_landscape) defaults to realization 0 of
+    spec.disorder, which is None for the clean walk.  Scalar series
     (sigma, ipr, negativities) have steps+1 entries with index 0 the
     initial state; the distribution is recorded for the final state only.
     """
@@ -340,7 +320,7 @@ def run_walk_batch(spec: WalkSpec, landscapes) -> list[RunResult]:
 
     Result i is bit-identical to run_walk(spec, landscapes[i]) whatever
     the batch size.  A full-2D walk runs as two frames stepped in lockstep,
-    the x line and the y line through its origin, and its final state holds
+    the x line and the y line through the origin, and its final state holds
     those two lines.  Memory grows with the batch, by 32 (T + 1) bytes per
     row and family of lines; callers cap it in bytes.
     """
@@ -350,8 +330,7 @@ def run_walk_batch(spec: WalkSpec, landscapes) -> list[RunResult]:
         return []
     layout, rows, steps = spec.confinement, len(landscapes), spec.steps
     frames = [_Frame(name, rows, steps, spec.init.coin) for name in families(layout)]
-    values = [landscape.values for landscape in landscapes]
-    phases = [[_phase_planes(values, power) for power in LINES[frame.layout].powers] for frame in frames]
+    phases = [[_phase_planes(landscapes, power) for power in LINES[frame.layout].powers] for frame in frames]
     scalar_keys = [k for k in spec.record if k != "distribution"]
     series = {k: np.zeros((rows, steps + 1)) for k in scalar_keys}
 

@@ -196,7 +196,7 @@ def lyapunov_localization_length(
         raise ValueError("transfer chains take spatial disorder only (kind 'none' or 'spatial')")
     _check_sec(theta)
 
-    phis = sample_landscape(disorder, chain_length, realization_index).values
+    phis = sample_landscape(disorder, chain_length, realization_index)
     if phis is None:
         phis = np.zeros(chain_length)
 

@@ -5,7 +5,7 @@ two-particle state holds the four coin components (uu, ud, du, dd) as
 lines: the coin mixes uu with dd and ud with du, and the shift moves uu
 and dd along x and ud and du along y.  A start with coin support in
 {uu, dd} stays on one x line, support in {ud, du} on one y line, and a
-mixed start (a full-2D field) on the x and the y line through its origin,
+mixed start (a full-2D field) on the x and the y line through the origin,
 which is all of the 2D grid it ever reaches.
 
 States are plain values; the evolution engine returns new states rather
@@ -26,7 +26,6 @@ __all__ = [
     "new_field",
     "site_probabilities",
     "confinement",
-    "check_origin",
 ]
 
 COIN_NORM_TOL = 1e-9
@@ -39,11 +38,10 @@ _BASIS = {"up": 0, "down": 1, **_BASIS_2P}
 @dataclass(frozen=True)
 class Line:
     """A one-line layout: the two components (L, R) it stores, L the one that
-    moves toward lower positions, the lattice axis they move along, and
-    their phase powers (k down spins pick up e^{i k phi})."""
+    moves toward lower positions, and their phase powers (k down spins pick
+    up e^{i k phi})."""
 
     fields: tuple[str, str]
-    axis: int
     powers: tuple[int, int]
 
     @property
@@ -54,60 +52,51 @@ class Line:
 
 # up moves to x-1, uu to x-1, du to y-1
 LINES = {
-    "1p": Line(("up", "down"), 0, (0, 1)),
-    "xline": Line(("uu", "dd"), 0, (0, 2)),
-    "yline": Line(("du", "ud"), 1, (1, 1)),
+    "1p": Line(("up", "down"), (0, 1)),
+    "xline": Line(("uu", "dd"), (0, 2)),
+    "yline": Line(("du", "ud"), (1, 1)),
 }
 
 
 @dataclass(frozen=True)
 class InitialState:
-    """Coin amplitudes plus lattice origin for a walk.
+    """Coin amplitudes of a walk at site 0.
 
     coin: complex vector of length 2 (one particle) or 4 (two particles,
-    order uu, ud, du, dd).  origin: int x0 for one particle, (x0, y0)
-    for two; by default 0 on every axis.
+    order uu, ud, du, dd).
     """
 
     coin: np.ndarray
-    origin: int | tuple[int, int] | None = None
 
     def __post_init__(self):
         vec = np.asarray(self.coin, dtype=np.complex128)
         object.__setattr__(self, "coin", vec)
         if vec.shape not in ((2,), (4,)):
             raise ValueError(f"coin vector must have length 2 or 4, got shape {vec.shape}")
-        if self.origin is None:
-            object.__setattr__(self, "origin", 0 if len(vec) == 2 else (0, 0))
         nrm = float(np.sum(np.abs(vec) ** 2))
         if not abs(nrm - 1.0) <= COIN_NORM_TOL:  # also rejects NaN
             raise ValueError(f"coin vector must be normalized, |amp|^2 sums to {nrm!r}")
 
-    @property
-    def coords(self) -> tuple[int, ...]:
-        """The origin as one int per lattice axis."""
-        return tuple(int(v) for v in np.atleast_1d(self.origin))
+    @classmethod
+    def up(cls) -> "InitialState":
+        return cls(np.array([1.0, 0.0]))
 
     @classmethod
-    def up(cls, origin: int = 0) -> "InitialState":
-        return cls(np.array([1.0, 0.0]), origin)
+    def down(cls) -> "InitialState":
+        return cls(np.array([0.0, 1.0]))
 
     @classmethod
-    def down(cls, origin: int = 0) -> "InitialState":
-        return cls(np.array([0.0, 1.0]), origin)
-
-    @classmethod
-    def symmetric(cls, origin: int = 0) -> "InitialState":
-        """(|up> + |down>)/sqrt(2) at the origin."""
+    def symmetric(cls) -> "InitialState":
+        """(|up> + |down>)/sqrt(2)."""
         r = 1.0 / math.sqrt(2.0)
-        return cls(np.array([r, r]), origin)
+        return cls(np.array([r, r]))
 
     @classmethod
-    def basis_two_particle(cls, label: str, origin: tuple[int, int] = (0, 0)) -> "InitialState":
+    def basis_two_particle(cls, label: str) -> "InitialState":
         """One of the four coin basis states 'uu', 'ud', 'du', 'dd'."""
         vec = np.zeros(4, dtype=np.complex128)
         vec[_BASIS_2P[label]] = 1.0
-        return cls(vec, origin)
+        return cls(vec)
 
 
 @dataclass(frozen=True)
@@ -141,18 +130,6 @@ def confinement(coin: np.ndarray, force_full2d: bool = False) -> str:
             if support <= set(LINES[name].slots):
                 return name
     return "full2d"
-
-
-def check_origin(layout: str, coords: tuple[int, ...], steps: int):
-    """Reject the origin of a `steps`-step walk in `layout` unless it has 1 (1p) or 2 coordinates,
-    is 0 on each axis the walk moves along (its lattice is then its light cone) and in [-steps, steps] on the other."""
-    if len(coords) != (1 if layout == "1p" else 2):
-        raise ValueError(f"origin {coords} has the wrong number of coordinates for a {layout} walk")
-    moving = {LINES[name].axis for name in families(layout)}
-    if any(c if axis in moving else abs(c) > steps for axis, c in enumerate(coords)):
-        shown = coords[0] if len(coords) == 1 else coords
-        raise ValueError(f"origin must be 0 on each axis the walk moves along and within "
-                         f"[-steps, steps] on the other, got {shown}")
 
 
 def new_field(layout: str, pairs) -> Field:

@@ -37,8 +37,8 @@ def dense_step_matrix(nsites, theta, phis=None, powers=(0, 1)):
     return shift @ b
 
 
-def evolve_dense(alpha, beta, steps, thetas, phis_per_step=None, x0=0, powers=(0, 1)):
-    """Evolve (alpha, beta) at x0 for `steps` steps with the dense matrix.
+def evolve_dense(alpha, beta, steps, thetas, phis_per_step=None, powers=(0, 1)):
+    """Evolve (alpha, beta) at 0 for `steps` steps with the dense matrix.
 
     thetas: sequence of per-step angles (length steps).  phis_per_step:
     None, or a sequence of per-step phase inputs (scalar or per-site).
@@ -47,8 +47,8 @@ def evolve_dense(alpha, beta, steps, thetas, phis_per_step=None, x0=0, powers=(0
     """
     n = 2 * steps + 1
     vec = np.zeros(2 * n, dtype=complex)
-    vec[steps + x0] = alpha
-    vec[n + steps + x0] = beta
+    vec[steps] = alpha
+    vec[n + steps] = beta
     for t in range(steps):
         phis = None if phis_per_step is None else phis_per_step[t]
         vec = dense_step_matrix(n, thetas[t], phis, powers) @ vec
@@ -79,16 +79,16 @@ def dense_step_matrix_2d(nsites, theta, phi=None):
     return shift @ np.kron(coin, np.eye(n * n))
 
 
-def evolve_dense_2d(coin, steps, thetas, phis=None, origin=(0, 0)):
+def evolve_dense_2d(coin, steps, thetas, phis=None):
     """States of a two-particle walk on the grid [-steps, steps]^2 after each step.
 
-    coin: the four start amplitudes (uu, ud, du, dd) at origin (x0, y0).
+    coin: the four start amplitudes (uu, ud, du, dd) at (0, 0).
     thetas: per-step angles; phis: None or per-step scalar phases.
     Returns a list of steps + 1 arrays of shape (4, N, N), the start first.
     """
     n = 2 * steps + 1
     vec = np.zeros((4, n, n), dtype=complex)
-    vec[:, steps + origin[0], steps + origin[1]] = coin
+    vec[:, steps, steps] = coin
     states = [vec]
     for t in range(steps):
         step = dense_step_matrix_2d(n, thetas[t], None if phis is None else phis[t])

@@ -68,7 +68,7 @@ def _half_life(curve):
 
 def test_criterion_01_homogeneous_baseline():
     t0 = time.perf_counter()
-    spec = WalkSpec(1, CoinSchedule(math.pi / 4, 0.0), InitialState.symmetric(), 200,
+    spec = WalkSpec(CoinSchedule(math.pi / 4, 0.0), InitialState.symmetric(), 200,
                     record=("distribution", "sigma"))
     result = run_walk(spec)
     elapsed = time.perf_counter() - t0
@@ -108,7 +108,7 @@ def test_criterion_01_homogeneous_baseline():
 def test_criterion_02_localized_coin():
     worst = 0.0
     for t in range(1, 501):
-        spec = WalkSpec(1, CoinSchedule(math.pi / 2, 0.0), InitialState.symmetric(), t, record=("distribution",))
+        spec = WalkSpec(CoinSchedule(math.pi / 2, 0.0), InitialState.symmetric(), t, record=("distribution",))
         dist = run_walk(spec).distribution
         mass = dist.p[np.abs(dist.x) <= 1].sum()
         worst = max(worst, abs(mass - 1.0))
@@ -124,7 +124,7 @@ THETA0S = ((math.pi / 4, "pi/4"), (math.pi / 2, "pi/2"))
 
 
 def _sigma_series(theta0, a, steps=200):
-    spec = WalkSpec(1, CoinSchedule(theta0, a), InitialState.symmetric(), steps,
+    spec = WalkSpec(CoinSchedule(theta0, a), InitialState.symmetric(), steps,
                     record=("sigma",))
     return run_walk(spec).sigma
 
@@ -195,7 +195,7 @@ def test_saturation_reached_at_larger_acceleration():
 
 
 def test_criterion_04_negativity_bound_and_saturation():
-    spec = WalkSpec(1, CoinSchedule(math.pi / 2, 0.03), InitialState.symmetric(), 400,
+    spec = WalkSpec(CoinSchedule(math.pi / 2, 0.03), InitialState.symmetric(), 400,
                     record=("negativity_coin_position",))
     neg = run_walk(spec).negativity_coin_position
     bound_ok = neg.max() <= 0.5 + 1e-12
@@ -211,7 +211,7 @@ def test_criterion_04_negativity_bound_and_saturation():
         np.max(np.maximum.accumulate(after) - after)) < 1e-3
 
     # threshold values verified against the loop partial-transpose oracle
-    probe = WalkSpec(1, CoinSchedule(math.pi / 2, 0.03), InitialState.symmetric(), 100,
+    probe = WalkSpec(CoinSchedule(math.pi / 2, 0.03), InitialState.symmetric(), 100,
                      record=("negativity_coin_position",))
     probe_state = run_walk(probe).final_state
     fast = negativity_coin_position(probe_state)
@@ -229,7 +229,7 @@ def test_criterion_04_negativity_bound_and_saturation():
 
 
 def test_criterion_05_two_particle_null_case():
-    spec = WalkSpec(2, CoinSchedule(math.pi / 2, 0.0), InitialState.basis_two_particle("uu"),
+    spec = WalkSpec(CoinSchedule(math.pi / 2, 0.0), InitialState.basis_two_particle("uu"),
                     500, record=("negativity_particle_particle",))
     neg = run_walk(spec).negativity_particle_particle
     worst = float(np.abs(neg).max())
@@ -241,7 +241,7 @@ def test_criterion_05_two_particle_null_case():
 def test_criterion_06_entanglement_rise_and_decay():
     curves = {}
     for a in (0.002, 0.02):
-        spec = WalkSpec(2, CoinSchedule(math.pi / 2, a), InitialState.basis_two_particle("uu"),
+        spec = WalkSpec(CoinSchedule(math.pi / 2, a), InitialState.basis_two_particle("uu"),
                         500, record=("negativity_particle_particle",))
         curves[a] = run_walk(spec).negativity_particle_particle
     rises = curves[0.002][0] == 0.0 and curves[0.002].max() > 0.1
@@ -270,8 +270,8 @@ def test_criterion_07_oracle_equivalence():
     # confined two-particle evolution vs the one-particle walk, pointwise
     steps = 50
     sched = CoinSchedule(math.pi / 3, 0.01)
-    one = run_walk(WalkSpec(1, sched, InitialState.up(), steps, record=())).final_state
-    two = run_walk(WalkSpec(2, sched, InitialState.basis_two_particle("uu"), steps, record=())).final_state
+    one = run_walk(WalkSpec(sched, InitialState.up(), steps, record=())).final_state
+    two = run_walk(WalkSpec(sched, InitialState.basis_two_particle("uu"), steps, record=())).final_state
     worst_amp = max(float(np.abs(two.components["uu"] - one.components["up"]).max()),
                     float(np.abs(two.components["dd"] - one.components["down"]).max()))
 
@@ -292,7 +292,7 @@ def test_criterion_08_unitarity_long_runs():
         kind = ["none", "spatial", "temporal"][i % 3]
         init = InitialState.symmetric() if particles == 1 else (
             InitialState.basis_two_particle("uu" if i % 4 < 2 else "ud"))
-        spec = WalkSpec(particles, CoinSchedule(theta0, a), init, 1000,
+        spec = WalkSpec(CoinSchedule(theta0, a), init, 1000,
                         disorder=DisorderSpec(kind, seed=int(rng.integers(1 << 48))),
                         record=())
         drift = abs(distribution(run_walk(spec).final_state).total() - 1.0)
@@ -311,7 +311,7 @@ def test_criterion_09_dispersion_and_front_speed():
         worst_k = max(worst_k, abs(k_star - math.pi / 2))
         worst_v = max(worst_v, abs(v_max - math.cos(theta0)))
 
-    spec = WalkSpec(1, CoinSchedule(math.pi / 4, 0.0), InitialState.symmetric(), 200,
+    spec = WalkSpec(CoinSchedule(math.pi / 4, 0.0), InitialState.symmetric(), 200,
                     record=("distribution",))
     dist = run_walk(spec).distribution
     speed = front_position(dist, 0.01) / 200.0
@@ -350,7 +350,7 @@ def test_criterion_10_transfer_matrices():
 def localization_ensembles():
     out = {}
     for a in (0.002, 0.02):
-        walk = WalkSpec(1, CoinSchedule(math.pi / 2, a), InitialState.up(), 200,
+        walk = WalkSpec(CoinSchedule(math.pi / 2, a), InitialState.up(), 200,
                         disorder=DisorderSpec("spatial"), record=("sigma", "ipr"))
         out[a] = run_ensemble(EnsembleSpec(walk, runs=500, base_seed=31), workers=None)
     return out
@@ -378,12 +378,12 @@ def test_criterion_11_localization_vs_delocalization(localization_ensembles):
 
 def test_criterion_12_disorder_prolongs_entanglement():
     steps = 300
-    clean_spec = WalkSpec(2, CoinSchedule(math.pi / 2, 0.002),
+    clean_spec = WalkSpec(CoinSchedule(math.pi / 2, 0.002),
                           InitialState.basis_two_particle("uu"), steps,
                           record=("negativity_particle_particle",))
     clean = run_walk(clean_spec).negativity_particle_particle
 
-    walk = WalkSpec(2, CoinSchedule(math.pi / 2, 0.002), InitialState.basis_two_particle("uu"),
+    walk = WalkSpec(CoinSchedule(math.pi / 2, 0.002), InitialState.basis_two_particle("uu"),
                     steps, disorder=DisorderSpec("spatial"),
                     record=("negativity_particle_particle",))
     summary = run_ensemble(EnsembleSpec(walk, runs=1000, base_seed=57), workers=None)

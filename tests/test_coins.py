@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from aqwalk import CoinSchedule, DisorderSpec, InitialState, PhaseLandscape, WalkSpec, run_walk
+from aqwalk import CoinSchedule, DisorderSpec, InitialState, WalkSpec, run_walk
 from aqwalk.coins import theta_at
 
 # The coin matrices below are read off the engine: one step from each
@@ -24,10 +24,9 @@ LANDING_2D = (0, 2, 0, 2)
 def one_step(init, theta, phi=None, layout="auto"):
     """The state one engine step after init: a clean step, or one with the temporal phase phi."""
     disorder = DisorderSpec("none" if phi is None else "temporal")
-    landscape = PhaseLandscape(disorder.kind, None if phi is None else np.array([phi]))
-    spec = WalkSpec(len(init.coin) // 2, CoinSchedule(theta, 0.0), init, 1, disorder=disorder, record=(),
+    spec = WalkSpec(CoinSchedule(theta, 0.0), init, 1, disorder=disorder, record=(),
                     layout=layout)
-    return run_walk(spec, landscape).final_state
+    return run_walk(spec, None if phi is None else np.array([phi])).final_state
 
 
 def engine_coin2(theta, phi=None):

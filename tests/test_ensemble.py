@@ -21,7 +21,7 @@ from oracles import convergence_report
 
 def _walk(kind="spatial", steps=60, a=0.01, record=("sigma",), particles=1, theta0=math.pi / 2):
     init = InitialState.symmetric() if particles == 1 else InitialState.basis_two_particle("uu")
-    return WalkSpec(particles, CoinSchedule(theta0, a), init, steps,
+    return WalkSpec(CoinSchedule(theta0, a), init, steps,
                     disorder=DisorderSpec(kind), record=record)
 
 
@@ -93,7 +93,7 @@ def test_temporal_disorder_on_a_y_line_is_a_global_phase(start):
     # both y-line components carry e^{i phi} (phase powers (1, 1)), so a phase that is the
     # same at every site multiplies the whole state: every realization is the clean walk
     record = ("distribution", "negativity_particle_particle", "negativity_coin_position")
-    walk = WalkSpec(2, CoinSchedule(math.pi / 4, 0.01), InitialState.basis_two_particle(start), 60,
+    walk = WalkSpec(CoinSchedule(math.pi / 4, 0.01), InitialState.basis_two_particle(start), 60,
                     disorder=DisorderSpec("temporal"), record=record)
     summary = run_ensemble(EnsembleSpec(walk, runs=64, base_seed=5), workers=1)
     clean = run_walk(dataclasses.replace(walk, disorder=DisorderSpec()))
@@ -162,7 +162,7 @@ def test_failing_chunk_names_first_failing_realization(monkeypatch):
     real_run_walk = ens_module.run_walk
 
     def fail_on_bad_landscape(walk, landscape):
-        if landscape.values[0] == bad.values[0]:
+        if landscape[0] == bad[0]:
             raise ValueError("synthetic engine failure")
         return real_run_walk(walk, landscape)
 
@@ -210,7 +210,7 @@ def test_chunking_does_not_change_results(monkeypatch):
     from aqwalk import ensemble as ens_module
 
     mixed = InitialState(np.array([0.5, 0.5, 0.5, 0.5]))
-    full2d = WalkSpec(2, CoinSchedule(0.8, 0.01), mixed, 30, disorder=DisorderSpec("temporal"),
+    full2d = WalkSpec(CoinSchedule(0.8, 0.01), mixed, 30, disorder=DisorderSpec("temporal"),
                       record=("negativity_particle_particle",))
     specs = [EnsembleSpec(_walk(particles=2, record=("sigma", "ipr", "distribution",
                                                      "negativity_particle_particle")),
@@ -246,13 +246,13 @@ def test_full2d_ensembles_chunk_by_bytes():
 
     # a chunk holds the rows whose frames fit the budget, 32 (T + 1) bytes per family of lines
     mixed = InitialState(np.array([0.5, 0.5, 0.5, 0.5]))
-    walk = WalkSpec(2, CoinSchedule(0.8, 0.01), mixed, 8, disorder=DisorderSpec("temporal"),
+    walk = WalkSpec(CoinSchedule(0.8, 0.01), mixed, 8, disorder=DisorderSpec("temporal"),
                     record=("negativity_particle_particle",))
     assert _chunk_rows(walk) == _CHUNK_BYTES // (2 * 32 * 9)
     # line walks: the 1p shape of fig12/fig18 and the x line of fig22
     assert _chunk_rows(_walk(kind="temporal", steps=200)) == _CHUNK_BYTES // (32 * 201) >= 32
     assert _chunk_rows(_walk(particles=2, steps=500)) == _CHUNK_BYTES // (32 * 501) >= 32
-    forced = WalkSpec(2, CoinSchedule(0.8, 0.01), InitialState.basis_two_particle("uu"), 8,
+    forced = WalkSpec(CoinSchedule(0.8, 0.01), InitialState.basis_two_particle("uu"), 8,
                       disorder=DisorderSpec("temporal"), record=("negativity_particle_particle",),
                       layout="full2d")
     assert _chunk_rows(forced) == _chunk_rows(walk)

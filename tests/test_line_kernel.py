@@ -45,20 +45,15 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None,
 
 @st.composite
 def walks(draw):
-    """(layout, WalkSpec, L and R start amplitudes, origin along the line, which is 0)."""
+    """(layout, WalkSpec, L and R start amplitudes)."""
     layout = draw(st.sampled_from(sorted(LAYOUTS)))
     steps = draw(st.integers(1, 60))
     mix = draw(st.floats(0.0, math.pi / 2))
     amps = (math.cos(mix), math.sin(mix) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi))))
-    origin = 0  # a walk's lattice is its light cone from 0; only a frozen axis may sit off the centre
     slots, _ = LAYOUTS[layout]
     coin = np.zeros(2 if layout == "1p" else 4, dtype=complex)
     coin[list(slots)] = amps
-    if layout == "1p":
-        init = InitialState(coin, origin)
-    else:
-        other = draw(st.integers(-steps, steps))
-        init = InitialState(coin, (origin, other) if layout == "xline" else (other, origin))
+    init = InitialState(coin)
     keys = [k for k in RECORD_KEYS if layout != "1p" or k != "negativity_particle_particle"]
     record = draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
     disorder = DisorderSpec(draw(st.sampled_from(["none", "spatial", "temporal"])),
@@ -67,8 +62,8 @@ def walks(draw):
     # eigensolver of the loop oracle loses accuracy (the walk does not)
     theta0 = draw(st.one_of(st.just(0.0), st.floats(1e-6, math.pi / 2)))
     schedule = CoinSchedule(theta0, draw(st.floats(0.0, 0.2)))
-    spec = WalkSpec(1 if layout == "1p" else 2, schedule, init, steps, disorder=disorder, record=record)
-    return layout, spec, amps, origin
+    spec = WalkSpec(schedule, init, steps, disorder=disorder, record=record)
+    return layout, spec, amps
 
 
 def _landscapes(spec, count):
@@ -83,7 +78,7 @@ def _components(layout, state):
 @PROPERTY_SETTINGS
 @given(walk=walks(), rows=st.integers(2, 7))
 def test_batch_rows_are_bit_identical_to_single_runs(walk, rows):
-    layout, spec, _, _ = walk
+    layout, spec, _ = walk
     landscapes = _landscapes(spec, rows)
     singles = [run_walk(spec, landscape) for landscape in landscapes]
     batch = run_walk_batch(spec, landscapes)
@@ -101,14 +96,14 @@ def test_batch_rows_are_bit_identical_to_single_runs(walk, rows):
 @PROPERTY_SETTINGS
 @given(walk=walks())
 def test_single_run_matches_dense_oracle(walk):
-    layout, spec, (alpha, beta), origin = walk
+    layout, spec, (alpha, beta) = walk
     landscape = _landscapes(spec, 1)[0]
     result = run_walk(spec, landscape)
     steps = spec.steps
     thetas = [theta_at(spec.schedule, t) for t in range(1, steps + 1)]
-    phis = {"none": None, "spatial": [landscape.values] * steps,
-            "temporal": None if landscape.values is None else list(landscape.values)}[spec.disorder.kind]
-    left, right = evolve_dense(alpha, beta, steps, thetas, phis, x0=origin, powers=LAYOUTS[layout][1])
+    phis = {"none": None, "spatial": [landscape] * steps,
+            "temporal": None if landscape is None else list(landscape)}[spec.disorder.kind]
+    left, right = evolve_dense(alpha, beta, steps, thetas, phis, powers=LAYOUTS[layout][1])
     got_left, got_right = _components(layout, result.final_state)
     assert np.max(np.abs(got_left - left)) < 1e-12
     assert np.max(np.abs(got_right - right)) < 1e-12
@@ -140,7 +135,7 @@ def test_single_run_matches_dense_oracle(walk):
 @given(walk=walks())
 def test_per_state_observables_agree_with_the_walk(walk):
     # the public per-state functions read the final state the way the kernel reads its frame
-    layout, spec, _, _ = walk
+    layout, spec, _ = walk
     keys = tuple(k for k in RECORD_KEYS if layout != "1p" or k != "negativity_particle_particle")
     spec = replace(spec, record=keys)
     result = run_walk(spec, _landscapes(spec, 1)[0])
@@ -160,7 +155,7 @@ def test_per_state_observables_agree_with_the_walk(walk):
 @PROPERTY_SETTINGS
 @given(walk=walks())
 def test_norm_is_preserved_on_random_walks(walk):
-    _, spec, _, _ = walk
+    _, spec, _ = walk
     result = run_walk(spec, _landscapes(spec, 1)[0])
     assert abs(distribution(result.final_state).total() - 1.0) < 1e-10
 
@@ -169,22 +164,17 @@ def test_norm_is_preserved_on_random_walks(walk):
 @given(walk=walks())
 def test_mirrored_start_gives_the_mirrored_walk(walk):
     # x -> -x with L and R swapped maps the clean walk onto itself, so the start
-    # (beta, alpha) at -x0 gives the mirror image of the start (alpha, beta) at x0
-    layout, spec, (alpha, beta), origin = walk
+    # (beta, alpha) gives the mirror image of the start (alpha, beta)
+    layout, spec, (alpha, beta) = walk
     keys = tuple(k for k in RECORD_KEYS if layout != "1p" or k != "negativity_particle_particle")
     spec = replace(spec, disorder=DisorderSpec("none"), record=keys)
     coin = spec.init.coin.copy()
     coin[list(LAYOUTS[layout][0])] = beta, alpha
-    if layout == "1p":
-        mirrored_origin = -origin
-    else:
-        x0, y0 = spec.init.origin
-        mirrored_origin = (-x0, y0) if layout == "xline" else (x0, -y0)
-    mirrored = replace(spec, init=InitialState(coin, mirrored_origin))
+    mirrored = replace(spec, init=InitialState(coin))
     result, image = run_walk(spec), run_walk(mirrored)
     t = np.arange(spec.steps + 1)
-    # sigma^2 = second - mean^2 carries rounding of order eps * second <= eps * (|x0| + t)^2
-    assert np.all(np.abs(result.sigma ** 2 - image.sigma ** 2) < 1e-12 * np.maximum(1.0, (abs(origin) + t) ** 2))
+    # sigma^2 = second - mean^2 carries rounding of order eps * second <= eps * t^2
+    assert np.all(np.abs(result.sigma ** 2 - image.sigma ** 2) < 1e-12 * np.maximum(1.0, t ** 2))
     for key in set(keys) - {"distribution", "sigma"}:
         assert np.max(np.abs(result.series(key) - image.series(key))) < 1e-12
     assert np.max(np.abs(result.distribution.p - image.distribution.p[::-1])) < 1e-12
@@ -199,9 +189,8 @@ def grid_walks(draw):
                      for _ in range(4)])
     assume(np.sum(np.abs(amps) ** 2) > 1e-3)
     amps /= np.sqrt(np.sum(np.abs(amps) ** 2))
-    origin = (0, 0)  # a full-2D walk moves along both axes
     theta0 = draw(st.one_of(st.just(0.0), st.floats(1e-6, math.pi / 2)))
-    spec = WalkSpec(2, CoinSchedule(theta0, draw(st.floats(0.0, 0.2))), InitialState(amps, origin), steps,
+    spec = WalkSpec(CoinSchedule(theta0, draw(st.floats(0.0, 0.2))), InitialState(amps), steps,
                     disorder=DisorderSpec(draw(st.sampled_from(["none", "temporal"])),
                                           seed=draw(st.integers(0, 2**32 - 1))),
                     record=("distribution", "negativity_particle_particle"),
@@ -218,7 +207,7 @@ def test_full2d_walk_matches_dense_grid_oracle(walk, rows):
     result = run_walk(spec, landscapes[0])
     steps = spec.steps
     thetas = [theta_at(spec.schedule, t) for t in range(1, steps + 1)]
-    states = evolve_dense_2d(amps, steps, thetas, landscapes[0].values, spec.init.origin)
+    states = evolve_dense_2d(amps, steps, thetas, landscapes[0])
     final = result.final_state
     # the state is its x line (uu, dd at y = 0) and its y line (ud, du at x = 0):
     # on the grid, every other site must hold zero

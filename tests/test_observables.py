@@ -32,7 +32,7 @@ def _at_origin(amp, half):
 
 
 def test_distribution_one_step_symmetric():
-    spec = WalkSpec(1, CoinSchedule(math.pi / 4, 0.0), InitialState.symmetric(), 1,
+    spec = WalkSpec(CoinSchedule(math.pi / 4, 0.0), InitialState.symmetric(), 1,
                     record=("distribution",))
     dist = run_walk(spec).distribution
     assert dist.p[0] == pytest.approx(0.5, abs=1e-15)  # x = -1
@@ -41,7 +41,7 @@ def test_distribution_one_step_symmetric():
 
 
 def test_distribution_localized_support():
-    spec = WalkSpec(1, CoinSchedule(math.pi / 2, 0.0), InitialState.symmetric(), 200,
+    spec = WalkSpec(CoinSchedule(math.pi / 2, 0.0), InitialState.symmetric(), 200,
                     record=("distribution",))
     dist = run_walk(spec).distribution
     outside = np.abs(dist.x) > 1
@@ -49,7 +49,7 @@ def test_distribution_localized_support():
 
 
 def test_distribution_bimodal_within_velocity_bound():
-    spec = WalkSpec(1, CoinSchedule(math.pi / 4, 0.0), InitialState.symmetric(), 200,
+    spec = WalkSpec(CoinSchedule(math.pi / 4, 0.0), InitialState.symmetric(), 200,
                     record=("distribution",))
     dist = run_walk(spec).distribution
     peak_x = abs(int(dist.x[np.argmax(dist.p)]))
@@ -96,7 +96,7 @@ def test_negativity_bell_like_state_is_half():
 
 
 def test_negativity_walk_state_matches_dense_oracle():
-    spec = WalkSpec(1, CoinSchedule(math.pi / 4, 0.0), InitialState.symmetric(), 10,
+    spec = WalkSpec(CoinSchedule(math.pi / 4, 0.0), InitialState.symmetric(), 10,
                     record=("distribution",))
     state = run_walk(spec).final_state
     fast = negativity_coin_position(state)
@@ -116,7 +116,7 @@ def test_negativity_rejects_unnormalized():
 
 
 def test_negativity_bound_along_walk():
-    spec = WalkSpec(1, CoinSchedule(math.pi / 2, 0.03), InitialState.symmetric(), 300,
+    spec = WalkSpec(CoinSchedule(math.pi / 2, 0.03), InitialState.symmetric(), 300,
                     record=("negativity_coin_position",))
     series = run_walk(spec).negativity_coin_position
     assert series.max() <= 0.5 + 1e-12
@@ -136,7 +136,7 @@ def test_pp_negativity_initial_product_state():
 
 def _uu_walk(theta, steps):
     """Final state of the clean two-particle walk from uu at a fixed coin angle."""
-    spec = WalkSpec(2, CoinSchedule(theta, 0.0), InitialState.basis_two_particle("uu"), steps, record=())
+    spec = WalkSpec(CoinSchedule(theta, 0.0), InitialState.basis_two_particle("uu"), steps, record=())
     return run_walk(spec).final_state
 
 
@@ -167,7 +167,7 @@ def test_pp_negativity_builds_after_overlap():
 
 
 def test_pp_negativity_walk_series_matches_loops():
-    spec = WalkSpec(2, CoinSchedule(math.pi / 2, 0.02), InitialState.basis_two_particle("uu"), 30,
+    spec = WalkSpec(CoinSchedule(math.pi / 2, 0.02), InitialState.basis_two_particle("uu"), 30,
                     record=("negativity_particle_particle",))
     result = run_walk(spec)
     state = result.final_state
@@ -177,7 +177,7 @@ def test_pp_negativity_walk_series_matches_loops():
 
 
 def test_pp_negativity_symmetric_under_transposed_side():
-    spec = WalkSpec(2, CoinSchedule(math.pi / 2, 0.01), InitialState.basis_two_particle("uu"), 25,
+    spec = WalkSpec(CoinSchedule(math.pi / 2, 0.01), InitialState.basis_two_particle("uu"), 25,
                     record=("distribution",))
     state = run_walk(spec).final_state
     rho = reduced_particle_density(state)
@@ -190,7 +190,7 @@ def test_pp_negativity_symmetric_under_transposed_side():
 
 
 def test_reduced_density_positive_unit_trace():
-    spec = WalkSpec(2, CoinSchedule(math.pi / 2, 0.005), InitialState.basis_two_particle("uu"), 60,
+    spec = WalkSpec(CoinSchedule(math.pi / 2, 0.005), InitialState.basis_two_particle("uu"), 60,
                     record=("distribution",))
     state = run_walk(spec).final_state
     rho = reduced_particle_density(state)
@@ -203,7 +203,7 @@ def test_reduced_density_positive_unit_trace():
 
 def test_eigensolver_contract_on_partial_transpose():
     # residual check for the Hermitian solve used inside the negativity
-    spec = WalkSpec(2, CoinSchedule(math.pi / 2, 0.01), InitialState.basis_two_particle("uu"), 40,
+    spec = WalkSpec(CoinSchedule(math.pi / 2, 0.01), InitialState.basis_two_particle("uu"), 40,
                     record=("distribution",))
     state = run_walk(spec).final_state
     pt = partial_transpose_second(reduced_particle_density(state))
@@ -215,7 +215,7 @@ def test_eigensolver_contract_on_partial_transpose():
 
 
 def test_observables_mirror_invariant():
-    spec = WalkSpec(1, CoinSchedule(0.9, 0.01), InitialState(np.array([0.6, 0.8j])), 40,
+    spec = WalkSpec(CoinSchedule(0.9, 0.01), InitialState(np.array([0.6, 0.8j])), 40,
                     record=("distribution",))
     state = run_walk(spec).final_state
     mirrored = new_field("1p", [(state.components["down"][::-1].copy(), state.components["up"][::-1].copy())])
@@ -229,7 +229,7 @@ def test_observables_mirror_invariant():
 
 
 def test_two_particle_coin_position_negativity_confined():
-    spec = WalkSpec(2, CoinSchedule(math.pi / 2, 0.03), InitialState.basis_two_particle("uu"), 12,
+    spec = WalkSpec(CoinSchedule(math.pi / 2, 0.03), InitialState.basis_two_particle("uu"), 12,
                     record=("negativity_coin_position",))
     result = run_walk(spec)
     state = result.final_state
@@ -275,9 +275,9 @@ def test_closed_form_negativities_match_loop_oracles():
     (2, [0, R, R, 0], 60, "yline"),
     (2, [0.5, 0.5, 0.5, 0.5], 40, "full2d"),
 ])
-def test_norm_is_the_total_of_the_distribution(particles, coin, steps, confinement):
-    origin = 0 if particles == 1 else (0, 0)
-    spec = WalkSpec(particles, CoinSchedule(math.pi / 4, 0.0), InitialState(np.array(coin), origin), steps,
+def test_coin_gives_the_layout_and_particle_count(particles, coin, steps, confinement):
+    spec = WalkSpec(CoinSchedule(math.pi / 4, 0.0), InitialState(np.array(coin)), steps,
                     record=("distribution",))
+    assert spec.particle_count == particles
     state = run_walk(spec).final_state
     assert state.confinement == confinement

@@ -7,9 +7,8 @@ from aqwalk import CoinSchedule, InitialState, WalkSpec, distribution, run_walk
 from aqwalk.state import confinement, new_field
 
 
-def _spec(init, steps, particles=None, layout="auto"):
-    particles = particles or len(init.coin) // 2
-    return WalkSpec(particles, CoinSchedule(0.5), init, steps, record=(), layout=layout)
+def _spec(init, steps, layout="auto"):
+    return WalkSpec(CoinSchedule(0.5), init, steps, record=(), layout=layout)
 
 
 def test_rejects_non_normalized_coin():
@@ -22,13 +21,6 @@ def test_rejects_non_normalized_coin():
         InitialState(np.array([math.nan, 1.0]))
     with pytest.raises(ValueError, match="normalized"):
         InitialState(np.array([1.0, 0.0, 0.0, complex(0.0, math.nan)]))
-
-
-def test_rejects_origin_outside_lattice():
-    with pytest.raises(ValueError, match="origin"):
-        _spec(InitialState.up(origin=4), 3)
-    with pytest.raises(ValueError, match="origin"):
-        _spec(InitialState.basis_two_particle("uu", origin=(0, 7)), 5)
 
 
 def test_two_particle_confinement_detection():
@@ -73,25 +65,8 @@ def test_norm_scaling():
     assert distribution(field).total() == pytest.approx(4.0, abs=1e-12)
 
 
-def test_default_origin_is_zero_on_every_axis():
-    assert InitialState(np.array([1.0, 0.0])).origin == 0
-    for coin, layout in (([1.0, 0, 0, 0], "xline"), ([0.5, 0.5, 0.5, 0.5], "full2d")):
-        init = InitialState(np.array(coin))
-        assert init.origin == (0, 0)
-        result = run_walk(WalkSpec(2, CoinSchedule(0.5), init, 3, record=("distribution",)))
-        assert result.final_state.confinement == layout
-        assert distribution(result.final_state).total() == pytest.approx(1.0, abs=1e-14)
-
-
-def test_two_particle_needs_pair_origin():
-    with pytest.raises(ValueError, match="origin"):
-        _spec(InitialState(np.array([1.0, 0, 0, 0]), 0), 3)
-    with pytest.raises(ValueError, match="origin"):
-        _spec(InitialState(np.array([1.0, 0]), (0, 0)), 3)
-
-
-def test_wrong_coin_length_rejected():
-    with pytest.raises(ValueError, match="length 4 does not match particle_count 1"):
-        _spec(InitialState.basis_two_particle("uu"), 3, particles=1)
-    with pytest.raises(ValueError, match="length 2 does not match particle_count 2"):
-        _spec(InitialState(np.array([1.0, 0.0]), (0, 0)), 3, particles=2)
+def test_coin_must_have_length_2_or_4():
+    # the coin's length is the particle count, so no other length makes a walk
+    for coin in ([1.0], [1.0, 0.0, 0.0], [1.0] + [0.0] * 7):
+        with pytest.raises(ValueError, match="length 2 or 4"):
+            InitialState(np.array(coin))
