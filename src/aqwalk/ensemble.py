@@ -109,6 +109,7 @@ class WorkerPool(contextlib.AbstractContextManager):
         if self.workers == 1 or len(tasks) == 1:
             return [fn(task) for task in tasks]
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+        import numpy.random  # noqa: F401  (once here, not in each forked worker's first sample_landscape)
         self._executor = self._executor or ProcessPoolExecutor(max_workers=min(self.workers, len(tasks)))
         return list(self._executor.map(fn, tasks))
 

@@ -190,19 +190,23 @@ _COIN_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)
 
 
 def _phase_planes(rows, power: int):
-    """Factors e^{i power phi} as (cos, [-sin, sin]); None without a phase.
+    """Factors e^{i power phi} as planes (cos, -sin, sin); None without a phase.
 
-    rows holds, per batch row, a scalar phi or an array of phases (per
-    site or per step); the planes have shapes (m, rows) and (2, m, rows).
-    Each row is computed by its own call, so its values do not depend on
-    the batch it sits in.
+    rows holds, per batch row, an array of phases (per site or per step);
+    the planes have shape (3, m, rows).  Each row is computed by its own
+    call, so its values do not depend on the batch it sits in.
     """
     if power == 0 or rows[0] is None:
         return None
-    angles = [power * np.atleast_1d(np.asarray(phi, dtype=float)) for phi in rows]
+    angles = [power * np.asarray(phi, dtype=float) for phi in rows]
     cos = np.array([np.cos(a) for a in angles]).T
     sin = np.array([np.sin(a) for a in angles]).T
-    return np.ascontiguousarray(cos), np.stack([-sin, sin])
+    return np.stack([cos, -sin, sin])
+
+
+def _by_parity(values):
+    """A per-site array, lattice sites on axis 1, as its even and its odd sites (see _Frame.at_cone)."""
+    return np.ascontiguousarray(values[:, 0::2]), np.ascontiguousarray(values[:, 1::2])
 
 
 class _Frame:
@@ -228,33 +232,32 @@ class _Frame:
         self.steps = steps
         self.t = 0
         self.planes = np.zeros((2, 2, steps + 1, rows))
-        left, right, _ = self.cone()
-        for planes, slot in zip((left, right), LINES[layout].slots):
+        x = np.arange(-steps, steps + 1.0)
+        self.positions = _by_parity(np.stack([x, x * x]))
+        for planes, slot in zip(self.cone(), LINES[layout].slots):
             planes[0], planes[1] = coin[slot].real, coin[slot].imag
 
     def cone(self):
-        """(L, R, sites) at time t: the site-aligned (2, sites, rows) planes of
-        the cone and the lattice indices of its sites."""
-        t, steps = self.t, self.steps
-        return self.planes[0, :, :t + 1], self.planes[1, :, steps - t:], slice(steps - t, steps + t + 1, 2)
+        """(L, R) at time t: the site-aligned (2, sites, rows) planes of the cone."""
+        return self.planes[0, :, :self.t + 1], self.planes[1, :, self.steps - self.t:]
 
-    def unload(self, planes):
-        """Write the cone at time t into planes over the whole lattice, shape (2, 2, 2T + 1, rows)."""
-        left, right, sites = self.cone()
-        planes[0][:, sites], planes[1][:, sites] = left, right
+    def at_cone(self, halves):
+        """A per-site array split by _by_parity at the cone's sites, lattice indices T - t, T - t + 2, ..., T + t."""
+        start = self.steps - self.t
+        return halves[start % 2][:, start // 2:start // 2 + self.t + 1]
 
     def line(self):
         """(layout, planes (Re L, Im L, Re R, Im R) of the cone)."""
-        left, right, _ = self.cone()
+        left, right = self.cone()
         return self.layout, (*left, *right)
 
     def step(self, c: float, s: float, phases):
         """Coin [[c, -i s], [-i s, c]] and row phases at time t, then the shift to t + 1.
 
         phases holds one entry per component (L, R): None, or planes from
-        _phase_planes with one entry per lattice site or one for all sites.
+        _phase_planes at the cone's sites or one entry for all sites.
         """
-        left, right, sites = self.cone()
+        left, right = self.cone()
         mix = s * _COIN_SIGNS
         turned = left[::-1] * mix
         left *= c
@@ -263,21 +266,15 @@ class _Frame:
         right += turned
         for block, phase in zip((left, right), phases):
             if phase is not None:
-                cos, signed_sin = phase
-                if len(cos) > 1:
-                    cos, signed_sin = cos[sites], signed_sin[:, sites]
-                turned = block[::-1] * signed_sin  # (-Im sin, Re sin)
-                block *= cos
+                turned = block[::-1] * phase[1:]  # (-Im sin, Re sin)
+                block *= phase[0]
                 block += turned
         self.t += 1
 
     def observe(self, keys) -> dict:
         """The scalar observables named in keys, one value per row."""
-        left, right, _ = self.cone()
-        x = None
-        if "sigma" in keys:
-            x = 2.0 * np.arange(left.shape[1])[:, None] + float(-self.t)
-        return line_observables(keys, *left, *right, x)
+        left, right = self.cone()
+        return line_observables(keys, *left, *right, self.at_cone(self.positions))
 
 
 def _complex(planes):
@@ -331,6 +328,8 @@ def run_walk_batch(spec: WalkSpec, landscapes) -> list[RunResult]:
     layout, rows, steps = spec.confinement, len(landscapes), spec.steps
     frames = [_Frame(name, rows, steps, spec.init.coin) for name in families(layout)]
     phases = [[_phase_planes(landscapes, power) for power in LINES[frame.layout].powers] for frame in frames]
+    if spec.disorder.kind == "spatial":
+        phases = [[None if f is None else _by_parity(f) for f in planes] for planes in phases]
     scalar_keys = [k for k in spec.record if k != "distribution"]
     series = {k: np.zeros((rows, steps + 1)) for k in scalar_keys}
 
@@ -348,14 +347,13 @@ def run_walk_batch(spec: WalkSpec, landscapes) -> list[RunResult]:
         theta = theta_at(spec.schedule, t)
         c, s = math.cos(theta), math.sin(theta)
         for frame, planes in zip(frames, phases):
-            if spec.disorder.kind == "temporal":
-                planes = [None if f is None else (f[0][t - 1:t], f[1][:, t - 1:t]) for f in planes]
-            frame.step(c, s, planes)
+            at = frame.at_cone if spec.disorder.kind == "spatial" else lambda f: f[:, t - 1:t]
+            frame.step(c, s, [None if f is None else at(f) for f in planes])
         record(t)
 
     final = [np.zeros((2, 2, 2 * steps + 1, rows)) for _ in frames]
     for frame, planes in zip(frames, final):
-        frame.unload(planes)
+        planes[:, :, ::2] = frame.planes  # at t = T, slot k of L and of R holds lattice site 2k
     results = []
     for row in range(rows):
         state = new_field(layout, [_complex(planes[..., row]) for planes in final])

@@ -16,6 +16,10 @@ sums, p = sum |L|^2, q = sum |R|^2 and c = sum L conj(R):
 
 Full-2D states take the particle/particle negativity from the 4x4 partial
 transpose of the traced-out coin density (see crossing_coin_density).
+
+Every sum over sites is a dot product per row (np.vecdot: one BLAS ddot on
+each row) over a row-major copy, in which each row's values are contiguous:
+so a row's sums are the same bits whatever the rows beside it.
 """
 
 from __future__ import annotations
@@ -78,7 +82,8 @@ def sigma(dist: Distribution1D) -> float:
     """Standard deviation sqrt(<x^2> - <x>^2) of a 1D distribution."""
     if np.ndim(dist.p) != 1:
         raise ValueError("sigma expects a 1D distribution")
-    return float(sigma_rows(dist.x.astype(float)[:, None], np.asarray(dist.p)[:, None])[0])
+    x = dist.x.astype(float)
+    return float(sigma_rows(np.asarray(dist.p)[None], np.array([x, x * x]))[0])
 
 
 def ipr(dist: Distribution1D) -> float:
@@ -89,44 +94,36 @@ def ipr(dist: Distribution1D) -> float:
     """
     if np.ndim(dist.p) != 1:
         raise ValueError("ipr expects a 1D distribution")
-    return float(ipr_rows(np.asarray(dist.p)[:, None])[0])
+    return float(ipr_rows(np.asarray(dist.p)[None])[0])
 
 
-def row_sums(values):
-    """Sums over the sites of a (sites, rows) array, one per row.
-
-    Each row is summed on its own, pairwise over a contiguous copy, so its
-    sum does not depend on the rows beside it.
-    """
-    return np.add.reduce(np.ascontiguousarray(values.T), axis=1)
-
-
-def sigma_rows(x, p):
-    """Spread sqrt(<x^2> - <x>^2) of each row of p (sites, rows) over positions x (sites, 1)."""
-    mean = row_sums(p * x)
-    var = row_sums(p * (x * x))
+def sigma_rows(p, positions):
+    """Spread sqrt(<x^2> - <x>^2) of each row of p (rows, sites) over positions (x, x * x), shape (2, sites)."""
+    mean, var = np.vecdot(p[:, None], positions).T
     var -= mean * mean
     # variance can go epsilon-negative for a point mass
     return np.sqrt(np.maximum(var, 0.0, out=var), out=var)
 
 
 def ipr_rows(p):
-    """Inverse participation ratio sum_x p(x)^2 of each row of p (sites, rows)."""
-    return row_sums(p * p)
+    """Inverse participation ratio sum_x p(x)^2 of each row of p (rows, sites)."""
+    return np.vecdot(p, p)
 
 
 def line_sums(lr, li, rr, ri):
-    """Row sums (p, q, Re c, Im c) of a batch of one-line states.
+    """Row sums (p, q, Re c, Im c) of a batch of one-line states, and the rows
+    they are taken from: (Re L, Im L, Re R, Im R) per row, shape (rows, 4, sites).
 
     lr, li, rr, ri are the real and imaginary parts of the L and R
     components, site-aligned arrays of shape (sites, rows); p = sum |L|^2,
     q = sum |R|^2 and c = sum L conj(R) over each row.
     """
-    p = row_sums(lr * lr + li * li)
-    q = row_sums(rr * rr + ri * ri)
-    c_re = row_sums(lr * rr + li * ri)
-    c_im = row_sums(li * rr - lr * ri)
-    return p, q, c_re, c_im
+    v = np.empty((lr.shape[1], 4, lr.shape[0]))
+    for i, plane in enumerate((lr, li, rr, ri)):
+        v[:, i] = plane.T
+    left, right = v[:, :2].reshape(len(v), -1), v[:, 2:].reshape(len(v), -1)
+    return (np.vecdot(left, left), np.vecdot(right, right), np.vecdot(left, right),
+            np.vecdot(v[:, 1], v[:, 2]) - np.vecdot(v[:, 0], v[:, 3]), v)
 
 
 def check_normalized(total):
@@ -136,32 +133,33 @@ def check_normalized(total):
         raise ValueError(f"state must be normalized, |amp|^2 sums to {float(total[np.argmax(drift)])!r}")
 
 
-def line_observables(keys, lr, li, rr, ri, x=None) -> dict:
+def line_observables(keys, lr, li, rr, ri, positions=None) -> dict:
     """The observables named in keys (sigma, ipr and the two negativities) of
     a batch of one-line states, one value per row.
 
-    lr, li, rr, ri are the planes of L and R, of shape (sites, rows); x holds
-    the positions of the sites, shape (sites, 1), and is read only for sigma.
-    The negativities need a normalized state: ValueError otherwise.
+    lr, li, rr, ri are the planes of L and R, of shape (sites, rows);
+    positions holds the positions x of the sites and their squares, shape
+    (2, sites), and is read only for sigma.  The negativities need a
+    normalized state: ValueError otherwise.
     """
     out = {}
     if "sigma" in keys or "ipr" in keys:
-        p = site_probabilities(lr, li, rr, ri)
+        p = np.ascontiguousarray(site_probabilities(lr, li, rr, ri).T)
         if "sigma" in keys:
-            out["sigma"] = sigma_rows(x, p)
+            out["sigma"] = sigma_rows(p, positions)
         if "ipr" in keys:
             out["ipr"] = ipr_rows(p)
     if "negativity_coin_position" in keys or "negativity_particle_particle" in keys:
-        p, q, c_re, c_im = line_sums(lr, li, rr, ri)
+        p, q, c_re, c_im, v = line_sums(lr, li, rr, ri)
         check_normalized(p + q)
         if "negativity_coin_position" in keys:
             # sqrt(pq - |c|^2) as sqrt(p |R - (conj(c)/p) L|^2), R minus its projection on L: this keeps
             # full accuracy near product states, where the difference of the products cancels to noise
-            safe = np.where(p > 0.0, p, 1.0)
-            k_re, k_im = c_re / safe, -c_im / safe
-            w_re = rr - (k_re * lr - k_im * li)
-            w_im = ri - (k_re * li + k_im * lr)
-            out["negativity_coin_position"] = np.sqrt(p * row_sums(w_re * w_re + w_im * w_im))
+            safe = np.where(p > 0.0, p, 1.0)[:, None]
+            k_re, k_im = c_re[:, None] / safe, -c_im[:, None] / safe
+            lr, li, rr, ri = v.transpose(1, 0, 2)
+            w = np.concatenate([rr - (k_re * lr - k_im * li), ri - (k_re * li + k_im * lr)], axis=1)
+            out["negativity_coin_position"] = np.sqrt(p * np.vecdot(w, w))
         if "negativity_particle_particle" in keys:
             out["negativity_particle_particle"] = np.sqrt(c_re * c_re + c_im * c_im)
     return out
@@ -212,7 +210,7 @@ def crossing_coin_density(line_planes, site) -> np.ndarray:
         rho[:] = at[:, :, None] * at[:, None, :].conj()
     for name, planes in line_planes:
         i, j = LINES[name].slots
-        p, q, c_re, c_im = line_sums(*planes)
+        p, q, c_re, c_im, _ = line_sums(*planes)
         c = c_re + 1j * c_im
         rho[:, i, i], rho[:, j, j], rho[:, i, j], rho[:, j, i] = p, q, c, c.conj()
     return rho

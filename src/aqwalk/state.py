@@ -158,7 +158,10 @@ def lines(state):
 def site_probabilities(lr, li, rr, ri):
     """|L|^2 + |R|^2 per site, summed plane by plane in this order: the line
     kernel and distribution both take |psi|^2 from here, so they agree bitwise."""
-    return lr * lr + li * li + rr * rr + ri * ri
+    p, square = np.square(lr), np.empty_like(lr)
+    for plane in (li, rr, ri):
+        p += np.square(plane, out=square)
+    return p
 
 
 def probabilities(state) -> np.ndarray:

@@ -15,7 +15,7 @@ from aqwalk import (
     sample_landscape,
     theta_at,
 )
-from aqwalk.evolve import landscape_size
+from aqwalk.evolve import RECORD_KEYS, landscape_size
 
 from oracles import evolve_dense
 
@@ -163,6 +163,27 @@ def test_run_is_deterministic_bit_for_bit():
     b = run_walk(spec)
     assert np.array_equal(a.sigma, b.sigma)
     assert np.array_equal(a.distribution.p, b.distribution.p)
+
+
+@pytest.mark.parametrize("steps", [400, 401])
+@pytest.mark.parametrize("kind", ["spatial", "temporal"])
+@pytest.mark.parametrize("slots", [(0, 1), (0, 3), (2, 1)], ids=["1p", "xline", "yline"])
+def test_long_walk_rows_are_bit_identical_to_single_runs(slots, kind, steps):
+    # rows of up to 2 (T + 1) values per sum, and cones starting on both parities of lattice site
+    coin = np.zeros(2 if slots == (0, 1) else 4, dtype=complex)
+    coin[list(slots)] = 0.6, 0.8j
+    keys = [k for k in RECORD_KEYS if len(coin) == 4 or k != "negativity_particle_particle"]
+    spec = WalkSpec(CoinSchedule(math.pi / 3, 0.003), InitialState(coin), steps,
+                    disorder=DisorderSpec(kind, seed=19), record=keys)
+    landscapes = [sample_landscape(spec.disorder, landscape_size(spec), i) for i in range(3)]
+    for row, single in zip(run_walk_batch(spec, landscapes), [run_walk(spec, ls) for ls in landscapes]):
+        for key in keys:
+            got, want = getattr(row, key), getattr(single, key)
+            if key == "distribution":
+                got, want = got.p, want.p
+            assert got.tobytes() == want.tobytes(), key
+        for name, line in single.final_state.components.items():
+            assert row.final_state.components[name].tobytes() == line.tobytes()
 
 
 def test_rejects_unknown_record_key():

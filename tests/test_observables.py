@@ -16,7 +16,7 @@ from aqwalk import (
     run_walk,
     sigma,
 )
-from aqwalk.observables import partial_transpose_second
+from aqwalk.observables import line_observables, line_sums, partial_transpose_second
 from aqwalk.state import new_field
 
 from oracles import amplitude_matrix, front_position, negativity_pt_loops, pp_negativity_loops
@@ -78,6 +78,25 @@ def test_front_position_simple():
     dist = Distribution1D(np.arange(-2, 3), np.array([0.005, 0.09, 0.81, 0.09, 0.005]))
     assert front_position(dist, 0.01) == 1
     assert front_position(dist, 0.5) == 0
+
+
+def test_row_sums_of_a_batch_are_those_of_each_row_alone():
+    # strided (sites, rows) planes, as the kernel's cone is: each row must reduce to the bits
+    # it has alone, and to its sum in exact arithmetic up to 1e-15 of the sum of |terms|
+    def reduce(planes):  # p, q, Re c, Im c and the IPR sum_x p(x)^2
+        return (*line_sums(*planes)[:4], line_observables(("ipr",), *planes)["ipr"])
+
+    frame = np.random.default_rng(3).standard_normal((2, 2, 260, 10))
+    planes = (*frame[0, :, :251, 1::2], *frame[1, :, 9:, 1::2])
+    lr, li, rr, ri = planes
+    p = lr * lr + li * li + rr * rr + ri * ri
+    terms = ((lr * lr, li * li), (rr * rr, ri * ri), (lr * rr, li * ri), (li * rr, -lr * ri), (p * p,))
+    sums = reduce(planes)
+    for row in range(5):
+        for got, single, parts in zip(sums, reduce([plane[:, row:row + 1] for plane in planes]), terms):
+            assert got[row].tobytes() == single[0].tobytes()
+            values = np.concatenate([part[:, row] for part in parts])
+            assert abs(got[row] - math.fsum(values)) <= 1e-15 * math.fsum(np.abs(values))
 
 
 def test_negativity_product_state_is_zero():
