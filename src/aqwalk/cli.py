@@ -20,7 +20,6 @@ import yaml
 from numpy.linalg import LinAlgError
 
 from .config import load_config, parse_config
-from .ensemble import WorkerPool
 from .errors import AqwalkError, ConfigError
 from .runner import execute
 
@@ -79,10 +78,9 @@ def _experiments(args):
 
 
 def _cmd_run(args) -> int:
-    with WorkerPool(args.workers) as workers:  # one pool for every ensemble; stopped on any exit
-        for exp in _experiments(args):
-            directory, files = execute(exp, _output_dir(args, exp), workers=workers)
-            print(f"{exp.name}: wrote {len(files)} files to {directory}")
+    for exp in _experiments(args):
+        directory, files = execute(exp, _output_dir(args, exp), workers=args.workers)
+        print(f"{exp.name}: wrote {len(files)} files to {directory}")
     return 0
 
 

@@ -2,30 +2,29 @@
 
 Realization i always uses the landscape drawn with realization index i
 from the ensemble's base seed, so any subset of realizations can be
-recomputed independently.  Realizations are handed out, on the processes
-of a WorkerPool, in chunks of consecutive indices sized by a byte budget,
-and each chunk runs as one batch of the line kernel, whose rows do not
-depend on the batch they sit in.  Results are assembled into arrays
-ordered by realization index before any reduction, which makes the output
-bit-identical for every worker count (including 1) and every chunk size.
+recomputed independently.  Chunks of consecutive indices, sized by a byte
+budget, run in this process and in forked children (see _map), each as one
+batch of the line kernel, whose rows do not depend on the batch they sit
+in.  Results are assembled into arrays ordered by realization index before
+any reduction, which makes the output bit-identical for every worker count
+(including 1) and every chunk size.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
+import pickle
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import RealizationError
+from .errors import AqwalkError, RealizationError
 from .evolve import WalkSpec, landscape_size, run_walk, run_walk_batch, sample_landscape
 from .state import families
 
 __all__ = [
     "EnsembleSpec",
     "EnsembleSummary",
-    "WorkerPool",
     "run_ensemble",
 ]
 
@@ -91,27 +90,57 @@ def _chunks(runs: int, workers: int, rows: int) -> list[range]:
     return [range(bounds[i], bounds[i + 1]) for i in range(count)]
 
 
-class WorkerPool(contextlib.AbstractContextManager):
-    """Up to `workers` processes (None: the CPU count) shared by every ensemble run with this
-    pool.  The first ensemble with several chunks and workers starts them, one per chunk up to
-    `workers`, so a serial run never imports multiprocessing; they stop when the with block exits."""
+def _map(fn, tasks: list, workers: int) -> list:
+    """fn over tasks in order, on min(workers, tasks) processes: this one runs the first
+    contiguous share, and a child forked for this call each other share.  The earliest
+    failing task's error is raised, and no child outlives the call."""
+    if workers == 1 or len(tasks) == 1 or not hasattr(os, "fork"):
+        return [fn(task) for task in tasks]
+    import signal
+    import numpy.random  # noqa: F401  (once here, not in each forked child's first sample_landscape)
+    count = min(workers, len(tasks))
+    shares = [tasks[len(tasks) * i // count:len(tasks) * (i + 1) // count] for i in range(count)]
+    children, reaped = [], 0
+    try:
+        for share in shares[1:]:
+            children.append(_fork(fn, share))
+        results = [fn(task) for task in shares[0]]
+        for pid, pipe in children:
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped += 1
+            if status != 0:
+                raise AqwalkError(f"an ensemble worker ended with exit status {status} before sending its results")
+            value = pickle.loads(data)
+            if isinstance(value, Exception):
+                raise value
+            results += value
+        return results
+    finally:
+        for pid, pipe in children[reaped:]:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
-    def __init__(self, workers: int | None = None):
-        self.workers = max(1, (os.cpu_count() or 1) if workers is None else workers)
-        self._executor = None
 
-    def __exit__(self, *exc_info):
-        if self._executor is not None:
-            self._executor.shutdown(cancel_futures=True)
-
-    def map(self, fn, tasks: list) -> list:
-        """fn over tasks in order, in this process unless there are several of both."""
-        if self.workers == 1 or len(tasks) == 1:
-            return [fn(task) for task in tasks]
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-        import numpy.random  # noqa: F401  (once here, not in each forked worker's first sample_landscape)
-        self._executor = self._executor or ProcessPoolExecutor(max_workers=min(self.workers, len(tasks)))
-        return list(self._executor.map(fn, tasks))
+def _fork(fn, share: list):
+    """(pid, read end of its pipe) of a child that pipes back the pickled results of fn over share, or its error."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, open(read, "rb")
+    try:  # the child leaves only here: it never runs the caller's code or cleanup, nor flushes its buffers
+        try:
+            payload = [fn(task) for task in share]
+        except Exception as exc:
+            payload = exc
+        with open(write, "wb") as pipe:
+            pickle.dump(payload, pipe)
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
 def _run_chunk(args):
@@ -146,23 +175,21 @@ def _stderr(samples: np.ndarray) -> np.ndarray:
     return np.std(samples, axis=0, ddof=1) / np.sqrt(runs)
 
 
-def run_ensemble(spec: EnsembleSpec, workers: int | WorkerPool | None = None) -> EnsembleSummary:
+def run_ensemble(spec: EnsembleSpec, workers: int | None = None) -> EnsembleSummary:
     """Run all realizations and aggregate means and standard errors.
 
-    workers: a WorkerPool shared with other ensembles, or the process cap of a
-    pool for this call alone (None: the CPU count).  The aggregation is order-fixed,
-    so the result depends neither on the worker count nor on the chunking.
+    workers: how many processes compute, this one included (None: the CPU
+    count).  The aggregation is order-fixed, so the result depends neither
+    on the worker count nor on the chunking.
     """
-    if not isinstance(workers, WorkerPool):
-        with WorkerPool(workers) as pool:
-            return run_ensemble(spec, pool)
+    workers = max(1, (os.cpu_count() or 1) if workers is None else workers)
     walk = _effective_walk(spec)
     runs = spec.runs
     # without disorder every realization is the same computation, so a
     # clean ensemble of any size collapses to one run exactly
     computed = 1 if walk.disorder.kind == "none" else runs
-    indices = _chunks(computed, min(workers.workers, computed), _chunk_rows(walk))
-    chunks = workers.map(_run_chunk, [(walk, chunk) for chunk in indices])
+    indices = _chunks(computed, min(workers, computed), _chunk_rows(walk))
+    chunks = _map(_run_chunk, [(walk, chunk) for chunk in indices], workers)
 
     # chunks are consecutive index ranges in order, so this is index order
     scalar_keys = [k for k in walk.record if k != "distribution"]

@@ -47,13 +47,14 @@ from .observables import (
     Distribution1D,
     Distribution2D,
     crossing_coin_density,
-    distribution,
     line_observables,
     particle_particle_from_density,
+    site_distribution,
 )
 # unused here: perfbench's replay patches them
-from .observables import ipr, negativity_coin_position, negativity_particle_particle, sigma  # noqa: F401
-from .state import LINES, Field, InitialState, confinement, families, new_field
+from .observables import (  # noqa: F401
+    distribution, ipr, negativity_coin_position, negativity_particle_particle, sigma)
+from .state import LINES, Field, InitialState, confinement, families, new_field, site_probabilities
 
 __all__ = [
     "DisorderSpec",
@@ -75,6 +76,7 @@ RECORD_KEYS = (
 )
 
 _SEED_MASK = (1 << 64) - 1
+_REALIZATION_0 = object()  # run_walk's default landscape
 
 
 @dataclass(frozen=True)
@@ -299,15 +301,15 @@ def _check_landscape(spec: WalkSpec, landscape: np.ndarray | None):
         raise ValueError("landscape phases must be finite")
 
 
-def run_walk(spec: WalkSpec, landscape: np.ndarray | None = None) -> RunResult:
+def run_walk(spec: WalkSpec, landscape: np.ndarray | None = _REALIZATION_0) -> RunResult:
     """Run a full walk, recording the requested observables at every step.
 
-    landscape (see sample_landscape) defaults to realization 0 of
-    spec.disorder, which is None for the clean walk.  Scalar series
-    (sigma, ipr, negativities) have steps+1 entries with index 0 the
-    initial state; the distribution is recorded for the final state only.
+    landscape (see sample_landscape; None only for the clean walk) defaults
+    to realization 0 of spec.disorder.  Scalar series (sigma, ipr,
+    negativities) have steps+1 entries with index 0 the initial state; the
+    distribution is recorded for the final state only.
     """
-    if landscape is None:
+    if landscape is _REALIZATION_0:
         landscape = sample_landscape(spec.disorder, landscape_size(spec), 0)
     return run_walk_batch(spec, [landscape])[0]
 
@@ -354,6 +356,8 @@ def run_walk_batch(spec: WalkSpec, landscapes) -> list[RunResult]:
     final = [np.zeros((2, 2, 2 * steps + 1, rows)) for _ in frames]
     for frame, planes in zip(frames, final):
         planes[:, :, ::2] = frame.planes  # at t = T, slot k of L and of R holds lattice site 2k
+    if "distribution" in spec.record:  # elementwise, so each row gets the bits of its own state's distribution
+        p = [site_probabilities(*planes.reshape(4, 2 * steps + 1, rows)) for planes in final]
     results = []
     for row in range(rows):
         state = new_field(layout, [_complex(planes[..., row]) for planes in final])
@@ -361,6 +365,6 @@ def run_walk_batch(spec: WalkSpec, landscapes) -> list[RunResult]:
         for key in scalar_keys:
             setattr(result, key, series[key][row])
         if "distribution" in spec.record:
-            result.distribution = distribution(state)
+            result.distribution = site_distribution([line[:, row] for line in p])
         results.append(result)
     return results

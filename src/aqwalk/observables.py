@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import LINES, Field, lines, probabilities, site_probabilities
+from .state import LINES, Field, lines, site_probabilities
 
 __all__ = [
     "Distribution1D",
@@ -68,14 +68,25 @@ class Distribution2D:
 
 
 def distribution(state):
-    """Position probability distribution of a walker state.
+    """Position probability distribution of a walker state (see site_distribution)."""
+    return site_distribution([site_probabilities(left.real, left.imag, right.real, right.imag)[:, 0]
+                              for _, left, right in lines(state)])
+
+
+def site_distribution(p):
+    """The distribution of a state from the site_probabilities of each family of its lines.
 
     One-particle and confined two-particle states give a Distribution1D
-    along the active axis; full-2D states give a Distribution2D.
+    along their line; full-2D states a Distribution2D, zero off the two
+    lines and with the x line summed first where they cross.
     """
-    p = probabilities(state)
-    kind = Distribution1D if p.ndim == 1 else Distribution2D
-    return kind(*(np.arange(-(n // 2), n // 2 + 1) for n in p.shape), p)
+    axes = [np.arange(-(len(line) // 2), len(line) // 2 + 1) for line in p]
+    if len(p) == 1:
+        return Distribution1D(axes[0], p[0])
+    grid = np.zeros((len(p[0]), len(p[1])))
+    grid[:, len(p[1]) // 2] = p[0]
+    grid[len(p[0]) // 2, :] += p[1]
+    return Distribution2D(*axes, grid)
 
 
 def sigma(dist: Distribution1D) -> float:

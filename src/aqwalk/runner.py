@@ -1,8 +1,8 @@
 """Execute parsed experiments and write their datasets.
 
 Each experiment kind has a runner here, listed with its fields and parser
-in `config.KINDS`. A runner takes the kind's parsed spec and a worker cap or
-`ensemble.WorkerPool`, and yields one (stem, header, rows) triple per output file.
+in `config.KINDS`. A runner takes the kind's parsed spec and the ensemble worker
+count, and yields one (stem, header, rows) triple per output file.
 
 File schemas: distributions are `x,p` (`x,y,p` in 2D), per-step series
 are `t,value` (`t,value,stderr` for ensembles), surfaces are `a,t,value`.
@@ -61,7 +61,7 @@ def walk_files(runs, workers):
 
 
 def ensemble_files(spec, workers):
-    """spec: (EnsembleSpec, [(file suffix, WalkSpec) per sweep point]); a WorkerPool serves every point."""
+    """spec: (EnsembleSpec, [(file suffix, WalkSpec) per sweep point]), each point on `workers` processes."""
     ensemble, runs = spec
     for suffix, walk in runs:
         summary = run_ensemble(dataclasses.replace(ensemble, walk=walk), workers=workers)

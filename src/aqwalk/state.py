@@ -107,8 +107,8 @@ class Field:
     A one-line layout stores the two components (L, R) of its line, along
     the axis the line moves along.  A full-2D field stores uu and dd along
     the x line at y = 0 and ud and du along the y line at x = 0; every
-    other site of the 2D grid holds zero (see probabilities).  A component
-    a layout does not hold is not stored.
+    other site of the 2D grid holds zero.  A component a layout does not
+    hold is not stored.
     """
 
     confinement: str
@@ -162,19 +162,3 @@ def site_probabilities(lr, li, rr, ri):
     for plane in (li, rr, ri):
         p += np.square(plane, out=square)
     return p
-
-
-def probabilities(state) -> np.ndarray:
-    """|psi|^2 of a state per site: along its line, or on the 2D grid [x, y] of a
-    full-2D field, which is zero off its two lines and sums the x line first where they cross."""
-    p = []
-    for name in families(state.confinement):
-        left, right = (state.components[component] for component in LINES[name].fields)
-        p.append(site_probabilities(left.real, left.imag, right.real, right.imag))
-    if len(p) == 1:
-        return p[0]
-    x_line, y_line = p
-    grid = np.zeros((len(x_line), len(y_line)))
-    grid[:, len(y_line) // 2] = x_line
-    grid[len(x_line) // 2, :] += y_line
-    return grid

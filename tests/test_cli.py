@@ -3,7 +3,6 @@ import hashlib
 import inspect
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -175,37 +174,31 @@ SWEEP_ENSEMBLE = {
 }
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """Every ProcessPoolExecutor constructed while the test runs."""
-    import concurrent.futures
-
-    made = []
-
-    class Counted(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
-    return made
+def _no_children() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
-def test_sweep_ensemble_runs_on_one_pool(tmp_path, pools):
+def test_sweep_ensemble_forks_once_per_point(tmp_path, forks):
     path = _write(tmp_path, SWEEP_ENSEMBLE)
     hashes = []
     for workers in ("2", "1"):
         assert main(["run", path, "-o", str(tmp_path / f"w{workers}"), "--workers", workers]) == 0
-        assert multiprocessing.active_children() == []
+        assert _no_children()
         hashes.append(_file_hashes(tmp_path / f"w{workers}" / "sweep"))
-    assert len(pools) == 1  # four sweep points at --workers 2, none at --workers 1
+        assert len(forks) == 4  # four sweep points at --workers 2, none at --workers 1
+    assert main(["run", _write(tmp_path, {"name": "walk", "walk": BASE_WALK}, "walk.yaml"),
+                 "-o", str(tmp_path / "walk"), "--workers", "2"]) == 0
+    assert len(forks) == 4
     assert len(hashes[0]) == 8
     assert hashes[0] == hashes[1]
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the patched landscape size reaches the workers only through fork")
-def test_failing_chunk_stops_the_pool(tmp_path, capsys, monkeypatch, pools):
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the children are forked")
+def test_failing_chunk_leaves_no_child(tmp_path, capsys, monkeypatch, forks):
     from aqwalk import ensemble
 
     real_size = ensemble.landscape_size
@@ -219,8 +212,50 @@ def test_failing_chunk_stops_the_pool(tmp_path, capsys, monkeypatch, pools):
     path = _write(tmp_path, SWEEP_ENSEMBLE)
     assert main(["run", path, "-o", str(tmp_path / "out"), "--workers", "2"]) == 1
     assert "RealizationError: realization 0: ValueError: synthetic failure" in capsys.readouterr().err
-    assert len(pools) == 1
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 4
+    assert _no_children()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the children are forked")
+@pytest.mark.parametrize("failing, first", [((7, 9), 7), ((3, 9), 3)], ids=["child", "caller"])
+def test_failing_share_gives_exit_1_and_leaves_no_child(tmp_path, capsys, monkeypatch, forks, failing, first):
+    # 12 realizations in two chunks at --workers 2: 0-5 in this process, 6-11 in the child
+    from aqwalk import ensemble
+
+    real_sample = ensemble.sample_landscape
+
+    def sample(disorder, size, index):
+        if index in failing:
+            raise ValueError("synthetic sampling failure")
+        return real_sample(disorder, size, index)
+
+    monkeypatch.setattr(ensemble, "sample_landscape", sample)
+    cfg = {"name": "fail", "ensemble": {"runs": 12, "walk": dict(BASE_WALK, disorder={"kind": "spatial"})}}
+    assert main(["run", _write(tmp_path, cfg), "-o", str(tmp_path / "out"), "--workers", "2"]) == 1
+    err = capsys.readouterr().err
+    assert f"RealizationError: realization {first}: ValueError: synthetic sampling failure" in err
+    assert len(forks) == 1
+    assert _no_children()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the children are forked")
+def test_dead_child_gives_a_clear_error(tmp_path, capsys, monkeypatch, forks):
+    from aqwalk import ensemble
+
+    parent, real_batch = os.getpid(), ensemble.run_walk_batch
+
+    def batch(walk, landscapes):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real_batch(walk, landscapes)
+
+    monkeypatch.setattr(ensemble, "run_walk_batch", batch)
+    cfg = {"name": "dead", "ensemble": {"runs": 12, "walk": dict(BASE_WALK, disorder={"kind": "spatial"})}}
+    assert main(["run", _write(tmp_path, cfg), "-o", str(tmp_path / "out"), "--workers", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "error: AqwalkError: " in err and "exit status 3" in err
+    assert len(forks) == 1
+    assert _no_children()
 
 
 @pytest.mark.parametrize("walk_field", [{"acceleration": math.nan},
@@ -592,8 +627,8 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_loads_the_pool_and_presets_only_on_demand(tmp_path):
-    # the process pool (multiprocessing) and the preset table cost every run
-    # their import; a plain import and a validate load neither
+    # multiprocessing (which no run loads) and the preset table would cost
+    # every run their import; a plain import and a validate load neither
     path = _write(tmp_path, dict(KIND_SMOKE["ensemble"][0], name="ens"))
     code = ("import sys, aqwalk.cli\n"
             "def loaded(): return sorted(m for m in sys.modules if m in {"
@@ -606,14 +641,15 @@ def test_cli_loads_the_pool_and_presets_only_on_demand(tmp_path):
     assert out.stdout.splitlines() == ["[]", "ok: ens (ensemble)", "[]"]
 
 
-def test_walk_and_serial_ensemble_runs_start_no_pool(tmp_path):
-    # a walk, and an ensemble capped at one worker, run in this process
+def test_runs_load_no_multiprocessing(tmp_path):
+    # a walk, and ensembles at one and at two workers (forked children), load no process pool
     walk = _write(tmp_path, {"name": "walk", "walk": BASE_WALK}, "walk.yaml")
     ens = _write(tmp_path, dict(KIND_SMOKE["ensemble"][0], name="ens"), "ens.yaml")
     code = ("import sys, aqwalk.cli\n"
             "out = sys.argv[3]\n"
             "assert aqwalk.cli.main(['run', sys.argv[1], '-o', out]) == 0\n"
             "assert aqwalk.cli.main(['run', sys.argv[2], '-o', out, '--workers', '1']) == 0\n"
+            "assert aqwalk.cli.main(['run', sys.argv[2], '-o', out, '--workers', '2']) == 0\n"
             "print(sorted(m for m in sys.modules if m in {'multiprocessing', 'concurrent.futures.process'}))\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aqwalk.__file__)))
     out = subprocess.run([sys.executable, "-c", code, walk, ens, str(tmp_path / "out")],

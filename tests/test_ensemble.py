@@ -1,6 +1,6 @@
 import dataclasses
 import math
-import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -187,8 +187,7 @@ def test_errors_survive_pickling():
     assert (cfg.field, str(cfg)) == ("walk.steps", "walk.steps: must be >= 1")
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the patched sampler reaches the workers only through fork")
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the patched sampler reaches the workers only through fork")
 def test_failing_realization_is_tagged_across_workers(monkeypatch):
     from aqwalk import RealizationError
     from aqwalk import ensemble as ens_module
@@ -227,6 +226,23 @@ def test_chunking_does_not_change_results(monkeypatch):
                 assert summaries[0].stderr[key].tobytes() == other.stderr[key].tobytes()
             if "distribution" in spec.walk.record:
                 assert summaries[0].mean_distribution.tobytes() == other.mean_distribution.tobytes()
+
+
+def test_summaries_are_byte_identical_at_one_two_and_three_workers(monkeypatch, forks):
+    # six chunks of two: at 3 workers this process runs 0-3 and two children 4-7 and 8-11, read in order
+    from aqwalk import ensemble as ens_module
+
+    monkeypatch.setattr(ens_module, "_chunk_rows", lambda walk: 2)
+    spec = EnsembleSpec(_walk(particles=2, record=("sigma", "distribution", "negativity_particle_particle")),
+                        runs=12, base_seed=4)
+    summaries = [run_ensemble(spec, workers=w) for w in (1, 2, 3)]
+    assert len(forks) == 3  # none at 1 worker, one child at 2, two at 3
+    for other in summaries[1:]:
+        for key in summaries[0].mean:
+            assert summaries[0].mean[key].tobytes() == other.mean[key].tobytes()
+            assert summaries[0].stderr[key].tobytes() == other.stderr[key].tobytes()
+        assert summaries[0].mean_distribution.tobytes() == other.mean_distribution.tobytes()
+        assert summaries[0].stderr_distribution.tobytes() == other.stderr_distribution.tobytes()
 
 
 def test_chunks_cover_every_index_once():

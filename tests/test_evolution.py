@@ -249,6 +249,10 @@ def test_landscape_is_none_exactly_for_a_clean_walk():
     spatial = replace(clean, disorder=DisorderSpec("spatial", seed=2))
     with pytest.raises(ValueError, match="needs a landscape"):
         run_walk_batch(spatial, [phases, None])
+    with pytest.raises(ValueError, match="needs a landscape"):
+        run_walk(spatial, None)
+    # only a landscape left out draws realization 0
+    assert run_walk(spatial).sigma.tobytes() == run_walk(spatial, phases).sigma.tobytes()
 
 
 def test_full2d_spatial_disorder_unsupported():
