@@ -121,7 +121,7 @@ def main(argv=None) -> int:
     except AqwalkError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, FloatingPointError, LinAlgError, MemoryError) as exc:
+    except (ValueError, OSError, FloatingPointError, LinAlgError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -82,8 +82,8 @@ def load_config(path: str) -> dict:
     try:
         with open(path) as handle:
             data = yaml.safe_load(handle)
-    except FileNotFoundError:
-        raise ConfigError("config", f"file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, or not text
+        raise ConfigError("config", f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
     except yaml.YAMLError as exc:
         raise ConfigError("config", f"invalid YAML: {exc}")
     if not isinstance(data, dict):

@@ -5,8 +5,9 @@ from the ensemble's base seed, so any subset of realizations can be
 recomputed independently.  Chunks of consecutive indices, sized by a byte
 budget, run in this process and in forked children (see _map), each as one
 batch of the line kernel, whose rows do not depend on the batch they sit
-in.  Results are assembled into arrays ordered by realization index before
-any reduction, which makes the output bit-identical for every worker count
+in; a chunk returns the batch's arrays as they are, and a failing row names
+its realization, without a rerun.  Results are concatenated in index order
+before any reduction, so the output is bit-identical for every worker count
 (including 1) and every chunk size.
 """
 
@@ -19,7 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AqwalkError, RealizationError
-from .evolve import WalkSpec, landscape_size, run_walk, run_walk_batch, sample_landscape
+from .evolve import WalkSpec, landscape_size, run_walk_batch, sample_landscape
+from .evolve import run_walk  # noqa: F401  (no longer called here: perfbench's traced replay patches it)
 from .state import families
 
 __all__ = [
@@ -144,7 +146,7 @@ def _fork(fn, share: list):
 
 
 def _run_chunk(args):
-    """Run realizations `indices` as one batch: (scalar series, distributions)."""
+    """Run realizations `indices` as one batch: (scalar series by key, (rows, sites) distributions or None)."""
     walk, indices = args
     landscapes = []
     for index in indices:
@@ -153,18 +155,12 @@ def _run_chunk(args):
         except Exception as exc:
             raise RealizationError(index, exc) from exc
     try:
-        results = run_walk_batch(walk, landscapes)
-    except Exception:
-        # a batch fails as a whole: rerun its realizations alone to name the first failing one
-        for index, landscape in zip(indices, landscapes):
-            try:
-                run_walk(walk, landscape)
-            except Exception as exc:
-                raise RealizationError(index, exc) from exc
-        raise
-    scalars = {k: np.array([r.series(k) for r in results]) for k in walk.record if k != "distribution"}
-    dists = np.array([r.distribution.p for r in results]) if "distribution" in walk.record else None
-    return scalars, dists
+        series, p, _ = run_walk_batch(walk, landscapes)
+    except ValueError as exc:
+        if not hasattr(exc, "row"):
+            raise
+        raise RealizationError(indices[exc.row], exc) from exc
+    return series, None if p is None else np.ascontiguousarray(p[0].T)
 
 
 def _stderr(samples: np.ndarray) -> np.ndarray:

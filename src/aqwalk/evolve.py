@@ -171,7 +171,6 @@ class WalkSpec:
 class RunResult:
     """Recorded time series of one walk (index 0 is the initial state)."""
 
-    steps: int
     sigma: np.ndarray | None = None
     ipr: np.ndarray | None = None
     negativity_coin_position: np.ndarray | None = None
@@ -198,7 +197,7 @@ def _phase_planes(rows, power: int):
     the planes have shape (3, m, rows).  Each row is computed by its own
     call, so its values do not depend on the batch it sits in.
     """
-    if power == 0 or rows[0] is None:
+    if power == 0 or not rows or rows[0] is None:
         return None
     angles = [power * np.asarray(phi, dtype=float) for phi in rows]
     cos = np.array([np.cos(a) for a in angles]).T
@@ -307,26 +306,30 @@ def run_walk(spec: WalkSpec, landscape: np.ndarray | None = _REALIZATION_0) -> R
     landscape (see sample_landscape; None only for the clean walk) defaults
     to realization 0 of spec.disorder.  Scalar series (sigma, ipr,
     negativities) have steps+1 entries with index 0 the initial state; the
-    distribution is recorded for the final state only.
+    distribution is of the final state only.  The one row of run_walk_batch.
     """
     if landscape is _REALIZATION_0:
         landscape = sample_landscape(spec.disorder, landscape_size(spec), 0)
-    return run_walk_batch(spec, [landscape])[0]
+    series, p, final = run_walk_batch(spec, [landscape])
+    return RunResult(**{key: line[0] for key, line in series.items()},
+                     distribution=None if p is None else site_distribution([line[:, 0] for line in p]),
+                     final_state=new_field(spec.confinement, [_complex(planes[..., 0]) for planes in final]))
 
 
-def run_walk_batch(spec: WalkSpec, landscapes) -> list[RunResult]:
-    """run_walk once per landscape, all landscapes as one batch.
+def run_walk_batch(spec: WalkSpec, landscapes):
+    """run_walk once per landscape, all landscapes as one batch: (series, p, planes).
 
-    Result i is bit-identical to run_walk(spec, landscapes[i]) whatever
-    the batch size.  A full-2D walk runs as two frames stepped in lockstep,
-    the x line and the y line through the origin, and its final state holds
-    those two lines.  Memory grows with the batch, by 32 (T + 1) bytes per
-    row and family of lines; callers cap it in bytes.
+    series maps each recorded scalar key to a (rows, T + 1) array; p is None
+    unless distribution is recorded, else the final site_probabilities of
+    each family of lines, (2T + 1, rows) each; planes holds each family's
+    final planes (L, R) x (Re, Im), (2, 2, 2T + 1, rows).  Row i is
+    bit-identical to run_walk(spec, landscapes[i]) whatever the batch size,
+    and a failing norm check's ValueError names its first failing `row`.
+    A full-2D walk runs as two frames in lockstep, its x and its y line.
+    Memory grows by 32 (T + 1) bytes per row and family; callers cap it.
     """
     for landscape in landscapes:
         _check_landscape(spec, landscape)
-    if not landscapes:
-        return []
     layout, rows, steps = spec.confinement, len(landscapes), spec.steps
     frames = [_Frame(name, rows, steps, spec.init.coin) for name in families(layout)]
     phases = [[_phase_planes(landscapes, power) for power in LINES[frame.layout].powers] for frame in frames]
@@ -356,15 +359,7 @@ def run_walk_batch(spec: WalkSpec, landscapes) -> list[RunResult]:
     final = [np.zeros((2, 2, 2 * steps + 1, rows)) for _ in frames]
     for frame, planes in zip(frames, final):
         planes[:, :, ::2] = frame.planes  # at t = T, slot k of L and of R holds lattice site 2k
+    p = None
     if "distribution" in spec.record:  # elementwise, so each row gets the bits of its own state's distribution
         p = [site_probabilities(*planes.reshape(4, 2 * steps + 1, rows)) for planes in final]
-    results = []
-    for row in range(rows):
-        state = new_field(layout, [_complex(planes[..., row]) for planes in final])
-        result = RunResult(steps=steps, final_state=state)
-        for key in scalar_keys:
-            setattr(result, key, series[key][row])
-        if "distribution" in spec.record:
-            result.distribution = site_distribution([line[:, row] for line in p])
-        results.append(result)
-    return results
+    return series, p, final

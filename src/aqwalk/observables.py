@@ -132,16 +132,19 @@ def line_sums(lr, li, rr, ri):
     v = np.empty((lr.shape[1], 4, lr.shape[0]))
     for i, plane in enumerate((lr, li, rr, ri)):
         v[:, i] = plane.T
-    left, right = v[:, :2].reshape(len(v), -1), v[:, 2:].reshape(len(v), -1)
+    left, right = v[:, :2].reshape(-1, 2 * v.shape[2]), v[:, 2:].reshape(-1, 2 * v.shape[2])
     return (np.vecdot(left, left), np.vecdot(right, right), np.vecdot(left, right),
             np.vecdot(v[:, 1], v[:, 2]) - np.vecdot(v[:, 0], v[:, 3]), v)
 
 
 def check_normalized(total):
-    """Raise ValueError unless every row total is 1 within STATE_NORM_TOL."""
+    """Raise ValueError unless every row total is 1 within STATE_NORM_TOL; the
+    error's `row` is the first failing row, and it survives pickling."""
     drift = np.abs(total - 1.0) > STATE_NORM_TOL
     if drift.any():
-        raise ValueError(f"state must be normalized, |amp|^2 sums to {float(total[np.argmax(drift)])!r}")
+        exc = ValueError(f"state must be normalized, |amp|^2 sums to {float(total[np.argmax(drift)])!r}")
+        exc.row = int(np.argmax(drift))
+        raise exc
 
 
 def line_observables(keys, lr, li, rr, ri, positions=None) -> dict:

@@ -453,6 +453,31 @@ def test_validate_verb(tmp_path, capsys):
     assert "record" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [None, b"name: bad\nwalk: \xff\n"], ids=["directory", "not-utf8"])
+def test_unreadable_config_gives_exit_2(tmp_path, capsys, content):
+    path = tmp_path / "cfg"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    for verb in (["validate", str(path)], ["run", str(path), "-o", str(tmp_path / "out")]):
+        assert main(verb) == 2
+        assert capsys.readouterr().err.startswith(f"config error: config: cannot read {path}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_output_dir_under_a_file_gives_exit_1(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    path = _write(tmp_path, {"name": "blocked", "walk": dict(BASE_WALK)})
+    assert main(["run", path, "-o", str(blocker)]) == 1
+    monkeypatch.setenv("AQWALK_OUTPUT_DIR", str(blocker / "sub"))
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0:2] for line in err] == [["error", " NotADirectoryError"]] * 2
+    assert sorted(os.listdir(tmp_path)) == ["exp.yaml", "taken"] and blocker.read_text() == ""
+
+
 def test_presets_listing_count(capsys):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out

@@ -15,6 +15,7 @@ from aqwalk import (
     run_walk,
     sample_landscape,
 )
+from aqwalk.observables import check_normalized
 
 from oracles import convergence_report
 
@@ -141,38 +142,79 @@ def test_runs_validation():
         EnsembleSpec(_walk(), runs=0, base_seed=1)
 
 
+def _fail_norm_at(monkeypatch, row, here=lambda: True):
+    """Make every batch's norm check (in the processes where here() holds) see row `row` off by 1."""
+    from aqwalk import observables
+
+    def check(total):
+        if here() and len(total) > row:
+            total = total.copy()
+            total[row] += 1.0
+        return check_normalized(total)
+
+    monkeypatch.setattr(observables, "check_normalized", check)
+
+
+def _checked_walk():
+    """A walk whose batches check their norm at every step."""
+    return _walk(record=("sigma", "negativity_coin_position"))
+
+
 def test_failing_realization_is_tagged(monkeypatch):
     from aqwalk import RealizationError
     from aqwalk import ensemble as ens_module
 
+    _fail_norm_at(monkeypatch, 0)
+    with pytest.raises(RealizationError, match=r"realization 0: ValueError: state must be normalized") as info:
+        run_ensemble(EnsembleSpec(_checked_walk(), runs=3, base_seed=1), workers=1)
+    assert info.value.index == 0 and info.value.original.row == 0
+
+    # an error that names no row is not a realization's: it propagates as it is
     def explode(walk, landscapes):
         raise ValueError("synthetic engine failure")
 
-    # chunks run through run_walk_batch; a failed chunk reruns its rows through run_walk
     monkeypatch.setattr(ens_module, "run_walk_batch", explode)
-    monkeypatch.setattr(ens_module, "run_walk", explode)
-    with pytest.raises(RealizationError, match=r"realization 0"):
-        run_ensemble(EnsembleSpec(_walk(), runs=3, base_seed=1), workers=1)
+    with pytest.raises(ValueError, match="synthetic engine failure") as info:
+        run_ensemble(EnsembleSpec(_checked_walk(), runs=3, base_seed=1), workers=1)
+    assert info.type is ValueError
 
 
 def test_failing_chunk_names_first_failing_realization(monkeypatch):
     from aqwalk import RealizationError
     from aqwalk import ensemble as ens_module
 
-    real_run_walk = ens_module.run_walk
+    # row 5 of every chunk fails: one chunk of 12 rows, then two of 6
+    _fail_norm_at(monkeypatch, 5)
+    for rows in (12, 6):
+        monkeypatch.setattr(ens_module, "_chunk_rows", lambda walk, rows=rows: rows)
+        chunk = ens_module._chunks(12, 1, rows)[0]
+        with pytest.raises(RealizationError, match=rf"realization {chunk.start + 5}:") as info:
+            run_ensemble(EnsembleSpec(_checked_walk(), runs=12, base_seed=1), workers=1)
+        assert info.value.index == chunk.start + 5 == 5
+        assert info.value.original.row == 5
 
-    def fail_on_bad_landscape(walk, landscape):
-        if landscape[0] == bad[0]:
-            raise ValueError("synthetic engine failure")
-        return real_run_walk(walk, landscape)
 
-    walk = ens_module._effective_walk(EnsembleSpec(_walk(), runs=1, base_seed=1))
-    bad = ens_module.sample_landscape(walk.disorder, 2 * walk.steps + 1, 5)
-    monkeypatch.setattr(ens_module, "run_walk_batch",
-                        lambda walk, landscapes: [fail_on_bad_landscape(walk, ls) for ls in landscapes])
-    monkeypatch.setattr(ens_module, "run_walk", fail_on_bad_landscape)
-    with pytest.raises(RealizationError, match=r"realization 5:"):
-        run_ensemble(EnsembleSpec(_walk(), runs=12, base_seed=1), workers=1)
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the patched check reaches the child only through fork")
+def test_failing_row_is_named_across_workers(monkeypatch, forks):
+    from aqwalk import RealizationError
+    from aqwalk import ensemble as ens_module
+
+    # four chunks of 3: this process runs realizations 0-5, the child 6-11
+    monkeypatch.setattr(ens_module, "_chunk_rows", lambda walk: 3)
+    spec = EnsembleSpec(_checked_walk(), runs=12, base_seed=1)
+    chunks = ens_module._chunks(12, 2, 3)
+    _fail_norm_at(monkeypatch, 1)
+    with pytest.raises(RealizationError, match=r"realization 1:") as info:
+        run_ensemble(spec, workers=2)
+    assert info.value.index == chunks[0].start + 1  # the caller's share wins over the child's
+    # failing only in the child, the error and its row come back through the pipe
+    parent = os.getpid()
+    _fail_norm_at(monkeypatch, 1, here=lambda: os.getpid() != parent)
+    with pytest.raises(RealizationError, match=r"realization 7:") as info:
+        run_ensemble(spec, workers=2)
+    assert info.value.index == chunks[2].start + 1 == 7
+    assert isinstance(info.value.original, ValueError) and info.value.original.row == 1
+    assert len(forks) == 2
 
 
 def test_errors_survive_pickling():

@@ -18,6 +18,7 @@ from aqwalk import (
 from aqwalk.evolve import RECORD_KEYS, landscape_size
 
 from oracles import evolve_dense
+from test_line_kernel import assert_rows_are_single_runs
 
 R = 1.0 / math.sqrt(2.0)
 
@@ -175,15 +176,7 @@ def test_long_walk_rows_are_bit_identical_to_single_runs(slots, kind, steps):
     keys = [k for k in RECORD_KEYS if len(coin) == 4 or k != "negativity_particle_particle"]
     spec = WalkSpec(CoinSchedule(math.pi / 3, 0.003), InitialState(coin), steps,
                     disorder=DisorderSpec(kind, seed=19), record=keys)
-    landscapes = [sample_landscape(spec.disorder, landscape_size(spec), i) for i in range(3)]
-    for row, single in zip(run_walk_batch(spec, landscapes), [run_walk(spec, ls) for ls in landscapes]):
-        for key in keys:
-            got, want = getattr(row, key), getattr(single, key)
-            if key == "distribution":
-                got, want = got.p, want.p
-            assert got.tobytes() == want.tobytes(), key
-        for name, line in single.final_state.components.items():
-            assert row.final_state.components[name].tobytes() == line.tobytes()
+    assert_rows_are_single_runs(spec, [sample_landscape(spec.disorder, landscape_size(spec), i) for i in range(3)])
 
 
 def test_rejects_unknown_record_key():

@@ -14,6 +14,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "aqwalk")
 TESTS = os.path.join(ROOT, "tests")
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 MODULES = sorted([os.path.join(PACKAGE, name) for name in os.listdir(PACKAGE) if name.endswith(".py")]
                  + [os.path.join(TESTS, name) for name in os.listdir(TESTS) if name.endswith(".py")])
@@ -52,3 +53,21 @@ def unused_imports(path: str) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: os.path.relpath(path, ROOT))
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def test_perfbench_replay_finds_every_name_it_patches(monkeypatch):
+    # perfbench's traced replay (run.py --trace 1) wraps names that the runner, ensemble and
+    # evolve modules import from each other, some kept only for it: one dropped fails here
+    import aqwalk
+    import aqwalk.runner  # the replay patches the runner's names too
+
+    monkeypatch.syspath_prepend(PERFBENCH)
+    monkeypatch.setitem(os.environ, "OPENBLAS_NUM_THREADS", "1")  # perfbench's procs sets it on import
+    import replay
+
+    modules = (aqwalk.runner, aqwalk.ensemble, aqwalk.evolve)
+    before = [dict(vars(module)) for module in modules]
+    with replay.traced(replay.Tracer(), aqwalk):
+        pass
+    for module, names in zip(modules, before):
+        assert all(vars(module)[name] is value for name, value in names.items())

@@ -10,6 +10,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,8 @@ from aqwalk import (
     theta_at,
 )
 from aqwalk.evolve import RECORD_KEYS, landscape_size, run_walk_batch
+from aqwalk.observables import site_distribution
+from aqwalk.state import LINES, families
 
 from oracles import coin_density_loops, evolve_dense, evolve_dense_2d, negativity_pt_loops, pp_negativity_loops
 
@@ -75,22 +78,48 @@ def _components(layout, state):
     return [state.components[name] for name in names]
 
 
+def assert_rows_are_single_runs(spec, landscapes):
+    """Row i of run_walk_batch(spec, landscapes), its series, distribution and
+    final planes, is tobytes()-equal to run_walk(spec, landscapes[i]) and to a batch of one."""
+    series, p, planes = run_walk_batch(spec, landscapes)
+    assert (p is None) == ("distribution" not in spec.record)
+    for i, landscape in enumerate(landscapes):
+        single = run_walk(spec, landscape)
+        alone_series, alone_p, alone_planes = run_walk_batch(spec, [landscape])
+        for key in spec.record:
+            if key == "distribution":
+                got = site_distribution([line[:, i] for line in p])
+                assert got.p.tobytes() == single.distribution.p.tobytes()
+                assert np.array_equal(got.x, single.distribution.x)
+                assert all(line[:, i].tobytes() == alone[:, 0].tobytes() for line, alone in zip(p, alone_p))
+            else:
+                assert series[key][i].tobytes() == single.series(key).tobytes() == alone_series[key][0].tobytes()
+        for name, family, alone in zip(families(spec.confinement), planes, alone_planes, strict=True):
+            assert family[..., i].tobytes() == alone[..., 0].tobytes()
+            for component, part in zip(LINES[name].fields, family[..., i]):
+                assert (part[0] + 1j * part[1]).tobytes() == single.final_state.components[component].tobytes()
+
+
 @PROPERTY_SETTINGS
 @given(walk=walks(), rows=st.integers(2, 7))
 def test_batch_rows_are_bit_identical_to_single_runs(walk, rows):
-    layout, spec, _ = walk
-    landscapes = _landscapes(spec, rows)
-    singles = [run_walk(spec, landscape) for landscape in landscapes]
-    batch = run_walk_batch(spec, landscapes)
-    for single, row in zip(singles, batch):
-        for key in spec.record:
-            if key == "distribution":
-                assert row.distribution.p.tobytes() == single.distribution.p.tobytes()
-                assert np.array_equal(row.distribution.x, single.distribution.x)
-            else:
-                assert row.series(key).tobytes() == single.series(key).tobytes()
-        for a, b in zip(_components(layout, row.final_state), _components(layout, single.final_state)):
-            assert a.tobytes() == b.tobytes()
+    _, spec, _ = walk
+    assert_rows_are_single_runs(spec, _landscapes(spec, rows))
+
+
+@pytest.mark.parametrize("coin, record", [
+    ([0.6, 0.8j], ("sigma", "ipr", "negativity_coin_position", "distribution")),
+    ([0.6, 0, 0, 0.8j], ("negativity_particle_particle", "distribution")),
+    ([0.5, 0.5, 0.5, 0.5], ("negativity_particle_particle", "distribution")),
+], ids=["1p", "xline", "full2d"])
+def test_empty_batch_is_empty_arrays(coin, record):
+    spec = WalkSpec(CoinSchedule(1.0, 0.01), InitialState(np.array(coin)), 7,
+                    disorder=DisorderSpec("temporal"), record=record)
+    series, p, planes = run_walk_batch(spec, [])
+    count = len(families(spec.confinement))
+    assert {key: line.shape for key, line in series.items()} == {key: (0, 8) for key in record[:-1]}
+    assert [line.shape for line in p] == [(15, 0)] * count
+    assert [family.shape for family in planes] == [(2, 2, 15, 0)] * count
 
 
 @PROPERTY_SETTINGS
@@ -222,10 +251,4 @@ def test_full2d_walk_matches_dense_grid_oracle(walk, rows):
     assert abs(negativity_particle_particle(final) - pp_negativity_loops(*states[-1])) < 1e-12
     assert abs(negativity_particle_particle(final) - result.negativity_particle_particle[-1]) < 1e-12
     assert np.max(np.abs(reduced_particle_density(final) - coin_density_loops(*states[-1]))) < 1e-12
-
-    for single, row in zip([result] + [run_walk(spec, landscape) for landscape in landscapes[1:]],
-                           run_walk_batch(spec, landscapes)):
-        assert row.negativity_particle_particle.tobytes() == single.negativity_particle_particle.tobytes()
-        assert row.distribution.p.tobytes() == single.distribution.p.tobytes()
-        for name in ("uu", "ud", "du", "dd"):
-            assert row.final_state.components[name].tobytes() == single.final_state.components[name].tobytes()
+    assert_rows_are_single_runs(spec, landscapes)
