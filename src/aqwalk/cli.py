@@ -55,17 +55,21 @@ def _output_dir(args, exp) -> str:
     return args.output_dir or exp.output_dir or os.environ.get(ENV_OUTPUT_DIR, "aqwalk-out")
 
 
+def _preset(name: str) -> tuple:
+    """The configs of the bundled preset `name`."""
+    # building the preset table costs every run, so only --preset and `presets` import it
+    from .presets import PRESETS
+
+    if name not in PRESETS:
+        raise ConfigError("preset", f"unknown preset {name!r}; run 'aqwalk presets' for the list")
+    return PRESETS[name].configs
+
+
 def _experiments(args):
     if (args.config is None) == (args.preset is None):
         raise ConfigError("run", "give exactly one of CONFIG or --preset")
-    if args.preset:
-        # building the preset table costs every run, so only --preset and `presets` import it
-        from .presets import preset_configs
-
-        try:
-            raws = [dict(c) for c in preset_configs(args.preset)]
-        except KeyError as exc:
-            raise ConfigError("preset", str(exc.args[0]))
+    if args.preset is not None:
+        raws = [dict(c) for c in _preset(args.preset)]
     else:
         raws = [load_config(args.config)]
     experiments = []
@@ -87,10 +91,8 @@ def _cmd_run(args) -> int:
 def _cmd_presets(args) -> int:
     from .presets import PRESETS
 
-    if args.dump:
-        if args.dump not in PRESETS:
-            raise ConfigError("preset", f"unknown preset {args.dump!r}")
-        for cfg in PRESETS[args.dump].configs:
+    if args.dump is not None:
+        for cfg in _preset(args.dump):
             print("---")
             print(yaml.safe_dump(cfg, sort_keys=False).rstrip())
         return 0

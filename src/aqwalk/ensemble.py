@@ -5,10 +5,11 @@ from the ensemble's base seed, so any subset of realizations can be
 recomputed independently.  Chunks of consecutive indices, sized by a byte
 budget, run in this process and in forked children (see _map), each as one
 batch of the line kernel, whose rows do not depend on the batch they sit
-in; a chunk returns the batch's arrays as they are, and a failing row names
-its realization, without a rerun.  Results are concatenated in index order
-before any reduction, so the output is bit-identical for every worker count
-(including 1) and every chunk size.
+in; a chunk returns each recorded key's (rows, values) array, the final
+distribution included, and a failing row names its realization, without a
+rerun.  Every key is concatenated in index order before any reduction, so
+the output is bit-identical for every worker count (including 1) and every
+chunk size.
 """
 
 from __future__ import annotations
@@ -58,19 +59,17 @@ class EnsembleSpec:
 
 @dataclass
 class EnsembleSummary:
-    """Per-step mean and standard error of each recorded observable.
+    """Mean and standard error of each recorded observable over the realizations.
 
-    mean/stderr map record keys to arrays of length steps+1; the final
-    step distribution is aggregated per site.
+    mean/stderr map each record key to an array: steps+1 values per step
+    for a series, and for "distribution" one per site of the final state's
+    lattice [-steps, steps].
     """
 
     runs: int
     steps: int
     mean: dict
     stderr: dict
-    positions: np.ndarray | None = None
-    mean_distribution: np.ndarray | None = None
-    stderr_distribution: np.ndarray | None = None
 
 
 def _effective_walk(spec: EnsembleSpec) -> WalkSpec:
@@ -146,7 +145,8 @@ def _fork(fn, share: list):
 
 
 def _run_chunk(args):
-    """Run realizations `indices` as one batch: (scalar series by key, (rows, sites) distributions or None)."""
+    """Run realizations `indices` as one batch: each recorded key's (rows, values) array, the
+    distribution as (rows, sites)."""
     walk, indices = args
     landscapes = []
     for index in indices:
@@ -160,7 +160,7 @@ def _run_chunk(args):
         if not hasattr(exc, "row"):
             raise
         raise RealizationError(indices[exc.row], exc) from exc
-    return series, None if p is None else np.ascontiguousarray(p[0].T)
+    return series if p is None else {**series, "distribution": np.ascontiguousarray(p[0].T)}
 
 
 def _stderr(samples: np.ndarray) -> np.ndarray:
@@ -180,25 +180,14 @@ def run_ensemble(spec: EnsembleSpec, workers: int | None = None) -> EnsembleSumm
     """
     workers = max(1, (os.cpu_count() or 1) if workers is None else workers)
     walk = _effective_walk(spec)
-    runs = spec.runs
     # without disorder every realization is the same computation, so a
     # clean ensemble of any size collapses to one run exactly
-    computed = 1 if walk.disorder.kind == "none" else runs
+    computed = 1 if walk.disorder.kind == "none" else spec.runs
     indices = _chunks(computed, min(workers, computed), _chunk_rows(walk))
     chunks = _map(_run_chunk, [(walk, chunk) for chunk in indices], workers)
 
     # chunks are consecutive index ranges in order, so this is index order
-    scalar_keys = [k for k in walk.record if k != "distribution"]
-    series = {k: np.concatenate([scalars[k] for scalars, _ in chunks]) for k in scalar_keys}
-    dists = np.concatenate([d for _, d in chunks]) if "distribution" in walk.record else None
-
-    mean = {k: np.mean(series[k], axis=0) for k in scalar_keys}
-    stderr = {k: _stderr(series[k]) for k in scalar_keys}
-
-    summary = EnsembleSummary(runs=runs, steps=walk.steps, mean=mean, stderr=stderr)
-    if dists is not None:
-        summary.mean_distribution = np.mean(dists, axis=0)
-        summary.stderr_distribution = _stderr(dists)
-        # every field is sized to its step count, so the axis is fixed
-        summary.positions = np.arange(-walk.steps, walk.steps + 1)
-    return summary
+    samples = {key: np.concatenate([chunk[key] for chunk in chunks]) for key in walk.record}
+    return EnsembleSummary(runs=spec.runs, steps=walk.steps,
+                           mean={key: np.mean(values, axis=0) for key, values in samples.items()},
+                           stderr={key: _stderr(values) for key, values in samples.items()})

@@ -138,9 +138,11 @@ class WalkSpec:
         if self.layout == "full2d" and self.particle_count != 2:
             raise ValueError("layout 'full2d' requires particle_count = 2")
         object.__setattr__(self, "record", tuple(self.record))
-        for key in self.record:
+        for i, key in enumerate(self.record):
             if key not in RECORD_KEYS:
                 raise ValueError(f"unknown record key {key!r}; known keys: {RECORD_KEYS}")
+            if key in self.record[:i]:
+                raise ValueError(f"record key {key!r} is listed twice")
         if "negativity_particle_particle" in self.record and self.particle_count != 2:
             raise ValueError("negativity_particle_particle requires particle_count = 2")
         if self.full2d:
@@ -169,20 +171,12 @@ class WalkSpec:
 
 @dataclass
 class RunResult:
-    """Recorded time series of one walk (index 0 is the initial state)."""
+    """One walk: series maps each recorded scalar key to its (T + 1,) array, index 0
+    the initial state; distribution is the final state's (None unless recorded)."""
 
-    sigma: np.ndarray | None = None
-    ipr: np.ndarray | None = None
-    negativity_coin_position: np.ndarray | None = None
-    negativity_particle_particle: np.ndarray | None = None
-    distribution: Distribution1D | Distribution2D | None = None
-    final_state: Field | None = None
-
-    def series(self, key: str) -> np.ndarray:
-        value = getattr(self, key)
-        if value is None:
-            raise KeyError(f"observable {key!r} was not recorded")
-        return value
+    series: dict
+    distribution: Distribution1D | Distribution2D | None
+    final_state: Field
 
 
 # On the (Re, Im) planes of one component the coin [[c, -i s], [-i s, c]] adds
@@ -304,14 +298,14 @@ def run_walk(spec: WalkSpec, landscape: np.ndarray | None = _REALIZATION_0) -> R
     """Run a full walk, recording the requested observables at every step.
 
     landscape (see sample_landscape; None only for the clean walk) defaults
-    to realization 0 of spec.disorder.  Scalar series (sigma, ipr,
-    negativities) have steps+1 entries with index 0 the initial state; the
+    to realization 0 of spec.disorder.  Each series (sigma, ipr,
+    negativities) has steps+1 entries with index 0 the initial state; the
     distribution is of the final state only.  The one row of run_walk_batch.
     """
     if landscape is _REALIZATION_0:
         landscape = sample_landscape(spec.disorder, landscape_size(spec), 0)
     series, p, final = run_walk_batch(spec, [landscape])
-    return RunResult(**{key: line[0] for key, line in series.items()},
+    return RunResult({key: line[0] for key, line in series.items()},
                      distribution=None if p is None else site_distribution([line[:, 0] for line in p]),
                      final_state=new_field(spec.confinement, [_complex(planes[..., 0]) for planes in final]))
 

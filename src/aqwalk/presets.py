@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Preset", "PRESETS", "preset_configs"]
+__all__ = ["Preset", "PRESETS"]
 
 # default acceleration sweeps (documented choice, see module docstring)
 A_SWEEP_1P = [0.0, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 3e-2]
@@ -248,10 +248,3 @@ def _build_presets() -> dict[str, Preset]:
 
 
 PRESETS = _build_presets()
-
-
-def preset_configs(name: str) -> tuple:
-    if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; run 'aqwalk presets' for the list")
-    return PRESETS[name].configs
-

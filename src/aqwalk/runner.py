@@ -57,7 +57,7 @@ def walk_files(runs, workers):
             if key == "distribution":
                 yield _distribution_file(f"distribution{suffix}", result.distribution)
             else:
-                yield f"{key}{suffix}", ["t", "value"], enumerate(result.series(key))
+                yield f"{key}{suffix}", ["t", "value"], enumerate(result.series[key])
 
 
 def ensemble_files(spec, workers):
@@ -67,7 +67,7 @@ def ensemble_files(spec, workers):
         summary = run_ensemble(dataclasses.replace(ensemble, walk=walk), workers=workers)
         for key in walk.record:
             if key == "distribution":
-                dist = Distribution1D(summary.positions, summary.mean_distribution)
+                dist = Distribution1D(np.arange(-walk.steps, walk.steps + 1), summary.mean[key])
                 yield _distribution_file(f"distribution{suffix}", dist)
             else:
                 rows = zip(range(walk.steps + 1), summary.mean[key], summary.stderr[key])
@@ -78,7 +78,7 @@ def surface_files(spec, workers):
     """spec: (one WalkSpec per acceleration, observable)."""
     walks, observable = spec
     rows = [(walk.schedule.a, t, value)
-            for walk in walks for t, value in enumerate(run_walk(walk).series(observable))]
+            for walk in walks for t, value in enumerate(run_walk(walk).series[observable])]
     yield observable + "_surface", ["a", "t", "value"], rows
 
 
@@ -89,7 +89,7 @@ def dispersion_files(spec, workers):
     vg = []
     for k in kappa:
         try:
-            vg.append(group_velocity(theta0, float(k), phi))
+            vg.append(group_velocity(theta0, float(k), phi, variant))
         except SingularParameterError:
             vg.append(math.nan)
     yield "dispersion", ["kappa", "omega_plus", "omega_minus", "group_velocity"], zip(kappa, plus, minus, vg)

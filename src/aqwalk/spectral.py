@@ -58,32 +58,39 @@ def _offsets(line: Line, phi: float) -> tuple[float, float]:
     return phi * (k0 + k1) / 2, phi * (k1 - k0) / 2
 
 
+def _variant_offsets(variant: str, phi: float) -> tuple[float, float]:
+    """_offsets of the line DISPERSION_VARIANTS names."""
+    if variant not in DISPERSION_VARIANTS:
+        raise ValueError(f"unknown dispersion variant {variant!r}; known: {tuple(DISPERSION_VARIANTS)}")
+    return _offsets(DISPERSION_VARIANTS[variant], phi)
+
+
 def dispersion_omega(theta0: float, kappa, phi: float = 0.0, variant: str = "single"):
     """Both mode frequencies omega solving the dispersion relation.
 
     Returns (omega_plus, omega_minus); kappa may be a scalar or an array.
     """
-    if variant not in DISPERSION_VARIANTS:
-        raise ValueError(f"unknown dispersion variant {variant!r}; known: {tuple(DISPERSION_VARIANTS)}")
-    w_off, k_off = _offsets(DISPERSION_VARIANTS[variant], phi)
+    w_off, k_off = _variant_offsets(variant, phi)
     rhs = np.cos(theta0) * np.cos(np.asarray(kappa) + k_off)
     root = np.arccos(np.clip(rhs, -1.0, 1.0))
     return root - w_off, -root - w_off
 
 
-def group_velocity(theta0: float, kappa, phi: float = 0.0):
-    """Signed group velocity d(omega)/d(kappa) of the propagating branch.
+def group_velocity(theta0: float, kappa, phi: float = 0.0, variant: str = "single"):
+    """Signed group velocity d(omega_plus)/d(kappa) of the propagating branch.
 
-    Bounded by cos(theta0) in magnitude.  The expression is singular only
-    where cos(theta0) cos(kappa + phi/2) = +-1 (theta0 = 0 with the
-    shifted kappa at 0 or pi), which is rejected.
+    Bounded by cos(theta0) in magnitude, which it reaches at
+    kappa* = pi/2 - (k1 - k0) phi/2 for the variant's line.  The
+    expression is singular only where cos(theta0) cos(kappa + (k1 - k0)
+    phi/2) = +-1 (theta0 = 0 with the shifted kappa at 0 or pi), which
+    is rejected.
     """
-    arg = np.asarray(kappa, dtype=float) + _offsets(LINES["1p"], phi)[1]
+    arg = np.asarray(kappa, dtype=float) + _variant_offsets(variant, phi)[1]
     ct = math.cos(theta0)
     denom_sq = 1.0 - (ct * np.cos(arg)) ** 2
     if np.any(denom_sq <= 1e-30):
         raise SingularParameterError(
-            "group velocity undefined: cos(theta0) cos(kappa + phi/2) = +-1"
+            "group velocity undefined: cos(theta0) cos(kappa + (k1 - k0) phi/2) = +-1"
         )
     result = ct * np.sin(arg) / np.sqrt(denom_sq)
     if np.ndim(kappa) == 0:

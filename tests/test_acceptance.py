@@ -90,7 +90,7 @@ def test_criterion_01_homogeneous_baseline():
 
     # slope: linear fit of the engine series vs the dense-oracle slope
     t_axis = np.arange(201)
-    slope_engine = np.polyfit(t_axis[100:], result.sigma[100:], 1)[0]
+    slope_engine = np.polyfit(t_axis[100:], result.series["sigma"][100:], 1)[0]
     oracle_sig = [_dense_sigma(math.pi / 4, 0.0, steps) for steps in range(25, 51, 5)]
     slope_oracle = np.polyfit(np.arange(25, 51, 5), oracle_sig, 1)[0]
     slope_ok = abs(slope_engine / slope_oracle - 1.0) < 0.05
@@ -126,7 +126,7 @@ THETA0S = ((math.pi / 4, "pi/4"), (math.pi / 2, "pi/2"))
 def _sigma_series(theta0, a, steps=200):
     spec = WalkSpec(CoinSchedule(theta0, a), InitialState.symmetric(), steps,
                     record=("sigma",))
-    return run_walk(spec).sigma
+    return run_walk(spec).series["sigma"]
 
 
 def _sigma_at(theta0, a, steps=200):
@@ -197,7 +197,7 @@ def test_saturation_reached_at_larger_acceleration():
 def test_criterion_04_negativity_bound_and_saturation():
     spec = WalkSpec(CoinSchedule(math.pi / 2, 0.03), InitialState.symmetric(), 400,
                     record=("negativity_coin_position",))
-    neg = run_walk(spec).negativity_coin_position
+    neg = run_walk(spec).series["negativity_coin_position"]
     bound_ok = neg.max() <= 0.5 + 1e-12
 
     # the angle stays near pi/2 for the first ~25 steps, where the clean
@@ -231,7 +231,7 @@ def test_criterion_04_negativity_bound_and_saturation():
 def test_criterion_05_two_particle_null_case():
     spec = WalkSpec(CoinSchedule(math.pi / 2, 0.0), InitialState.basis_two_particle("uu"),
                     500, record=("negativity_particle_particle",))
-    neg = run_walk(spec).negativity_particle_particle
+    neg = run_walk(spec).series["negativity_particle_particle"]
     worst = float(np.abs(neg).max())
     ok = worst < 1e-12
     _report(5, ok, f"max |negativity| over t<=500: {worst:.2e}")
@@ -243,7 +243,7 @@ def test_criterion_06_entanglement_rise_and_decay():
     for a in (0.002, 0.02):
         spec = WalkSpec(CoinSchedule(math.pi / 2, a), InitialState.basis_two_particle("uu"),
                         500, record=("negativity_particle_particle",))
-        curves[a] = run_walk(spec).negativity_particle_particle
+        curves[a] = run_walk(spec).series["negativity_particle_particle"]
     rises = curves[0.002][0] == 0.0 and curves[0.002].max() > 0.1
     h_slow = _half_life(curves[0.002])
     h_fast = _half_life(curves[0.02])
@@ -381,7 +381,7 @@ def test_criterion_12_disorder_prolongs_entanglement():
     clean_spec = WalkSpec(CoinSchedule(math.pi / 2, 0.002),
                           InitialState.basis_two_particle("uu"), steps,
                           record=("negativity_particle_particle",))
-    clean = run_walk(clean_spec).negativity_particle_particle
+    clean = run_walk(clean_spec).series["negativity_particle_particle"]
 
     walk = WalkSpec(CoinSchedule(math.pi / 2, 0.002), InitialState.basis_two_particle("uu"),
                     steps, disorder=DisorderSpec("spatial"),

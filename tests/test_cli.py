@@ -100,7 +100,7 @@ def test_csv_round_trip_exact(tmp_path):
     with open(tmp_path / "out" / "rt" / "sigma.csv") as handle:
         rows = list(csv.reader(handle))[1:]
     parsed = np.array([float(v) for _, v in rows])
-    assert np.array_equal(parsed, expected.sigma)
+    assert np.array_equal(parsed, expected.series["sigma"])
     with open(tmp_path / "out" / "rt" / "distribution.csv") as handle:
         rows = list(csv.reader(handle))[1:]
     parsed = np.array([float(p) for _, p in rows])
@@ -492,6 +492,43 @@ def test_presets_cover_every_figure():
     assert names == sorted(f"fig{i}" for i in range(1, 24))
 
 
+@pytest.mark.parametrize("name", ["nope", ""])
+@pytest.mark.parametrize("verb", [["run", "--preset"], ["presets", "--dump"]], ids=["run", "dump"])
+def test_unknown_preset_gives_exit_2(tmp_path, capsys, monkeypatch, verb, name):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("AQWALK_OUTPUT_DIR", raising=False)
+    assert main(verb + [name]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"config error: preset: unknown preset {name!r}; run 'aqwalk presets' for the list\n")
+    assert os.listdir(tmp_path) == []
+
+
+def _shrunk(value):
+    """A preset config with every walk cut to at most 40 steps and every ensemble to 8 runs."""
+    if not isinstance(value, dict):
+        return value
+    caps = {"steps": 40, "runs": 8}
+    return {key: min(item, caps[key]) if key in caps else _shrunk(item) for key, item in value.items()}
+
+
+def test_every_preset_runs_the_same_at_one_and_two_workers(tmp_path):
+    # every config of every preset, shrunk; seeds, sweeps and records are the presets' own
+    from aqwalk.config import parse_config
+    from aqwalk.runner import execute
+
+    hashes = []
+    for workers in (1, 2):
+        files = {}
+        for preset in PRESETS.values():
+            for cfg in preset.configs:
+                directory, _ = execute(parse_config(_shrunk(cfg)), str(tmp_path / f"w{workers}"), workers)
+                files.update({(os.path.basename(directory), name): digest
+                              for name, digest in _file_hashes(directory).items()})
+        hashes.append(files)
+    assert len(hashes[0]) == 158
+    assert hashes[0] == hashes[1]
+
+
 def test_preset_dump_is_valid_yaml(capsys):
     assert main(["presets", "--dump", "fig2"]) == 0
     docs = [d for d in yaml.safe_load_all(capsys.readouterr().out) if d]
@@ -585,6 +622,23 @@ def test_dispersion_transfer_lyapunov_schedule_kinds(tmp_path):
     assert sched[0] == "a,t,value"
     lyap = (tmp_path / "out" / "lyap" / "lyapunov.csv").read_text().splitlines()
     assert lyap[0] == "gamma,localization_length"
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.7])
+@pytest.mark.parametrize("variant", ["single", "two_particle_xline", "two_particle_yline"])
+def test_group_velocity_is_the_slope_of_omega_plus(tmp_path, variant, phi):
+    # both the function and the file's column follow the variant's own relation
+    from aqwalk import dispersion_omega, group_velocity
+
+    cfg = {"name": "disp", "dispersion": {"theta0": "pi/4", "phi": phi, "variant": variant, "kappa": {"count": 33}}}
+    assert main(["run", _write(tmp_path, cfg), "-o", str(tmp_path / "out")]) == 0
+    kappa, _, _, column = np.loadtxt(tmp_path / "out" / "disp" / "dispersion.csv", delimiter=",",
+                                     skiprows=1, unpack=True)
+    h = 1e-5
+    slope = (dispersion_omega(math.pi / 4, kappa + h, phi, variant)[0]
+             - dispersion_omega(math.pi / 4, kappa - h, phi, variant)[0]) / (2 * h)
+    assert np.max(np.abs(group_velocity(math.pi / 4, kappa, phi, variant) - slope)) < 1e-6
+    assert np.max(np.abs(column - slope)) < 1e-6
 
 
 def test_lyapunov_next_to_half_pi_is_finite(tmp_path):

@@ -30,7 +30,7 @@ def test_single_run_ensemble_equals_walk():
     spec = EnsembleSpec(_walk(kind="none"), runs=1, base_seed=5)
     summary = run_ensemble(spec, workers=1)
     direct = run_walk(spec.walk)
-    assert np.array_equal(summary.mean["sigma"], direct.sigma)
+    assert np.array_equal(summary.mean["sigma"], direct.series["sigma"])
     assert np.all(summary.stderr["sigma"] == 0.0)
 
 
@@ -39,9 +39,9 @@ def test_clean_limit_collapse():
     spec = EnsembleSpec(_walk(kind="none", record=("sigma", "distribution")), runs=5, base_seed=1)
     summary = run_ensemble(spec, workers=1)
     direct = run_walk(spec.walk)
-    assert np.array_equal(summary.mean["sigma"], direct.sigma)
+    assert np.array_equal(summary.mean["sigma"], direct.series["sigma"])
     assert np.max(summary.stderr["sigma"]) == 0.0
-    assert np.array_equal(summary.mean_distribution, direct.distribution.p)
+    assert np.array_equal(summary.mean["distribution"], direct.distribution.p)
 
 
 def test_worker_count_independence():
@@ -50,7 +50,7 @@ def test_worker_count_independence():
     s4 = run_ensemble(spec, workers=4)
     assert np.array_equal(s1.mean["sigma"], s4.mean["sigma"])
     assert np.array_equal(s1.stderr["sigma"], s4.stderr["sigma"])
-    assert np.array_equal(s1.mean_distribution, s4.mean_distribution)
+    assert np.array_equal(s1.mean["distribution"], s4.mean["distribution"])
 
 
 def test_base_seed_controls_landscapes():
@@ -69,8 +69,8 @@ def test_two_run_stderr_is_the_sample_standard_error():
     summary = run_ensemble(spec, workers=1)
     walk = dataclasses.replace(spec.walk, disorder=DisorderSpec("temporal", seed=3))
     runs = [run_walk(walk, sample_landscape(walk.disorder, walk.steps, i)) for i in range(2)]
-    for got, samples in ((summary.stderr["sigma"], [r.sigma for r in runs]),
-                         (summary.stderr_distribution, [r.distribution.p for r in runs])):
+    for got, samples in ((summary.stderr["sigma"], [r.series["sigma"] for r in runs]),
+                         (summary.stderr["distribution"], [r.distribution.p for r in runs])):
         expected = np.std(samples, axis=0, ddof=1) / math.sqrt(2)
         assert np.max(expected) > 0.01  # the two landscapes give different walks
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-15)
@@ -79,8 +79,8 @@ def test_two_run_stderr_is_the_sample_standard_error():
 def test_mean_distribution_normalized():
     spec = EnsembleSpec(_walk(record=("distribution",)), runs=20, base_seed=3)
     summary = run_ensemble(spec, workers=1)
-    assert summary.mean_distribution.sum() == pytest.approx(1.0, abs=1e-9)
-    assert np.all(summary.stderr_distribution >= 0.0)
+    assert summary.mean["distribution"].sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.all(summary.stderr["distribution"] >= 0.0)
 
 
 def test_acceleration_increases_mean_spread():
@@ -98,10 +98,10 @@ def test_temporal_disorder_on_a_y_line_is_a_global_phase(start):
                     disorder=DisorderSpec("temporal"), record=record)
     summary = run_ensemble(EnsembleSpec(walk, runs=64, base_seed=5), workers=1)
     clean = run_walk(dataclasses.replace(walk, disorder=DisorderSpec()))
-    assert np.max(np.abs(summary.mean_distribution - clean.distribution.p)) <= 1e-14
-    assert np.max(summary.stderr_distribution) <= 1e-14
+    assert np.max(np.abs(summary.mean["distribution"] - clean.distribution.p)) <= 1e-14
+    assert np.max(summary.stderr["distribution"]) <= 1e-14
     for key in record[1:]:
-        assert np.max(np.abs(summary.mean[key] - clean.series(key))) <= 1e-14
+        assert np.max(np.abs(summary.mean[key] - clean.series[key])) <= 1e-14
         assert np.max(summary.stderr[key]) <= 1e-14
 
 
@@ -266,8 +266,6 @@ def test_chunking_does_not_change_results(monkeypatch):
             for key in summaries[0].mean:
                 assert summaries[0].mean[key].tobytes() == other.mean[key].tobytes()
                 assert summaries[0].stderr[key].tobytes() == other.stderr[key].tobytes()
-            if "distribution" in spec.walk.record:
-                assert summaries[0].mean_distribution.tobytes() == other.mean_distribution.tobytes()
 
 
 def test_summaries_are_byte_identical_at_one_two_and_three_workers(monkeypatch, forks):
@@ -283,8 +281,6 @@ def test_summaries_are_byte_identical_at_one_two_and_three_workers(monkeypatch, 
         for key in summaries[0].mean:
             assert summaries[0].mean[key].tobytes() == other.mean[key].tobytes()
             assert summaries[0].stderr[key].tobytes() == other.stderr[key].tobytes()
-        assert summaries[0].mean_distribution.tobytes() == other.mean_distribution.tobytes()
-        assert summaries[0].stderr_distribution.tobytes() == other.stderr_distribution.tobytes()
 
 
 def test_chunks_cover_every_index_once():

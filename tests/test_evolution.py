@@ -162,7 +162,7 @@ def test_run_is_deterministic_bit_for_bit():
                     disorder=DisorderSpec("spatial", seed=77), record=("sigma", "distribution"))
     a = run_walk(spec)
     b = run_walk(spec)
-    assert np.array_equal(a.sigma, b.sigma)
+    assert np.array_equal(a.series["sigma"], b.series["sigma"])
     assert np.array_equal(a.distribution.p, b.distribution.p)
 
 
@@ -182,6 +182,12 @@ def test_long_walk_rows_are_bit_identical_to_single_runs(slots, kind, steps):
 def test_rejects_unknown_record_key():
     with pytest.raises(ValueError, match="unknown record key"):
         WalkSpec(CoinSchedule(1.0, 0.0), InitialState.up(), 5, record=("entropy",))
+
+
+def test_rejects_a_record_key_listed_twice():
+    # a result holds one series per key, so a repeated key would be written twice
+    with pytest.raises(ValueError, match="'sigma' is listed twice"):
+        WalkSpec(CoinSchedule(1.0, 0.0), InitialState.up(), 5, record=("sigma", "distribution", "sigma"))
 
 
 def test_particle_particle_record_needs_two_particles():
@@ -245,7 +251,7 @@ def test_landscape_is_none_exactly_for_a_clean_walk():
     with pytest.raises(ValueError, match="needs a landscape"):
         run_walk(spatial, None)
     # only a landscape left out draws realization 0
-    assert run_walk(spatial).sigma.tobytes() == run_walk(spatial, phases).sigma.tobytes()
+    assert run_walk(spatial).series["sigma"].tobytes() == run_walk(spatial, phases).series["sigma"].tobytes()
 
 
 def test_full2d_spatial_disorder_unsupported():
@@ -269,7 +275,7 @@ def test_larger_acceleration_dominates_spread_pointwise():
     for a in (0.01, 0.03):
         spec = WalkSpec(CoinSchedule(math.pi / 2, a), InitialState.symmetric(), 200,
                         record=("sigma",))
-        curves[a] = run_walk(spec).sigma
+        curves[a] = run_walk(spec).series["sigma"]
     diff = curves[0.03] - curves[0.01]
     assert np.all(diff[1:] > 0)  # separated from the very first step here
 

@@ -93,7 +93,7 @@ def assert_rows_are_single_runs(spec, landscapes):
                 assert np.array_equal(got.x, single.distribution.x)
                 assert all(line[:, i].tobytes() == alone[:, 0].tobytes() for line, alone in zip(p, alone_p))
             else:
-                assert series[key][i].tobytes() == single.series(key).tobytes() == alone_series[key][0].tobytes()
+                assert series[key][i].tobytes() == single.series[key].tobytes() == alone_series[key][0].tobytes()
         for name, family, alone in zip(families(spec.confinement), planes, alone_planes, strict=True):
             assert family[..., i].tobytes() == alone[..., 0].tobytes()
             for component, part in zip(LINES[name].fields, family[..., i]):
@@ -154,10 +154,10 @@ def test_single_run_matches_dense_oracle(walk):
             assert np.max(np.abs(result.distribution.p - p)) < 1e-12
         elif key == "sigma":
             value, tol = expected[key]
-            assert abs(result.sigma[-1] ** 2 - value ** 2) < tol
+            assert abs(result.series["sigma"][-1] ** 2 - value ** 2) < tol
         elif key in expected:
             value, tol = expected[key]
-            assert abs(result.series(key)[-1] - value) < tol
+            assert abs(result.series[key][-1] - value) < tol
 
 
 @PROPERTY_SETTINGS
@@ -174,11 +174,11 @@ def test_per_state_observables_agree_with_the_walk(walk):
     assert dist.x.tobytes() == result.distribution.x.tobytes()
     # sigma^2 = second - mean^2 carries rounding of order eps * second
     second = float(np.dot(dist.x * dist.x, dist.p))
-    assert abs(sigma(dist) ** 2 - result.sigma[-1] ** 2) < 1e-12 * max(1.0, second)
-    assert abs(ipr(dist) - result.ipr[-1]) < 1e-12
-    assert abs(negativity_coin_position(state) - result.negativity_coin_position[-1]) < 1e-12
+    assert abs(sigma(dist) ** 2 - result.series["sigma"][-1] ** 2) < 1e-12 * max(1.0, second)
+    assert abs(ipr(dist) - result.series["ipr"][-1]) < 1e-12
+    assert abs(negativity_coin_position(state) - result.series["negativity_coin_position"][-1]) < 1e-12
     if layout != "1p":
-        assert abs(negativity_particle_particle(state) - result.negativity_particle_particle[-1]) < 1e-12
+        assert abs(negativity_particle_particle(state) - result.series["negativity_particle_particle"][-1]) < 1e-12
 
 
 @PROPERTY_SETTINGS
@@ -203,9 +203,9 @@ def test_mirrored_start_gives_the_mirrored_walk(walk):
     result, image = run_walk(spec), run_walk(mirrored)
     t = np.arange(spec.steps + 1)
     # sigma^2 = second - mean^2 carries rounding of order eps * second <= eps * t^2
-    assert np.all(np.abs(result.sigma ** 2 - image.sigma ** 2) < 1e-12 * np.maximum(1.0, t ** 2))
+    assert np.all(np.abs(result.series["sigma"] ** 2 - image.series["sigma"] ** 2) < 1e-12 * np.maximum(1.0, t ** 2))
     for key in set(keys) - {"distribution", "sigma"}:
-        assert np.max(np.abs(result.series(key) - image.series(key))) < 1e-12
+        assert np.max(np.abs(result.series[key] - image.series[key])) < 1e-12
     assert np.max(np.abs(result.distribution.p - image.distribution.p[::-1])) < 1e-12
 
 
@@ -246,9 +246,9 @@ def test_full2d_walk_matches_dense_grid_oracle(walk, rows):
     assert np.max(np.abs(got - states[-1])) < 1e-12
     assert np.max(np.abs(result.distribution.p - np.sum(np.abs(states[-1]) ** 2, axis=0))) < 1e-12
     for t, state in enumerate(states):
-        assert abs(result.negativity_particle_particle[t] - pp_negativity_loops(*state)) < 1e-12
+        assert abs(result.series["negativity_particle_particle"][t] - pp_negativity_loops(*state)) < 1e-12
     # the per-state functions read the two lines of the final state
     assert abs(negativity_particle_particle(final) - pp_negativity_loops(*states[-1])) < 1e-12
-    assert abs(negativity_particle_particle(final) - result.negativity_particle_particle[-1]) < 1e-12
+    assert abs(negativity_particle_particle(final) - result.series["negativity_particle_particle"][-1]) < 1e-12
     assert np.max(np.abs(reduced_particle_density(final) - coin_density_loops(*states[-1]))) < 1e-12
     assert_rows_are_single_runs(spec, landscapes)

@@ -137,7 +137,7 @@ def test_negativity_rejects_unnormalized():
 def test_negativity_bound_along_walk():
     spec = WalkSpec(CoinSchedule(math.pi / 2, 0.03), InitialState.symmetric(), 300,
                     record=("negativity_coin_position",))
-    series = run_walk(spec).negativity_coin_position
+    series = run_walk(spec).series["negativity_coin_position"]
     assert series.max() <= 0.5 + 1e-12
     assert series.min() >= 0.0
 
@@ -192,7 +192,7 @@ def test_pp_negativity_walk_series_matches_loops():
     state = result.final_state
     zeros = np.zeros_like(state.components["uu"])
     expected = pp_negativity_loops(state.components["uu"], zeros, zeros, state.components["dd"])
-    assert result.negativity_particle_particle[-1] == pytest.approx(expected, abs=1e-12)
+    assert result.series["negativity_particle_particle"][-1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_pp_negativity_symmetric_under_transposed_side():
@@ -253,8 +253,8 @@ def test_two_particle_coin_position_negativity_confined():
     result = run_walk(spec)
     state = result.final_state
     loops = negativity_pt_loops(amplitude_matrix(state))
-    assert result.negativity_coin_position[-1] == pytest.approx(loops, abs=1e-10)
-    assert result.negativity_coin_position.max() <= 0.5 + 1e-12
+    assert result.series["negativity_coin_position"][-1] == pytest.approx(loops, abs=1e-10)
+    assert result.series["negativity_coin_position"].max() <= 0.5 + 1e-12
 
 
 def _random_line_state(rng, layout):
