@@ -120,10 +120,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except AqwalkError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, FloatingPointError, LinAlgError, MemoryError) as exc:
+    except (AqwalkError, ValueError, OSError, FloatingPointError, LinAlgError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

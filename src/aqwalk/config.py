@@ -243,7 +243,7 @@ def _ensemble_kind(raw: dict, exp: Experiment):
         exp.ensemble = EnsembleSpec(walk, runs, base_seed)
     except ValueError as exc:
         raise ConfigError("ensemble", str(exc))
-    return exp.ensemble, _sweep_runs(exp, walk)
+    return [(suffix, dataclasses.replace(exp.ensemble, walk=point)) for suffix, point in _sweep_runs(exp, walk)]
 
 
 def _surface_kind(raw: dict, exp: Experiment):

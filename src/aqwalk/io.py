@@ -16,23 +16,26 @@ from itertools import chain
 __all__ = [
     "write_rows_atomic",
     "write_json_atomic",
-    "sha256_file",
     "write_manifest",
 ]
 
 
-def _atomic_write(path: str, data: str):
+def _atomic_write(path: str, text: str) -> str:
+    """Write text to path via a temporary file beside it and return the sha256 of
+    its bytes: the text is encoded once and written in binary mode, so the digest is the file's."""
+    data = text.encode()
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "wb") as handle:
             handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return hashlib.sha256(data).hexdigest()
 
 
 def _column_format(column) -> str:
@@ -41,29 +44,21 @@ def _column_format(column) -> str:
 
 
 def write_rows_atomic(path: str, header: list[str], rows) -> str:
-    """Write the header and one line per row: the whole body is one %-format
-    of the row template, repeated once per row."""
+    """Write the header and one line per row and return the file's sha256: the
+    whole body is one %-format of the row template, repeated once per row."""
     values = tuple(chain.from_iterable(rows))
     width = len(header)
     template = ",".join(_column_format(values[i::width]) for i in range(width)) + "\n"
-    _atomic_write(path, ",".join(header) + "\n" + template * (len(values) // width) % values)
-    return path
+    return _atomic_write(path, ",".join(header) + "\n" + template * (len(values) // width) % values)
 
 
 def write_json_atomic(path: str, payload) -> str:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    """Write payload as indented JSON with sorted keys, and return the sha256 of the file's bytes."""
+    return _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def write_manifest(directory: str, name: str, parameters: dict, files: list[str], version: str) -> str:
+def write_manifest(directory: str, name: str, parameters: dict, outputs: dict[str, str], version: str) -> str:
+    """Write directory/manifest.json and return its path; outputs maps each data file's name to its digest."""
     manifest = {
         "name": name,
         "created": datetime.now(timezone.utc).isoformat(),
@@ -72,7 +67,8 @@ def write_manifest(directory: str, name: str, parameters: dict, files: list[str]
         "parameters_sha256": hashlib.sha256(
             json.dumps(parameters, sort_keys=True, default=str).encode()
         ).hexdigest(),
-        "outputs": {os.path.basename(f): sha256_file(f) for f in sorted(files)},
+        "outputs": outputs,
     }
     path = os.path.join(directory, "manifest.json")
-    return write_json_atomic(path, manifest)
+    write_json_atomic(path, manifest)
+    return path

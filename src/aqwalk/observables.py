@@ -69,8 +69,7 @@ class Distribution2D:
 
 def distribution(state):
     """Position probability distribution of a walker state (see site_distribution)."""
-    return site_distribution([site_probabilities(left.real, left.imag, right.real, right.imag)[:, 0]
-                              for _, left, right in lines(state)])
+    return site_distribution([site_probabilities(*planes)[:, 0] for _, planes in lines(state)])
 
 
 def site_distribution(p):
@@ -181,8 +180,8 @@ def line_observables(keys, lr, li, rr, ri, positions=None) -> dict:
 
 def _line_value(state, key: str) -> float:
     """The observable named key of a one-line state, from line_observables."""
-    (_, left, right), = lines(state)
-    return float(line_observables((key,), left.real, left.imag, right.real, right.imag)[key][0])
+    (_, planes), = lines(state)
+    return float(line_observables((key,), *planes)[key][0])
 
 
 def negativity_coin_position(state) -> float:
@@ -198,10 +197,9 @@ def negativity_coin_position(state) -> float:
 
 def reduced_particle_density(state: Field) -> np.ndarray:
     """4x4 density matrix of the two-particle coin space, position traced out."""
-    planes = [(name, (left.real, left.imag, right.real, right.imag)) for name, left, right in lines(state)]
     # the two lines of a full-2D field cross at the origin, the middle site of each
     site = len(state.components["uu"]) // 2 if state.confinement == "full2d" else None
-    return crossing_coin_density(planes, site)[0]
+    return crossing_coin_density(lines(state), site)[0]
 
 
 def crossing_coin_density(line_planes, site) -> np.ndarray:

@@ -6,13 +6,13 @@ count, and yields one (stem, header, rows) triple per output file.
 
 File schemas: distributions are `x,p` (`x,y,p` in 2D), per-step series
 are `t,value` (`t,value,stderr` for ensembles), surfaces are `a,t,value`.
+A JSON file holds a NaN or an infinity as null; a CSV file as nan or inf.
 Every experiment directory also gets a manifest.json with the resolved
-parameters and a content hash per data file.
+parameters and the sha256 of each data file, as its writer returned it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 
@@ -24,7 +24,6 @@ from .ensemble import run_ensemble
 from .errors import SingularParameterError
 from .evolve import run_walk
 from .io import write_json_atomic, write_manifest, write_rows_atomic
-from .observables import Distribution1D
 from .spectral import (
     dispersion_omega,
     group_velocity,
@@ -37,16 +36,20 @@ __all__ = ["execute"]
 
 
 def _jsonify(value):
-    return value.item() if isinstance(value, (np.integer, np.floating)) else value
+    """A row value as a Python number, or None (JSON null) for a NaN or an infinity, which JSON cannot hold."""
+    if isinstance(value, (np.integer, np.floating)):
+        value = value.item()
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def _distribution_file(stem: str, dist):
-    if isinstance(dist, Distribution1D):
-        return stem, ["x", "p"], zip(dist.x.tolist(), dist.p.tolist())
+def _distribution_file(stem: str, x, p, y=None):
+    """The x,p file of a 1D distribution, or the x,y,p file of a 2D one: a Distribution's fields."""
+    if p.ndim == 1:
+        return stem, ["x", "p"], zip(x.tolist(), p.tolist())
     # p is indexed [x, y]: x is the outer loop of the rows
-    xs = np.repeat(dist.x, len(dist.y)).tolist()
-    ys = np.tile(dist.y, len(dist.x)).tolist()
-    return stem, ["x", "y", "p"], zip(xs, ys, dist.p.ravel().tolist())
+    xs = np.repeat(x, len(y)).tolist()
+    ys = np.tile(y, len(x)).tolist()
+    return stem, ["x", "y", "p"], zip(xs, ys, p.ravel().tolist())
 
 
 def walk_files(runs, workers):
@@ -55,20 +58,20 @@ def walk_files(runs, workers):
         result = run_walk(walk)
         for key in walk.record:
             if key == "distribution":
-                yield _distribution_file(f"distribution{suffix}", result.distribution)
+                yield _distribution_file(f"distribution{suffix}", **vars(result.distribution))
             else:
                 yield f"{key}{suffix}", ["t", "value"], enumerate(result.series[key])
 
 
-def ensemble_files(spec, workers):
-    """spec: (EnsembleSpec, [(file suffix, WalkSpec) per sweep point]), each point on `workers` processes."""
-    ensemble, runs = spec
-    for suffix, walk in runs:
-        summary = run_ensemble(dataclasses.replace(ensemble, walk=walk), workers=workers)
+def ensemble_files(runs, workers):
+    """runs: (file suffix, EnsembleSpec) per sweep point, each run as given on `workers` processes."""
+    for suffix, ensemble in runs:
+        walk = ensemble.walk
+        summary = run_ensemble(ensemble, workers=workers)
         for key in walk.record:
             if key == "distribution":
-                dist = Distribution1D(np.arange(-walk.steps, walk.steps + 1), summary.mean[key])
-                yield _distribution_file(f"distribution{suffix}", dist)
+                x = np.arange(-walk.steps, walk.steps + 1)
+                yield _distribution_file(f"distribution{suffix}", x, summary.mean[key])
             else:
                 rows = zip(range(walk.steps + 1), summary.mean[key], summary.stderr[key])
                 yield f"{key}{suffix}", ["t", "value", "stderr"], rows
@@ -119,13 +122,14 @@ def schedule_files(spec, workers):
 def execute(exp, output_dir: str, workers: int | None = None) -> tuple[str, list[str]]:
     """Run one parsed config.Experiment, returning (directory, written files incl. manifest)."""
     directory = os.path.join(output_dir, exp.name)  # made by the first write, so a failed run leaves none
-    files = []
+    outputs = {}  # file name: the sha256 its writer returned
     for stem, header, rows in exp.run(exp.spec, workers):
-        path = os.path.join(directory, f"{stem}.{exp.fmt}")
+        name = f"{stem}.{exp.fmt}"
+        path = os.path.join(directory, name)
         if exp.fmt == "csv":
-            write_rows_atomic(path, header, rows)
+            outputs[name] = write_rows_atomic(path, header, rows)
         else:
-            write_json_atomic(path, {"header": header, "rows": [[_jsonify(v) for v in row] for row in rows]})
-        files.append(path)
-    manifest = write_manifest(directory, exp.name, exp.raw, files, __version__)
-    return directory, files + [manifest]
+            rows = [[_jsonify(v) for v in row] for row in rows]
+            outputs[name] = write_json_atomic(path, {"header": header, "rows": rows})
+    manifest = write_manifest(directory, exp.name, exp.raw, outputs, __version__)
+    return directory, [os.path.join(directory, name) for name in outputs] + [manifest]

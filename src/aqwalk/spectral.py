@@ -52,17 +52,13 @@ class LyapunovEstimate:
     half_estimates: tuple[float, float]
 
 
-def _offsets(line: Line, phi: float) -> tuple[float, float]:
-    """(omega offset, kappa offset) of a line's cosine relation: phi ((k0 + k1)/2, (k1 - k0)/2)."""
-    k0, k1 = line.powers
-    return phi * (k0 + k1) / 2, phi * (k1 - k0) / 2
-
-
 def _variant_offsets(variant: str, phi: float) -> tuple[float, float]:
-    """_offsets of the line DISPERSION_VARIANTS names."""
+    """(omega offset, kappa offset) of the cosine relation of the line DISPERSION_VARIANTS
+    names, with phase powers (k0, k1): phi ((k0 + k1)/2, (k1 - k0)/2)."""
     if variant not in DISPERSION_VARIANTS:
         raise ValueError(f"unknown dispersion variant {variant!r}; known: {tuple(DISPERSION_VARIANTS)}")
-    return _offsets(DISPERSION_VARIANTS[variant], phi)
+    k0, k1 = DISPERSION_VARIANTS[variant].powers
+    return phi * (k0 + k1) / 2, phi * (k1 - k0) / 2
 
 
 def dispersion_omega(theta0: float, kappa, phi: float = 0.0, variant: str = "single"):

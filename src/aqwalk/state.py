@@ -150,8 +150,11 @@ def families(layout: str) -> tuple[str, ...]:
 
 
 def lines(state):
-    """(layout, L, R) of each family of lines of a state, L and R of shape (sites, 1)."""
-    return [(name, *(state.components[component][:, None] for component in LINES[name].fields))
+    """(layout, (Re L, Im L, Re R, Im R)) of each family of lines of a state,
+    each plane a view of shape (sites, 1): the planes the line kernel's
+    observables take."""
+    return [(name, tuple(part(state.components[component][:, None])
+                         for component in LINES[name].fields for part in (np.real, np.imag)))
             for name in families(state.confinement)]
 
 

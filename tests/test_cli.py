@@ -554,6 +554,39 @@ def test_json_format(tmp_path):
     assert len(payload["rows"]) == 41
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not a JSON token")
+
+
+def test_json_writes_non_finite_values_as_null_and_csv_keeps_them(tmp_path):
+    # the group velocity is singular at theta0 = 0, kappa = 0; a clean chain's gamma is -1.27e-6 here
+    configs = {
+        "dispersion": {"theta0": 0, "kappa": {"min": 0, "max": 1, "count": 3}},
+        "lyapunov": {"theta": 0.6, "omega": 0.65, "chain_length": 2000, "disorder": {"kind": "none"}},
+    }
+    cells = {"dispersion": (0, 3), "lyapunov": (0, 1)}
+    for kind, config in configs.items():
+        path = _write(tmp_path, {"name": kind, kind: config}, kind + ".yaml")
+        for fmt in ("json", "csv"):
+            assert main(["run", path, "--format", fmt, "-o", str(tmp_path / fmt)]) == 0
+        payload = json.loads((tmp_path / "json" / kind / f"{kind}.json").read_text(), parse_constant=_reject_constant)
+        row, column = cells[kind]
+        assert payload["rows"][row][column] is None
+        assert sum(value is None for line in payload["rows"] for value in line) == 1
+        with open(tmp_path / "csv" / kind / f"{kind}.csv") as handle:
+            assert list(csv.reader(handle))[row + 1][column] in ("nan", "inf")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind", sorted(KIND_SMOKE))
+def test_manifest_records_the_sha256_of_each_file(tmp_path, kind, fmt):
+    config, files = KIND_SMOKE[kind]
+    assert main(["run", _write(tmp_path, dict(config, name=kind)), "--format", fmt, "-o", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / kind / "manifest.json").read_text())
+    assert manifest["outputs"] == _file_hashes(tmp_path / kind)
+    assert sorted(manifest["outputs"]) == [name.replace(".csv", f".{fmt}") for name in files]
+
+
 def test_env_var_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("AQWALK_OUTPUT_DIR", str(tmp_path / "envout"))
     monkeypatch.chdir(tmp_path)

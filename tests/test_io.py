@@ -34,7 +34,8 @@ def tables(draw):
 
 def _written(header, rows) -> str:
     with tempfile.TemporaryDirectory() as directory:
-        path = write_rows_atomic(os.path.join(directory, "rows.csv"), header, rows)
+        path = os.path.join(directory, "rows.csv")
+        write_rows_atomic(path, header, rows)
         with open(path, newline="") as handle:
             return handle.read()
 
