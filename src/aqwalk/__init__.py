@@ -29,8 +29,6 @@ from .evolve import (
     sample_landscape,
 )
 from .observables import (
-    Distribution1D,
-    Distribution2D,
     distribution,
     ipr,
     negativity_coin_position,

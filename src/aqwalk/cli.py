@@ -41,7 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--preset", help="name of a bundled preset (see 'aqwalk presets')")
     run.add_argument("-o", "--output-dir", help="output directory (overrides the config's output_dir)")
     run.add_argument("--format", choices=["csv", "json"], help="override the config's format")
-    run.add_argument("--workers", type=_worker_count, help="cap ensemble worker processes (>= 1)")
+    run.add_argument("--workers", type=_worker_count,
+                     help="cap ensemble worker processes (>= 1; default: the CPUs this process may run on)")
 
     pres = sub.add_parser("presets", help="list bundled figure presets")
     pres.add_argument("--dump", metavar="NAME", help="print the YAML configs of one preset")

@@ -141,6 +141,10 @@ def _parse_disorder(raw, where: str) -> DisorderSpec:
     if raw is None:
         return DisorderSpec()
     raw = _mapping(raw, where, ("kind", "phase_min", "phase_max", "seed"))
+    unused = sorted(raw.keys() - {"kind"})
+    if raw.get("kind", "none") == "none" and unused:
+        raise ConfigError(f"{where}.kind", f"is 'none' (the default), which draws no phases, "
+                                           f"so {', '.join(unused)} would have no effect")
     try:
         return DisorderSpec(
             kind=raw.get("kind", "none"),

@@ -174,11 +174,14 @@ def _stderr(samples: np.ndarray) -> np.ndarray:
 def run_ensemble(spec: EnsembleSpec, workers: int | None = None) -> EnsembleSummary:
     """Run all realizations and aggregate means and standard errors.
 
-    workers: how many processes compute, this one included (None: the CPU
-    count).  The aggregation is order-fixed, so the result depends neither
-    on the worker count nor on the chunking.
+    workers: how many processes compute, this one included (None: the CPUs
+    this process may run on, its affinity set where the OS keeps one).  The
+    aggregation is order-fixed, so the result depends neither on the worker
+    count nor on the chunking.
     """
-    workers = max(1, (os.cpu_count() or 1) if workers is None else workers)
+    if workers is None:
+        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = max(1, workers)
     walk = _effective_walk(spec)
     # without disorder every realization is the same computation, so a
     # clean ensemble of any size collapses to one run exactly

@@ -43,14 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coins import CoinSchedule, theta_at
-from .observables import (
-    Distribution1D,
-    Distribution2D,
-    crossing_coin_density,
-    line_observables,
-    particle_particle_from_density,
-    site_distribution,
-)
+from .observables import crossing_coin_density, line_observables, particle_particle_from_density, site_distribution
 # unused here: perfbench's replay patches them
 from .observables import (  # noqa: F401
     distribution, ipr, negativity_coin_position, negativity_particle_particle, sigma)
@@ -171,11 +164,10 @@ class WalkSpec:
 
 @dataclass
 class RunResult:
-    """One walk: series maps each recorded scalar key to its (T + 1,) array, index 0
-    the initial state; distribution is the final state's (None unless recorded)."""
+    """One walk: series maps each recorded key to its array, a scalar's (T + 1,) with
+    index 0 the initial state, and "distribution" the final state's (see site_distribution)."""
 
     series: dict
-    distribution: Distribution1D | Distribution2D | None
     final_state: Field
 
 
@@ -298,16 +290,17 @@ def run_walk(spec: WalkSpec, landscape: np.ndarray | None = _REALIZATION_0) -> R
     """Run a full walk, recording the requested observables at every step.
 
     landscape (see sample_landscape; None only for the clean walk) defaults
-    to realization 0 of spec.disorder.  Each series (sigma, ipr,
-    negativities) has steps+1 entries with index 0 the initial state; the
-    distribution is of the final state only.  The one row of run_walk_batch.
+    to realization 0 of spec.disorder.  Each scalar series (sigma, ipr,
+    negativities) has steps+1 entries with index 0 the initial state;
+    series["distribution"] is of the final state only.  The one row of run_walk_batch.
     """
     if landscape is _REALIZATION_0:
         landscape = sample_landscape(spec.disorder, landscape_size(spec), 0)
     series, p, final = run_walk_batch(spec, [landscape])
-    return RunResult({key: line[0] for key, line in series.items()},
-                     distribution=None if p is None else site_distribution([line[:, 0] for line in p]),
-                     final_state=new_field(spec.confinement, [_complex(planes[..., 0]) for planes in final]))
+    series = {key: line[0] for key, line in series.items()}
+    if p is not None:
+        series["distribution"] = site_distribution([line[:, 0] for line in p])
+    return RunResult(series, new_field(spec.confinement, [_complex(planes[..., 0]) for planes in final]))
 
 
 def run_walk_batch(spec: WalkSpec, landscapes):

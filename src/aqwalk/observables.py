@@ -24,15 +24,11 @@ so a row's sums are the same bits whatever the rows beside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .state import LINES, Field, lines, site_probabilities
 
 __all__ = [
-    "Distribution1D",
-    "Distribution2D",
     "distribution",
     "sigma",
     "ipr",
@@ -44,67 +40,44 @@ __all__ = [
 STATE_NORM_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class Distribution1D:
-    """Per-site probabilities over integer positions."""
-
-    x: np.ndarray
-    p: np.ndarray
-
-    def total(self) -> float:
-        return float(np.sum(self.p))
-
-
-@dataclass(frozen=True)
-class Distribution2D:
-    """Per-site probabilities over a 2D integer lattice, p indexed [x, y]."""
-
-    x: np.ndarray
-    y: np.ndarray
-    p: np.ndarray
-
-    def total(self) -> float:
-        return float(np.sum(self.p))
-
-
-def distribution(state):
-    """Position probability distribution of a walker state (see site_distribution)."""
+def distribution(state) -> np.ndarray:
+    """Position probability distribution of a walker state, as the array of site_distribution."""
     return site_distribution([site_probabilities(*planes)[:, 0] for _, planes in lines(state)])
 
 
-def site_distribution(p):
+def site_distribution(p) -> np.ndarray:
     """The distribution of a state from the site_probabilities of each family of its lines.
 
-    One-particle and confined two-particle states give a Distribution1D
-    along their line; full-2D states a Distribution2D, zero off the two
-    lines and with the x line summed first where they cross.
+    One-particle and confined two-particle states give the 1D array along
+    their line, the origin its middle site ([-T, T] for a T-step walk);
+    full-2D states the grid indexed [x, y], zero off the two lines and with
+    the x line summed first where they cross.
     """
-    axes = [np.arange(-(len(line) // 2), len(line) // 2 + 1) for line in p]
     if len(p) == 1:
-        return Distribution1D(axes[0], p[0])
+        return p[0]
     grid = np.zeros((len(p[0]), len(p[1])))
     grid[:, len(p[1]) // 2] = p[0]
     grid[len(p[0]) // 2, :] += p[1]
-    return Distribution2D(*axes, grid)
+    return grid
 
 
-def sigma(dist: Distribution1D) -> float:
-    """Standard deviation sqrt(<x^2> - <x>^2) of a 1D distribution."""
-    if np.ndim(dist.p) != 1:
+def sigma(p) -> float:
+    """Standard deviation sqrt(<x^2> - <x>^2) of a 1D distribution whose middle site is the origin."""
+    if np.ndim(p) != 1:
         raise ValueError("sigma expects a 1D distribution")
-    x = dist.x.astype(float)
-    return float(sigma_rows(np.asarray(dist.p)[None], np.array([x, x * x]))[0])
+    x = np.arange(len(p)) - (len(p) - 1) / 2
+    return float(sigma_rows(np.asarray(p)[None], np.array([x, x * x]))[0])
 
 
-def ipr(dist: Distribution1D) -> float:
-    """Inverse participation ratio sum_x p(x)^2.
+def ipr(p) -> float:
+    """Inverse participation ratio sum_x p(x)^2 of a 1D distribution.
 
     1 for a point distribution, ~1/support for a uniform one; higher
     means more localized.
     """
-    if np.ndim(dist.p) != 1:
+    if np.ndim(p) != 1:
         raise ValueError("ipr expects a 1D distribution")
-    return float(ipr_rows(np.asarray(dist.p)[None])[0])
+    return float(ipr_rows(np.asarray(p)[None])[0])
 
 
 def sigma_rows(p, positions):

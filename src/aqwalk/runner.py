@@ -42,25 +42,22 @@ def _jsonify(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def _distribution_file(stem: str, x, p, y=None):
-    """The x,p file of a 1D distribution, or the x,y,p file of a 2D one: a Distribution's fields."""
-    if p.ndim == 1:
-        return stem, ["x", "p"], zip(x.tolist(), p.tolist())
-    # p is indexed [x, y]: x is the outer loop of the rows
-    xs = np.repeat(x, len(y)).tolist()
-    ys = np.tile(y, len(x)).tolist()
-    return stem, ["x", "y", "p"], zip(xs, ys, p.ravel().tolist())
+def _distribution_file(stem: str, p):
+    """The x,p file of a 1D distribution, or the x,y,p file of a 2D one indexed [x, y]: each axis
+    is the lattice [-T, T] of its length, and x is the outer loop of the rows."""
+    sites = np.indices(p.shape).reshape(p.ndim, -1) - np.array(p.shape)[:, None] // 2
+    return stem, ["x", "y"][:p.ndim] + ["p"], zip(*sites.tolist(), p.ravel().tolist())
 
 
 def walk_files(runs, workers):
     """runs: (file suffix, WalkSpec) per sweep point."""
     for suffix, walk in runs:
-        result = run_walk(walk)
+        series = run_walk(walk).series
         for key in walk.record:
             if key == "distribution":
-                yield _distribution_file(f"distribution{suffix}", **vars(result.distribution))
+                yield _distribution_file(f"distribution{suffix}", series[key])
             else:
-                yield f"{key}{suffix}", ["t", "value"], enumerate(result.series[key])
+                yield f"{key}{suffix}", ["t", "value"], enumerate(series[key])
 
 
 def ensemble_files(runs, workers):
@@ -70,8 +67,7 @@ def ensemble_files(runs, workers):
         summary = run_ensemble(ensemble, workers=workers)
         for key in walk.record:
             if key == "distribution":
-                x = np.arange(-walk.steps, walk.steps + 1)
-                yield _distribution_file(f"distribution{suffix}", x, summary.mean[key])
+                yield _distribution_file(f"distribution{suffix}", summary.mean[key])
             else:
                 rows = zip(range(walk.steps + 1), summary.mean[key], summary.stderr[key])
                 yield f"{key}{suffix}", ["t", "value", "stderr"], rows

@@ -142,17 +142,18 @@ def pp_negativity_loops(uu, ud, du, dd):
     return float(-lam[lam < 0].sum())
 
 
-def front_position(dist, tail_mass: float = 0.01) -> int:
-    """Rightmost position where the right-tail probability still reaches tail_mass.
+def front_position(p, tail_mass: float = 0.01) -> int:
+    """Rightmost position where the right-tail probability still reaches tail_mass,
+    p a distribution over sites centred on the origin.
 
     Used to measure the ballistic front: front_position / t estimates the
     maximal group velocity of the walk.
     """
-    tail = np.cumsum(dist.p[::-1])[::-1]  # tail[i] = sum of p from i to the end
+    tail = np.cumsum(p[::-1])[::-1]  # tail[i] = sum of p from i to the end
     idx = np.nonzero(tail >= tail_mass)[0]
     if len(idx) == 0:
         raise ValueError("tail_mass exceeds the total probability")
-    return int(dist.x[idx[-1]])
+    return int(idx[-1] - len(p) // 2)
 
 
 # phases entering the dispersion relation cos(omega + w phi) = cos(theta0) cos(kappa + k phi),

@@ -73,20 +73,20 @@ def test_criterion_01_homogeneous_baseline():
     result = run_walk(spec)
     elapsed = time.perf_counter() - t0
 
-    dist = result.distribution
+    p, x = result.series["distribution"], np.arange(-200, 201)
     bound = 200 * math.cos(math.pi / 4) + 2
 
     # bimodal: the global peaks sit near the fronts, the center is low
-    peak_x = abs(int(dist.x[np.argmax(dist.p)]))
-    center = dist.p[np.abs(dist.x) <= 50].max()
-    bimodal = 100 < peak_x <= bound and center < dist.p.max() / 5.0
+    peak_x = abs(int(x[np.argmax(p)]))
+    center = p[np.abs(x) <= 50].max()
+    bimodal = 100 < peak_x <= bound and center < p.max() / 5.0
 
     # probability beyond the group-velocity bound: the transition zone is
     # O(t^(1/3)) sites wide, so "zero" is pinned as <2e-2 just outside the
     # bound and <1e-9 twenty sites out (exactly 0 outside the light cone
     # by construction)
-    tail_at_bound = dist.p[np.abs(dist.x) > bound].sum()
-    tail_far = dist.p[np.abs(dist.x) > bound + 20].sum()
+    tail_at_bound = p[np.abs(x) > bound].sum()
+    tail_far = p[np.abs(x) > bound + 20].sum()
 
     # slope: linear fit of the engine series vs the dense-oracle slope
     t_axis = np.arange(201)
@@ -109,8 +109,8 @@ def test_criterion_02_localized_coin():
     worst = 0.0
     for t in range(1, 501):
         spec = WalkSpec(CoinSchedule(math.pi / 2, 0.0), InitialState.symmetric(), t, record=("distribution",))
-        dist = run_walk(spec).distribution
-        mass = dist.p[np.abs(dist.x) <= 1].sum()
+        p = run_walk(spec).series["distribution"]
+        mass = p[np.abs(np.arange(-t, t + 1)) <= 1].sum()
         worst = max(worst, abs(mass - 1.0))
     ok = worst < 1e-12
     _report(2, ok, f"max deviation of mass on {{-1,0,1}} over t<=500: {worst:.2e}")
@@ -295,7 +295,7 @@ def test_criterion_08_unitarity_long_runs():
         spec = WalkSpec(CoinSchedule(theta0, a), init, 1000,
                         disorder=DisorderSpec(kind, seed=int(rng.integers(1 << 48))),
                         record=())
-        drift = abs(distribution(run_walk(spec).final_state).total() - 1.0)
+        drift = abs(distribution(run_walk(spec).final_state).sum() - 1.0)
         worst = max(worst, drift)
     ok = worst < 1e-10
     _report(8, ok, f"worst norm drift over 50 configs x 1000 steps: {worst:.2e}")
@@ -313,8 +313,8 @@ def test_criterion_09_dispersion_and_front_speed():
 
     spec = WalkSpec(CoinSchedule(math.pi / 4, 0.0), InitialState.symmetric(), 200,
                     record=("distribution",))
-    dist = run_walk(spec).distribution
-    speed = front_position(dist, 0.01) / 200.0
+    p = run_walk(spec).series["distribution"]
+    speed = front_position(p, 0.01) / 200.0
     front_ok = abs(speed / math.cos(math.pi / 4) - 1.0) < 0.02
 
     ok = worst_k < 1e-6 and worst_v < 1e-9 and front_ok

@@ -104,7 +104,7 @@ def test_csv_round_trip_exact(tmp_path):
     with open(tmp_path / "out" / "rt" / "distribution.csv") as handle:
         rows = list(csv.reader(handle))[1:]
     parsed = np.array([float(p) for _, p in rows])
-    assert np.array_equal(parsed, expected.distribution.p)
+    assert np.array_equal(parsed, expected.series["distribution"])
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -331,6 +331,11 @@ WALK_MIXED = dict(BASE_WALK, particles=2, initial=[[0.5, 0.0]] * 4, record=["dis
     ({"walk": dict(BASE_WALK, theta0="+.pi")}, "walk.theta0"),
     ({"walk": dict(WALK_2P, initial=[[1, 0], [0, 0]])}, "walk.initial"),
     ({"walk": dict(BASE_WALK, initial=[[1, 0], [0, 0], [0, 0], [0, 0]])}, "walk.initial"),
+    # a disorder kind defaults to none, which draws no phases: a seed or phase range would have no effect
+    ({"walk": dict(BASE_WALK, disorder={"seed": 7, "phase_max": 1.0})}, "walk.disorder.kind"),
+    ({"ensemble": {"runs": 2, "walk": dict(BASE_WALK, disorder={"phase_max": 1.0})}}, "ensemble.walk.disorder.kind"),
+    ({"lyapunov": {"theta": 0.6, "omega": 0.3, "chain_length": 2000, "disorder": {"seed": 5}}},
+     "lyapunov.disorder.kind"),
 ])
 def test_bad_config_values_give_exit_2(tmp_path, capsys, config, field):
     path = _write(tmp_path, dict(config, name="bad"))
@@ -617,6 +622,18 @@ def test_ensemble_walk_seed_gives_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "config error: ensemble.walk.disorder.seed:" in err and "ensemble.base_seed" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_walk_and_ensemble_write_the_same_distribution_file(tmp_path):
+    # one writer for both: a clean ensemble's mean distribution is its walk's, to the byte
+    walk = dict(BASE_WALK, particles=2, theta0="pi/4", acceleration=0.01, steps=30, initial="uu",
+                record=["distribution"])
+    for cfg in ({"name": "walk", "walk": walk}, {"name": "ensemble", "ensemble": {"runs": 3, "walk": walk}}):
+        assert main(["run", _write(tmp_path, cfg), "-o", str(tmp_path / "out")]) == 0
+    walk_file, ensemble_file = ((tmp_path / "out" / name / "distribution.csv").read_bytes()
+                                for name in ("walk", "ensemble"))
+    assert walk_file == ensemble_file
+    assert walk_file.startswith(b"x,p\n-30,")
 
 
 def test_readme_example_config_validates(tmp_path, capsys):

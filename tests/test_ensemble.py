@@ -41,7 +41,7 @@ def test_clean_limit_collapse():
     direct = run_walk(spec.walk)
     assert np.array_equal(summary.mean["sigma"], direct.series["sigma"])
     assert np.max(summary.stderr["sigma"]) == 0.0
-    assert np.array_equal(summary.mean["distribution"], direct.distribution.p)
+    assert np.array_equal(summary.mean["distribution"], direct.series["distribution"])
 
 
 def test_worker_count_independence():
@@ -70,7 +70,7 @@ def test_two_run_stderr_is_the_sample_standard_error():
     walk = dataclasses.replace(spec.walk, disorder=DisorderSpec("temporal", seed=3))
     runs = [run_walk(walk, sample_landscape(walk.disorder, walk.steps, i)) for i in range(2)]
     for got, samples in ((summary.stderr["sigma"], [r.series["sigma"] for r in runs]),
-                         (summary.stderr["distribution"], [r.distribution.p for r in runs])):
+                         (summary.stderr["distribution"], [r.series["distribution"] for r in runs])):
         expected = np.std(samples, axis=0, ddof=1) / math.sqrt(2)
         assert np.max(expected) > 0.01  # the two landscapes give different walks
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-15)
@@ -98,7 +98,7 @@ def test_temporal_disorder_on_a_y_line_is_a_global_phase(start):
                     disorder=DisorderSpec("temporal"), record=record)
     summary = run_ensemble(EnsembleSpec(walk, runs=64, base_seed=5), workers=1)
     clean = run_walk(dataclasses.replace(walk, disorder=DisorderSpec()))
-    assert np.max(np.abs(summary.mean["distribution"] - clean.distribution.p)) <= 1e-14
+    assert np.max(np.abs(summary.mean["distribution"] - clean.series["distribution"])) <= 1e-14
     assert np.max(summary.stderr["distribution"]) <= 1e-14
     for key in record[1:]:
         assert np.max(np.abs(summary.mean[key] - clean.series[key])) <= 1e-14
@@ -215,6 +215,24 @@ def test_failing_row_is_named_across_workers(monkeypatch, forks):
     assert info.value.index == chunks[2].start + 1 == 7
     assert isinstance(info.value.original, ValueError) and info.value.original.row == 1
     assert len(forks) == 2
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers are forked")
+def test_default_worker_count_is_the_cpus_this_process_may_run_on(monkeypatch, forks):
+    from aqwalk import ensemble as ens_module
+
+    # four chunks of 2 on a 4-CPU machine, of which this process may use one
+    monkeypatch.setattr(ens_module, "_chunk_rows", lambda walk: 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    spec = EnsembleSpec(_walk(kind="temporal", steps=20), runs=8, base_seed=2)
+    expected = run_ensemble(spec, workers=1)
+    assert np.array_equal(run_ensemble(spec).mean["sigma"], expected.mean["sigma"])
+    assert len(forks) == 0
+    # without an affinity set the CPU count stands: this process and three children
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert np.array_equal(run_ensemble(spec).mean["sigma"], expected.mean["sigma"])
+    assert len(forks) == 3
 
 
 def test_errors_survive_pickling():

@@ -35,13 +35,13 @@ def test_single_step_hand_values():
     state = _final_state(InitialState.up(), math.pi / 4, 1)
     assert state.components["up"][0] == pytest.approx(R, abs=1e-15)
     assert state.components["down"][2] == pytest.approx(-1j * R, abs=1e-15)
-    assert distribution(state).total() == pytest.approx(1.0, abs=1e-15)
+    assert distribution(state).sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_zero_angle_is_pure_shift():
     init = InitialState(np.array([0.6, 0.8j]))
     state = _final_state(init, 0.0, 3)
-    x = distribution(state).x
+    x = np.arange(-3, 4)
     assert state.components["up"][x == -3] == 0.6
     assert state.components["down"][x == 3] == 0.8j
 
@@ -49,9 +49,9 @@ def test_zero_angle_is_pure_shift():
 def test_half_pi_angle_stays_localized():
     spec = WalkSpec(CoinSchedule(math.pi / 2, 0.0), InitialState.symmetric(), 60,
                     record=("distribution",))
-    dist = run_walk(spec).distribution
-    inner = np.abs(dist.x) <= 1
-    assert dist.p[inner].sum() == pytest.approx(1.0, abs=1e-12)
+    p = run_walk(spec).series["distribution"]
+    inner = np.abs(np.arange(-60, 61)) <= 1
+    assert p[inner].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_particle_single_step_hand_values():
@@ -70,9 +70,9 @@ def test_two_particle_identity_coin_shifts_ud_up_in_y():
 def test_two_particle_half_pi_no_spread():
     spec = WalkSpec(CoinSchedule(math.pi / 2, 0.0), InitialState.basis_two_particle("uu"), 40,
                     record=("distribution",))
-    dist = run_walk(spec).distribution
-    inner = np.abs(dist.x) <= 1
-    assert dist.p[inner].sum() == pytest.approx(1.0, abs=1e-12)
+    p = run_walk(spec).series["distribution"]
+    inner = np.abs(np.arange(-40, 41)) <= 1
+    assert p[inner].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_homogeneous_reduction_matches_dense_oracle():
@@ -140,7 +140,7 @@ def test_light_cone_exact_zeros():
                     record=("distribution",))
     state = run_walk(spec).final_state
     # field is sized exactly to the cone, so just check norm stays inside
-    assert distribution(state).total() == pytest.approx(1.0, abs=1e-12)
+    assert distribution(state).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_norm_preservation_random_configs():
@@ -154,7 +154,7 @@ def test_norm_preservation_random_configs():
                         disorder=DisorderSpec(kind, seed=int(rng.integers(1 << 32))),
                         record=("distribution",))
         state = run_walk(spec).final_state
-        assert abs(distribution(state).total() - 1.0) < 1e-10
+        assert abs(distribution(state).sum() - 1.0) < 1e-10
 
 
 def test_run_is_deterministic_bit_for_bit():
@@ -163,7 +163,7 @@ def test_run_is_deterministic_bit_for_bit():
     a = run_walk(spec)
     b = run_walk(spec)
     assert np.array_equal(a.series["sigma"], b.series["sigma"])
-    assert np.array_equal(a.distribution.p, b.distribution.p)
+    assert np.array_equal(a.series["distribution"], b.series["distribution"])
 
 
 @pytest.mark.parametrize("steps", [400, 401])
@@ -266,7 +266,7 @@ def test_full2d_temporal_disorder_supported():
                     disorder=DisorderSpec("temporal", seed=4), record=("distribution",),
                     layout="full2d")
     result = run_walk(spec)
-    assert distribution(result.final_state).total() == pytest.approx(1.0, abs=1e-12)
+    assert distribution(result.final_state).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_larger_acceleration_dominates_spread_pointwise():
@@ -283,5 +283,5 @@ def test_larger_acceleration_dominates_spread_pointwise():
 def test_clean_walk_distribution_is_mirror_symmetric():
     spec = WalkSpec(CoinSchedule(math.pi / 4, 0.0), InitialState.symmetric(), 80,
                     record=("distribution",))
-    dist = run_walk(spec).distribution
-    assert np.max(np.abs(dist.p - dist.p[::-1])) < 1e-14
+    p = run_walk(spec).series["distribution"]
+    assert np.max(np.abs(p - p[::-1])) < 1e-14

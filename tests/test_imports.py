@@ -8,6 +8,7 @@ kept on purpose and exempt.
 import ast
 import importlib
 import os
+from collections import defaultdict
 
 import pytest
 
@@ -71,3 +72,24 @@ def test_perfbench_replay_finds_every_name_it_patches(monkeypatch):
         pass
     for module, names in zip(modules, before):
         assert all(vars(module)[name] is value for name, value in names.items())
+
+
+def test_perfbench_layer_probes_run_on_the_package(monkeypatch, tmp_path):
+    # one round of the per-layer probes of run.py --trace 1: a change to what the probed functions
+    # (distribution, sigma, ipr, the negativities, run_walk) take or return fails here
+    import aqwalk
+    import aqwalk.cli  # noqa: F401  (loads every module the CLI loads, as the replay does)
+
+    monkeypatch.syspath_prepend(PERFBENCH)
+    monkeypatch.setitem(os.environ, "OPENBLAS_NUM_THREADS", "1")  # perfbench's procs sets it on import
+    import replay
+    import workloads
+
+    configs = workloads.write_configs(workloads.generate("ens1p_temporal", 0), str(tmp_path))
+    samples = defaultdict(list)
+    replay.probe_round(aqwalk, replay.probe_shapes(aqwalk, 0), [], configs, samples)
+    probes = [f"evolve.ns_per_site_step.{shape}" for shape in ("xline_spatial", "1p_temporal", "xline_clean", "full2d")]
+    probes += [f"observables.{name}_us" for name in replay.OBSERVABLES]
+    probes += ["evolve.sample_landscape_us", "config.parse_ms"]
+    assert sorted(samples) == sorted(probes)
+    assert all(len(values) == 1 and values[0] > 0 for values in samples.values())

@@ -89,8 +89,8 @@ def assert_rows_are_single_runs(spec, landscapes):
         for key in spec.record:
             if key == "distribution":
                 got = site_distribution([line[:, i] for line in p])
-                assert got.p.tobytes() == single.distribution.p.tobytes()
-                assert np.array_equal(got.x, single.distribution.x)
+                assert got.tobytes() == single.series["distribution"].tobytes()
+                assert got.shape == single.series["distribution"].shape
                 assert all(line[:, i].tobytes() == alone[:, 0].tobytes() for line, alone in zip(p, alone_p))
             else:
                 assert series[key][i].tobytes() == single.series[key].tobytes() == alone_series[key][0].tobytes()
@@ -151,7 +151,7 @@ def test_single_run_matches_dense_oracle(walk):
         expected["negativity_coin_position"] = (negativity_pt_loops(np.vstack([left, right])), 1e-12)
     for key in spec.record:
         if key == "distribution":
-            assert np.max(np.abs(result.distribution.p - p)) < 1e-12
+            assert np.max(np.abs(result.series["distribution"] - p)) < 1e-12
         elif key == "sigma":
             value, tol = expected[key]
             assert abs(result.series["sigma"][-1] ** 2 - value ** 2) < tol
@@ -170,10 +170,11 @@ def test_per_state_observables_agree_with_the_walk(walk):
     result = run_walk(spec, _landscapes(spec, 1)[0])
     state = result.final_state
     dist = distribution(state)
-    assert dist.p.tobytes() == result.distribution.p.tobytes()
-    assert dist.x.tobytes() == result.distribution.x.tobytes()
+    assert dist.tobytes() == result.series["distribution"].tobytes()
+    assert dist.shape == result.series["distribution"].shape
     # sigma^2 = second - mean^2 carries rounding of order eps * second
-    second = float(np.dot(dist.x * dist.x, dist.p))
+    x = np.arange(-spec.steps, spec.steps + 1)
+    second = float(np.dot(x * x, dist))
     assert abs(sigma(dist) ** 2 - result.series["sigma"][-1] ** 2) < 1e-12 * max(1.0, second)
     assert abs(ipr(dist) - result.series["ipr"][-1]) < 1e-12
     assert abs(negativity_coin_position(state) - result.series["negativity_coin_position"][-1]) < 1e-12
@@ -186,7 +187,7 @@ def test_per_state_observables_agree_with_the_walk(walk):
 def test_norm_is_preserved_on_random_walks(walk):
     _, spec, _ = walk
     result = run_walk(spec, _landscapes(spec, 1)[0])
-    assert abs(distribution(result.final_state).total() - 1.0) < 1e-10
+    assert abs(distribution(result.final_state).sum() - 1.0) < 1e-10
 
 
 @PROPERTY_SETTINGS
@@ -206,7 +207,7 @@ def test_mirrored_start_gives_the_mirrored_walk(walk):
     assert np.all(np.abs(result.series["sigma"] ** 2 - image.series["sigma"] ** 2) < 1e-12 * np.maximum(1.0, t ** 2))
     for key in set(keys) - {"distribution", "sigma"}:
         assert np.max(np.abs(result.series[key] - image.series[key])) < 1e-12
-    assert np.max(np.abs(result.distribution.p - image.distribution.p[::-1])) < 1e-12
+    assert np.max(np.abs(result.series["distribution"] - image.series["distribution"][::-1])) < 1e-12
 
 
 @st.composite
@@ -244,7 +245,7 @@ def test_full2d_walk_matches_dense_grid_oracle(walk, rows):
     got[[0, 3], :, steps] = final.components["uu"], final.components["dd"]
     got[[1, 2], steps, :] = final.components["ud"], final.components["du"]
     assert np.max(np.abs(got - states[-1])) < 1e-12
-    assert np.max(np.abs(result.distribution.p - np.sum(np.abs(states[-1]) ** 2, axis=0))) < 1e-12
+    assert np.max(np.abs(result.series["distribution"] - np.sum(np.abs(states[-1]) ** 2, axis=0))) < 1e-12
     for t, state in enumerate(states):
         assert abs(result.series["negativity_particle_particle"][t] - pp_negativity_loops(*state)) < 1e-12
     # the per-state functions read the two lines of the final state

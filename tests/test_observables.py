@@ -5,7 +5,6 @@ import pytest
 
 from aqwalk import (
     CoinSchedule,
-    Distribution1D,
     InitialState,
     WalkSpec,
     distribution,
@@ -34,50 +33,46 @@ def _at_origin(amp, half):
 def test_distribution_one_step_symmetric():
     spec = WalkSpec(CoinSchedule(math.pi / 4, 0.0), InitialState.symmetric(), 1,
                     record=("distribution",))
-    dist = run_walk(spec).distribution
-    assert dist.p[0] == pytest.approx(0.5, abs=1e-15)  # x = -1
-    assert dist.p[2] == pytest.approx(0.5, abs=1e-15)  # x = +1
-    assert dist.total() == pytest.approx(1.0, abs=1e-14)
+    p = run_walk(spec).series["distribution"]
+    assert p[0] == pytest.approx(0.5, abs=1e-15)  # x = -1
+    assert p[2] == pytest.approx(0.5, abs=1e-15)  # x = +1
+    assert p.sum() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_distribution_localized_support():
     spec = WalkSpec(CoinSchedule(math.pi / 2, 0.0), InitialState.symmetric(), 200,
                     record=("distribution",))
-    dist = run_walk(spec).distribution
-    outside = np.abs(dist.x) > 1
-    assert dist.p[outside].sum() < 1e-12
+    p = run_walk(spec).series["distribution"]
+    outside = np.abs(np.arange(-200, 201)) > 1
+    assert p[outside].sum() < 1e-12
 
 
 def test_distribution_bimodal_within_velocity_bound():
     spec = WalkSpec(CoinSchedule(math.pi / 4, 0.0), InitialState.symmetric(), 200,
                     record=("distribution",))
-    dist = run_walk(spec).distribution
-    peak_x = abs(int(dist.x[np.argmax(dist.p)]))
+    p = run_walk(spec).series["distribution"]
+    peak_x = abs(int(np.arange(-200, 201)[np.argmax(p)]))
     assert peak_x <= 200 * math.cos(math.pi / 4)
     assert peak_x > 100  # peaks sit near the front, not at the origin
 
 
 def test_sigma_two_point():
-    dist = Distribution1D(np.array([-1, 0, 1]), np.array([0.5, 0.0, 0.5]))
-    assert sigma(dist) == pytest.approx(1.0, abs=1e-15)
+    assert sigma(np.array([0.5, 0.0, 0.5])) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_sigma_point_mass():
-    dist = Distribution1D(np.array([-1, 0, 1]), np.array([0.0, 1.0, 0.0]))
-    assert sigma(dist) == 0.0
+    assert sigma(np.array([0.0, 1.0, 0.0])) == 0.0
 
 
 def test_ipr_values():
-    point = Distribution1D(np.array([0]), np.array([1.0]))
-    assert ipr(point) == pytest.approx(1.0)
-    uniform = Distribution1D(np.arange(101), np.full(101, 1.0 / 101))
-    assert ipr(uniform) == pytest.approx(1.0 / 101, rel=1e-12)
+    assert ipr(np.array([1.0])) == pytest.approx(1.0)
+    assert ipr(np.full(101, 1.0 / 101)) == pytest.approx(1.0 / 101, rel=1e-12)
 
 
 def test_front_position_simple():
-    dist = Distribution1D(np.arange(-2, 3), np.array([0.005, 0.09, 0.81, 0.09, 0.005]))
-    assert front_position(dist, 0.01) == 1
-    assert front_position(dist, 0.5) == 0
+    p = np.array([0.005, 0.09, 0.81, 0.09, 0.005])  # over x = -2..2
+    assert front_position(p, 0.01) == 1
+    assert front_position(p, 0.5) == 0
 
 
 def test_row_sums_of_a_batch_are_those_of_each_row_alone():
@@ -239,7 +234,7 @@ def test_observables_mirror_invariant():
     state = run_walk(spec).final_state
     mirrored = new_field("1p", [(state.components["down"][::-1].copy(), state.components["up"][::-1].copy())])
     d0, d1 = distribution(state), distribution(mirrored)
-    assert np.allclose(d1.p, d0.p[::-1], atol=1e-15)
+    assert np.allclose(d1, d0[::-1], atol=1e-15)
     assert sigma(d1) == pytest.approx(sigma(d0), abs=1e-12)
     assert ipr(d1) == pytest.approx(ipr(d0), abs=1e-12)
     n0 = negativity_coin_position(state)

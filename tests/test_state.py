@@ -53,16 +53,16 @@ def test_force_full2d_layout():
     assert sorted(field.components) == ["dd", "du", "ud", "uu"]
     assert {line.shape for line in field.components.values()} == {(9,)}
     assert np.count_nonzero(field.components["ud"]) == np.count_nonzero(field.components["du"]) == 0
-    assert distribution(field).total() == pytest.approx(1.0, abs=1e-15)
+    assert distribution(field).sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_norm_scaling():
     r = 1.0 / math.sqrt(2.0)
     field = new_field("1p", [(np.array([0, 0, r, 0, 0], dtype=complex), np.array([0, 0, r, 0, 0], dtype=complex))])
-    assert distribution(field).total() == pytest.approx(1.0, abs=1e-15)
+    assert distribution(field).sum() == pytest.approx(1.0, abs=1e-15)
     field.components["up"] *= 2.0
     field.components["down"] *= 2.0
-    assert distribution(field).total() == pytest.approx(4.0, abs=1e-12)
+    assert distribution(field).sum() == pytest.approx(4.0, abs=1e-12)
 
 
 def test_coin_must_have_length_2_or_4():
