@@ -44,7 +44,7 @@ from .spectral import (
     transfer_matrix_1p,
     transfer_matrix_2p,
 )
-from .state import Field, InitialState
+from .state import InitialState
 
 # every public name but the submodules, which importing them binds here too
 __all__ = [name for name, value in globals().items()

@@ -241,6 +241,8 @@ def _ensemble_kind(raw: dict, exp: Experiment):
     if "seed" in (raw["walk"].get("disorder") or {}):
         # realization i draws stream (base_seed, i), so a walk seed would be ignored
         raise ConfigError("ensemble.walk.disorder.seed", "an ensemble takes its seed from ensemble.base_seed")
+    if "base_seed" in raw and walk.disorder.kind == "none":
+        raise ConfigError("ensemble.base_seed", "a clean ensemble draws no phases, so a seed has no effect")
     runs = _as_int(_require(raw, "runs", "ensemble"), "ensemble.runs")
     base_seed = _as_int(raw.get("base_seed", 0), "ensemble.base_seed")
     try:

@@ -47,7 +47,7 @@ from .observables import crossing_coin_density, line_observables, particle_parti
 # unused here: perfbench's replay patches them
 from .observables import (  # noqa: F401
     distribution, ipr, negativity_coin_position, negativity_particle_particle, sigma)
-from .state import LINES, Field, InitialState, confinement, families, new_field, site_probabilities
+from .state import LINES, InitialState, confinement, families, site_probabilities
 
 __all__ = [
     "DisorderSpec",
@@ -165,10 +165,11 @@ class WalkSpec:
 @dataclass
 class RunResult:
     """One walk: series maps each recorded key to its array, a scalar's (T + 1,) with
-    index 0 the initial state, and "distribution" the final state's (see site_distribution)."""
+    index 0 the initial state, and "distribution" the final state's (see site_distribution);
+    final_state maps each family of lines to its final planes (see the state module)."""
 
     series: dict
-    final_state: Field
+    final_state: dict
 
 
 # On the (Re, Im) planes of one component the coin [[c, -i s], [-i s, c]] adds
@@ -264,11 +265,6 @@ class _Frame:
         return line_observables(keys, *left, *right, self.at_cone(self.positions))
 
 
-def _complex(planes):
-    """(L, R) of planes ((Re L, Im L), (Re R, Im R)); exact, as 1j * x only moves x."""
-    return planes[0, 0] + 1j * planes[0, 1], planes[1, 0] + 1j * planes[1, 1]
-
-
 def landscape_size(spec: WalkSpec) -> int:
     """Number of random draws one realization of this walk needs."""
     if spec.disorder.kind == "temporal":
@@ -292,7 +288,8 @@ def run_walk(spec: WalkSpec, landscape: np.ndarray | None = _REALIZATION_0) -> R
     landscape (see sample_landscape; None only for the clean walk) defaults
     to realization 0 of spec.disorder.  Each scalar series (sigma, ipr,
     negativities) has steps+1 entries with index 0 the initial state;
-    series["distribution"] is of the final state only.  The one row of run_walk_batch.
+    series["distribution"] is of the final state only.  The one row of
+    run_walk_batch; final_state is its planes, family by family.
     """
     if landscape is _REALIZATION_0:
         landscape = sample_landscape(spec.disorder, landscape_size(spec), 0)
@@ -300,7 +297,7 @@ def run_walk(spec: WalkSpec, landscape: np.ndarray | None = _REALIZATION_0) -> R
     series = {key: line[0] for key, line in series.items()}
     if p is not None:
         series["distribution"] = site_distribution([line[:, 0] for line in p])
-    return RunResult(series, new_field(spec.confinement, [_complex(planes[..., 0]) for planes in final]))
+    return RunResult(series, {name: planes[..., 0] for name, planes in zip(families(spec.confinement), final)})
 
 
 def run_walk_batch(spec: WalkSpec, landscapes):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .state import LINES, Field, lines, site_probabilities
+from .state import LINES, lines, site_probabilities
 
 __all__ = [
     "distribution",
@@ -41,7 +41,7 @@ STATE_NORM_TOL = 1e-8
 
 
 def distribution(state) -> np.ndarray:
-    """Position probability distribution of a walker state, as the array of site_distribution."""
+    """Position distribution of a state (planes, see the state module): site_distribution's array."""
     return site_distribution([site_probabilities(*planes)[:, 0] for _, planes in lines(state)])
 
 
@@ -158,20 +158,20 @@ def _line_value(state, key: str) -> float:
 
 
 def negativity_coin_position(state) -> float:
-    """Entanglement negativity between coin and position space.
+    """Entanglement negativity between coin and position space of a state (planes).
 
     The state must be a pure, normalized one-line state; the value is the
     closed form sqrt(pq - |c|^2).
     """
-    if state.confinement not in LINES:
+    if len(state) != 1:
         raise ValueError("coin/position bipartition is not supported for full-2D states")
     return _line_value(state, "negativity_coin_position")
 
 
-def reduced_particle_density(state: Field) -> np.ndarray:
-    """4x4 density matrix of the two-particle coin space, position traced out."""
-    # the two lines of a full-2D field cross at the origin, the middle site of each
-    site = len(state.components["uu"]) // 2 if state.confinement == "full2d" else None
+def reduced_particle_density(state: dict) -> np.ndarray:
+    """4x4 density matrix of the two-particle coin space of a state (planes), position traced out."""
+    # the two lines of a full-2D state cross at the origin, the middle site of each
+    site = state["xline"].shape[-1] // 2 if len(state) == 2 else None
     return crossing_coin_density(lines(state), site)[0]
 
 
@@ -215,15 +215,15 @@ def particle_particle_from_density(rho4: np.ndarray) -> np.ndarray:
     return np.maximum(np.add.reduce((np.abs(lam) - lam) / 2.0, axis=-1), 0.0)
 
 
-def negativity_particle_particle(state: Field) -> float:
-    """Entanglement negativity between the two walkers.
+def negativity_particle_particle(state: dict) -> float:
+    """Entanglement negativity between the two walkers of a state (planes).
 
     Confined states use the closed form |c|.  Full-2D states trace out
     position, partially transpose the second particle, and sum
     (|lambda| - lambda)/2 over the four eigenvalues.
     """
-    if state.confinement == "1p":
+    if "1p" in state:
         raise ValueError("particle/particle negativity needs a two-particle state")
-    if state.confinement in LINES:
+    if len(state) == 1:
         return _line_value(state, "negativity_particle_particle")
     return float(particle_particle_from_density(reduced_particle_density(state)[None])[0])

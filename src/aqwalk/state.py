@@ -1,15 +1,18 @@
-"""The state of a walk: its layout and the complex arrays of its lines.
+"""The state of a walk: the planes of its lines.
 
 A one-particle state is a line of two coin components (up, down).  A
 two-particle state holds the four coin components (uu, ud, du, dd) as
 lines: the coin mixes uu with dd and ud with du, and the shift moves uu
 and dd along x and ud and du along y.  A start with coin support in
 {uu, dd} stays on one x line, support in {ud, du} on one y line, and a
-mixed start (a full-2D field) on the x and the y line through the origin,
+mixed start (a full-2D state) on the x and the y line through the origin,
 which is all of the 2D grid it ever reaches.
 
-States are plain values; the evolution engine returns new states rather
-than mutating in place.
+A state is a dict from the key in LINES of each family of its lines
+("1p", "xline" or "yline"; a full-2D state has both "xline" and "yline")
+to that family's planes (L, R) x (Re, Im) x site over [-T, T], shape
+(2, 2, 2T + 1): one row of run_walk_batch's planes.  L is
+planes[0, 0] + 1j * planes[0, 1].
 """
 
 from __future__ import annotations
@@ -21,9 +24,7 @@ import numpy as np
 
 __all__ = [
     "InitialState",
-    "Field",
     "LINES",
-    "new_field",
     "site_probabilities",
     "confinement",
 ]
@@ -99,22 +100,6 @@ class InitialState:
         return cls(vec)
 
 
-@dataclass(frozen=True)
-class Field:
-    """The state of a walk: its layout (a key of LINES, or "full2d") and the
-    arrays of its lines by component name, each over the lattice [-T, T].
-
-    A one-line layout stores the two components (L, R) of its line, along
-    the axis the line moves along.  A full-2D field stores uu and dd along
-    the x line at y = 0 and ud and du along the y line at x = 0; every
-    other site of the 2D grid holds zero.  A component a layout does not
-    hold is not stored.
-    """
-
-    confinement: str
-    components: dict[str, np.ndarray]
-
-
 def confinement(coin: np.ndarray, force_full2d: bool = False) -> str:
     """Layout a walk from this coin vector keeps for all time.
 
@@ -132,13 +117,6 @@ def confinement(coin: np.ndarray, force_full2d: bool = False) -> str:
     return "full2d"
 
 
-def new_field(layout: str, pairs) -> Field:
-    """The state of a walk in `layout`, given the (L, R) arrays of each of
-    its families (see families), each over the lattice [-T, T]."""
-    return Field(layout, {component: line for name, pair in zip(families(layout), pairs)
-                          for component, line in zip(LINES[name].fields, pair)})
-
-
 def families(layout: str) -> tuple[str, ...]:
     """Keys of LINES for the families of lines a layout is made of.
 
@@ -150,12 +128,10 @@ def families(layout: str) -> tuple[str, ...]:
 
 
 def lines(state):
-    """(layout, (Re L, Im L, Re R, Im R)) of each family of lines of a state,
-    each plane a view of shape (sites, 1): the planes the line kernel's
+    """(family, planes (Re L, Im L, Re R, Im R)) of each family of a state, x
+    before y, each plane of shape (sites, 1): the planes the line kernel's
     observables take."""
-    return [(name, tuple(part(state.components[component][:, None])
-                         for component in LINES[name].fields for part in (np.real, np.imag)))
-            for name in families(state.confinement)]
+    return [(name, state[name].reshape(4, -1, 1)) for name in LINES if name in state]
 
 
 def site_probabilities(lr, li, rr, ri):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from aqwalk.ensemble import EnsembleSummary
+from aqwalk.state import LINES, families
 
 
 def dense_step_matrix(nsites, theta, phis=None, powers=(0, 1)):
@@ -236,16 +237,28 @@ def random_pure_amplitude_matrix(rng, d, n):
     return m / np.linalg.norm(m)
 
 
+def amplitudes(state):
+    """{component: complex array} of a walk state (a dict of planes, see aqwalk.state)."""
+    return {component: planes[k, 0] + 1j * planes[k, 1]
+            for name, planes in state.items() for k, component in enumerate(LINES[name].fields)}
+
+
+def state_of(layout, pairs):
+    """The state of a walk in layout from the complex (L, R) arrays of each of its families."""
+    return {name: np.array([[np.real(x), np.imag(x)] for x in pair], dtype=float)
+            for name, pair in zip(families(layout), pairs)}
+
+
 def amplitude_matrix(state):
     """Coin-by-position amplitude matrix of a pure one-line walker state.
 
     Shape (2, N) for one particle, (4, N) for a confined two-particle
     state (coin order uu, ud, du, dd; absent components are zero rows).
     """
-    components = state.components
-    if state.confinement == "1p":
+    components = amplitudes(state)
+    if "1p" in state:
         return np.vstack([components["up"], components["down"]])
-    if state.confinement == "full2d":
+    if len(state) == 2:
         raise ValueError("coin/position bipartition is not supported for full-2D states")
     zeros = np.zeros_like(next(iter(components.values())))
     return np.vstack([components.get(name, zeros) for name in ("uu", "ud", "du", "dd")])

@@ -34,10 +34,9 @@ from aqwalk import (
     transfer_matrix_2p,
 )
 from aqwalk.cli import main as cli_main
-from aqwalk.state import new_field
 
-from oracles import (amplitude_matrix, evolve_dense, front_position, golden_section_max, negativity_pt_loops,
-                     random_pure_amplitude_matrix)
+from oracles import (amplitude_matrix, amplitudes, evolve_dense, front_position, golden_section_max,
+                     negativity_pt_loops, random_pure_amplitude_matrix, state_of)
 
 R = 1.0 / math.sqrt(2.0)
 
@@ -263,7 +262,7 @@ def test_criterion_07_oracle_equivalence():
         half = int(rng.integers(0, 17))
         left, right = random_pure_amplitude_matrix(rng, 2, 2 * half + 1)
         layout = rng.choice(["1p", "xline", "yline"])
-        state = new_field(str(layout), [(left, right)])
+        state = state_of(str(layout), [(left, right)])
         oracle = negativity_pt_loops(amplitude_matrix(state))
         worst_neg = max(worst_neg, abs(negativity_coin_position(state) - oracle))
 
@@ -272,8 +271,8 @@ def test_criterion_07_oracle_equivalence():
     sched = CoinSchedule(math.pi / 3, 0.01)
     one = run_walk(WalkSpec(sched, InitialState.up(), steps, record=())).final_state
     two = run_walk(WalkSpec(sched, InitialState.basis_two_particle("uu"), steps, record=())).final_state
-    worst_amp = max(float(np.abs(two.components["uu"] - one.components["up"]).max()),
-                    float(np.abs(two.components["dd"] - one.components["down"]).max()))
+    worst_amp = max(float(np.abs(amplitudes(two)["uu"] - amplitudes(one)["up"]).max()),
+                    float(np.abs(amplitudes(two)["dd"] - amplitudes(one)["down"]).max()))
 
     ok = worst_neg < 1e-9 and worst_amp < 1e-12
     _report(7, ok, f"closed-form negativity vs loop oracle differ by {worst_neg:.2e}; "

@@ -336,6 +336,8 @@ WALK_MIXED = dict(BASE_WALK, particles=2, initial=[[0.5, 0.0]] * 4, record=["dis
     ({"ensemble": {"runs": 2, "walk": dict(BASE_WALK, disorder={"phase_max": 1.0})}}, "ensemble.walk.disorder.kind"),
     ({"lyapunov": {"theta": 0.6, "omega": 0.3, "chain_length": 2000, "disorder": {"seed": 5}}},
      "lyapunov.disorder.kind"),
+    # a clean ensemble draws no phases, so its base_seed would have no effect
+    ({"ensemble": {"runs": 4, "base_seed": 5, "walk": dict(BASE_WALK, disorder={"kind": "none"})}}, "ensemble.base_seed"),
 ])
 def test_bad_config_values_give_exit_2(tmp_path, capsys, config, field):
     path = _write(tmp_path, dict(config, name="bad"))

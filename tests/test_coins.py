@@ -7,6 +7,8 @@ from scipy.linalg import expm
 from aqwalk import CoinSchedule, DisorderSpec, InitialState, WalkSpec, run_walk
 from aqwalk.coins import theta_at
 
+from oracles import amplitudes
+
 # The coin matrices below are read off the engine: one step from each
 # coin basis state at the origin, with the amplitude read where the shift
 # puts it (up/uu to x-1, down/dd to x+1, ud to y+1, du to y-1).  They are
@@ -34,7 +36,7 @@ def engine_coin2(theta, phi=None):
     cols = []
     for init in (InitialState.up(), InitialState.down()):
         out = one_step(init, theta, phi)
-        cols.append([out.components["up"][0], out.components["down"][2]])
+        cols.append([amplitudes(out)["up"][0], amplitudes(out)["down"][2]])
     return np.array(cols).T
 
 
@@ -43,10 +45,10 @@ def engine_coin4_lines(theta, phi=None):
     m = np.zeros((4, 4), dtype=complex)
     for k, label in enumerate(BASIS_2P):
         out = one_step(InitialState.basis_two_particle(label), theta, phi)
-        if out.confinement == "xline":
-            m[0, k], m[3, k] = out.components["uu"][0], out.components["dd"][2]
+        if "xline" in out:
+            m[0, k], m[3, k] = amplitudes(out)["uu"][0], amplitudes(out)["dd"][2]
         else:
-            m[1, k], m[2, k] = out.components["ud"][2], out.components["du"][0]
+            m[1, k], m[2, k] = amplitudes(out)["ud"][2], amplitudes(out)["du"][0]
     return m
 
 
@@ -55,7 +57,7 @@ def engine_coin4_full2d(theta, phi=None):
     cols = []
     for label in BASIS_2P:
         out = one_step(InitialState.basis_two_particle(label), theta, phi, layout="full2d")
-        cols.append([out.components[name][site] for name, site in zip(BASIS_2P, LANDING_2D)])
+        cols.append([amplitudes(out)[name][site] for name, site in zip(BASIS_2P, LANDING_2D)])
     return np.array(cols).T
 
 

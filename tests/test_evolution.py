@@ -17,7 +17,7 @@ from aqwalk import (
 )
 from aqwalk.evolve import RECORD_KEYS, landscape_size
 
-from oracles import evolve_dense
+from oracles import amplitudes, evolve_dense
 from test_line_kernel import assert_rows_are_single_runs
 
 R = 1.0 / math.sqrt(2.0)
@@ -33,8 +33,8 @@ def _final_state(init, theta0, steps, a=0.0, landscape=None, layout="auto"):
 def test_single_step_hand_values():
     # (1, 0) at the origin, theta = pi/4: up half goes left, down half right
     state = _final_state(InitialState.up(), math.pi / 4, 1)
-    assert state.components["up"][0] == pytest.approx(R, abs=1e-15)
-    assert state.components["down"][2] == pytest.approx(-1j * R, abs=1e-15)
+    assert amplitudes(state)["up"][0] == pytest.approx(R, abs=1e-15)
+    assert amplitudes(state)["down"][2] == pytest.approx(-1j * R, abs=1e-15)
     assert distribution(state).sum() == pytest.approx(1.0, abs=1e-15)
 
 
@@ -42,8 +42,8 @@ def test_zero_angle_is_pure_shift():
     init = InitialState(np.array([0.6, 0.8j]))
     state = _final_state(init, 0.0, 3)
     x = np.arange(-3, 4)
-    assert state.components["up"][x == -3] == 0.6
-    assert state.components["down"][x == 3] == 0.8j
+    assert amplitudes(state)["up"][x == -3] == 0.6
+    assert amplitudes(state)["down"][x == 3] == 0.8j
 
 
 def test_half_pi_angle_stays_localized():
@@ -56,15 +56,15 @@ def test_half_pi_angle_stays_localized():
 
 def test_two_particle_single_step_hand_values():
     state = _final_state(InitialState.basis_two_particle("uu"), math.pi / 4, 1)
-    assert state.components["uu"][0] == pytest.approx(R, abs=1e-15)
-    assert state.components["dd"][2] == pytest.approx(-1j * R, abs=1e-15)
+    assert amplitudes(state)["uu"][0] == pytest.approx(R, abs=1e-15)
+    assert amplitudes(state)["dd"][2] == pytest.approx(-1j * R, abs=1e-15)
 
 
 def test_two_particle_identity_coin_shifts_ud_up_in_y():
     state = _final_state(InitialState.basis_two_particle("ud"), 0.0, 6)
-    assert state.components["ud"][12] == 1.0  # y = +6
-    assert np.count_nonzero(state.components["ud"]) == 1
-    assert np.count_nonzero(state.components["du"]) == 0
+    assert amplitudes(state)["ud"][12] == 1.0  # y = +6
+    assert np.count_nonzero(amplitudes(state)["ud"]) == 1
+    assert np.count_nonzero(amplitudes(state)["du"]) == 0
 
 
 def test_two_particle_half_pi_no_spread():
@@ -82,8 +82,8 @@ def test_homogeneous_reduction_matches_dense_oracle():
                     record=("distribution",))
     result = run_walk(spec)
     up, down = evolve_dense(R, R, steps, [math.pi / 4] * steps)
-    assert np.max(np.abs(result.final_state.components["up"] - up)) < 1e-12
-    assert np.max(np.abs(result.final_state.components["down"] - down)) < 1e-12
+    assert np.max(np.abs(amplitudes(result.final_state)["up"] - up)) < 1e-12
+    assert np.max(np.abs(amplitudes(result.final_state)["down"] - down)) < 1e-12
 
 
 def test_accelerated_disordered_walk_matches_dense_oracle():
@@ -97,8 +97,8 @@ def test_accelerated_disordered_walk_matches_dense_oracle():
     result = run_walk(spec, landscape)
     thetas = [theta_at(spec.schedule, t) for t in range(1, steps + 1)]
     up, down = evolve_dense(0.6, 0.8j, steps, thetas, [landscape] * steps)
-    assert np.max(np.abs(result.final_state.components["up"] - up)) < 1e-12
-    assert np.max(np.abs(result.final_state.components["down"] - down)) < 1e-12
+    assert np.max(np.abs(amplitudes(result.final_state)["up"] - up)) < 1e-12
+    assert np.max(np.abs(amplitudes(result.final_state)["down"] - down)) < 1e-12
 
 
 def test_temporal_disorder_matches_dense_oracle():
@@ -109,8 +109,8 @@ def test_temporal_disorder_matches_dense_oracle():
     landscape = sample_landscape(disorder, steps, 0)
     result = run_walk(spec, landscape)
     up, down = evolve_dense(R, R, steps, [0.9] * steps, list(landscape))
-    assert np.max(np.abs(result.final_state.components["up"] - up)) < 1e-12
-    assert np.max(np.abs(result.final_state.components["down"] - down)) < 1e-12
+    assert np.max(np.abs(amplitudes(result.final_state)["up"] - up)) < 1e-12
+    assert np.max(np.abs(amplitudes(result.final_state)["down"] - down)) < 1e-12
 
 
 def test_two_particle_line_equals_single_particle_with_doubled_phase():
@@ -120,18 +120,18 @@ def test_two_particle_line_equals_single_particle_with_doubled_phase():
     landscape = sample_landscape(disorder, 2 * steps + 1, 0)
     one = _final_state(InitialState.up(), math.pi / 3, steps, 0.01, 2.0 * landscape)
     two = _final_state(InitialState.basis_two_particle("uu"), math.pi / 3, steps, 0.01, landscape)
-    assert np.max(np.abs(two.components["uu"] - one.components["up"])) < 1e-12
-    assert np.max(np.abs(two.components["dd"] - one.components["down"])) < 1e-12
+    assert np.max(np.abs(amplitudes(two)["uu"] - amplitudes(one)["up"])) < 1e-12
+    assert np.max(np.abs(amplitudes(two)["dd"] - amplitudes(one)["down"])) < 1e-12
 
 
 def test_confined_and_full2d_paths_agree():
     steps = 12
     line = _final_state(InitialState.basis_two_particle("uu"), math.pi / 4, steps, 0.02)
     full = _final_state(InitialState.basis_two_particle("uu"), math.pi / 4, steps, 0.02, layout="full2d")
-    assert np.max(np.abs(full.components["ud"])) == 0.0
-    assert np.max(np.abs(full.components["du"])) == 0.0
-    assert np.max(np.abs(full.components["uu"] - line.components["uu"])) < 1e-15
-    assert np.max(np.abs(full.components["dd"] - line.components["dd"])) < 1e-15
+    assert np.max(np.abs(amplitudes(full)["ud"])) == 0.0
+    assert np.max(np.abs(amplitudes(full)["du"])) == 0.0
+    assert np.max(np.abs(amplitudes(full)["uu"] - amplitudes(line)["uu"])) < 1e-15
+    assert np.max(np.abs(amplitudes(full)["dd"] - amplitudes(line)["dd"])) < 1e-15
 
 
 def test_light_cone_exact_zeros():

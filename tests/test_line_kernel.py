@@ -31,9 +31,10 @@ from aqwalk import (
 )
 from aqwalk.evolve import RECORD_KEYS, landscape_size, run_walk_batch
 from aqwalk.observables import site_distribution
-from aqwalk.state import LINES, families
+from aqwalk.state import families
 
-from oracles import coin_density_loops, evolve_dense, evolve_dense_2d, negativity_pt_loops, pp_negativity_loops
+from oracles import (amplitudes, coin_density_loops, evolve_dense, evolve_dense_2d, negativity_pt_loops,
+                     pp_negativity_loops)
 
 # per layout: coin-vector slots of the (L, R) components and their phase powers
 LAYOUTS = {
@@ -41,6 +42,10 @@ LAYOUTS = {
     "xline": ((0, 3), (0, 2)),
     "yline": ((2, 1), (1, 1)),  # L = du moves to y - 1, R = ud to y + 1
 }
+
+# the per-state functions, which take a row of the kernel's planes as it is
+PER_STATE = {"negativity_coin_position": negativity_coin_position,
+             "negativity_particle_particle": negativity_particle_particle}
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None,
                              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
@@ -73,11 +78,6 @@ def _landscapes(spec, count):
     return [sample_landscape(spec.disorder, landscape_size(spec), i) for i in range(count)]
 
 
-def _components(layout, state):
-    names = {"1p": ("up", "down"), "xline": ("uu", "dd"), "yline": ("du", "ud")}[layout]
-    return [state.components[name] for name in names]
-
-
 def assert_rows_are_single_runs(spec, landscapes):
     """Row i of run_walk_batch(spec, landscapes), its series, distribution and
     final planes, is tobytes()-equal to run_walk(spec, landscapes[i]) and to a batch of one."""
@@ -86,18 +86,21 @@ def assert_rows_are_single_runs(spec, landscapes):
     for i, landscape in enumerate(landscapes):
         single = run_walk(spec, landscape)
         alone_series, alone_p, alone_planes = run_walk_batch(spec, [landscape])
+        row = {name: f[..., i] for name, f in zip(families(spec.confinement), planes)}  # a state as it is
         for key in spec.record:
             if key == "distribution":
                 got = site_distribution([line[:, i] for line in p])
                 assert got.tobytes() == single.series["distribution"].tobytes()
                 assert got.shape == single.series["distribution"].shape
+                assert distribution(row).tobytes() == got.tobytes()
                 assert all(line[:, i].tobytes() == alone[:, 0].tobytes() for line, alone in zip(p, alone_p))
             else:
                 assert series[key][i].tobytes() == single.series[key].tobytes() == alone_series[key][0].tobytes()
+                if key in PER_STATE:
+                    assert abs(PER_STATE[key](row) - series[key][i][-1]) <= 1e-12
         for name, family, alone in zip(families(spec.confinement), planes, alone_planes, strict=True):
             assert family[..., i].tobytes() == alone[..., 0].tobytes()
-            for component, part in zip(LINES[name].fields, family[..., i]):
-                assert (part[0] + 1j * part[1]).tobytes() == single.final_state.components[component].tobytes()
+            assert single.final_state[name].tobytes() == family[..., i].tobytes()
 
 
 @PROPERTY_SETTINGS
@@ -133,7 +136,7 @@ def test_single_run_matches_dense_oracle(walk):
     phis = {"none": None, "spatial": [landscape] * steps,
             "temporal": None if landscape is None else list(landscape)}[spec.disorder.kind]
     left, right = evolve_dense(alpha, beta, steps, thetas, phis, powers=LAYOUTS[layout][1])
-    got_left, got_right = _components(layout, result.final_state)
+    got_left, got_right = amplitudes(result.final_state).values()
     assert np.max(np.abs(got_left - left)) < 1e-12
     assert np.max(np.abs(got_right - right)) < 1e-12
 
@@ -242,8 +245,8 @@ def test_full2d_walk_matches_dense_grid_oracle(walk, rows):
     # the state is its x line (uu, dd at y = 0) and its y line (ud, du at x = 0):
     # on the grid, every other site must hold zero
     got = np.zeros_like(states[-1])
-    got[[0, 3], :, steps] = final.components["uu"], final.components["dd"]
-    got[[1, 2], steps, :] = final.components["ud"], final.components["du"]
+    got[[0, 3], :, steps] = amplitudes(final)["uu"], amplitudes(final)["dd"]
+    got[[1, 2], steps, :] = amplitudes(final)["ud"], amplitudes(final)["du"]
     assert np.max(np.abs(got - states[-1])) < 1e-12
     assert np.max(np.abs(result.series["distribution"] - np.sum(np.abs(states[-1]) ** 2, axis=0))) < 1e-12
     for t, state in enumerate(states):

@@ -16,9 +16,9 @@ from aqwalk import (
     sigma,
 )
 from aqwalk.observables import line_observables, line_sums, partial_transpose_second
-from aqwalk.state import new_field
+from aqwalk.state import families
 
-from oracles import amplitude_matrix, front_position, negativity_pt_loops, pp_negativity_loops
+from oracles import amplitude_matrix, amplitudes, front_position, negativity_pt_loops, pp_negativity_loops, state_of
 
 R = 1.0 / math.sqrt(2.0)
 
@@ -95,7 +95,7 @@ def test_row_sums_of_a_batch_are_those_of_each_row_alone():
 
 
 def test_negativity_product_state_is_zero():
-    state = new_field("1p", [(_at_origin(R, 3), _at_origin(R, 3))])
+    state = state_of("1p", [(_at_origin(R, 3), _at_origin(R, 3))])
     assert negativity_coin_position(state) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -104,7 +104,7 @@ def test_negativity_bell_like_state_is_half():
     down = np.zeros(3, dtype=complex)
     up[0] = R  # |up> at x = -1
     down[2] = R  # |down> at x = +1
-    state = new_field("1p", [(up, down)])
+    state = state_of("1p", [(up, down)])
     result = negativity_coin_position(state)
     assert result == pytest.approx(0.5, abs=1e-12)
 
@@ -119,12 +119,12 @@ def test_negativity_walk_state_matches_dense_oracle():
 
 
 def test_negativity_rejects_unnormalized():
-    state = new_field("1p", [(_at_origin(1.0, 2), _at_origin(0.0, 2))])
-    state.components["up"] *= 1.1
+    state = state_of("1p", [(_at_origin(1.0, 2), _at_origin(0.0, 2))])
+    state["1p"][0] *= 1.1
     with pytest.raises(ValueError, match="normalized"):
         negativity_coin_position(state)
-    bad2 = new_field("xline", [(_at_origin(1.0, 2), _at_origin(0.0, 2))])
-    bad2.components["uu"] *= 1.1
+    bad2 = state_of("xline", [(_at_origin(1.0, 2), _at_origin(0.0, 2))])
+    bad2["xline"][0] *= 1.1
     with pytest.raises(ValueError, match="normalized"):
         negativity_particle_particle(bad2)
 
@@ -138,13 +138,13 @@ def test_negativity_bound_along_walk():
 
 
 def test_negativity_full2d_unsupported():
-    state = new_field("full2d", [(_at_origin(1.0, 3), _at_origin(0.0, 3)), (_at_origin(0.0, 3), _at_origin(0.0, 3))])
+    state = state_of("full2d", [(_at_origin(1.0, 3), _at_origin(0.0, 3)), (_at_origin(0.0, 3), _at_origin(0.0, 3))])
     with pytest.raises(ValueError, match="full-2D"):
         negativity_coin_position(state)
 
 
 def test_pp_negativity_initial_product_state():
-    state = new_field("xline", [(_at_origin(1.0, 3), _at_origin(0.0, 3))])
+    state = state_of("xline", [(_at_origin(1.0, 3), _at_origin(0.0, 3))])
     assert negativity_particle_particle(state) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -164,8 +164,8 @@ def test_pp_negativity_one_step_matches_loop_oracle():
     # position decoheres them, so the reduced state is separable
     state = _uu_walk(math.pi / 4, 1)
     value = negativity_particle_particle(state)
-    zeros = np.zeros_like(state.components["uu"])
-    oracle = pp_negativity_loops(state.components["uu"], zeros, zeros, state.components["dd"])
+    zeros = np.zeros_like(amplitudes(state)["uu"])
+    oracle = pp_negativity_loops(amplitudes(state)["uu"], zeros, zeros, amplitudes(state)["dd"])
     assert value == pytest.approx(oracle, abs=1e-12)
     assert value == pytest.approx(0.0, abs=1e-12)
 
@@ -173,7 +173,7 @@ def test_pp_negativity_one_step_matches_loop_oracle():
 def test_pp_negativity_builds_after_overlap():
     state = _uu_walk(math.pi / 4, 2)
     value = negativity_particle_particle(state)
-    uu, dd = state.components["uu"], state.components["dd"]
+    uu, dd = amplitudes(state)["uu"], amplitudes(state)["dd"]
     zeros = np.zeros_like(uu)
     assert value == pytest.approx(pp_negativity_loops(uu, zeros, zeros, dd), abs=1e-12)
     # amplitude overlap at the origin: cos * sin^3 for two fixed-angle steps
@@ -185,8 +185,8 @@ def test_pp_negativity_walk_series_matches_loops():
                     record=("negativity_particle_particle",))
     result = run_walk(spec)
     state = result.final_state
-    zeros = np.zeros_like(state.components["uu"])
-    expected = pp_negativity_loops(state.components["uu"], zeros, zeros, state.components["dd"])
+    zeros = np.zeros_like(amplitudes(state)["uu"])
+    expected = pp_negativity_loops(amplitudes(state)["uu"], zeros, zeros, amplitudes(state)["dd"])
     assert result.series["negativity_particle_particle"][-1] == pytest.approx(expected, abs=1e-12)
 
 
@@ -232,7 +232,7 @@ def test_observables_mirror_invariant():
     spec = WalkSpec(CoinSchedule(0.9, 0.01), InitialState(np.array([0.6, 0.8j])), 40,
                     record=("distribution",))
     state = run_walk(spec).final_state
-    mirrored = new_field("1p", [(state.components["down"][::-1].copy(), state.components["up"][::-1].copy())])
+    mirrored = state_of("1p", [(amplitudes(state)["down"][::-1].copy(), amplitudes(state)["up"][::-1].copy())])
     d0, d1 = distribution(state), distribution(mirrored)
     assert np.allclose(d1, d0[::-1], atol=1e-15)
     assert sigma(d1) == pytest.approx(sigma(d0), abs=1e-12)
@@ -265,7 +265,7 @@ def _random_line_state(rng, layout):
         comp[:lo] = 0.0
         comp[hi + 1:] = 0.0
     scale = math.sqrt(np.sum(np.abs(left) ** 2) + np.sum(np.abs(right) ** 2))
-    return new_field(layout, [(left / scale, right / scale)])
+    return state_of(layout, [(left / scale, right / scale)])
 
 
 def test_closed_form_negativities_match_loop_oracles():
@@ -294,4 +294,4 @@ def test_coin_gives_the_layout_and_particle_count(particles, coin, steps, confin
                     record=("distribution",))
     assert spec.particle_count == particles
     state = run_walk(spec).final_state
-    assert state.confinement == confinement
+    assert tuple(state) == families(confinement)

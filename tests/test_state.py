@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from aqwalk import CoinSchedule, InitialState, WalkSpec, distribution, run_walk
-from aqwalk.state import confinement, new_field
+from aqwalk.state import confinement
+
+from oracles import amplitudes, state_of
 
 
 def _spec(init, steps, layout="auto"):
@@ -40,8 +42,7 @@ def test_uu_dd_superposition_stays_on_x_line():
     r = 1.0 / math.sqrt(2.0)
     init = InitialState(np.array([r, 0.0, 0.0, r]))
     field = run_walk(_spec(init, 4)).final_state
-    assert field.confinement == "xline"
-    assert set(field.components) == {"uu", "dd"}  # an absent component is not stored
+    assert set(field) == {"xline"}  # a confined 2p state holds one family
 
 
 def test_force_full2d_layout():
@@ -49,19 +50,18 @@ def test_force_full2d_layout():
     spec = _spec(InitialState.basis_two_particle("uu"), 4, layout="full2d")
     assert spec.confinement == "full2d" and spec.full2d
     field = run_walk(spec).final_state
-    assert field.confinement == "full2d"
-    assert sorted(field.components) == ["dd", "du", "ud", "uu"]
-    assert {line.shape for line in field.components.values()} == {(9,)}
-    assert np.count_nonzero(field.components["ud"]) == np.count_nonzero(field.components["du"]) == 0
+    assert list(field) == ["xline", "yline"]
+    assert sorted(amplitudes(field)) == ["dd", "du", "ud", "uu"]
+    assert {line.shape for line in amplitudes(field).values()} == {(9,)}
+    assert np.count_nonzero(amplitudes(field)["ud"]) == np.count_nonzero(amplitudes(field)["du"]) == 0
     assert distribution(field).sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_norm_scaling():
     r = 1.0 / math.sqrt(2.0)
-    field = new_field("1p", [(np.array([0, 0, r, 0, 0], dtype=complex), np.array([0, 0, r, 0, 0], dtype=complex))])
+    field = state_of("1p", [(np.array([0, 0, r, 0, 0], dtype=complex), np.array([0, 0, r, 0, 0], dtype=complex))])
     assert distribution(field).sum() == pytest.approx(1.0, abs=1e-15)
-    field.components["up"] *= 2.0
-    field.components["down"] *= 2.0
+    field["1p"] *= 2.0  # both components
     assert distribution(field).sum() == pytest.approx(4.0, abs=1e-12)
 
 
