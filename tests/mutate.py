@@ -1,19 +1,18 @@
 """Mutate the src/ lines a diff touches, one change at a time, and report which the tests kill.
 
-    python tests/mutate.py REV [--all] [--sample N] [--seed S] [--jobs N] [--timeout SECONDS]
+    python tests/mutate.py REV [--all] [--jobs N]
 
 Each mutant makes one change to one line of src/aqwalk: an arithmetic or
 bitwise operator swapped (+ and -, * and /, ...), a comparison flipped
 (< to >=, == to !=, in to not in, ...), 1 added to a numeric constant, or a
 unary minus dropped.  By default only the src/ lines that `git diff REV`
 adds or changes are mutated (the working tree's edits included); --all
-mutates every line, which takes hours.  --sample N runs N of the mutants,
-drawn with --seed.
+mutates every line, which takes hours.
 
 The checkout's tracked and untracked, not ignored, files are copied once per
 job into a temporary directory.  Each mutant is written into a copy,
 `pytest -x -q` runs there, and the file is restored: the mutant is killed
-when pytest fails (or runs past --timeout), and survives when it passes.
+when pytest fails (or runs past TIMEOUT seconds), and survives when it passes.
 One line per mutant gives the verdict, the place and the mutated line.  The
 unmutated copy must pass first.  The checkout is never edited; the copies
 are removed at the end, and every pytest still running is killed with its
@@ -28,7 +27,6 @@ import argparse
 import ast
 import copy
 import os
-import random
 import re
 import shutil
 import signal
@@ -37,8 +35,11 @@ import sys
 import tempfile
 import time
 
+from presets_diff import kill  # this script's directory is first on sys.path
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = "src/aqwalk"
+TIMEOUT = 600.0  # seconds a pytest run may take before its mutant counts as killed
 
 SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult, ast.FloorDiv: ast.Mult,
          ast.Mod: ast.FloorDiv, ast.Pow: ast.Mult, ast.MatMult: ast.Mult, ast.BitAnd: ast.BitOr,
@@ -132,25 +133,16 @@ def _start(tree: str) -> subprocess.Popen:
                             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True)
 
 
-def _kill(proc: subprocess.Popen):
-    """Kill proc's process group and reap proc."""
-    try:
-        os.killpg(proc.pid, signal.SIGKILL)
-    except ProcessLookupError:
-        pass
-    proc.wait()
-
-
 def _wait(proc: subprocess.Popen) -> int:
     """proc's exit status; its process group is killed if the wait is interrupted."""
     try:
         return proc.wait()
     except BaseException:
-        _kill(proc)
+        kill(proc)
         raise
 
 
-def run(todo, jobs: int, timeout: float, scratch: str) -> int:
+def run(todo, jobs: int, scratch: str) -> int:
     """Run each mutant of todo on one of `jobs` copies under scratch; print its verdict; the survivor count."""
     free = []
     for i in range(jobs):
@@ -169,11 +161,11 @@ def run(todo, jobs: int, timeout: float, scratch: str) -> int:
                 running[_start(tree)] = (tree, path, line, shown, time.monotonic())
             time.sleep(0.2)
             for proc, (tree, path, line, shown, started) in list(running.items()):
-                late = proc.poll() is None and time.monotonic() - started > timeout
+                late = proc.poll() is None and time.monotonic() - started > TIMEOUT
                 if proc.poll() is None and not late:
                     continue
                 if late:
-                    _kill(proc)
+                    kill(proc)
                 del running[proc]
                 shutil.copy2(os.path.join(ROOT, path), os.path.join(tree, path))
                 free.append(tree)
@@ -182,7 +174,7 @@ def run(todo, jobs: int, timeout: float, scratch: str) -> int:
                 print(f"{verdict:16} {path}:{line}: {shown}", flush=True)
     finally:
         for proc in running:
-            _kill(proc)
+            kill(proc)
     return survived
 
 
@@ -190,11 +182,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     parser.add_argument("rev", help="git revision whose diff to this checkout picks the lines to mutate")
     parser.add_argument("--all", action="store_true", help="mutate every line of src/aqwalk, not only the diff's")
-    parser.add_argument("--sample", type=int, help="run this many mutants, drawn at random")
-    parser.add_argument("--seed", type=int, default=1, help="seed of --sample (default 1)")
-    cpus = os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     parser.add_argument("--jobs", type=int, default=1, help=f"pytest runs at a time, 1 to {cpus}")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds before a run counts as killed")
     args = parser.parse_args(argv)
     if not 1 <= args.jobs <= cpus:
         parser.error(f"--jobs must be between 1 and {cpus}")
@@ -206,12 +195,10 @@ def main(argv=None) -> int:
         targets = changed_lines(args.rev)
     todo = [m for path, lines in sorted(targets.items()) for m in mutants(path, lines)]
     todo.sort(key=lambda m: (m[0], m[1]))
-    if args.sample is not None and args.sample < len(todo):
-        todo = sorted(random.Random(args.seed).sample(todo, args.sample), key=lambda m: (m[0], m[1]))
     print(f"{len(todo)} mutants", flush=True)
     scratch = tempfile.mkdtemp(prefix="mutate-")
     try:
-        survived = run(todo, args.jobs, args.timeout, scratch) if todo else 0
+        survived = run(todo, args.jobs, scratch) if todo else 0
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     print(f"{len(todo)} mutants, {len(todo) - survived} killed, {survived} survived")

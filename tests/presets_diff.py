@@ -29,17 +29,22 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def kill(proc: subprocess.Popen):
+    """Kill the process group of proc, started in a session of its own, and reap proc."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait()
+
+
 def _run(cmd: list[str], env: dict) -> str:
     """stdout of cmd, run in a session of its own that is killed whole if this script stops early."""
     proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, text=True, start_new_session=True)
     try:
         out, _ = proc.communicate()
     except BaseException:
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        proc.wait()
+        kill(proc)
         raise
     if proc.returncode:
         raise subprocess.CalledProcessError(proc.returncode, cmd)
