@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import ConfigError
+
 __all__ = ["CoinSchedule", "theta_at"]
 
 
@@ -32,9 +34,9 @@ class CoinSchedule:
 
     def __post_init__(self):
         if not 0.0 <= self.theta0 <= math.pi / 2:
-            raise ValueError(f"theta0 must be in [0, pi/2], got {self.theta0}")
+            raise ConfigError("theta0", f"must be in [0, pi/2], got {self.theta0}")
         if not self.a >= 0.0:  # also rejects NaN
-            raise ValueError(f"a must be >= 0, got {self.a}")
+            raise ConfigError("acceleration", f"must be >= 0, got {self.a}")
 
 
 def theta_at(schedule: CoinSchedule, t: int) -> float:

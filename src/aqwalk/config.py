@@ -3,12 +3,13 @@
 Configs are YAML mappings with exactly one experiment kind.  `KINDS` lists
 each kind once, with the fields its mapping may hold, its parser and its
 runner.  Angles accept plain numbers or strings like "pi", "pi/4", "3pi/4",
-"0.5*pi".  All validation errors carry the dotted field path (exit code 2
-territory).
+"0.5*pi".  Config checks the YAML's shape and the specs check their values;
+either way an error names its field's dotted path (exit code 2 territory).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import os
@@ -113,6 +114,15 @@ def _as_int(value, where: str) -> int:
     return value
 
 
+@contextlib.contextmanager
+def _fields(where: str, **rename):
+    """Re-raise a spec's ConfigError at where.field, field renamed as given (a list's name for its values)."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{where}.{rename.get(exc.field, exc.field)}", exc.message) from None
+
+
 def _parse_initial(raw, particles: int, where: str) -> InitialState:
     if isinstance(raw, str):
         label = raw.strip().lower()
@@ -145,15 +155,11 @@ def _parse_disorder(raw, where: str) -> DisorderSpec:
     if raw.get("kind", "none") == "none" and unused:
         raise ConfigError(f"{where}.kind", f"is 'none' (the default), which draws no phases, "
                                            f"so {', '.join(unused)} would have no effect")
-    try:
-        return DisorderSpec(
-            kind=raw.get("kind", "none"),
-            phase_min=parse_angle(raw.get("phase_min", 0.0), f"{where}.phase_min"),
-            phase_max=parse_angle(raw.get("phase_max", math.pi), f"{where}.phase_max"),
-            seed=_as_int(raw.get("seed", 0), f"{where}.seed"),
-        )
-    except ValueError as exc:
-        raise ConfigError(where, str(exc))
+    phase_min = parse_angle(raw.get("phase_min", 0.0), f"{where}.phase_min")
+    phase_max = parse_angle(raw.get("phase_max", math.pi), f"{where}.phase_max")
+    seed = _as_int(raw.get("seed", 0), f"{where}.seed")
+    with _fields(where):
+        return DisorderSpec(raw.get("kind", "none"), phase_min, phase_max, seed)
 
 
 WALK_FIELDS = ("particles", "theta0", "acceleration", "steps", "initial", "disorder", "record", "layout")
@@ -176,29 +182,15 @@ def _parse_walk(raw, where: str, exp: Experiment | None = None) -> WalkSpec:
     record = raw.get("record", ["distribution", "sigma"])
     if not isinstance(record, list) or not record:
         raise ConfigError(f"{where}.record", "expected a non-empty list")
-    for i, key in enumerate(record):
-        if key not in RECORD_KEYS:
-            raise ConfigError(f"{where}.record", f"unknown record key {key!r}; known: {RECORD_KEYS}")
-        if key in record[:i]:
-            raise ConfigError(f"{where}.record", f"{key!r} is listed twice")
-    layout = raw.get("layout", "auto")
-    try:
-        return WalkSpec(CoinSchedule(theta0, accel), init, steps, disorder, tuple(record), layout)
-    except ValueError as exc:
-        raise ConfigError(where, str(exc))
+    with _fields(where):
+        return WalkSpec(CoinSchedule(theta0, accel), init, steps, disorder, record, raw.get("layout", "auto"))
 
 
-def _schedule_values(values, key: str, where: str) -> list[float]:
-    """A non-empty list of theta0 or acceleration values, each valid in a CoinSchedule."""
+def _schedule_values(values, where: str) -> list[float]:
+    """A non-empty list of numbers; the CoinSchedules built from them check each value."""
     if not isinstance(values, list) or not values:
         raise ConfigError(where, "expected a non-empty list")
-    parsed = [parse_angle(v, where) for v in values]
-    for value in parsed:
-        try:
-            CoinSchedule(value) if key == "theta0" else CoinSchedule(0.0, value)
-        except ValueError as exc:
-            raise ConfigError(where, str(exc))
-    return parsed
+    return [parse_angle(v, where) for v in values]
 
 
 def _parse_sweep(raw, where: str):
@@ -209,7 +201,11 @@ def _parse_sweep(raw, where: str):
     (key, values), = raw.items()
     if key not in ("acceleration", "theta0"):
         raise ConfigError(where, f"sweep field must be 'acceleration' or 'theta0', got {key!r}")
-    return key, _schedule_values(values, key, f"{where}.{key}")
+    values = _schedule_values(values, f"{where}.{key}")
+    with _fields(where):  # before the walk is parsed: one that leaves the swept field out holds values[0]
+        for value in values:
+            CoinSchedule(value) if key == "theta0" else CoinSchedule(0.0, value)
+    return key, values
 
 
 def _with_schedule(walk: WalkSpec, **change) -> WalkSpec:
@@ -245,22 +241,21 @@ def _ensemble_kind(raw: dict, exp: Experiment):
         raise ConfigError("ensemble.base_seed", "a clean ensemble draws no phases, so a seed has no effect")
     runs = _as_int(_require(raw, "runs", "ensemble"), "ensemble.runs")
     base_seed = _as_int(raw.get("base_seed", 0), "ensemble.base_seed")
-    try:
+    with _fields("ensemble"):
         exp.ensemble = EnsembleSpec(walk, runs, base_seed)
-    except ValueError as exc:
-        raise ConfigError("ensemble", str(exc))
     return [(suffix, dataclasses.replace(exp.ensemble, walk=point)) for suffix, point in _sweep_runs(exp, walk)]
 
 
 def _surface_kind(raw: dict, exp: Experiment):
     exp.walk = _parse_walk(_require(raw, "walk", "surface"), "surface.walk")
-    accels = _schedule_values(raw.get("accelerations"), "acceleration", "surface.accelerations")
+    accels = _schedule_values(raw.get("accelerations"), "surface.accelerations")
     observable = raw.get("observable", "negativity_particle_particle")
     if observable not in RECORD_KEYS or observable == "distribution":
         raise ConfigError("surface.observable", f"not a per-step observable: {observable!r}")
     if observable not in exp.walk.record:
         raise ConfigError("surface.walk.record", f"must include {observable!r}")
-    return [_with_schedule(exp.walk, a=a) for a in accels], observable
+    with _fields("surface", acceleration="accelerations"):
+        return [_with_schedule(exp.walk, a=a) for a in accels], observable
 
 
 def _dispersion_kind(raw: dict, exp: Experiment):
@@ -301,12 +296,13 @@ def _lyapunov_kind(raw: dict, exp: Experiment):
 
 
 def _schedule_kind(raw: dict, exp: Experiment):
-    theta0 = _schedule_values([_require(raw, "theta0", "schedule")], "theta0", "schedule.theta0")[0]
-    accelerations = _schedule_values(raw.get("accelerations"), "acceleration", "schedule.accelerations")
+    theta0 = parse_angle(_require(raw, "theta0", "schedule"), "schedule.theta0")
+    accelerations = _schedule_values(raw.get("accelerations"), "schedule.accelerations")
     steps = _as_int(raw.get("steps", 200), "schedule.steps")
     if steps < 1:
         raise ConfigError("schedule.steps", f"must be >= 1, got {steps}")
-    return theta0, accelerations, steps
+    with _fields("schedule", acceleration="accelerations"):
+        return [CoinSchedule(theta0, a) for a in accelerations], steps
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AqwalkError, RealizationError
+from .errors import AqwalkError, ConfigError, RealizationError
 from .evolve import WalkSpec, landscape_size, run_walk_batch, sample_landscape
 from .evolve import run_walk  # noqa: F401  (no longer called here: perfbench's traced replay patches it)
 from .state import families
@@ -52,9 +52,10 @@ class EnsembleSpec:
 
     def __post_init__(self):
         if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
+            raise ConfigError("runs", f"must be >= 1, got {self.runs}")
         if self.walk.full2d and "distribution" in self.walk.record:
-            raise ValueError("ensembles average 1D distributions; a full-2D walk cannot record distribution")
+            raise ConfigError("walk.record",
+                              "ensembles average 1D distributions; a full-2D walk cannot record distribution")
 
 
 @dataclass

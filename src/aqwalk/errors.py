@@ -13,8 +13,8 @@ class NonConvergenceError(AqwalkError):
     """An iterative estimate failed its internal convergence check."""
 
 
-class ConfigError(AqwalkError):
-    """Invalid experiment configuration. Carries the offending field name."""
+class ConfigError(AqwalkError, ValueError):
+    """An invalid field, also a ValueError. A spec names its own field; config adds the dotted path."""
 
     def __init__(self, field: str, message: str):
         self.field = field

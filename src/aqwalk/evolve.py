@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coins import CoinSchedule, theta_at
+from .errors import ConfigError
 from .observables import crossing_coin_density, line_observables, particle_particle_from_density, site_distribution
 # unused here: perfbench's replay patches them
 from .observables import (  # noqa: F401
@@ -88,11 +89,11 @@ class DisorderSpec:
 
     def __post_init__(self):
         if self.kind not in DISORDER_KINDS:
-            raise ValueError(f"disorder kind must be one of {DISORDER_KINDS}, got {self.kind!r}")
+            raise ConfigError("kind", f"must be one of {DISORDER_KINDS}, got {self.kind!r}")
         if not (math.isfinite(self.phase_min) and math.isfinite(self.phase_max)):
-            raise ValueError("phase_min and phase_max must be finite")
+            raise ConfigError("phase_min" if math.isfinite(self.phase_max) else "phase_max", "must be finite")
         if self.phase_min > self.phase_max:
-            raise ValueError("phase_min must be <= phase_max")
+            raise ConfigError("phase_min", "must be <= phase_max")
 
 
 def sample_landscape(disorder: DisorderSpec, size: int, realization_index: int = 0) -> np.ndarray | None:
@@ -125,26 +126,26 @@ class WalkSpec:
 
     def __post_init__(self):
         if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+            raise ConfigError("steps", f"must be >= 1, got {self.steps}")
         if self.layout not in ("auto", "full2d"):
-            raise ValueError(f"layout must be 'auto' or 'full2d', got {self.layout!r}")
+            raise ConfigError("layout", f"must be 'auto' or 'full2d', got {self.layout!r}")
         if self.layout == "full2d" and self.particle_count != 2:
-            raise ValueError("layout 'full2d' requires particle_count = 2")
+            raise ConfigError("layout", "'full2d' requires particle_count = 2")
         object.__setattr__(self, "record", tuple(self.record))
         for i, key in enumerate(self.record):
             if key not in RECORD_KEYS:
-                raise ValueError(f"unknown record key {key!r}; known keys: {RECORD_KEYS}")
+                raise ConfigError("record", f"unknown record key {key!r}; known keys: {RECORD_KEYS}")
             if key in self.record[:i]:
-                raise ValueError(f"record key {key!r} is listed twice")
+                raise ConfigError("record", f"{key!r} is listed twice")
         if "negativity_particle_particle" in self.record and self.particle_count != 2:
-            raise ValueError("negativity_particle_particle requires particle_count = 2")
+            raise ConfigError("record", "negativity_particle_particle requires particle_count = 2")
         if self.full2d:
             for key in self.record:
                 if key in ("sigma", "ipr", "negativity_coin_position"):
-                    raise ValueError(f"{key} needs a one-line walk; a full-2D walk records "
-                                     "distribution and negativity_particle_particle")
+                    raise ConfigError("record", f"{key} needs a one-line walk; a full-2D walk records "
+                                                "distribution and negativity_particle_particle")
             if self.disorder.kind == "spatial":
-                raise ValueError("spatial disorder is only supported on confined (single-line) walks")
+                raise ConfigError("disorder", "spatial disorder is only supported on confined (single-line) walks")
 
     @property
     def particle_count(self) -> int:

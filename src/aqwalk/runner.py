@@ -19,7 +19,7 @@ import os
 import numpy as np
 
 from . import __version__
-from .coins import CoinSchedule, theta_at
+from .coins import theta_at
 from .ensemble import run_ensemble
 from .errors import SingularParameterError
 from .evolve import run_walk
@@ -108,9 +108,8 @@ def lyapunov_files(spec, workers):
 
 
 def schedule_files(spec, workers):
-    """spec: (theta0, accelerations, steps)."""
-    theta0, accelerations, steps = spec
-    schedules = [CoinSchedule(theta0, a) for a in accelerations]
+    """spec: (one CoinSchedule per acceleration, steps); config built and checked the schedules."""
+    schedules, steps = spec
     rows = [(s.a, t, math.cos(theta_at(s, t))) for s in schedules for t in range(1, steps + 1)]
     yield "schedule", ["a", "t", "value"], rows
 

@@ -286,10 +286,11 @@ WALK_MIXED = dict(BASE_WALK, particles=2, initial=[[0.5, 0.0]] * 4, record=["dis
     ({"walk": BASE_WALK, "sweep": {"acceleration": [0.0, math.nan]}}, "sweep.acceleration"),
     ({"walk": BASE_WALK, "sweep": {"acceleration": [-0.1]}}, "sweep.acceleration"),
     ({"walk": BASE_WALK, "sweep": {"theta0": ["pi/4", 2.0]}}, "sweep.theta0"),
-    ({"walk": dict(WALK_2P, layout="full2d")}, "walk"),
-    ({"walk": dict(WALK_MIXED, record=["negativity_coin_position"])}, "walk"),
-    ({"ensemble": {"runs": 2, "walk": dict(WALK_MIXED, disorder={"kind": "temporal"})}}, "ensemble"),
-    ({"walk": dict(WALK_2P, layout="full2d", record=["distribution"], disorder={"kind": "spatial"})}, "walk"),
+    ({"walk": dict(WALK_2P, layout="full2d")}, "walk.record"),
+    ({"walk": dict(WALK_MIXED, record=["negativity_coin_position"])}, "walk.record"),
+    ({"ensemble": {"runs": 2, "walk": dict(WALK_MIXED, disorder={"kind": "temporal"})}}, "ensemble.walk.record"),
+    ({"walk": dict(WALK_2P, layout="full2d", record=["distribution"], disorder={"kind": "spatial"})},
+     "walk.disorder"),
     ({"walk": BASE_WALK, "output_dir": 5}, "output_dir"),
     ({"surface": {"walk": WALK_2P, "observable": "sigma", "accelerations": [math.nan]}},
      "surface.accelerations"),
@@ -325,7 +326,7 @@ WALK_MIXED = dict(BASE_WALK, particles=2, initial=[[0.5, 0.0]] * 4, record=["dis
     ({"dispersion": {"theta0": "pi/4", "phi": "3pi/0.0"}}, "dispersion.phi"),
     ({"dispersion": {"theta0": "pi/4", "variant": ["single"]}}, "dispersion.variant"),
     ({"walk": BASE_WALK, "output_dir": "out\0put"}, "output_dir"),
-    ({"walk": dict(WALK_2P, steps=-1)}, "walk"),
+    ({"walk": dict(WALK_2P, steps=-1)}, "walk.steps"),
     ({"walk": dict(BASE_WALK, theta0=".pi")}, "walk.theta0"),
     ({"walk": dict(BASE_WALK, theta0="-.pi")}, "walk.theta0"),
     ({"walk": dict(BASE_WALK, theta0="+.pi")}, "walk.theta0"),
@@ -338,6 +339,19 @@ WALK_MIXED = dict(BASE_WALK, particles=2, initial=[[0.5, 0.0]] * 4, record=["dis
      "lyapunov.disorder.kind"),
     # a clean ensemble draws no phases, so its base_seed would have no effect
     ({"ensemble": {"runs": 4, "base_seed": 5, "walk": dict(BASE_WALK, disorder={"kind": "none"})}}, "ensemble.base_seed"),
+    # a spec's own rule names its field, under the config path of the spec
+    ({"walk": dict(BASE_WALK, steps=0)}, "walk.steps"),
+    ({"walk": dict(BASE_WALK, theta0=2.0)}, "walk.theta0"),
+    ({"ensemble": {"runs": 0, "walk": BASE_WALK}}, "ensemble.runs"),
+    ({"walk": dict(BASE_WALK, layout="full2d")}, "walk.layout"),
+    ({"walk": dict(BASE_WALK, acceleration=-0.1)}, "walk.acceleration"),
+    ({"walk": dict(BASE_WALK, disorder={"kind": "spatil"})}, "walk.disorder.kind"),
+    ({"walk": dict(BASE_WALK, disorder={"kind": "spatial", "phase_min": 2.0, "phase_max": 1.0})},
+     "walk.disorder.phase_min"),
+    ({"walk": dict(BASE_WALK, layout="grid")}, "walk.layout"),
+    # a walk without theta0 holds the sweep's first value, which is still named as a sweep value
+    ({"walk": {k: v for k, v in BASE_WALK.items() if k != "theta0"}, "sweep": {"theta0": [2.0, "pi/4"]}},
+     "sweep.theta0"),
 ])
 def test_bad_config_values_give_exit_2(tmp_path, capsys, config, field):
     path = _write(tmp_path, dict(config, name="bad"))
@@ -551,6 +565,14 @@ def test_all_preset_configs_parse():
             exp = parse_config(cfg)
             assert exp.kind in ("walk", "ensemble", "surface", "dispersion", "transfer",
                                 "lyapunov", "schedule")
+
+
+def test_omitted_disorder_fields_take_the_spec_defaults():
+    from aqwalk import DisorderSpec
+    from aqwalk.config import parse_config
+
+    exp = parse_config({"name": "defaults", "walk": dict(BASE_WALK, disorder={"kind": "spatial"})})
+    assert exp.walk.disorder == DisorderSpec("spatial")  # seed 0, phases on [0, pi]
 
 
 def test_json_format(tmp_path):

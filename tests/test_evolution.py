@@ -190,6 +190,13 @@ def test_rejects_a_record_key_listed_twice():
         WalkSpec(CoinSchedule(1.0, 0.0), InitialState.up(), 5, record=("sigma", "distribution", "sigma"))
 
 
+def test_spec_error_is_a_value_error_naming_its_field():
+    # library callers that catch ValueError keep working; config adds the path to .field
+    with pytest.raises(ValueError, match="must be >= 1, got 0") as info:
+        WalkSpec(CoinSchedule(1.0, 0.0), InitialState.up(), 0)
+    assert info.value.field == "steps"
+
+
 def test_particle_particle_record_needs_two_particles():
     with pytest.raises(ValueError, match="particle_count = 2"):
         WalkSpec(CoinSchedule(1.0, 0.0), InitialState.up(), 5,

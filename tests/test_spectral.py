@@ -6,12 +6,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from aqwalk import (
+    CoinSchedule,
     DisorderSpec,
+    InitialState,
     NonConvergenceError,
     SingularParameterError,
+    WalkSpec,
     dispersion_omega,
     group_velocity,
     lyapunov_localization_length,
+    run_walk,
     transfer_matrix_1p,
     transfer_matrix_2p,
 )
@@ -86,6 +90,22 @@ def test_max_group_velocity_against_golden_section():
                                             1e-9 - phi / 2, math.pi - 1e-9 - phi / 2)
         assert k_gold == pytest.approx(math.pi / 2 - phi / 2, abs=1e-6)
         assert v_gold == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-10)
+
+
+@pytest.mark.parametrize("theta0, a", [(math.pi / 4, 0.0), (math.pi / 4, 0.005), (1.0, 0.02), (1.2, 0.1)])
+def test_group_velocity_predicts_the_spread_of_an_accelerated_walk(theta0, a):
+    # A clean walk conserves kappa, and under a slow schedule each mode stays in its band, moving by
+    # X(kappa) = sum_s v_g(theta_s, kappa); the two bands of one kappa move in opposite directions, so
+    # <x^2>(T) ~ mean over kappa of X^2.  theta_s is taken half a step late, theta0 exp(-a (s + 1/2)):
+    # an empirical offset (relative error 6e-6 to 7e-5 here, 1.0e-3 to 1.5e-3 with theta0 exp(-a s)).
+    # theta_s is computed here, not by theta_at, so that a schedule defect moves only the walk side.
+    steps, count = 500, 4000
+    kappa = -math.pi + (np.arange(count) + 0.5) * (2 * math.pi / count)
+    shift = sum(group_velocity(theta0 * math.exp(-a * (s + 0.5)), kappa) for s in range(1, steps + 1))
+    p = run_walk(WalkSpec(CoinSchedule(theta0, a), InitialState.symmetric(), steps,
+                          record=("distribution",))).series["distribution"]
+    x = np.arange(-steps, steps + 1)
+    assert np.dot(x ** 2, p) == pytest.approx(np.mean(shift ** 2), rel=3e-4)
 
 
 def test_transfer_1p_zero_angle_limit():
