@@ -17,11 +17,9 @@ import os
 import sys
 
 import yaml
-from numpy.linalg import LinAlgError
 
 from .config import load_config, parse_config
 from .errors import AqwalkError, ConfigError
-from .runner import execute
 
 ENV_OUTPUT_DIR = "AQWALK_OUTPUT_DIR"
 
@@ -83,6 +81,9 @@ def _experiments(args):
 
 
 def _cmd_run(args) -> int:
+    # the runner loads every layer a run may call (ensemble, spectral, io, hashlib), so only `run` imports it
+    from .runner import execute
+
     for exp in _experiments(args):
         directory, files = execute(exp, _output_dir(args, exp), workers=args.workers)
         print(f"{exp.name}: wrote {len(files)} files to {directory}")
@@ -121,7 +122,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (AqwalkError, ValueError, OSError, FloatingPointError, LinAlgError, MemoryError) as exc:
+    except (AqwalkError, ValueError, OSError, FloatingPointError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

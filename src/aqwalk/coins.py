@@ -1,8 +1,11 @@
-"""The exponential coin-angle schedule that accelerates the walk.
+"""The coin's parameters: the exponential angle schedule that accelerates
+the walk, and the phase disorder of the phase operator after it.
 
-The coins themselves, [[cos, -i sin], [-i sin, cos]] with the phase
-diagonal applied after it, are inlined in the evolution engine (see
-evolve._COIN_SIGNS and the phase powers in state.LINES).
+Both specs need no numpy, so a config that holds no walk (a Lyapunov
+chain, say) validates without loading it.  The coins themselves,
+[[cos, -i sin], [-i sin, cos]] with the phase diagonal applied after it,
+are inlined in the evolution engine (see evolve._COIN_SIGNS and the phase
+powers in state.LINES).
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 
-__all__ = ["CoinSchedule", "theta_at"]
+__all__ = ["CoinSchedule", "DisorderSpec", "theta_at"]
+
+DISORDER_KINDS = ("none", "spatial", "temporal")
 
 
 @dataclass(frozen=True)
@@ -47,3 +52,26 @@ def theta_at(schedule: CoinSchedule, t: int) -> float:
     if t < 1:
         raise ValueError(f"step index must be >= 1, got {t}")
     return schedule.theta0 * math.exp(-schedule.a * t)
+
+
+@dataclass(frozen=True)
+class DisorderSpec:
+    """What kind of phase disorder to draw and from which seeded stream.
+
+    kind "none" means phi = 0 everywhere; "spatial" draws one phi per
+    lattice site (frozen in time); "temporal" draws one phi per step
+    (uniform in space).
+    """
+
+    kind: str = "none"
+    phase_min: float = 0.0
+    phase_max: float = math.pi
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.kind not in DISORDER_KINDS:
+            raise ConfigError("kind", f"must be one of {DISORDER_KINDS}, got {self.kind!r}")
+        if not (math.isfinite(self.phase_min) and math.isfinite(self.phase_max)):
+            raise ConfigError("phase_min" if math.isfinite(self.phase_max) else "phase_max", "must be finite")
+        if self.phase_min > self.phase_max:
+            raise ConfigError("phase_min", "must be <= phase_max")

@@ -1,10 +1,12 @@
 """Declarative experiment configs: schema validation and spec construction.
 
 Configs are YAML mappings with exactly one experiment kind.  `KINDS` lists
-each kind once, with the fields its mapping may hold, its parser and its
-runner.  Angles accept plain numbers or strings like "pi", "pi/4", "3pi/4",
-"0.5*pi".  Config checks the YAML's shape and the specs check their values;
-either way an error names its field's dotted path (exit code 2 territory).
+each kind once, with the fields its mapping may hold and its parser; the
+kind's runner is `runner.{kind}_files`.  Angles accept plain numbers or
+strings like "pi", "pi/4", "3pi/4", "0.5*pi".  Config checks the YAML's
+shape and the specs check their values; either way an error names its
+field's dotted path (exit code 2 territory).  A parser imports the specs
+its kind builds, so validating a config loads only the layers it names.
 """
 
 from __future__ import annotations
@@ -15,18 +17,17 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
 import yaml
 
-from . import runner
-from .coins import CoinSchedule
+from .coins import CoinSchedule, DisorderSpec
 from .errors import ConfigError
-from .evolve import RECORD_KEYS, DisorderSpec, WalkSpec
-from .ensemble import EnsembleSpec
-from .spectral import DISPERSION_VARIANTS
-from .state import InitialState
+
+if TYPE_CHECKING:
+    from .ensemble import EnsembleSpec
+    from .evolve import WalkSpec
+    from .state import InitialState
 
 __all__ = ["Experiment", "KINDS", "load_config", "parse_config", "parse_angle"]
 
@@ -64,11 +65,10 @@ def parse_angle(value, where: str) -> float:
 
 @dataclass
 class Experiment:
-    """Parsed config, ready to run: `run(spec, workers)` yields its files."""
+    """Parsed config, ready to run: `runner.execute` runs its spec."""
 
     name: str
     kind: str
-    run: Callable
     spec: object = None
     fmt: str = "csv"
     output_dir: str | None = None
@@ -114,16 +114,25 @@ def _as_int(value, where: str) -> int:
     return value
 
 
+def _given(raw: dict, where: str, **readers) -> dict:
+    """Each field of raw that readers name, read by its reader (None: as given); a field raw
+    leaves out is left out here too, so that its spec's default applies."""
+    return {key: raw[key] if read is None else read(raw[key], f"{where}.{key}")
+            for key, read in readers.items() if key in raw}
+
+
 @contextlib.contextmanager
-def _fields(where: str, **rename):
-    """Re-raise a spec's ConfigError at where.field, field renamed as given (a list's name for its values)."""
+def _fields(where: str, **paths):
+    """Re-raise a spec's ConfigError at where.field, or at the path paths gives the field."""
     try:
         yield
     except ConfigError as exc:
-        raise ConfigError(f"{where}.{rename.get(exc.field, exc.field)}", exc.message) from None
+        raise ConfigError(paths.get(exc.field, f"{where}.{exc.field}"), exc.message) from None
 
 
 def _parse_initial(raw, particles: int, where: str) -> InitialState:
+    from .state import InitialState
+
     if isinstance(raw, str):
         label = raw.strip().lower()
         if particles == 1:
@@ -139,7 +148,7 @@ def _parse_initial(raw, particles: int, where: str) -> InitialState:
         if len(raw) != 2 * particles:
             raise ConfigError(where, f"a {particles}-particle walk needs {2 * particles} amplitudes, "
                                      f"got {len(raw)}")
-        amps = np.array([complex(parse_angle(re, where), parse_angle(im, where)) for re, im in raw])
+        amps = [complex(parse_angle(re, where), parse_angle(im, where)) for re, im in raw]
         try:
             return InitialState(amps)
         except ValueError as exc:
@@ -152,38 +161,45 @@ def _parse_disorder(raw, where: str) -> DisorderSpec:
         return DisorderSpec()
     raw = _mapping(raw, where, ("kind", "phase_min", "phase_max", "seed"))
     unused = sorted(raw.keys() - {"kind"})
-    if raw.get("kind", "none") == "none" and unused:
+    if raw.get("kind", DisorderSpec.kind) == "none" and unused:
         raise ConfigError(f"{where}.kind", f"is 'none' (the default), which draws no phases, "
                                            f"so {', '.join(unused)} would have no effect")
-    phase_min = parse_angle(raw.get("phase_min", 0.0), f"{where}.phase_min")
-    phase_max = parse_angle(raw.get("phase_max", math.pi), f"{where}.phase_max")
-    seed = _as_int(raw.get("seed", 0), f"{where}.seed")
+    given = _given(raw, where, kind=None, phase_min=parse_angle, phase_max=parse_angle, seed=_as_int)
     with _fields(where):
-        return DisorderSpec(raw.get("kind", "none"), phase_min, phase_max, seed)
+        return DisorderSpec(**given)
 
 
 WALK_FIELDS = ("particles", "theta0", "acceleration", "steps", "initial", "disorder", "record", "layout")
 
 
+def _record(value, where: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(where, "expected a non-empty list")
+    return value
+
+
 def _parse_walk(raw, where: str, exp: Experiment | None = None) -> WalkSpec:
+    from .evolve import WalkSpec
+
     raw = _mapping(raw, where, WALK_FIELDS)
-    if exp is not None and exp.sweep_field is not None:
-        # a field the sweep sets may be left out; the walk then holds its first value
+    paths = {}
+    if exp is not None and exp.sweep_field is not None and exp.sweep_field not in raw:
+        # a field the sweep sets may be left out; the walk then holds its first value, named as a sweep value
         raw = {exp.sweep_field: exp.sweep_values[0], **raw}
+        paths[exp.sweep_field] = f"sweep.{exp.sweep_field}"
     particles = _as_int(raw.get("particles", 1), f"{where}.particles")
     if particles not in (1, 2):
         raise ConfigError(f"{where}.particles", f"must be 1 or 2, got {particles}")
-    theta0 = parse_angle(_require(raw, "theta0", where), f"{where}.theta0")
-    accel = parse_angle(raw.get("acceleration", 0.0), f"{where}.acceleration")
+    schedule = {"theta0": parse_angle(_require(raw, "theta0", where), f"{where}.theta0")}
+    if "acceleration" in raw:
+        schedule["a"] = parse_angle(raw["acceleration"], f"{where}.acceleration")
     steps = _as_int(_require(raw, "steps", where), f"{where}.steps")
     init = _parse_initial(raw.get("initial", "symmetric" if particles == 1 else "uu"),
                           particles, f"{where}.initial")
     disorder = _parse_disorder(raw.get("disorder"), f"{where}.disorder")
-    record = raw.get("record", ["distribution", "sigma"])
-    if not isinstance(record, list) or not record:
-        raise ConfigError(f"{where}.record", "expected a non-empty list")
-    with _fields(where):
-        return WalkSpec(CoinSchedule(theta0, accel), init, steps, disorder, record, raw.get("layout", "auto"))
+    given = _given(raw, where, record=_record, layout=None)
+    with _fields(where, **paths):
+        return WalkSpec(CoinSchedule(**schedule), init, steps, disorder, **given)
 
 
 def _schedule_values(values, where: str) -> list[float]:
@@ -201,11 +217,7 @@ def _parse_sweep(raw, where: str):
     (key, values), = raw.items()
     if key not in ("acceleration", "theta0"):
         raise ConfigError(where, f"sweep field must be 'acceleration' or 'theta0', got {key!r}")
-    values = _schedule_values(values, f"{where}.{key}")
-    with _fields(where):  # before the walk is parsed: one that leaves the swept field out holds values[0]
-        for value in values:
-            CoinSchedule(value) if key == "theta0" else CoinSchedule(0.0, value)
-    return key, values
+    return key, _schedule_values(values, f"{where}.{key}")
 
 
 def _with_schedule(walk: WalkSpec, **change) -> WalkSpec:
@@ -217,7 +229,8 @@ def _sweep_runs(exp: Experiment, walk: WalkSpec) -> list[tuple[str, WalkSpec]]:
     if exp.sweep_field is None:
         return [("", walk)]
     attr, tag = {"acceleration": ("a", "_a"), "theta0": ("theta0", "_theta")}[exp.sweep_field]
-    runs = [(f"{tag}{value:g}", _with_schedule(walk, **{attr: value})) for value in exp.sweep_values]
+    with _fields("sweep"):  # the walk's schedules check each value
+        runs = [(f"{tag}{value:g}", _with_schedule(walk, **{attr: value})) for value in exp.sweep_values]
     for i, (suffix, _) in enumerate(runs):
         if suffix in (earlier for earlier, _ in runs[:i]):
             raise ConfigError(f"sweep.{exp.sweep_field}", f"two values write the same files (suffix {suffix!r})")
@@ -233,6 +246,8 @@ def _walk_kind(raw: dict, exp: Experiment):
 
 
 def _ensemble_kind(raw: dict, exp: Experiment):
+    from .ensemble import EnsembleSpec  # only this kind loads the ensemble layer
+
     walk = _parse_walk(_require(raw, "walk", "ensemble"), "ensemble.walk", exp)
     if "seed" in (raw["walk"].get("disorder") or {}):
         # realization i draws stream (base_seed, i), so a walk seed would be ignored
@@ -240,13 +255,15 @@ def _ensemble_kind(raw: dict, exp: Experiment):
     if "base_seed" in raw and walk.disorder.kind == "none":
         raise ConfigError("ensemble.base_seed", "a clean ensemble draws no phases, so a seed has no effect")
     runs = _as_int(_require(raw, "runs", "ensemble"), "ensemble.runs")
-    base_seed = _as_int(raw.get("base_seed", 0), "ensemble.base_seed")
+    given = _given(raw, "ensemble", base_seed=_as_int)
     with _fields("ensemble"):
-        exp.ensemble = EnsembleSpec(walk, runs, base_seed)
+        exp.ensemble = EnsembleSpec(walk, runs, **given)
     return [(suffix, dataclasses.replace(exp.ensemble, walk=point)) for suffix, point in _sweep_runs(exp, walk)]
 
 
 def _surface_kind(raw: dict, exp: Experiment):
+    from .evolve import RECORD_KEYS
+
     exp.walk = _parse_walk(_require(raw, "walk", "surface"), "surface.walk")
     accels = _schedule_values(raw.get("accelerations"), "surface.accelerations")
     observable = raw.get("observable", "negativity_particle_particle")
@@ -254,11 +271,15 @@ def _surface_kind(raw: dict, exp: Experiment):
         raise ConfigError("surface.observable", f"not a per-step observable: {observable!r}")
     if observable not in exp.walk.record:
         raise ConfigError("surface.walk.record", f"must include {observable!r}")
-    with _fields("surface", acceleration="accelerations"):
+    with _fields("surface", acceleration="surface.accelerations"):
         return [_with_schedule(exp.walk, a=a) for a in accels], observable
 
 
 def _dispersion_kind(raw: dict, exp: Experiment):
+    import numpy as np
+
+    from .spectral import DISPERSION_VARIANTS  # only this kind loads the spectral layer
+
     variant = raw.get("variant", "single")
     if not isinstance(variant, str) or variant not in DISPERSION_VARIANTS:
         raise ConfigError("dispersion.variant", f"must be one of {tuple(DISPERSION_VARIANTS)}")
@@ -301,28 +322,31 @@ def _schedule_kind(raw: dict, exp: Experiment):
     steps = _as_int(raw.get("steps", 200), "schedule.steps")
     if steps < 1:
         raise ConfigError("schedule.steps", f"must be >= 1, got {steps}")
-    with _fields("schedule", acceleration="accelerations"):
+    with _fields("schedule", acceleration="schedule.accelerations"):
         return [CoinSchedule(theta0, a) for a in accelerations], steps
 
 
 @dataclass(frozen=True)
 class Kind:
-    """An experiment kind: its mapping's fields, parser, runner, and whether a sweep applies."""
+    """An experiment kind: its mapping's fields, parser, and whether a sweep applies.
+
+    Its runner is `runner.{kind}_files`, which takes the spec the parser returns;
+    naming it here would load the runner, and with it every layer, to validate a config.
+    """
 
     fields: tuple[str, ...]
     parse: Callable
-    run: Callable
     sweeps: bool = False
 
 
 KINDS = {
-    "walk": Kind(WALK_FIELDS, _walk_kind, runner.walk_files, sweeps=True),
-    "ensemble": Kind(("walk", "runs", "base_seed"), _ensemble_kind, runner.ensemble_files, sweeps=True),
-    "surface": Kind(("walk", "accelerations", "observable"), _surface_kind, runner.surface_files),
-    "dispersion": Kind(("variant", "theta0", "phi", "kappa"), _dispersion_kind, runner.dispersion_files),
-    "transfer": Kind(("particles", "theta", "phi", "omega"), _transfer_kind, runner.transfer_files),
-    "lyapunov": Kind(("theta", "omega", "chain_length", "disorder"), _lyapunov_kind, runner.lyapunov_files),
-    "schedule": Kind(("theta0", "accelerations", "steps"), _schedule_kind, runner.schedule_files),
+    "walk": Kind(WALK_FIELDS, _walk_kind, sweeps=True),
+    "ensemble": Kind(("walk", "runs", "base_seed"), _ensemble_kind, sweeps=True),
+    "surface": Kind(("walk", "accelerations", "observable"), _surface_kind),
+    "dispersion": Kind(("variant", "theta0", "phi", "kappa"), _dispersion_kind),
+    "transfer": Kind(("particles", "theta", "phi", "omega"), _transfer_kind),
+    "lyapunov": Kind(("theta", "omega", "chain_length", "disorder"), _lyapunov_kind),
+    "schedule": Kind(("theta0", "accelerations", "steps"), _schedule_kind),
 }
 
 
@@ -349,7 +373,7 @@ def parse_config(data: dict) -> Experiment:
     sweep_field, sweep_values = _parse_sweep(data.get("sweep"), "sweep")
     if sweep_field is not None and not kind.sweeps:
         raise ConfigError("sweep", f"the {present[0]!r} kind takes no sweep")
-    exp = Experiment(name, present[0], kind.run, fmt=fmt, output_dir=output_dir,
+    exp = Experiment(name, present[0], fmt=fmt, output_dir=output_dir,
                      sweep_field=sweep_field, sweep_values=sweep_values, raw=data)
     exp.spec = kind.parse(_mapping(data[exp.kind], exp.kind, kind.fields), exp)
     return exp

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coins import CoinSchedule, theta_at
+from .coins import CoinSchedule, DisorderSpec, theta_at
 from .errors import ConfigError
 from .observables import crossing_coin_density, line_observables, particle_particle_from_density, site_distribution
 # unused here: perfbench's replay patches them
@@ -51,15 +51,12 @@ from .observables import (  # noqa: F401
 from .state import LINES, InitialState, confinement, families, site_probabilities
 
 __all__ = [
-    "DisorderSpec",
     "WalkSpec",
     "RunResult",
     "sample_landscape",
     "run_walk",
     "run_walk_batch",
 ]
-
-DISORDER_KINDS = ("none", "spatial", "temporal")
 
 RECORD_KEYS = (
     "distribution",
@@ -71,29 +68,6 @@ RECORD_KEYS = (
 
 _SEED_MASK = (1 << 64) - 1
 _REALIZATION_0 = object()  # run_walk's default landscape
-
-
-@dataclass(frozen=True)
-class DisorderSpec:
-    """What kind of phase disorder to draw and from which seeded stream.
-
-    kind "none" means phi = 0 everywhere; "spatial" draws one phi per
-    lattice site (frozen in time); "temporal" draws one phi per step
-    (uniform in space).
-    """
-
-    kind: str = "none"
-    phase_min: float = 0.0
-    phase_max: float = math.pi
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in DISORDER_KINDS:
-            raise ConfigError("kind", f"must be one of {DISORDER_KINDS}, got {self.kind!r}")
-        if not (math.isfinite(self.phase_min) and math.isfinite(self.phase_max)):
-            raise ConfigError("phase_min" if math.isfinite(self.phase_max) else "phase_max", "must be finite")
-        if self.phase_min > self.phase_max:
-            raise ConfigError("phase_min", "must be <= phase_max")
 
 
 def sample_landscape(disorder: DisorderSpec, size: int, realization_index: int = 0) -> np.ndarray | None:

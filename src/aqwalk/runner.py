@@ -1,7 +1,7 @@
 """Execute parsed experiments and write their datasets.
 
-Each experiment kind has a runner here, listed with its fields and parser
-in `config.KINDS`. A runner takes the kind's parsed spec and the ensemble worker
+Each experiment kind of `config.KINDS` has a runner here, named
+`{kind}_files`. A runner takes the kind's parsed spec and the ensemble worker
 count, and yields one (stem, header, rows) triple per output file.
 
 File schemas: distributions are `x,p` (`x,y,p` in 2D), per-step series
@@ -115,10 +115,11 @@ def schedule_files(spec, workers):
 
 
 def execute(exp, output_dir: str, workers: int | None = None) -> tuple[str, list[str]]:
-    """Run one parsed config.Experiment, returning (directory, written files incl. manifest)."""
+    """Run one parsed config.Experiment through its kind's runner, `{exp.kind}_files` of this
+    module, returning (directory, written files incl. manifest)."""
     directory = os.path.join(output_dir, exp.name)  # made by the first write, so a failed run leaves none
     outputs = {}  # file name: the sha256 its writer returned
-    for stem, header, rows in exp.run(exp.spec, workers):
+    for stem, header, rows in globals()[f"{exp.kind}_files"](exp.spec, workers):
         name = f"{stem}.{exp.fmt}"
         path = os.path.join(directory, name)
         if exp.fmt == "csv":

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError, SingularParameterError
-from .evolve import DisorderSpec, sample_landscape
+from .coins import DisorderSpec
+from .evolve import sample_landscape
 from .state import LINES, Line
 
 __all__ = [

@@ -1,9 +1,11 @@
 import csv
+import gc
 import hashlib
 import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -575,6 +577,21 @@ def test_omitted_disorder_fields_take_the_spec_defaults():
     assert exp.walk.disorder == DisorderSpec("spatial")  # seed 0, phases on [0, pi]
 
 
+def test_omitted_walk_fields_take_the_spec_defaults():
+    # config passes only the fields a config gives, so each default lives in its spec, with these values
+    from aqwalk.config import parse_config
+
+    walk = {"theta0": "pi/4", "steps": 40, "disorder": {"kind": "spatial"}}
+    exp = parse_config({"name": "defaults", "walk": walk})
+    assert exp.walk.schedule.a == 0.0
+    assert exp.walk.record == ("distribution", "sigma")
+    assert exp.walk.layout == "auto"
+    disorder = exp.walk.disorder
+    assert (disorder.phase_min, disorder.phase_max, disorder.seed) == (0.0, math.pi, 0)
+    walk = dict(walk, disorder={"kind": "temporal"})
+    assert parse_config({"name": "defaults", "ensemble": {"runs": 2, "walk": walk}}).ensemble.base_seed == 0
+
+
 def test_json_format(tmp_path):
     cfg = {"name": "asjson", "format": "json", "walk": dict(BASE_WALK, record=["sigma"])}
     assert main(["run", _write(tmp_path, cfg), "-o", str(tmp_path / "out")]) == 0
@@ -808,3 +825,87 @@ def test_runs_load_no_multiprocessing(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, walk, ens, str(tmp_path / "out")],
                          capture_output=True, text=True, env=env, check=True)
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+# the package's public names, in the order of its __all__
+PUBLIC_NAMES = [
+    "CoinSchedule", "theta_at", "EnsembleSpec", "EnsembleSummary", "run_ensemble", "AqwalkError", "ConfigError",
+    "NonConvergenceError", "RealizationError", "SingularParameterError", "DisorderSpec", "RunResult", "WalkSpec",
+    "run_walk", "run_walk_batch", "sample_landscape", "distribution", "ipr", "negativity_coin_position",
+    "negativity_particle_particle", "reduced_particle_density", "sigma", "LyapunovEstimate", "dispersion_omega",
+    "group_velocity", "lyapunov_localization_length", "transfer_matrix_1p", "transfer_matrix_2p", "InitialState",
+]
+# modules that only a run calls
+RUN_ONLY = ("aqwalk.runner", "aqwalk.io", "aqwalk.spectral", "aqwalk.ensemble", "hashlib")
+
+
+def _python(args, cwd=None) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aqwalk.__file__)))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd)
+
+
+def test_package_names_and_submodules_resolve_on_first_use():
+    assert aqwalk.__all__ == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(aqwalk))
+    for name in PUBLIC_NAMES:
+        value = getattr(aqwalk, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+    # a fresh process lists the names before it loads them, and reaches each submodule as an
+    # attribute, as perfbench's replay does
+    modules = ["runner", "ensemble", "evolve", "observables", "config"]
+    code = ("import sys, aqwalk\n"
+            "print(sorted(set(aqwalk.__all__) - set(dir(aqwalk))))\n"
+            "print([getattr(aqwalk, name).__name__ for name in sys.argv[1:]])\n"
+            "print(hasattr(aqwalk, 'no_such_name'))\n")
+    out = _python(["-c", code, *modules])
+    assert out.stdout.splitlines() == ["[]", str([f"aqwalk.{name}" for name in modules]), "False"], out.stderr
+
+
+def test_each_verb_loads_only_the_layers_it_runs(tmp_path):
+    # neither the package nor the CLI loads numpy on import, nor does validating a Lyapunov
+    # config; validating a walk loads it but no module that only a run calls, and a run loads them
+    walk = _write(tmp_path, {"name": "walk", "walk": BASE_WALK}, "walk.yaml")
+    lyapunov = _write(tmp_path, dict(KIND_SMOKE["lyapunov"][0], name="lyapunov"), "lyapunov.yaml")
+    verbs = [["validate", lyapunov], ["validate", walk], ["run", walk, "-o", str(tmp_path / "out")]]
+    watched = ("numpy",) + RUN_ONLY
+    code = ("import json, sys, aqwalk\n"
+            f"def loaded(): return sorted(m for m in sys.modules if m in {watched!r})\n"
+            "print(loaded())\n"
+            "import aqwalk.cli\n"
+            "print(loaded())\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert aqwalk.cli.main(argv) == 0\n"
+            "    print(loaded())\n")
+    out = _python(["-c", code, json.dumps(verbs)])
+    loaded = [line for line in out.stdout.splitlines() if line.startswith("[")]
+    assert loaded == ["[]", "[]", "[]", "['numpy']", str(sorted(watched))], out.stderr
+
+
+def test_cli_main_leaves_the_garbage_collector_as_it_was(tmp_path, capsys):
+    # only the process entry point freezes and pauses the collector; library callers keep theirs
+    path = _write(tmp_path, {"name": "gc", "walk": BASE_WALK})
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert main(["validate", path]) == 0
+    assert main(["run", path, "-o", str(tmp_path / "out")]) == 0
+    assert main(["validate", str(tmp_path / "missing.yaml")]) == 2
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_module_and_console_script_give_the_same_output_and_exit_code(tmp_path):
+    with open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "pyproject.toml")) as fh:
+        module, function = re.search(r'^aqwalk = "(.+):(.+)"$', fh.read(), re.M).groups()
+    script = f"import sys; from {module} import {function}; sys.argv[0] = 'aqwalk'; sys.exit({function}())"
+    _write(tmp_path, {"name": "walk", "walk": BASE_WALK}, "walk.yaml")
+    _write(tmp_path, {"name": "huge", "walk": dict(BASE_WALK, steps=10**17)}, "huge.yaml")
+    _write(tmp_path, {"name": "bad", "walk": dict(BASE_WALK, theta0=2.0)}, "bad.yaml")
+    cases = [
+        (["validate", "walk.yaml"], 0, "ok: walk (walk)\n", ""),
+        (["run", "walk.yaml", "-o", "out"], 0, f"walk: wrote 3 files to {os.path.join('out', 'walk')}\n", ""),
+        (["run", "huge.yaml", "-o", "out"], 1, "", "error: MemoryError: "),
+        (["validate", "bad.yaml"], 2, "", "config error: walk.theta0: "),
+    ]
+    for verb, code, stdout, stderr in cases:
+        for entry in (["-m", "aqwalk"], ["-c", script]):
+            out = _python(entry + verb, cwd=tmp_path)
+            assert (out.returncode, out.stdout) == (code, stdout), (entry, out.stderr)
+            assert out.stderr.startswith(stderr) and out.stderr.count("\n") == (1 if stderr else 0)
