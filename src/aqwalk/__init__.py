@@ -8,7 +8,8 @@ ensembles with a CSV/JSON experiment CLI.
 
 The public names, and the submodules as attributes, load on first use
 (PEP 562), so `import aqwalk` loads neither numpy nor any layer and a
-process pays only for the layers it reads.
+process pays only for the layers it reads.  The specs (`specs`) need no
+numpy: building or validating one loads no engine.
 """
 
 import importlib
@@ -16,11 +17,11 @@ import importlib
 __version__ = "0.1.0"
 
 _HOMES = {  # public name: the submodule that defines it
-    "CoinSchedule": "coins", "theta_at": "coins",
-    "EnsembleSpec": "ensemble", "EnsembleSummary": "ensemble", "run_ensemble": "ensemble",
+    "CoinSchedule": "specs", "theta_at": "specs",
+    "EnsembleSpec": "specs", "EnsembleSummary": "ensemble", "run_ensemble": "ensemble",
     "AqwalkError": "errors", "ConfigError": "errors", "NonConvergenceError": "errors",
     "RealizationError": "errors", "SingularParameterError": "errors",
-    "DisorderSpec": "coins", "RunResult": "evolve", "WalkSpec": "evolve",
+    "DisorderSpec": "specs", "RunResult": "evolve", "WalkSpec": "specs",
     "run_walk": "evolve", "run_walk_batch": "evolve", "sample_landscape": "evolve",
     "distribution": "observables", "ipr": "observables", "negativity_coin_position": "observables",
     "negativity_particle_particle": "observables", "reduced_particle_density": "observables",
@@ -28,7 +29,7 @@ _HOMES = {  # public name: the submodule that defines it
     "LyapunovEstimate": "spectral", "dispersion_omega": "spectral", "group_velocity": "spectral",
     "lyapunov_localization_length": "spectral", "transfer_matrix_1p": "spectral",
     "transfer_matrix_2p": "spectral",
-    "InitialState": "state",
+    "InitialState": "specs",
 }
 
 __all__ = list(_HOMES)

@@ -5,8 +5,8 @@ each kind once, with the fields its mapping may hold and its parser; the
 kind's runner is `runner.{kind}_files`.  Angles accept plain numbers or
 strings like "pi", "pi/4", "3pi/4", "0.5*pi".  Config checks the YAML's
 shape and the specs check their values; either way an error names its
-field's dotted path (exit code 2 territory).  A parser imports the specs
-its kind builds, so validating a config loads only the layers it names.
+field's dotted path (exit code 2 territory).  The specs need no numpy, so
+validating a config loads neither numpy nor any layer that runs it.
 """
 
 from __future__ import annotations
@@ -17,17 +17,13 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import yaml
 
-from .coins import CoinSchedule, DisorderSpec
 from .errors import ConfigError
-
-if TYPE_CHECKING:
-    from .ensemble import EnsembleSpec
-    from .evolve import WalkSpec
-    from .state import InitialState
+from .specs import (RECORD_KEYS, CoinSchedule, DisorderSpec, EnsembleSpec, InitialState, WalkSpec, check_chain,
+                    dispersion_line)
 
 __all__ = ["Experiment", "KINDS", "load_config", "parse_config", "parse_angle"]
 
@@ -45,7 +41,8 @@ def parse_angle(value, where: str) -> float:
     """
     angle = None
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        angle = float(value)
+        with contextlib.suppress(OverflowError):  # an int too large for a float
+            angle = float(value)
     elif isinstance(value, str):
         m = _ANGLE_RE.match(value.strip())
         if m:
@@ -131,8 +128,6 @@ def _fields(where: str, **paths):
 
 
 def _parse_initial(raw, particles: int, where: str) -> InitialState:
-    from .state import InitialState
-
     if isinstance(raw, str):
         label = raw.strip().lower()
         if particles == 1:
@@ -179,8 +174,6 @@ def _record(value, where: str) -> list:
 
 
 def _parse_walk(raw, where: str, exp: Experiment | None = None) -> WalkSpec:
-    from .evolve import WalkSpec
-
     raw = _mapping(raw, where, WALK_FIELDS)
     paths = {}
     if exp is not None and exp.sweep_field is not None and exp.sweep_field not in raw:
@@ -246,8 +239,6 @@ def _walk_kind(raw: dict, exp: Experiment):
 
 
 def _ensemble_kind(raw: dict, exp: Experiment):
-    from .ensemble import EnsembleSpec  # only this kind loads the ensemble layer
-
     walk = _parse_walk(_require(raw, "walk", "ensemble"), "ensemble.walk", exp)
     if "seed" in (raw["walk"].get("disorder") or {}):
         # realization i draws stream (base_seed, i), so a walk seed would be ignored
@@ -262,8 +253,6 @@ def _ensemble_kind(raw: dict, exp: Experiment):
 
 
 def _surface_kind(raw: dict, exp: Experiment):
-    from .evolve import RECORD_KEYS
-
     exp.walk = _parse_walk(_require(raw, "walk", "surface"), "surface.walk")
     accels = _schedule_values(raw.get("accelerations"), "surface.accelerations")
     observable = raw.get("observable", "negativity_particle_particle")
@@ -276,22 +265,18 @@ def _surface_kind(raw: dict, exp: Experiment):
 
 
 def _dispersion_kind(raw: dict, exp: Experiment):
-    import numpy as np
-
-    from .spectral import DISPERSION_VARIANTS  # only this kind loads the spectral layer
-
-    variant = raw.get("variant", "single")
-    if not isinstance(variant, str) or variant not in DISPERSION_VARIANTS:
-        raise ConfigError("dispersion.variant", f"must be one of {tuple(DISPERSION_VARIANTS)}")
+    _require(raw, "theta0", "dispersion")
+    given = _given(raw, "dispersion", theta0=parse_angle, phi=parse_angle, variant=None)
+    if "variant" in given:
+        with _fields("dispersion"):
+            dispersion_line(given["variant"])
     kgrid = _mapping(raw.get("kappa", {}), "dispersion.kappa", ("min", "max", "count"))
-    theta0 = parse_angle(_require(raw, "theta0", "dispersion"), "dispersion.theta0")
-    phi = parse_angle(raw.get("phi", 0.0), "dispersion.phi")
     kappa_min = parse_angle(kgrid.get("min", -math.pi), "dispersion.kappa.min")
     kappa_max = parse_angle(kgrid.get("max", math.pi), "dispersion.kappa.max")
     count = _as_int(kgrid.get("count", 256), "dispersion.kappa.count")
     if count < 1:
         raise ConfigError("dispersion.kappa.count", f"must be >= 1, got {count}")
-    return variant, theta0, phi, np.linspace(kappa_min, kappa_max, count)
+    return given, (kappa_min, kappa_max, count)
 
 
 def _transfer_kind(raw: dict, exp: Experiment):
@@ -307,12 +292,9 @@ def _lyapunov_kind(raw: dict, exp: Experiment):
     theta = parse_angle(_require(raw, "theta", "lyapunov"), "lyapunov.theta")
     omega = parse_angle(_require(raw, "omega", "lyapunov"), "lyapunov.omega")
     chain_length = _as_int(raw.get("chain_length", 200_000), "lyapunov.chain_length")
-    if chain_length < 1000:
-        raise ConfigError("lyapunov.chain_length", f"must be >= 1000, got {chain_length}")
     disorder = _parse_disorder(raw.get("disorder", {"kind": "spatial"}), "lyapunov.disorder")
-    if disorder.kind == "temporal":
-        raise ConfigError("lyapunov.disorder",
-                          "transfer chains take spatial disorder only (kind 'none' or 'spatial')")
+    with _fields("lyapunov"):
+        check_chain(disorder, chain_length)
     return disorder, theta, omega, chain_length
 
 

@@ -1,4 +1,4 @@
-"""Disorder-ensemble driver: many realizations, deterministic aggregation.
+"""Disorder-ensemble driver for a specs.EnsembleSpec: many realizations, deterministic aggregation.
 
 Realization i always uses the landscape drawn with realization index i
 from the ensemble's base seed, so any subset of realizations can be
@@ -20,13 +20,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AqwalkError, ConfigError, RealizationError
-from .evolve import WalkSpec, landscape_size, run_walk_batch, sample_landscape
+from .errors import AqwalkError, RealizationError
+from .evolve import landscape_size, run_walk_batch, sample_landscape
 from .evolve import run_walk  # noqa: F401  (no longer called here: perfbench's traced replay patches it)
-from .state import families
+from .specs import EnsembleSpec, WalkSpec, families
 
 __all__ = [
-    "EnsembleSpec",
     "EnsembleSummary",
     "run_ensemble",
 ]
@@ -35,27 +34,6 @@ __all__ = [
 # the per-step overhead of the kernel, small enough that memory stays flat
 # as the ensemble grows and the planes stay near the CPU caches.
 _CHUNK_BYTES = 1 << 20
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """A walk plus how many disorder realizations to average over.
-
-    base_seed keys the landscape streams (it takes precedence over the
-    seed inside walk.disorder, so the same WalkSpec can be reused across
-    independent ensembles).
-    """
-
-    walk: WalkSpec
-    runs: int
-    base_seed: int = 0
-
-    def __post_init__(self):
-        if self.runs < 1:
-            raise ConfigError("runs", f"must be >= 1, got {self.runs}")
-        if self.walk.full2d and "distribution" in self.walk.record:
-            raise ConfigError("walk.record",
-                              "ensembles average 1D distributions; a full-2D walk cannot record distribution")
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Evolution engine: shift+coin steps, phase disorder, walk driver.
+"""Evolution engine for a specs.WalkSpec: shift+coin steps, phase disorder, walk driver.
 
 Conventions (fixed throughout the package):
 
@@ -38,33 +38,23 @@ precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import CoinSchedule, DisorderSpec, theta_at
-from .errors import ConfigError
-from .observables import crossing_coin_density, line_observables, particle_particle_from_density, site_distribution
+from .observables import (crossing_coin_density, line_observables, particle_particle_from_density,
+                          site_distribution, site_probabilities)
 # unused here: perfbench's replay patches them
 from .observables import (  # noqa: F401
     distribution, ipr, negativity_coin_position, negativity_particle_particle, sigma)
-from .state import LINES, InitialState, confinement, families, site_probabilities
+from .specs import LINES, DisorderSpec, WalkSpec, families, theta_at
 
 __all__ = [
-    "WalkSpec",
     "RunResult",
     "sample_landscape",
     "run_walk",
     "run_walk_batch",
 ]
-
-RECORD_KEYS = (
-    "distribution",
-    "sigma",
-    "ipr",
-    "negativity_coin_position",
-    "negativity_particle_particle",
-)
 
 _SEED_MASK = (1 << 64) - 1
 _REALIZATION_0 = object()  # run_walk's default landscape
@@ -87,61 +77,11 @@ def sample_landscape(disorder: DisorderSpec, size: int, realization_index: int =
     return rng.uniform(disorder.phase_min, disorder.phase_max, size)
 
 
-@dataclass(frozen=True)
-class WalkSpec:
-    """Complete description of a single walk run; it starts at 0 with the coin vector init.coin."""
-
-    schedule: CoinSchedule
-    init: InitialState
-    steps: int
-    disorder: DisorderSpec = field(default_factory=DisorderSpec)
-    record: tuple[str, ...] = ("distribution", "sigma")
-    layout: str = "auto"  # "full2d" keeps confined 2p walks on the 2D grid
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ConfigError("steps", f"must be >= 1, got {self.steps}")
-        if self.layout not in ("auto", "full2d"):
-            raise ConfigError("layout", f"must be 'auto' or 'full2d', got {self.layout!r}")
-        if self.layout == "full2d" and self.particle_count != 2:
-            raise ConfigError("layout", "'full2d' requires particle_count = 2")
-        object.__setattr__(self, "record", tuple(self.record))
-        for i, key in enumerate(self.record):
-            if key not in RECORD_KEYS:
-                raise ConfigError("record", f"unknown record key {key!r}; known keys: {RECORD_KEYS}")
-            if key in self.record[:i]:
-                raise ConfigError("record", f"{key!r} is listed twice")
-        if "negativity_particle_particle" in self.record and self.particle_count != 2:
-            raise ConfigError("record", "negativity_particle_particle requires particle_count = 2")
-        if self.full2d:
-            for key in self.record:
-                if key in ("sigma", "ipr", "negativity_coin_position"):
-                    raise ConfigError("record", f"{key} needs a one-line walk; a full-2D walk records "
-                                                "distribution and negativity_particle_particle")
-            if self.disorder.kind == "spatial":
-                raise ConfigError("disorder", "spatial disorder is only supported on confined (single-line) walks")
-
-    @property
-    def particle_count(self) -> int:
-        """1 or 2, from the length of the coin vector."""
-        return len(self.init.coin) // 2
-
-    @property
-    def confinement(self) -> str:
-        """The layout the walk keeps for all time: "1p", "xline", "yline" or "full2d"."""
-        return confinement(self.init.coin, self.layout == "full2d")
-
-    @property
-    def full2d(self) -> bool:
-        """True for a two-particle walk on the x and y lines: a mixed start or layout 'full2d'."""
-        return self.confinement == "full2d"
-
-
 @dataclass
 class RunResult:
     """One walk: series maps each recorded key to its array, a scalar's (T + 1,) with
     index 0 the initial state, and "distribution" the final state's (see site_distribution);
-    final_state maps each family of lines to its final planes (see the state module)."""
+    final_state maps each family of lines to its final planes (a state, see observables)."""
 
     series: dict
     final_state: dict

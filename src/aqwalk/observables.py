@@ -1,5 +1,11 @@
 """Observables: position distributions, spread, localization, negativity.
 
+A state is a dict from the key in specs.LINES of each family of its lines
+("1p", "xline" or "yline"; a full-2D state has both "xline" and "yline")
+to that family's planes (L, R) x (Re, Im) x site over [-T, T], shape
+(2, 2, 2T + 1): one row of evolve.run_walk_batch's planes.  L is
+planes[0, 0] + 1j * planes[0, 1].
+
 Negativity conventions: both bipartitions used here are bounded by 1/2.
 A one-line state (one particle, or two confined to the x- or y-line) has
 two coin components L and R, and both negativities follow from three
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .state import LINES, lines, site_probabilities
+from .specs import LINES
 
 __all__ = [
     "distribution",
@@ -40,8 +46,23 @@ __all__ = [
 STATE_NORM_TOL = 1e-8
 
 
+def lines(state):
+    """(family, planes (Re L, Im L, Re R, Im R)) of each family of a state, x
+    before y, each plane of shape (sites, 1): the planes line_observables takes."""
+    return [(name, state[name].reshape(4, -1, 1)) for name in LINES if name in state]
+
+
+def site_probabilities(lr, li, rr, ri):
+    """|L|^2 + |R|^2 per site, summed plane by plane in this order: the line
+    kernel and distribution both take |psi|^2 from here, so they agree bitwise."""
+    p, square = np.square(lr), np.empty_like(lr)
+    for plane in (li, rr, ri):
+        p += np.square(plane, out=square)
+    return p
+
+
 def distribution(state) -> np.ndarray:
-    """Position distribution of a state (planes, see the state module): site_distribution's array."""
+    """Position distribution of a state (planes, see above): site_distribution's array."""
     return site_distribution([site_probabilities(*planes)[:, 0] for _, planes in lines(state)])
 
 

@@ -19,11 +19,11 @@ import os
 import numpy as np
 
 from . import __version__
-from .coins import theta_at
 from .ensemble import run_ensemble
 from .errors import SingularParameterError
 from .evolve import run_walk
 from .io import write_json_atomic, write_manifest, write_rows_atomic
+from .specs import theta_at
 from .spectral import (
     dispersion_omega,
     group_velocity,
@@ -82,13 +82,15 @@ def surface_files(spec, workers):
 
 
 def dispersion_files(spec, workers):
-    """spec: (variant, theta0, phi, kappa grid)."""
-    variant, theta0, phi, kappa = spec
-    plus, minus = dispersion_omega(theta0, kappa, phi, variant)
+    """spec: (the arguments of dispersion_omega the config gives, theta0 and any of phi and variant;
+    the kappa grid's (min, max, count))."""
+    given, grid = spec
+    kappa = np.linspace(*grid)
+    plus, minus = dispersion_omega(kappa=kappa, **given)
     vg = []
     for k in kappa:
         try:
-            vg.append(group_velocity(theta0, float(k), phi, variant))
+            vg.append(group_velocity(kappa=float(k), **given))
         except SingularParameterError:
             vg.append(math.nan)
     yield "dispersion", ["kappa", "omega_plus", "omega_minus", "group_velocity"], zip(kappa, plus, minus, vg)

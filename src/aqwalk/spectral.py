@@ -2,7 +2,7 @@
 
 The plane-wave modes of the walk obey cosine dispersion relations.  With
 the phase angle phi in the combined coin, a line whose components carry
-the phase powers (k0, k1) (state.LINES) has
+the phase powers (k0, k1) (specs.LINES) has
 
     cos(w + (k0 + k1) phi/2) = cos(th0) cos(k + (k1 - k0) phi/2)
 
@@ -24,12 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError, SingularParameterError
-from .coins import DisorderSpec
 from .evolve import sample_landscape
-from .state import LINES, Line
+from .specs import LINES, DisorderSpec, Line, check_chain, dispersion_line
 
 __all__ = [
-    "DISPERSION_VARIANTS",
     "LyapunovEstimate",
     "dispersion_omega",
     "group_velocity",
@@ -37,9 +35,6 @@ __all__ = [
     "transfer_matrix_2p",
     "lyapunov_localization_length",
 ]
-
-DISPERSION_VARIANTS = {"single": LINES["1p"], "two_particle_xline": LINES["xline"],
-                       "two_particle_yline": LINES["yline"]}
 
 _SEC_TOL = 1e-12
 
@@ -54,11 +49,9 @@ class LyapunovEstimate:
 
 
 def _variant_offsets(variant: str, phi: float) -> tuple[float, float]:
-    """(omega offset, kappa offset) of the cosine relation of the line DISPERSION_VARIANTS
+    """(omega offset, kappa offset) of the cosine relation of the line specs.DISPERSION_VARIANTS
     names, with phase powers (k0, k1): phi ((k0 + k1)/2, (k1 - k0)/2)."""
-    if variant not in DISPERSION_VARIANTS:
-        raise ValueError(f"unknown dispersion variant {variant!r}; known: {tuple(DISPERSION_VARIANTS)}")
-    k0, k1 = DISPERSION_VARIANTS[variant].powers
+    k0, k1 = dispersion_line(variant).powers
     return phi * (k0 + k1) / 2, phi * (k1 - k0) / 2
 
 
@@ -194,10 +187,7 @@ def lyapunov_localization_length(
     product cancels to zero, as it can within about 1e-8 of pi/2, where
     each matrix is singular to working precision.
     """
-    if chain_length < 1000:
-        raise ValueError(f"chain_length must be >= 1000, got {chain_length}")
-    if disorder.kind == "temporal":
-        raise ValueError("transfer chains take spatial disorder only (kind 'none' or 'spatial')")
+    check_chain(disorder, chain_length)
     _check_sec(theta)
 
     phis = sample_landscape(disorder, chain_length, realization_index)

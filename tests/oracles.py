@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from aqwalk.ensemble import EnsembleSummary
-from aqwalk.state import LINES, families
+from aqwalk.specs import LINES, families
 
 
 def dense_step_matrix(nsites, theta, phis=None, powers=(0, 1)):
@@ -231,6 +231,23 @@ def lyapunov_loop(disorder, theta, omega, chain_length, realization_index=0):
     return gamma, (g1, g2), abs(g1 - g2), max(0.01 * abs(gamma), 25.0 / chain_length)
 
 
+COIN_NORM_TOL = 1e-9
+
+
+def numpy_coin_rule(coin):
+    """InitialState's rule as numpy kept it: (the complex128 vector of a coin it accepts, or None,
+    and the |amp|^2 sum it compared with 1, or None where it read no flat vector of length 2 or 4)."""
+    try:
+        vec = np.asarray(coin, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):  # ragged, or an entry that is no number
+        return None, None
+    if vec.shape not in ((2,), (4,)):
+        return None, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        nrm = float(np.sum(np.abs(vec) ** 2))
+    return (vec if abs(nrm - 1.0) <= COIN_NORM_TOL else None), nrm
+
+
 def random_pure_amplitude_matrix(rng, d, n):
     """Haar-ish random normalized amplitude matrix of shape (d, n)."""
     m = rng.normal(size=(d, n)) + 1j * rng.normal(size=(d, n))
@@ -238,7 +255,7 @@ def random_pure_amplitude_matrix(rng, d, n):
 
 
 def amplitudes(state):
-    """{component: complex array} of a walk state (a dict of planes, see aqwalk.state)."""
+    """{component: complex array} of a walk state (a dict of planes, see aqwalk.observables)."""
     return {component: planes[k, 0] + 1j * planes[k, 1]
             for name, planes in state.items() for k, component in enumerate(LINES[name].fields)}
 

@@ -354,6 +354,9 @@ WALK_MIXED = dict(BASE_WALK, particles=2, initial=[[0.5, 0.0]] * 4, record=["dis
     # a walk without theta0 holds the sweep's first value, which is still named as a sweep value
     ({"walk": {k: v for k, v in BASE_WALK.items() if k != "theta0"}, "sweep": {"theta0": [2.0, "pi/4"]}},
      "sweep.theta0"),
+    # an integer too large for a float
+    ({"walk": {"theta0": 10**399, "steps": 3}}, "walk.theta0"),
+    ({"walk": dict(BASE_WALK, acceleration=10**399)}, "walk.acceleration"),
 ])
 def test_bad_config_values_give_exit_2(tmp_path, capsys, config, field):
     path = _write(tmp_path, dict(config, name="bad"))
@@ -862,11 +865,12 @@ def test_package_names_and_submodules_resolve_on_first_use():
 
 
 def test_each_verb_loads_only_the_layers_it_runs(tmp_path):
-    # neither the package nor the CLI loads numpy on import, nor does validating a Lyapunov
-    # config; validating a walk loads it but no module that only a run calls, and a run loads them
-    walk = _write(tmp_path, {"name": "walk", "walk": BASE_WALK}, "walk.yaml")
-    lyapunov = _write(tmp_path, dict(KIND_SMOKE["lyapunov"][0], name="lyapunov"), "lyapunov.yaml")
-    verbs = [["validate", lyapunov], ["validate", walk], ["run", walk, "-o", str(tmp_path / "out")]]
+    # neither the package nor the CLI loads numpy on import, nor does validating a config of any
+    # kind, nor any module that only a run calls; a run loads them
+    paths = {kind: _write(tmp_path, dict(config, name=kind), f"{kind}.yaml")
+             for kind, (config, _) in KIND_SMOKE.items()}
+    verbs = [["validate", paths[kind]] for kind in sorted(paths)]
+    verbs.append(["run", paths["walk"], "-o", str(tmp_path / "out")])
     watched = ("numpy",) + RUN_ONLY
     code = ("import json, sys, aqwalk\n"
             f"def loaded(): return sorted(m for m in sys.modules if m in {watched!r})\n"
@@ -878,7 +882,7 @@ def test_each_verb_loads_only_the_layers_it_runs(tmp_path):
             "    print(loaded())\n")
     out = _python(["-c", code, json.dumps(verbs)])
     loaded = [line for line in out.stdout.splitlines() if line.startswith("[")]
-    assert loaded == ["[]", "[]", "[]", "['numpy']", str(sorted(watched))], out.stderr
+    assert loaded == ["[]"] * (2 + len(paths)) + [str(sorted(watched))], out.stderr
 
 
 def test_cli_main_leaves_the_garbage_collector_as_it_was(tmp_path, capsys):

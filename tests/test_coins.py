@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from aqwalk import CoinSchedule, DisorderSpec, InitialState, WalkSpec, run_walk
-from aqwalk.coins import theta_at
+from aqwalk.specs import theta_at
 
 from oracles import amplitudes
 

@@ -15,7 +15,8 @@ from aqwalk import (
     sample_landscape,
     theta_at,
 )
-from aqwalk.evolve import RECORD_KEYS, landscape_size
+from aqwalk.evolve import landscape_size
+from aqwalk.specs import RECORD_KEYS
 
 from oracles import amplitudes, evolve_dense
 from test_line_kernel import assert_rows_are_single_runs

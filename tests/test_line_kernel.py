@@ -29,9 +29,9 @@ from aqwalk import (
     sigma,
     theta_at,
 )
-from aqwalk.evolve import RECORD_KEYS, landscape_size, run_walk_batch
+from aqwalk.evolve import landscape_size, run_walk_batch
 from aqwalk.observables import site_distribution
-from aqwalk.state import families
+from aqwalk.specs import RECORD_KEYS, families
 
 from oracles import (amplitudes, coin_density_loops, evolve_dense, evolve_dense_2d, negativity_pt_loops,
                      pp_negativity_loops)
@@ -201,7 +201,7 @@ def test_mirrored_start_gives_the_mirrored_walk(walk):
     layout, spec, (alpha, beta) = walk
     keys = tuple(k for k in RECORD_KEYS if layout != "1p" or k != "negativity_particle_particle")
     spec = replace(spec, disorder=DisorderSpec("none"), record=keys)
-    coin = spec.init.coin.copy()
+    coin = np.array(spec.init.coin)
     coin[list(LAYOUTS[layout][0])] = beta, alpha
     mirrored = replace(spec, init=InitialState(coin))
     result, image = run_walk(spec), run_walk(mirrored)

@@ -16,7 +16,7 @@ from aqwalk import (
     sigma,
 )
 from aqwalk.observables import line_observables, line_sums, partial_transpose_second
-from aqwalk.state import families
+from aqwalk.specs import families
 
 from oracles import amplitude_matrix, amplitudes, front_position, negativity_pt_loops, pp_negativity_loops, state_of
 

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from aqwalk import CoinSchedule, InitialState, WalkSpec, distribution, run_walk
-from aqwalk.state import confinement
+from aqwalk import CoinSchedule, DisorderSpec, EnsembleSpec, InitialState, WalkSpec, distribution, run_walk
+from aqwalk.specs import confinement
 
-from oracles import amplitudes, state_of
+from oracles import amplitudes, numpy_coin_rule, state_of
 
 
 def _spec(init, steps, layout="auto"):
@@ -70,3 +72,70 @@ def test_coin_must_have_length_2_or_4():
     for coin in ([1.0], [1.0, 0.0, 0.0], [1.0] + [0.0] * 7):
         with pytest.raises(ValueError, match="length 2 or 4"):
             InitialState(np.array(coin))
+
+
+def test_equal_specs_compare_and_hash_equal():
+    def walk(coin):
+        return WalkSpec(CoinSchedule(0.5, 0.01), InitialState(coin), 10, DisorderSpec("temporal", seed=3))
+
+    r = 1.0 / math.sqrt(2.0)
+    assert InitialState.symmetric() == InitialState([r, r]) == InitialState(np.array([r, r]))
+    assert walk([1.0, 0.0]) == walk(np.array([1, 0])) == walk((1 + 0j, 0.0))
+    assert EnsembleSpec(walk([r, r]), 5) == EnsembleSpec(walk(np.array([r, r])), 5)
+    assert len({InitialState.up(), InitialState([1.0, 0.0])}) == 1
+    assert len({walk([1.0, 0.0]), walk(np.array([1.0, 0.0]))}) == 1
+    assert len({EnsembleSpec(walk([r, r]), 5), EnsembleSpec(walk((r, r)), 5)}) == 1
+    # one amplitude's phase apart: the same |amp|^2, another state
+    assert InitialState([r, r]) != InitialState([r, 1j * r])
+    assert walk([r, r]) != walk([r, -r])
+    assert EnsembleSpec(walk([r, 0.0, 0.0, r]), 5) != EnsembleSpec(walk([r, 0.0, 0.0, r * 1j]), 5)
+
+
+def _amplitudes(length):
+    number = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-2, 2),
+                       st.complex_numbers(allow_nan=True, allow_infinity=True))
+    return st.lists(number, min_size=length, max_size=length)
+
+
+@st.composite
+def _near_normalized(draw, length):
+    # a unit vector scaled so that its |amp|^2 sum is 1 + d, d around the tolerance
+    amps = draw(st.lists(st.complex_numbers(max_magnitude=10.0), min_size=length, max_size=length))
+    total = math.fsum(abs(a) ** 2 for a in amps)
+    assume(total > 1e-6)
+    d = draw(st.one_of(st.floats(-3e-9, 3e-9), st.sampled_from([0.0, 1e-9, -1e-9, 1e-9 * (1 + 1e-7)])))
+    return [a * math.sqrt((1.0 + d) / total) for a in amps]
+
+
+@st.composite
+def _coins(draw):
+    amps = draw(st.integers(1, 5).flatmap(lambda n: st.one_of(_amplitudes(n), _near_normalized(n))))
+    container = draw(st.sampled_from(["list", "tuple", "array", "column", "nested", "row"]))
+    if container == "tuple":
+        return tuple(amps)
+    if container == "array":
+        return np.array(amps, dtype=complex)
+    if container == "column":  # shape (n, 1)
+        return np.array(amps, dtype=complex).reshape(-1, 1)
+    if container == "nested":
+        return [[a] for a in amps]
+    if container == "row":
+        return [amps]
+    return amps
+
+
+@settings(max_examples=400, deadline=None)
+@given(coin=_coins())
+def test_initial_state_accepts_what_the_numpy_rule_accepted(coin):
+    expected, nrm = numpy_coin_rule(coin)
+    try:
+        got = InitialState(coin).coin
+    except ValueError:
+        got = None
+    if (got is None) != (expected is None):
+        # numpy's abs and sum may round the |amp|^2 sum a few ulps away from the Python one,
+        # which can move a sum that sits on the tolerance across it
+        assert nrm is not None and abs(abs(nrm - 1.0) - 1e-9) < 1e-15, (coin, nrm)
+    elif got is not None:
+        assert type(got) is tuple and all(type(a) is complex for a in got)
+        assert np.array_equal(np.array(got).view(np.uint64), expected.view(np.uint64))
