@@ -446,6 +446,35 @@ def test_every_kind_validates_and_runs(tmp_path, kind):
     assert sorted(manifest["outputs"]) == files
 
 
+def _each_field_set_wrong():
+    """(path, config) for every field of KINDS and of the mappings nested in a kind, each set to
+    a mapping of an unknown field: wrong for a value and for a mapping alike."""
+    wrong = {"x": 1}
+    for kind, spec in KINDS.items():
+        mapping = KIND_SMOKE[kind][0][kind]
+        for name in spec.fields:
+            yield f"{kind}.{name}", {kind: dict(mapping, **{name: wrong})}
+    for kind in ("ensemble", "surface"):
+        mapping = KIND_SMOKE[kind][0][kind]
+        for name in KINDS["walk"].fields:
+            yield f"{kind}.walk.{name}", {kind: dict(mapping, walk=dict(mapping["walk"], **{name: wrong}))}
+    for kind in ("walk", "lyapunov"):
+        mapping = KIND_SMOKE[kind][0][kind]
+        for name in ("kind", "phase_min", "phase_max", "seed"):
+            # a spatial kind, so that the other fields have an effect
+            yield f"{kind}.disorder.{name}", {kind: dict(mapping, disorder={"kind": "spatial", name: wrong})}
+    mapping = KIND_SMOKE["dispersion"][0]["dispersion"]
+    for name in ("min", "max", "count"):
+        yield f"dispersion.kappa.{name}", {"dispersion": dict(mapping, kappa={name: wrong})}
+
+
+@pytest.mark.parametrize("path, config", [pytest.param(path, config, id=path)
+                                          for path, config in _each_field_set_wrong()])
+def test_every_wrong_field_names_its_path(tmp_path, capsys, path, config):
+    assert main(["validate", _write(tmp_path, dict(config, name="bad"))]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+
+
 def test_non_string_name_gives_exit_2(tmp_path, capsys):
     # YAML 1.1 reads `off` as False: a name of the wrong type, not a missing one
     path = tmp_path / "exp.yaml"
