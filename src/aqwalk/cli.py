@@ -1,4 +1,4 @@
-"""Command line front end.
+"""Command line front end; its process entry point is `aqwalk.__main__`.
 
 Verbs:
   aqwalk run (CONFIG | --preset NAME) [-o DIR] [--format csv|json] [--workers N]
@@ -125,7 +125,3 @@ def main(argv=None) -> int:
     except (AqwalkError, ValueError, OSError, FloatingPointError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

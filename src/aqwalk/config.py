@@ -1,11 +1,12 @@
 """Declarative experiment configs: schema validation and spec construction.
 
 Configs are YAML mappings with exactly one experiment kind.  `KINDS` lists
-each kind once, with the fields its mapping may hold and its parser; the
-kind's runner is `runner.{kind}_files`.  Angles accept plain numbers or
-strings like "pi", "pi/4", "3pi/4", "0.5*pi".  Config checks the YAML's
-shape and the specs check their values; either way an error names its
-field's dotted path (exit code 2 territory).  The specs need no numpy, so
+each kind once, with each field its mapping may hold and that field's
+reader, and its parser; the kind's runner is `runner.{kind}_files`.
+Angles accept plain numbers or strings like "pi", "pi/4", "3pi/4",
+"0.5*pi".  Config checks the YAML's shape and the specs check their
+values; either way an error names its field's dotted path (exit code 2
+territory).  The specs need no numpy, so
 validating a config loads neither numpy nor any layer that runs it.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import math
 import os
 import re
@@ -89,20 +91,28 @@ def load_config(path: str) -> dict:
     return data
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigError(f"{where}.{key}" if where else key, "missing required field")
-    return mapping[key]
+class _Given(dict):
+    """The fields read from the mapping at `where`; indexing one it left out is a missing-field error."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"{self.where}.{key}", "missing required field")
 
 
-def _mapping(raw, where: str, fields) -> dict:
-    """raw itself, once it is a mapping that holds no field outside fields."""
+def _read(raw, where: str, fields: dict) -> _Given:
+    """raw's fields, each read by its reader in fields at where.field: a reader takes the value and
+    its path and returns the value read or raises ConfigError on the path (None: as given).  A field
+    outside fields is an error; one raw leaves out is left out, so that its spec's default applies."""
     if not isinstance(raw, dict):
         raise ConfigError(where, "expected a mapping")
-    unknown = set(raw) - set(fields)
+    unknown = raw.keys() - fields.keys()
     if unknown:
-        raise ConfigError(where, f"unknown fields {sorted(unknown)}")
-    return raw
+        raise ConfigError(where or "config", f"unknown fields {sorted(unknown, key=str)}")
+    given = _Given()
+    given.where = where
+    for key, read in fields.items():
+        if key in raw:
+            given[key] = raw[key] if read is None else read(raw[key], f"{where}.{key}" if where else key)
+    return given
 
 
 def _as_int(value, where: str) -> int:
@@ -111,11 +121,16 @@ def _as_int(value, where: str) -> int:
     return value
 
 
-def _given(raw: dict, where: str, **readers) -> dict:
-    """Each field of raw that readers name, read by its reader (None: as given); a field raw
-    leaves out is left out here too, so that its spec's default applies."""
-    return {key: raw[key] if read is None else read(raw[key], f"{where}.{key}")
-            for key, read in readers.items() if key in raw}
+def _count(value, where: str) -> int:
+    if _as_int(value, where) < 1:
+        raise ConfigError(where, f"must be >= 1, got {value}")
+    return value
+
+
+def _particles(value, where: str) -> int:
+    if _as_int(value, where) not in (1, 2):
+        raise ConfigError(where, f"must be 1 or 2, got {value}")
+    return value
 
 
 @contextlib.contextmanager
@@ -154,52 +169,48 @@ def _parse_initial(raw, particles: int, where: str) -> InitialState:
 def _parse_disorder(raw, where: str) -> DisorderSpec:
     if raw is None:
         return DisorderSpec()
-    raw = _mapping(raw, where, ("kind", "phase_min", "phase_max", "seed"))
-    unused = sorted(raw.keys() - {"kind"})
-    if raw.get("kind", DisorderSpec.kind) == "none" and unused:
+    given = _read(raw, where, DISORDER_FIELDS)
+    unused = sorted(given.keys() - {"kind"})
+    if given.get("kind", DisorderSpec.kind) == "none" and unused:
         raise ConfigError(f"{where}.kind", f"is 'none' (the default), which draws no phases, "
                                            f"so {', '.join(unused)} would have no effect")
-    given = _given(raw, where, kind=None, phase_min=parse_angle, phase_max=parse_angle, seed=_as_int)
     with _fields(where):
         return DisorderSpec(**given)
 
 
-WALK_FIELDS = ("particles", "theta0", "acceleration", "steps", "initial", "disorder", "record", "layout")
-
-
-def _record(value, where: str) -> list:
+def _list(value, where: str) -> list:
     if not isinstance(value, list) or not value:
         raise ConfigError(where, "expected a non-empty list")
     return value
 
 
-def _parse_walk(raw, where: str, exp: Experiment | None = None) -> WalkSpec:
-    raw = _mapping(raw, where, WALK_FIELDS)
+# the fields of the mappings nested in a kind; initial needs particles, so _walk reads it
+DISORDER_FIELDS = {"kind": None, "phase_min": parse_angle, "phase_max": parse_angle, "seed": _as_int}
+WALK_FIELDS = {"particles": _particles, "theta0": parse_angle, "acceleration": parse_angle, "steps": _as_int,
+               "initial": None, "disorder": _parse_disorder, "record": _list, "layout": None}
+KAPPA_FIELDS = {"min": parse_angle, "max": parse_angle, "count": _count}
+
+
+def _walk(given: _Given, where: str, exp: Experiment | None = None) -> WalkSpec:
     paths = {}
-    if exp is not None and exp.sweep_field is not None and exp.sweep_field not in raw:
+    if exp is not None and exp.sweep_field is not None and exp.sweep_field not in given:
         # a field the sweep sets may be left out; the walk then holds its first value, named as a sweep value
-        raw = {exp.sweep_field: exp.sweep_values[0], **raw}
+        given[exp.sweep_field] = exp.sweep_values[0]
         paths[exp.sweep_field] = f"sweep.{exp.sweep_field}"
-    particles = _as_int(raw.get("particles", 1), f"{where}.particles")
-    if particles not in (1, 2):
-        raise ConfigError(f"{where}.particles", f"must be 1 or 2, got {particles}")
-    schedule = {"theta0": parse_angle(_require(raw, "theta0", where), f"{where}.theta0")}
-    if "acceleration" in raw:
-        schedule["a"] = parse_angle(raw["acceleration"], f"{where}.acceleration")
-    steps = _as_int(_require(raw, "steps", where), f"{where}.steps")
-    init = _parse_initial(raw.get("initial", "symmetric" if particles == 1 else "uu"),
-                          particles, f"{where}.initial")
-    disorder = _parse_disorder(raw.get("disorder"), f"{where}.disorder")
-    given = _given(raw, where, record=_record, layout=None)
+    theta0, steps, particles = given["theta0"], given["steps"], given.get("particles", 1)
+    init = _parse_initial(given.get("initial", "symmetric" if particles == 1 else "uu"), particles, f"{where}.initial")
+    optional = {key: given[key] for key in ("disorder", "record", "layout") if key in given}
     with _fields(where, **paths):
-        return WalkSpec(CoinSchedule(**schedule), init, steps, disorder, **given)
+        return WalkSpec(CoinSchedule(theta0, given.get("acceleration", CoinSchedule.a)), init, steps, **optional)
+
+
+def _parse_walk(raw, where: str, exp: Experiment | None = None) -> WalkSpec:
+    return _walk(_read(raw, where, WALK_FIELDS), where, exp)
 
 
 def _schedule_values(values, where: str) -> list[float]:
     """A non-empty list of numbers; the CoinSchedules built from them check each value."""
-    if not isinstance(values, list) or not values:
-        raise ConfigError(where, "expected a non-empty list")
-    return [parse_angle(v, where) for v in values]
+    return [parse_angle(v, where) for v in _list(values, where)]
 
 
 def _parse_sweep(raw, where: str):
@@ -230,32 +241,30 @@ def _sweep_runs(exp: Experiment, walk: WalkSpec) -> list[tuple[str, WalkSpec]]:
     return runs
 
 
-# Kind parsers: each takes the kind's mapping (its fields already checked) and
-# the Experiment under construction, and returns the spec its runner takes.
+# Kind parsers: each takes the kind's fields as read and the Experiment under construction, and returns
+# the spec its runner takes.  Required fields are indexed before `_fields`, which would prefix their paths again.
 
-def _walk_kind(raw: dict, exp: Experiment):
-    exp.walk = _parse_walk(raw, "walk", exp)
+def _walk_kind(given: _Given, exp: Experiment):
+    exp.walk = _walk(given, "walk", exp)
     return _sweep_runs(exp, exp.walk)
 
 
-def _ensemble_kind(raw: dict, exp: Experiment):
-    walk = _parse_walk(_require(raw, "walk", "ensemble"), "ensemble.walk", exp)
-    if "seed" in (raw["walk"].get("disorder") or {}):
+def _ensemble_kind(given: _Given, exp: Experiment):
+    walk = _parse_walk(given["walk"], "ensemble.walk", exp)
+    if "seed" in (given["walk"].get("disorder") or {}):
         # realization i draws stream (base_seed, i), so a walk seed would be ignored
         raise ConfigError("ensemble.walk.disorder.seed", "an ensemble takes its seed from ensemble.base_seed")
-    if "base_seed" in raw and walk.disorder.kind == "none":
+    if "base_seed" in given and walk.disorder.kind == "none":
         raise ConfigError("ensemble.base_seed", "a clean ensemble draws no phases, so a seed has no effect")
-    runs = _as_int(_require(raw, "runs", "ensemble"), "ensemble.runs")
-    given = _given(raw, "ensemble", base_seed=_as_int)
+    fields = dict(given, walk=walk, runs=given["runs"])
     with _fields("ensemble"):
-        exp.ensemble = EnsembleSpec(walk, runs, **given)
+        exp.ensemble = EnsembleSpec(**fields)
     return [(suffix, dataclasses.replace(exp.ensemble, walk=point)) for suffix, point in _sweep_runs(exp, walk)]
 
 
-def _surface_kind(raw: dict, exp: Experiment):
-    exp.walk = _parse_walk(_require(raw, "walk", "surface"), "surface.walk")
-    accels = _schedule_values(raw.get("accelerations"), "surface.accelerations")
-    observable = raw.get("observable", "negativity_particle_particle")
+def _surface_kind(given: _Given, exp: Experiment):
+    exp.walk, accels = given["walk"], given["accelerations"]
+    observable = given.get("observable", "negativity_particle_particle")
     if observable not in RECORD_KEYS or observable == "distribution":
         raise ConfigError("surface.observable", f"not a per-step observable: {observable!r}")
     if observable not in exp.walk.record:
@@ -264,98 +273,84 @@ def _surface_kind(raw: dict, exp: Experiment):
         return [_with_schedule(exp.walk, a=a) for a in accels], observable
 
 
-def _dispersion_kind(raw: dict, exp: Experiment):
-    _require(raw, "theta0", "dispersion")
-    given = _given(raw, "dispersion", theta0=parse_angle, phi=parse_angle, variant=None)
+def _dispersion_kind(given: _Given, exp: Experiment):
     if "variant" in given:
         with _fields("dispersion"):
             dispersion_line(given["variant"])
-    kgrid = _mapping(raw.get("kappa", {}), "dispersion.kappa", ("min", "max", "count"))
-    kappa_min = parse_angle(kgrid.get("min", -math.pi), "dispersion.kappa.min")
-    kappa_max = parse_angle(kgrid.get("max", math.pi), "dispersion.kappa.max")
-    count = _as_int(kgrid.get("count", 256), "dispersion.kappa.count")
-    if count < 1:
-        raise ConfigError("dispersion.kappa.count", f"must be >= 1, got {count}")
-    return given, (kappa_min, kappa_max, count)
+    kappa = given.pop("kappa", {})
+    kgrid = kappa.get("min", -math.pi), kappa.get("max", math.pi), kappa.get("count", 256)
+    return dict(given, theta0=given["theta0"]), kgrid
 
 
-def _transfer_kind(raw: dict, exp: Experiment):
-    particles = _as_int(raw.get("particles", 1), "transfer.particles")
-    if particles not in (1, 2):
-        raise ConfigError("transfer.particles", "must be 1 or 2")
-    return (particles, parse_angle(_require(raw, "theta", "transfer"), "transfer.theta"),
-            parse_angle(raw.get("phi", 0.0), "transfer.phi"),
-            parse_angle(_require(raw, "omega", "transfer"), "transfer.omega"))
+def _transfer_kind(given: _Given, exp: Experiment):
+    return given.get("particles", 1), given["theta"], given.get("phi", 0.0), given["omega"]
 
 
-def _lyapunov_kind(raw: dict, exp: Experiment):
-    theta = parse_angle(_require(raw, "theta", "lyapunov"), "lyapunov.theta")
-    omega = parse_angle(_require(raw, "omega", "lyapunov"), "lyapunov.omega")
-    chain_length = _as_int(raw.get("chain_length", 200_000), "lyapunov.chain_length")
-    disorder = _parse_disorder(raw.get("disorder", {"kind": "spatial"}), "lyapunov.disorder")
+def _lyapunov_kind(given: _Given, exp: Experiment):
+    theta, omega = given["theta"], given["omega"]
+    disorder, chain_length = given.get("disorder", DisorderSpec("spatial")), given.get("chain_length", 200_000)
     with _fields("lyapunov"):
         check_chain(disorder, chain_length)
     return disorder, theta, omega, chain_length
 
 
-def _schedule_kind(raw: dict, exp: Experiment):
-    theta0 = parse_angle(_require(raw, "theta0", "schedule"), "schedule.theta0")
-    accelerations = _schedule_values(raw.get("accelerations"), "schedule.accelerations")
-    steps = _as_int(raw.get("steps", 200), "schedule.steps")
-    if steps < 1:
-        raise ConfigError("schedule.steps", f"must be >= 1, got {steps}")
+def _schedule_kind(given: _Given, exp: Experiment):
+    theta0, accelerations = given["theta0"], given["accelerations"]
     with _fields("schedule", acceleration="schedule.accelerations"):
-        return [CoinSchedule(theta0, a) for a in accelerations], steps
+        return [CoinSchedule(theta0, a) for a in accelerations], given.get("steps", 200)
 
 
 @dataclass(frozen=True)
 class Kind:
-    """An experiment kind: its mapping's fields, parser, and whether a sweep applies.
+    """An experiment kind: its mapping's fields, each with its reader (None: the parser reads it),
+    its parser, and whether a sweep applies.  Its runner is `runner.{kind}_files`, which takes the
+    spec the parser returns; naming it here would load the runner, and every layer, to validate a config."""
 
-    Its runner is `runner.{kind}_files`, which takes the spec the parser returns;
-    naming it here would load the runner, and with it every layer, to validate a config.
-    """
-
-    fields: tuple[str, ...]
+    fields: dict[str, Callable | None]
     parse: Callable
     sweeps: bool = False
 
 
 KINDS = {
     "walk": Kind(WALK_FIELDS, _walk_kind, sweeps=True),
-    "ensemble": Kind(("walk", "runs", "base_seed"), _ensemble_kind, sweeps=True),
-    "surface": Kind(("walk", "accelerations", "observable"), _surface_kind),
-    "dispersion": Kind(("variant", "theta0", "phi", "kappa"), _dispersion_kind),
-    "transfer": Kind(("particles", "theta", "phi", "omega"), _transfer_kind),
-    "lyapunov": Kind(("theta", "omega", "chain_length", "disorder"), _lyapunov_kind),
-    "schedule": Kind(("theta0", "accelerations", "steps"), _schedule_kind),
+    # the ensemble's walk needs the sweep, and its raw disorder.seed
+    "ensemble": Kind({"walk": None, "runs": _as_int, "base_seed": _as_int}, _ensemble_kind, sweeps=True),
+    "surface": Kind({"walk": _parse_walk, "accelerations": _schedule_values, "observable": None}, _surface_kind),
+    "dispersion": Kind({"variant": None, "theta0": parse_angle, "phi": parse_angle,
+                        "kappa": functools.partial(_read, fields=KAPPA_FIELDS)}, _dispersion_kind),
+    "transfer": Kind({"particles": _particles, "theta": parse_angle, "phi": parse_angle, "omega": parse_angle},
+                     _transfer_kind),
+    "lyapunov": Kind({"theta": parse_angle, "omega": parse_angle, "chain_length": _as_int,
+                      "disorder": _parse_disorder}, _lyapunov_kind),
+    "schedule": Kind({"theta0": parse_angle, "accelerations": _schedule_values, "steps": _count}, _schedule_kind),
 }
+
+# the top level; each kind's mapping is read once the config is known to hold one kind
+_CONFIG = {"name": None, "format": None, "output_dir": None, "sweep": _parse_sweep, **dict.fromkeys(KINDS)}
 
 
 def parse_config(data: dict) -> Experiment:
     """Validate a config mapping and build the corresponding specs."""
-    name = data.get("name")
+    given = _read(data, "", _CONFIG)
+    name, fmt, output_dir = given.get("name"), given.get("format", "csv"), given.get("output_dir")
     if name is not None and not isinstance(name, str):
         raise ConfigError("name", f"experiment name must be a string, got {name!r}")
     if not name:
         raise ConfigError("name", "missing or empty experiment name")
     if name in (".", "..") or "/" in name or os.sep in name or "\0" in name:  # also rejects absolute paths
         raise ConfigError("name", f"must be a plain directory name, got {name!r}")
-    present = [k for k in KINDS if k in data]
+    present = [k for k in KINDS if k in given]
     if len(present) != 1:
         raise ConfigError("kind", f"config must contain exactly one of {tuple(KINDS)}, found {present}")
     kind = KINDS[present[0]]
-    fmt = data.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError("format", f"must be 'csv' or 'json', got {fmt!r}")
-    output_dir = data.get("output_dir")
     if output_dir is not None and (not isinstance(output_dir, str) or "\0" in output_dir):
         raise ConfigError("output_dir", f"expected a path string without NUL bytes, got {output_dir!r}")
-    _mapping(data, "config", ("name", "format", "output_dir", "sweep", present[0]))
-    sweep_field, sweep_values = _parse_sweep(data.get("sweep"), "sweep")
+    sweep_field, sweep_values = given.get("sweep", (None, None))
     if sweep_field is not None and not kind.sweeps:
         raise ConfigError("sweep", f"the {present[0]!r} kind takes no sweep")
     exp = Experiment(name, present[0], fmt=fmt, output_dir=output_dir,
                      sweep_field=sweep_field, sweep_values=sweep_values, raw=data)
-    exp.spec = kind.parse(_mapping(data[exp.kind], exp.kind, kind.fields), exp)
+    exp.spec = kind.parse(_read(given[exp.kind], exp.kind, kind.fields), exp)
     return exp

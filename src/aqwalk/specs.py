@@ -183,9 +183,10 @@ class InitialState:
 
     @classmethod
     def basis_two_particle(cls, label: str) -> "InitialState":
-        """One of the four coin basis states 'uu', 'ud', 'du', 'dd'."""
-        slot = _BASIS_2P[label]
-        return cls([float(i == slot) for i in range(4)])
+        """One of the four coin basis states 'uu', 'ud', 'du', 'dd'; ConfigError on 'initial' for any other label."""
+        if not isinstance(label, str) or label not in _BASIS_2P:
+            raise ConfigError("initial", f"must be one of {tuple(_BASIS_2P)}, got {label!r}")
+        return cls([float(i == _BASIS_2P[label]) for i in range(4)])
 
 
 def confinement(coin, force_full2d: bool = False) -> str:

@@ -16,7 +16,7 @@ import yaml
 
 import aqwalk
 from aqwalk.cli import main
-from aqwalk.config import KINDS, parse_angle
+from aqwalk.config import DISORDER_FIELDS, KAPPA_FIELDS, KINDS, WALK_FIELDS, parse_angle
 from aqwalk.presets import PRESETS
 
 
@@ -456,15 +456,15 @@ def _each_field_set_wrong():
             yield f"{kind}.{name}", {kind: dict(mapping, **{name: wrong})}
     for kind in ("ensemble", "surface"):
         mapping = KIND_SMOKE[kind][0][kind]
-        for name in KINDS["walk"].fields:
+        for name in WALK_FIELDS:
             yield f"{kind}.walk.{name}", {kind: dict(mapping, walk=dict(mapping["walk"], **{name: wrong}))}
     for kind in ("walk", "lyapunov"):
         mapping = KIND_SMOKE[kind][0][kind]
-        for name in ("kind", "phase_min", "phase_max", "seed"):
+        for name in DISORDER_FIELDS:
             # a spatial kind, so that the other fields have an effect
             yield f"{kind}.disorder.{name}", {kind: dict(mapping, disorder={"kind": "spatial", name: wrong})}
     mapping = KIND_SMOKE["dispersion"][0]["dispersion"]
-    for name in ("min", "max", "count"):
+    for name in KAPPA_FIELDS:
         yield f"dispersion.kappa.{name}", {"dispersion": dict(mapping, kappa={name: wrong})}
 
 
@@ -498,6 +498,14 @@ def test_unknown_field_gives_exit_2(tmp_path, capsys):
     code = main(["run", _write(tmp_path, cfg), "-o", str(tmp_path / "out")])
     assert code == 2
     assert "typo_field" in capsys.readouterr().err
+
+
+def test_unknown_fields_of_mixed_key_types_give_exit_2(tmp_path, capsys):
+    # a YAML key need not be a string, and an int key cannot be ordered among str keys
+    path = tmp_path / "exp.yaml"
+    path.write_text("name: mixed\nwalk: {theta0: 0.5, steps: 3, 1: 2, zz: 3}\n")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: walk: unknown fields [1, 'zz']\n"
 
 
 def test_validate_verb(tmp_path, capsys):

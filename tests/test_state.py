@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aqwalk import CoinSchedule, DisorderSpec, EnsembleSpec, InitialState, WalkSpec, distribution, run_walk
+from aqwalk.errors import ConfigError
 from aqwalk.specs import confinement
 
 from oracles import amplitudes, numpy_coin_rule, state_of
@@ -65,6 +66,15 @@ def test_norm_scaling():
     assert distribution(field).sum() == pytest.approx(1.0, abs=1e-15)
     field["1p"] *= 2.0  # both components
     assert distribution(field).sum() == pytest.approx(4.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("label", ["xx", "UU", "up", "", ["uu"]])
+def test_unknown_two_particle_label_names_the_four(label):
+    # a ConfigError, which is a ValueError, on the spec's field, not a bare KeyError
+    with pytest.raises(ConfigError, match=r"must be one of \('uu', 'ud', 'du', 'dd'\)") as info:
+        InitialState.basis_two_particle(label)
+    assert info.value.field == "initial"
+    assert isinstance(info.value, ValueError)
 
 
 def test_coin_must_have_length_2_or_4():
