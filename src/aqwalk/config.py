@@ -99,9 +99,10 @@ class _Given(dict):
 
 
 def _read(raw, where: str, fields: dict) -> _Given:
-    """raw's fields, each read by its reader in fields at where.field: a reader takes the value and
-    its path and returns the value read or raises ConfigError on the path (None: as given).  A field
-    outside fields is an error; one raw leaves out is left out, so that its spec's default applies."""
+    """raw's fields, each read at where.field (at the top level, where "", at the bare field) by its
+    reader in fields: a reader takes a value and its path and returns the value read or raises
+    ConfigError on the path (None: as given).  A field outside fields is an error; one raw leaves
+    out is left out, so that its spec's default applies."""
     if not isinstance(raw, dict):
         raise ConfigError(where, "expected a mapping")
     unknown = raw.keys() - fields.keys()
