@@ -104,7 +104,7 @@ def _read(raw, where: str, fields: dict) -> _Given:
     ConfigError on the path (None: as given).  A field outside fields is an error; one raw leaves
     out is left out, so that its spec's default applies."""
     if not isinstance(raw, dict):
-        raise ConfigError(where, "expected a mapping")
+        raise ConfigError(where or "config", "expected a mapping")
     unknown = raw.keys() - fields.keys()
     if unknown:
         raise ConfigError(where or "config", f"unknown fields {sorted(unknown, key=str)}")

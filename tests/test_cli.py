@@ -16,7 +16,8 @@ import yaml
 
 import aqwalk
 from aqwalk.cli import main
-from aqwalk.config import DISORDER_FIELDS, KAPPA_FIELDS, KINDS, WALK_FIELDS, parse_angle
+from aqwalk.config import DISORDER_FIELDS, KAPPA_FIELDS, KINDS, WALK_FIELDS, parse_angle, parse_config
+from aqwalk.errors import ConfigError
 from aqwalk.presets import PRESETS
 
 
@@ -498,6 +499,12 @@ def test_unknown_field_gives_exit_2(tmp_path, capsys):
     code = main(["run", _write(tmp_path, cfg), "-o", str(tmp_path / "out")])
     assert code == 2
     assert "typo_field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", [[1], "walk", None])
+def test_parse_config_of_a_non_mapping_is_a_config_error(data):
+    with pytest.raises(ConfigError, match=r"^config: expected a mapping$"):
+        parse_config(data)
 
 
 def test_unknown_fields_of_mixed_key_types_give_exit_2(tmp_path, capsys):
