@@ -19,6 +19,7 @@ from aqwalk.cli import main
 from aqwalk.config import DISORDER_FIELDS, KAPPA_FIELDS, KINDS, WALK_FIELDS, parse_angle, parse_config
 from aqwalk.errors import ConfigError
 from aqwalk.presets import PRESETS
+from aqwalk.specs import CoinSchedule, DisorderSpec, InitialState, WalkSpec
 
 
 BASE_WALK = {
@@ -760,6 +761,32 @@ def test_dispersion_transfer_lyapunov_schedule_kinds(tmp_path):
     assert sched[0] == "a,t,value"
     lyap = (tmp_path / "out" / "lyap" / "lyapunov.csv").read_text().splitlines()
     assert lyap[0] == "gamma,localization_length"
+
+
+@pytest.mark.parametrize("config, spec", [
+    ({"walk": {"theta0": 0.5, "steps": 3}}, [("", WalkSpec(CoinSchedule(0.5), InitialState.symmetric(), 3))]),
+    ({"walk": {"particles": 2, "theta0": 0.5, "steps": 3}},
+     [("", WalkSpec(CoinSchedule(0.5), InitialState.basis_two_particle("uu"), 3))]),
+    ({"surface": {"walk": dict(WALK_2P, record=["negativity_particle_particle"]), "accelerations": [0.1]}},
+     ([WalkSpec(CoinSchedule(math.pi / 4, 0.1), InitialState.basis_two_particle("uu"), 40,
+                record=("negativity_particle_particle",))], "negativity_particle_particle")),
+    ({"dispersion": {"theta0": 0.5}}, ({"theta0": 0.5}, (-math.pi, math.pi, 256))),
+    ({"transfer": {"theta": 0.5, "omega": 0.3}}, (1, 0.5, 0.0, 0.3)),
+    ({"lyapunov": {"theta": 0.5, "omega": 0.3}}, (DisorderSpec("spatial"), 0.5, 0.3, 200_000)),
+    ({"schedule": {"theta0": 0.5, "accelerations": [0.1]}}, ([CoinSchedule(0.5, 0.1)], 200)),
+])
+def test_omitted_fields_take_their_defaults(config, spec):
+    assert parse_config(dict(config, name="defaults")).spec == spec
+
+
+@pytest.mark.parametrize("config, file", [
+    ({"schedule": {"theta0": "pi/2", "accelerations": [0.01], "steps": 1}}, "schedule.csv"),
+    ({"dispersion": {"theta0": "pi/4", "kappa": {"count": 1}}}, "dispersion.csv"),
+])
+def test_a_count_of_one_gives_one_row(tmp_path, config, file):
+    # schedule.steps and dispersion.kappa.count must be >= 1, and 1 itself is accepted
+    assert main(["run", _write(tmp_path, dict(config, name="one")), "-o", str(tmp_path / "out")]) == 0
+    assert len((tmp_path / "out" / "one" / file).read_text().splitlines()) == 2  # header + 1 row
 
 
 @pytest.mark.parametrize("phi", [0.0, 0.7])
