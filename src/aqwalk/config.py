@@ -30,7 +30,6 @@ from .specs import (RECORD_KEYS, CoinSchedule, DisorderSpec, EnsembleSpec, Initi
 __all__ = ["Experiment", "KINDS", "load_config", "parse_config", "parse_angle"]
 
 _NAMED_INITIALS_1P = ("up", "down", "symmetric")
-_NAMED_INITIALS_2P = ("uu", "ud", "du", "dd")
 
 _ANGLE_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)?)\s*\*?\s*pi\s*(?:/\s*(\d*\.?\d+))?$")
 
@@ -101,8 +100,8 @@ class _Given(dict):
 def _read(raw, where: str, fields: dict) -> _Given:
     """raw's fields, each read at where.field (at the top level, where "", at the bare field) by its
     reader in fields: a reader takes a value and its path and returns the value read or raises
-    ConfigError on the path (None: as given).  A field outside fields is an error; one raw leaves
-    out is left out, so that its spec's default applies."""
+    ConfigError on the path (None: as given).  A field outside fields is an error, and so is a null
+    one; one raw leaves out is left out, so that its spec's default applies."""
     if not isinstance(raw, dict):
         raise ConfigError(where or "config", "expected a mapping")
     unknown = raw.keys() - fields.keys()
@@ -112,7 +111,10 @@ def _read(raw, where: str, fields: dict) -> _Given:
     given.where = where
     for key, read in fields.items():
         if key in raw:
-            given[key] = raw[key] if read is None else read(raw[key], f"{where}.{key}" if where else key)
+            path = f"{where}.{key}" if where else key
+            if raw[key] is None:
+                raise ConfigError(path, "is null: give a value, or leave the field out")
+            given[key] = raw[key] if read is None else read(raw[key], path)
     return given
 
 
@@ -150,9 +152,8 @@ def _parse_initial(raw, particles: int, where: str) -> InitialState:
             if label not in _NAMED_INITIALS_1P:
                 raise ConfigError(where, f"unknown one-particle initial state {raw!r}")
             return getattr(InitialState, label)()
-        if label not in _NAMED_INITIALS_2P:
-            raise ConfigError(where, f"unknown two-particle initial state {raw!r}")
-        return InitialState.basis_two_particle(label)
+        with _fields(where, initial=where):
+            return InitialState.basis_two_particle(label)
     if isinstance(raw, list):
         if not all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in raw):
             raise ConfigError(where, "amplitudes must be [re, im] pairs")
@@ -168,8 +169,6 @@ def _parse_initial(raw, particles: int, where: str) -> InitialState:
 
 
 def _parse_disorder(raw, where: str) -> DisorderSpec:
-    if raw is None:
-        return DisorderSpec()
     given = _read(raw, where, DISORDER_FIELDS)
     unused = sorted(given.keys() - {"kind"})
     if given.get("kind", DisorderSpec.kind) == "none" and unused:
@@ -215,8 +214,6 @@ def _schedule_values(values, where: str) -> list[float]:
 
 
 def _parse_sweep(raw, where: str):
-    if raw is None:
-        return None, None
     if not isinstance(raw, dict) or len(raw) != 1:
         raise ConfigError(where, "sweep must map exactly one field to a list of values")
     (key, values), = raw.items()
@@ -252,7 +249,7 @@ def _walk_kind(given: _Given, exp: Experiment):
 
 def _ensemble_kind(given: _Given, exp: Experiment):
     walk = _parse_walk(given["walk"], "ensemble.walk", exp)
-    if "seed" in (given["walk"].get("disorder") or {}):
+    if "seed" in given["walk"].get("disorder", {}):
         # realization i draws stream (base_seed, i), so a walk seed would be ignored
         raise ConfigError("ensemble.walk.disorder.seed", "an ensemble takes its seed from ensemble.base_seed")
     if "base_seed" in given and walk.disorder.kind == "none":
@@ -346,8 +343,8 @@ def parse_config(data: dict) -> Experiment:
     kind = KINDS[present[0]]
     if fmt not in ("csv", "json"):
         raise ConfigError("format", f"must be 'csv' or 'json', got {fmt!r}")
-    if output_dir is not None and (not isinstance(output_dir, str) or "\0" in output_dir):
-        raise ConfigError("output_dir", f"expected a path string without NUL bytes, got {output_dir!r}")
+    if output_dir is not None and (not isinstance(output_dir, str) or not output_dir or "\0" in output_dir):
+        raise ConfigError("output_dir", f"expected a non-empty path string without NUL bytes, got {output_dir!r}")
     sweep_field, sweep_values = given.get("sweep", (None, None))
     if sweep_field is not None and not kind.sweeps:
         raise ConfigError("sweep", f"the {present[0]!r} kind takes no sweep")

@@ -124,8 +124,7 @@ def _fork(fn, share: list):
 
 
 def _run_chunk(args):
-    """Run realizations `indices` as one batch: each recorded key's (rows, values) array, the
-    distribution as (rows, sites)."""
+    """Run realizations `indices` as one batch: each recorded key's (rows, values) array."""
     walk, indices = args
     landscapes = []
     for index in indices:
@@ -134,12 +133,11 @@ def _run_chunk(args):
         except Exception as exc:
             raise RealizationError(index, exc) from exc
     try:
-        series, p, _ = run_walk_batch(walk, landscapes)
+        return run_walk_batch(walk, landscapes)[0]
     except ValueError as exc:
         if not hasattr(exc, "row"):
             raise
         raise RealizationError(indices[exc.row], exc) from exc
-    return series if p is None else {**series, "distribution": np.ascontiguousarray(p[0].T)}
 
 
 def _stderr(samples: np.ndarray) -> np.ndarray:

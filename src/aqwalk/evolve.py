@@ -92,26 +92,6 @@ class RunResult:
 _COIN_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)
 
 
-def _phase_planes(rows, power: int):
-    """Factors e^{i power phi} as planes (cos, -sin, sin); None without a phase.
-
-    rows holds, per batch row, an array of phases (per site or per step);
-    the planes have shape (3, m, rows).  Each row is computed by its own
-    call, so its values do not depend on the batch it sits in.
-    """
-    if power == 0 or not rows or rows[0] is None:
-        return None
-    angles = [power * np.asarray(phi, dtype=float) for phi in rows]
-    cos = np.array([np.cos(a) for a in angles]).T
-    sin = np.array([np.sin(a) for a in angles]).T
-    return np.stack([cos, -sin, sin])
-
-
-def _by_parity(values):
-    """A per-site array, lattice sites on axis 1, as its even and its odd sites (see _Frame.at_cone)."""
-    return np.ascontiguousarray(values[:, 0::2]), np.ascontiguousarray(values[:, 1::2])
-
-
 class _Frame:
     """The line kernel: rows of one-line walks advanced together in a moving frame.
 
@@ -123,29 +103,50 @@ class _Frame:
     T is the lattice, so no amplitude can leave it.
 
     planes has shape (2, 2, T + 1, rows): component (L, R), part (Re, Im),
-    slot, row, so the slots of one step are a contiguous block.  Every
-    value is made by single multiplies and adds, each rounded once.
-    numpy's complex loops may round differently with the array layout;
-    the planes keep each row bit-identical to the same walk run alone.
+    slot, row, so the slots of one step are a contiguous block.  The cone
+    holds every other lattice site, so each per-site array (the sigma
+    positions, spatial phases) is kept as its even and its odd sites, and
+    the cone's sites are one contiguous slice of one of them.  Every value
+    is made by single multiplies and adds, each rounded once.  numpy's
+    complex loops may round differently with the array layout; the planes
+    keep each row bit-identical to the same walk run alone.
     """
 
-    def __init__(self, layout: str, rows: int, steps: int, coin):
-        """Rows of a walk in `layout` from the coin vector at the origin."""
-        self.layout = layout
-        self.steps = steps
-        self.t = 0
-        self.planes = np.zeros((2, 2, steps + 1, rows))
+    def __init__(self, layout: str, steps: int, coin, landscapes, kind: str):
+        """Rows of a walk in `layout` from the coin vector at the origin, one per landscape of
+        disorder `kind` (see sample_landscape)."""
+        self.layout, self.steps, self.t = layout, steps, 0
+        self.spatial = kind == "spatial"
+        self.planes = np.zeros((2, 2, steps + 1, len(landscapes)))
+        parity = (slice(0, None, 2), slice(1, None, 2))
         x = np.arange(-steps, steps + 1.0)
-        self.positions = _by_parity(np.stack([x, x * x]))
+        self.positions = [np.stack([x[part], x[part] * x[part]]) for part in parity]
+        # per component (L, R): None without a phase, else planes by parity (spatial) or by step (temporal)
+        self.phases = [None] * 2
+        if kind != "none" and landscapes:
+            for i, power in enumerate(LINES[layout].powers):
+                if power:
+                    self.phases[i] = ([self._phase_planes(landscapes, power, part) for part in parity]
+                                      if self.spatial else self._phase_planes(landscapes, power))
         for planes, slot in zip(self.cone(), LINES[layout].slots):
             planes[0], planes[1] = coin[slot].real, coin[slot].imag
+
+    @staticmethod
+    def _phase_planes(landscapes, power: int, part=slice(None)):
+        """Factors e^{i power phi} of each landscape's phases phi[part] as planes (cos, -sin, sin),
+        shape (3, phases, rows).  Each row is computed by its own call, so its values do not depend
+        on the batch it sits in."""
+        angles = [power * np.asarray(phi[part], dtype=float) for phi in landscapes]
+        cos = np.array([np.cos(a) for a in angles]).T
+        sin = np.array([np.sin(a) for a in angles]).T
+        return np.stack([cos, -sin, sin])
 
     def cone(self):
         """(L, R) at time t: the site-aligned (2, sites, rows) planes of the cone."""
         return self.planes[0, :, :self.t + 1], self.planes[1, :, self.steps - self.t:]
 
     def at_cone(self, halves):
-        """A per-site array split by _by_parity at the cone's sites, lattice indices T - t, T - t + 2, ..., T + t."""
+        """A per-site array, by parity, at the cone's sites: lattice indices T - t, T - t + 2, ..., T + t."""
         start = self.steps - self.t
         return halves[start % 2][:, start // 2:start // 2 + self.t + 1]
 
@@ -154,12 +155,8 @@ class _Frame:
         left, right = self.cone()
         return self.layout, (*left, *right)
 
-    def step(self, c: float, s: float, phases):
-        """Coin [[c, -i s], [-i s, c]] and row phases at time t, then the shift to t + 1.
-
-        phases holds one entry per component (L, R): None, or planes from
-        _phase_planes at the cone's sites or one entry for all sites.
-        """
+    def step(self, c: float, s: float):
+        """Coin [[c, -i s], [-i s, c]] and row phases at time t, then the shift to t + 1."""
         left, right = self.cone()
         mix = s * _COIN_SIGNS
         turned = left[::-1] * mix
@@ -167,8 +164,9 @@ class _Frame:
         left += right[::-1] * mix
         right *= c
         right += turned
-        for block, phase in zip((left, right), phases):
+        for block, phase in zip((left, right), self.phases):
             if phase is not None:
+                phase = self.at_cone(phase) if self.spatial else phase[:, self.t:self.t + 1]
                 turned = block[::-1] * phase[1:]  # (-Im sin, Re sin)
                 block *= phase[0]
                 block += turned
@@ -178,6 +176,12 @@ class _Frame:
         """The scalar observables named in keys, one value per row."""
         left, right = self.cone()
         return line_observables(keys, *left, *right, self.at_cone(self.positions))
+
+    def lattice(self):
+        """The planes at t = T on the lattice [-T, T], shape (2, 2, 2T + 1, rows)."""
+        planes = np.zeros((2, 2, 2 * self.steps + 1, self.planes.shape[-1]))
+        planes[:, :, ::2] = self.planes  # at t = T, slot k of L and of R holds lattice site 2k
+        return planes
 
 
 def landscape_size(spec: WalkSpec) -> int:
@@ -208,32 +212,29 @@ def run_walk(spec: WalkSpec, landscape: np.ndarray | None = _REALIZATION_0) -> R
     """
     if landscape is _REALIZATION_0:
         landscape = sample_landscape(spec.disorder, landscape_size(spec), 0)
-    series, p, final = run_walk_batch(spec, [landscape])
-    series = {key: line[0] for key, line in series.items()}
-    if p is not None:
-        series["distribution"] = site_distribution([line[:, 0] for line in p])
-    return RunResult(series, {name: planes[..., 0] for name, planes in zip(families(spec.confinement), final)})
+    series, final = run_walk_batch(spec, [landscape])
+    return RunResult({key: values[0] for key, values in series.items()},
+                     {name: planes[..., 0] for name, planes in zip(families(spec.confinement), final)})
 
 
 def run_walk_batch(spec: WalkSpec, landscapes):
-    """run_walk once per landscape, all landscapes as one batch: (series, p, planes).
+    """run_walk once per landscape, all landscapes as one batch: (series, planes).
 
-    series maps each recorded scalar key to a (rows, T + 1) array; p is None
-    unless distribution is recorded, else the final site_probabilities of
-    each family of lines, (2T + 1, rows) each; planes holds each family's
-    final planes (L, R) x (Re, Im), (2, 2, 2T + 1, rows).  Row i is
-    bit-identical to run_walk(spec, landscapes[i]) whatever the batch size,
-    and a failing norm check's ValueError names its first failing `row`.
-    A full-2D walk runs as two frames in lockstep, its x and its y line.
-    Memory grows by 32 (T + 1) bytes per row and family; callers cap it.
+    series maps each recorded key to its rows: a scalar's (rows, T + 1),
+    and "distribution" the final state's, (rows, 2T + 1) on a line and
+    (rows, 2T + 1, 2T + 1) for a full-2D walk (see site_distribution);
+    planes holds each family's final planes (L, R) x (Re, Im),
+    (2, 2, 2T + 1, rows).  Row i is bit-identical to
+    run_walk(spec, landscapes[i]) whatever the batch size, and a failing
+    norm check's ValueError names its first failing `row`.  A full-2D walk
+    runs as two frames in lockstep, its x and its y line.  Memory grows by
+    32 (T + 1) bytes per row and family; callers cap it.
     """
     for landscape in landscapes:
         _check_landscape(spec, landscape)
-    layout, rows, steps = spec.confinement, len(landscapes), spec.steps
-    frames = [_Frame(name, rows, steps, spec.init.coin) for name in families(layout)]
-    phases = [[_phase_planes(landscapes, power) for power in LINES[frame.layout].powers] for frame in frames]
-    if spec.disorder.kind == "spatial":
-        phases = [[None if f is None else _by_parity(f) for f in planes] for planes in phases]
+    rows, steps = len(landscapes), spec.steps
+    frames = [_Frame(name, steps, spec.init.coin, landscapes, spec.disorder.kind)
+              for name in families(spec.confinement)]
     scalar_keys = [k for k in spec.record if k != "distribution"]
     series = {k: np.zeros((rows, steps + 1)) for k in scalar_keys}
 
@@ -250,15 +251,12 @@ def run_walk_batch(spec: WalkSpec, landscapes):
     for t in range(1, steps + 1):
         theta = theta_at(spec.schedule, t)
         c, s = math.cos(theta), math.sin(theta)
-        for frame, planes in zip(frames, phases):
-            at = frame.at_cone if spec.disorder.kind == "spatial" else lambda f: f[:, t - 1:t]
-            frame.step(c, s, [None if f is None else at(f) for f in planes])
+        for frame in frames:
+            frame.step(c, s)
         record(t)
 
-    final = [np.zeros((2, 2, 2 * steps + 1, rows)) for _ in frames]
-    for frame, planes in zip(frames, final):
-        planes[:, :, ::2] = frame.planes  # at t = T, slot k of L and of R holds lattice site 2k
-    p = None
+    final = [frame.lattice() for frame in frames]
     if "distribution" in spec.record:  # elementwise, so each row gets the bits of its own state's distribution
-        p = [site_probabilities(*planes.reshape(4, 2 * steps + 1, rows)) for planes in final]
-    return series, p, final
+        series["distribution"] = site_distribution(
+            [np.ascontiguousarray(site_probabilities(*planes.reshape(4, 2 * steps + 1, rows)).T) for planes in final])
+    return series, final

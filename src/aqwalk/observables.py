@@ -72,13 +72,15 @@ def site_distribution(p) -> np.ndarray:
     One-particle and confined two-particle states give the 1D array along
     their line, the origin its middle site ([-T, T] for a T-step walk);
     full-2D states the grid indexed [x, y], zero off the two lines and with
-    the x line summed first where they cross.
+    the x line summed first where they cross.  Leading axes (rows) carry
+    through: each family's array has its sites on the last axis.
     """
     if len(p) == 1:
         return p[0]
-    grid = np.zeros((len(p[0]), len(p[1])))
-    grid[:, len(p[1]) // 2] = p[0]
-    grid[len(p[0]) // 2, :] += p[1]
+    x, y = p
+    grid = np.zeros(x.shape + y.shape[-1:])
+    grid[..., y.shape[-1] // 2] = x
+    grid[..., x.shape[-1] // 2, :] += y
     return grid
 
 

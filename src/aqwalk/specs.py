@@ -163,7 +163,10 @@ class InitialState:
         object.__setattr__(self, "coin", coin)
         if len(coin) not in (2, 4):
             raise ValueError(f"coin vector must have length 2 or 4, got {len(coin)}")
-        nrm = sum(abs(a) * abs(a) for a in coin)
+        try:
+            nrm = sum(abs(a) * abs(a) for a in coin)
+        except OverflowError:  # an |amp| beyond the largest float
+            nrm = math.inf
         if not abs(nrm - 1.0) <= COIN_NORM_TOL:  # also rejects NaN
             raise ValueError(f"coin vector must be normalized, |amp|^2 sums to {nrm!r}")
 

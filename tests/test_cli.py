@@ -325,11 +325,14 @@ WALK_MIXED = dict(BASE_WALK, particles=2, initial=[[0.5, 0.0]] * 4, record=["dis
     ({"walk": dict(BASE_WALK, record=["sigma", "sigma"])}, "walk.record"),
     ({"walk": dict(BASE_WALK, initial=[[math.nan, 0], [1, 0]])}, "walk.initial"),
     ({"walk": dict(BASE_WALK, initial=[[True, False], [False, False]])}, "walk.initial"),
+    ({"walk": dict(BASE_WALK, initial=[[1.3e308, 1.3e308], [0, 0]])}, "walk.initial"),  # |amp| overflows
     ({"walk": dict(BASE_WALK, acceleration=math.inf)}, "walk.acceleration"),
     ({"walk": dict(BASE_WALK, theta0="pi/0")}, "walk.theta0"),
     ({"dispersion": {"theta0": "pi/4", "phi": "3pi/0.0"}}, "dispersion.phi"),
     ({"dispersion": {"theta0": "pi/4", "variant": ["single"]}}, "dispersion.variant"),
     ({"walk": BASE_WALK, "output_dir": "out\0put"}, "output_dir"),
+    # an empty output_dir would fall through to $AQWALK_OUTPUT_DIR or the default, without a word
+    ({"walk": BASE_WALK, "output_dir": ""}, "output_dir"),
     ({"walk": dict(WALK_2P, steps=-1)}, "walk.steps"),
     ({"walk": dict(BASE_WALK, theta0=".pi")}, "walk.theta0"),
     ({"walk": dict(BASE_WALK, theta0="-.pi")}, "walk.theta0"),
@@ -448,10 +451,9 @@ def test_every_kind_validates_and_runs(tmp_path, kind):
     assert sorted(manifest["outputs"]) == files
 
 
-def _each_field_set_wrong():
+def _each_field_set_to(wrong):
     """(path, config) for every field of KINDS and of the mappings nested in a kind, each set to
-    a mapping of an unknown field: wrong for a value and for a mapping alike."""
-    wrong = {"x": 1}
+    wrong: a mapping of an unknown field is wrong for a value and for a mapping alike."""
     for kind, spec in KINDS.items():
         mapping = KIND_SMOKE[kind][0][kind]
         for name in spec.fields:
@@ -471,10 +473,32 @@ def _each_field_set_wrong():
 
 
 @pytest.mark.parametrize("path, config", [pytest.param(path, config, id=path)
-                                          for path, config in _each_field_set_wrong()])
+                                          for path, config in _each_field_set_to({"x": 1})])
 def test_every_wrong_field_names_its_path(tmp_path, capsys, path, config):
     assert main(["validate", _write(tmp_path, dict(config, name="bad"))]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+
+
+@pytest.mark.parametrize("path, config", [pytest.param(path, config, id=path) for path, config in [
+    *_each_field_set_to(None),
+    *((key, {"walk": BASE_WALK, key: None}) for key in ("name", "format", "output_dir", "sweep")),
+    ("walk", {"walk": None}),
+]])
+def test_every_null_field_names_its_path(tmp_path, capsys, path, config):
+    # a null field is neither its value nor its default: `disorder:` under lyapunov once ran a clean chain
+    assert main(["validate", _write(tmp_path, dict({"name": "null"}, **config))]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: is null: give a value, or leave the field out\n"
+
+
+@pytest.mark.parametrize("path, config", [
+    ("walk.initial", {"walk": dict(WALK_2P, initial="xx")}),
+    ("ensemble.walk.initial", {"ensemble": {"runs": 2, "walk": dict(WALK_2P, initial="xx")}}),
+    ("surface.walk.initial", {"surface": {"accelerations": [0.1], "walk": dict(
+        WALK_2P, initial="xx", record=["negativity_particle_particle"])}}),
+], ids=["walk", "ensemble", "surface"])
+def test_unknown_two_particle_label_gives_the_spec_rule_at_its_path(tmp_path, capsys, path, config):
+    assert main(["validate", _write(tmp_path, dict(config, name="bad"))]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: must be one of ('uu', 'ud', 'du', 'dd'), got 'xx'\n"
 
 
 def test_non_string_name_gives_exit_2(tmp_path, capsys):

@@ -6,6 +6,7 @@ one-line oracle for line walks, the whole-grid oracle for full-2D walks.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import replace
 
@@ -29,8 +30,8 @@ from aqwalk import (
     sigma,
     theta_at,
 )
+from aqwalk.errors import ConfigError
 from aqwalk.evolve import landscape_size, run_walk_batch
-from aqwalk.observables import site_distribution
 from aqwalk.specs import RECORD_KEYS, families
 
 from oracles import (amplitudes, coin_density_loops, evolve_dense, evolve_dense_2d, negativity_pt_loops,
@@ -79,25 +80,24 @@ def _landscapes(spec, count):
 
 
 def assert_rows_are_single_runs(spec, landscapes):
-    """Row i of run_walk_batch(spec, landscapes), its series, distribution and
+    """Row i of run_walk_batch(spec, landscapes), each recorded key (distribution included) and the
     final planes, is tobytes()-equal to run_walk(spec, landscapes[i]) and to a batch of one."""
-    series, p, planes = run_walk_batch(spec, landscapes)
-    assert (p is None) == ("distribution" not in spec.record)
+    series, planes = run_walk_batch(spec, landscapes)
+    assert series.keys() == set(spec.record)
+    sites = 2 * spec.steps + 1
     for i, landscape in enumerate(landscapes):
         single = run_walk(spec, landscape)
-        alone_series, alone_p, alone_planes = run_walk_batch(spec, [landscape])
+        alone_series, alone_planes = run_walk_batch(spec, [landscape])
         row = {name: f[..., i] for name, f in zip(families(spec.confinement), planes)}  # a state as it is
         for key in spec.record:
+            got = series[key][i]
+            assert got.shape == single.series[key].shape == alone_series[key][0].shape
+            assert got.tobytes() == single.series[key].tobytes() == alone_series[key][0].tobytes()
             if key == "distribution":
-                got = site_distribution([line[:, i] for line in p])
-                assert got.tobytes() == single.series["distribution"].tobytes()
-                assert got.shape == single.series["distribution"].shape
+                assert got.shape == ((sites, sites) if spec.full2d else (sites,))
                 assert distribution(row).tobytes() == got.tobytes()
-                assert all(line[:, i].tobytes() == alone[:, 0].tobytes() for line, alone in zip(p, alone_p))
-            else:
-                assert series[key][i].tobytes() == single.series[key].tobytes() == alone_series[key][0].tobytes()
-                if key in PER_STATE:
-                    assert abs(PER_STATE[key](row) - series[key][i][-1]) <= 1e-12
+            elif key in PER_STATE:
+                assert abs(PER_STATE[key](row) - got[-1]) <= 1e-12
         for name, family, alone in zip(families(spec.confinement), planes, alone_planes, strict=True):
             assert family[..., i].tobytes() == alone[..., 0].tobytes()
             assert single.final_state[name].tobytes() == family[..., i].tobytes()
@@ -110,18 +110,40 @@ def test_batch_rows_are_bit_identical_to_single_runs(walk, rows):
     assert_rows_are_single_runs(spec, _landscapes(spec, rows))
 
 
-@pytest.mark.parametrize("coin, record", [
-    ([0.6, 0.8j], ("sigma", "ipr", "negativity_coin_position", "distribution")),
-    ([0.6, 0, 0, 0.8j], ("negativity_particle_particle", "distribution")),
-    ([0.5, 0.5, 0.5, 0.5], ("negativity_particle_particle", "distribution")),
-], ids=["1p", "xline", "full2d"])
-def test_empty_batch_is_empty_arrays(coin, record):
+# a start of each layout, and every key that layout records
+LAYOUT_STARTS = {
+    "1p": ([0.6, 0.8j], ("sigma", "ipr", "negativity_coin_position", "distribution")),
+    "xline": ([0.6, 0, 0, 0.8j], RECORD_KEYS),
+    "yline": ([0, 0.8j, 0.6, 0], RECORD_KEYS),
+    "full2d": ([0.5, 0.5, 0.5, 0.5], ("negativity_particle_particle", "distribution")),
+}
+
+
+@pytest.mark.parametrize("kind", ["none", "spatial", "temporal"])
+@pytest.mark.parametrize("layout", sorted(LAYOUT_STARTS))
+def test_rows_are_single_runs_in_every_layout(layout, kind):
+    coin, record = LAYOUT_STARTS[layout]
+    make = functools.partial(WalkSpec, CoinSchedule(1.0, 0.01), InitialState(np.array(coin)), 9,
+                             disorder=DisorderSpec(kind, seed=3), record=record)
+    if layout == "full2d" and kind == "spatial":  # the spec keeps spatial disorder to one line
+        with pytest.raises(ConfigError, match="spatial disorder"):
+            make()
+        return
+    spec = make()
+    assert spec.confinement == layout
+    assert_rows_are_single_runs(spec, _landscapes(spec, 3))
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUT_STARTS))
+def test_empty_batch_is_empty_arrays(layout):
+    coin, record = LAYOUT_STARTS[layout]
     spec = WalkSpec(CoinSchedule(1.0, 0.01), InitialState(np.array(coin)), 7,
                     disorder=DisorderSpec("temporal"), record=record)
-    series, p, planes = run_walk_batch(spec, [])
+    series, planes = run_walk_batch(spec, [])
     count = len(families(spec.confinement))
-    assert {key: line.shape for key, line in series.items()} == {key: (0, 8) for key in record[:-1]}
-    assert [line.shape for line in p] == [(15, 0)] * count
+    expected = {key: (0, 8) for key in record if key != "distribution"}
+    expected["distribution"] = (0, 15, 15) if layout == "full2d" else (0, 15)
+    assert {key: line.shape for key, line in series.items()} == expected
     assert [family.shape for family in planes] == [(2, 2, 15, 0)] * count
 
 

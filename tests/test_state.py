@@ -77,6 +77,12 @@ def test_unknown_two_particle_label_names_the_four(label):
     assert isinstance(info.value, ValueError)
 
 
+def test_an_amplitude_beyond_the_largest_float_is_not_normalized():
+    # |1.3e308 (1 + i)| overflows a float: a ValueError, not an OverflowError from abs
+    with pytest.raises(ValueError, match=r"must be normalized, \|amp\|\^2 sums to inf"):
+        InitialState([0.0, 0.0, 0.0, complex(1.3e308, 1.3e308)])
+
+
 def test_coin_must_have_length_2_or_4():
     # the coin's length is the particle count, so no other length makes a walk
     for coin in ([1.0], [1.0, 0.0, 0.0], [1.0] + [0.0] * 7):
