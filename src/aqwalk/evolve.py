@@ -122,7 +122,7 @@ class _Frame:
         x = np.arange(-steps, steps + 1.0)
         self.positions = [np.stack([x[part], x[part] * x[part]]) for part in parity]
         # per component (L, R): None without a phase, else planes by parity (spatial) or by step (temporal)
-        self.phases = [None] * 2
+        self.phases = [None, None]
         if kind != "none" and landscapes:
             for i, power in enumerate(LINES[layout].powers):
                 if power:
