@@ -133,13 +133,13 @@ class _Frame:
 
     @staticmethod
     def _phase_planes(landscapes, power: int, part=slice(None)):
-        """Factors e^{i power phi} of each landscape's phases phi[part] as planes (cos, -sin, sin),
-        shape (3, phases, rows).  Each row is computed by its own call, so its values do not depend
-        on the batch it sits in."""
+        """Factors e^{i power phi} of each landscape's phases phi[part] as C-contiguous planes (cos,
+        -sin, sin), shape (3, phases, rows).  Each row is computed by its own call, so its values do
+        not depend on the batch it sits in."""
         angles = [power * np.asarray(phi[part], dtype=float) for phi in landscapes]
         cos = np.array([np.cos(a) for a in angles]).T
         sin = np.array([np.sin(a) for a in angles]).T
-        return np.stack([cos, -sin, sin])
+        return np.array([cos, -sin, sin])  # np.stack would keep the transposes' column-major strides
 
     def cone(self):
         """(L, R) at time t: the site-aligned (2, sites, rows) planes of the cone."""
@@ -228,7 +228,8 @@ def run_walk_batch(spec: WalkSpec, landscapes):
     run_walk(spec, landscapes[i]) whatever the batch size, and a failing
     norm check's ValueError names its first failing `row`.  A full-2D walk
     runs as two frames in lockstep, its x and its y line.  Memory grows by
-    32 (T + 1) bytes per row and family; callers cap it.
+    32 (T + 1) bytes per row and family, and by 8 (2T + 1)^2 per row for a
+    full-2D distribution; callers cap it.
     """
     for landscape in landscapes:
         _check_landscape(spec, landscape)
