@@ -325,14 +325,11 @@ WALK_MIXED = dict(BASE_WALK, particles=2, initial=[[0.5, 0.0]] * 4, record=["dis
     ({"walk": dict(BASE_WALK, record=["sigma", "sigma"])}, "walk.record"),
     ({"walk": dict(BASE_WALK, initial=[[math.nan, 0], [1, 0]])}, "walk.initial"),
     ({"walk": dict(BASE_WALK, initial=[[True, False], [False, False]])}, "walk.initial"),
-    ({"walk": dict(BASE_WALK, initial=[[1.3e308, 1.3e308], [0, 0]])}, "walk.initial"),  # |amp| overflows
     ({"walk": dict(BASE_WALK, acceleration=math.inf)}, "walk.acceleration"),
     ({"walk": dict(BASE_WALK, theta0="pi/0")}, "walk.theta0"),
     ({"dispersion": {"theta0": "pi/4", "phi": "3pi/0.0"}}, "dispersion.phi"),
     ({"dispersion": {"theta0": "pi/4", "variant": ["single"]}}, "dispersion.variant"),
     ({"walk": BASE_WALK, "output_dir": "out\0put"}, "output_dir"),
-    # an empty output_dir would fall through to $AQWALK_OUTPUT_DIR or the default, without a word
-    ({"walk": BASE_WALK, "output_dir": ""}, "output_dir"),
     ({"walk": dict(WALK_2P, steps=-1)}, "walk.steps"),
     ({"walk": dict(BASE_WALK, theta0=".pi")}, "walk.theta0"),
     ({"walk": dict(BASE_WALK, theta0="-.pi")}, "walk.theta0"),
@@ -362,6 +359,9 @@ WALK_MIXED = dict(BASE_WALK, particles=2, initial=[[0.5, 0.0]] * 4, record=["dis
     # an integer too large for a float
     ({"walk": {"theta0": 10**399, "steps": 3}}, "walk.theta0"),
     ({"walk": dict(BASE_WALK, acceleration=10**399)}, "walk.acceleration"),
+    ({"walk": dict(BASE_WALK, initial=[[1.3e308, 1.3e308], [0, 0]])}, "walk.initial"),  # |amp| overflows
+    # an empty output_dir would fall through to $AQWALK_OUTPUT_DIR or the default, without a word
+    ({"walk": BASE_WALK, "output_dir": ""}, "output_dir"),
 ])
 def test_bad_config_values_give_exit_2(tmp_path, capsys, config, field):
     path = _write(tmp_path, dict(config, name="bad"))
