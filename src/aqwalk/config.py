@@ -153,7 +153,10 @@ def _parse_initial(raw, particles: int, where: str) -> InitialState:
                 raise ConfigError(where, f"unknown one-particle initial state {raw!r}")
             return getattr(InitialState, label)()
         with _fields(where, initial=where):
-            return InitialState.basis_two_particle(label)
+            try:
+                return InitialState.basis_two_particle(label)
+            except ConfigError:  # the label as given is no basis state either: quote it
+                return InitialState.basis_two_particle(raw)
     if isinstance(raw, list):
         if not all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in raw):
             raise ConfigError(where, "amplitudes must be [re, im] pairs")

@@ -42,8 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observables import (crossing_coin_density, line_observables, particle_particle_from_density,
-                          site_distribution, site_probabilities)
+from .observables import observe, site_distribution, site_probabilities
 # unused here: perfbench's replay patches them
 from .observables import (  # noqa: F401
     distribution, ipr, negativity_coin_position, negativity_particle_particle, sigma)
@@ -151,9 +150,9 @@ class _Frame:
         return halves[start % 2][:, start // 2:start // 2 + self.t + 1]
 
     def line(self):
-        """(layout, planes (Re L, Im L, Re R, Im R) of the cone)."""
+        """The cone as a line (layout, planes, origin; see observables.observe): x = 0 is slot t / 2 at even t."""
         left, right = self.cone()
-        return self.layout, (*left, *right)
+        return self.layout, (*left, *right), None if self.t % 2 else self.t // 2
 
     def step(self, c: float, s: float):
         """Coin [[c, -i s], [-i s, c]] and row phases at time t, then the shift to t + 1."""
@@ -171,11 +170,6 @@ class _Frame:
                 block *= phase[0]
                 block += turned
         self.t += 1
-
-    def observe(self, keys) -> dict:
-        """The scalar observables named in keys, one value per row."""
-        left, right = self.cone()
-        return line_observables(keys, *left, *right, self.at_cone(self.positions))
 
     def lattice(self):
         """The planes at t = T on the lattice [-T, T], shape (2, 2, 2T + 1, rows)."""
@@ -239,22 +233,15 @@ def run_walk_batch(spec: WalkSpec, landscapes):
     scalar_keys = [k for k in spec.record if k != "distribution"]
     series = {k: np.zeros((rows, steps + 1)) for k in scalar_keys}
 
-    def record(t):
-        if len(frames) == 1:
-            observed = frames[0].observe(scalar_keys) if scalar_keys else {}
-        else:  # the spec lets a full-2D walk record no other scalar; its lines cross at the origin at even t
-            observed = {key: particle_particle_from_density(crossing_coin_density(
-                [frame.line() for frame in frames], None if t % 2 else t // 2)) for key in scalar_keys}
+    for t in range(steps + 1):
+        if t:
+            theta = theta_at(spec.schedule, t)
+            c, s = math.cos(theta), math.sin(theta)
+            for frame in frames:
+                frame.step(c, s)
+        observed = observe(scalar_keys, [frame.line() for frame in frames], frames[0].at_cone(frames[0].positions))
         for key, value in observed.items():
             series[key][:, t] = value
-
-    record(0)
-    for t in range(1, steps + 1):
-        theta = theta_at(spec.schedule, t)
-        c, s = math.cos(theta), math.sin(theta)
-        for frame in frames:
-            frame.step(c, s)
-        record(t)
 
     final = [frame.lattice() for frame in frames]
     if "distribution" in spec.record:  # elementwise, so each row gets the bits of its own state's distribution

@@ -47,9 +47,9 @@ STATE_NORM_TOL = 1e-8
 
 
 def lines(state):
-    """(family, planes (Re L, Im L, Re R, Im R)) of each family of a state, x
-    before y, each plane of shape (sites, 1): the planes line_observables takes."""
-    return [(name, state[name].reshape(4, -1, 1)) for name in LINES if name in state]
+    """The lines (family, planes (Re L, Im L, Re R, Im R), origin) of a state, x before y,
+    each plane of shape (sites, 1) and the origin its middle site: the lines observe takes."""
+    return [(name, state[name].reshape(4, -1, 1), state[name].shape[-1] // 2) for name in LINES if name in state]
 
 
 def site_probabilities(lr, li, rr, ri):
@@ -63,7 +63,7 @@ def site_probabilities(lr, li, rr, ri):
 
 def distribution(state) -> np.ndarray:
     """Position distribution of a state (planes, see above): site_distribution's array."""
-    return site_distribution([site_probabilities(*planes)[:, 0] for _, planes in lines(state)])
+    return site_distribution([site_probabilities(*planes)[:, 0] for _, planes, _ in lines(state)])
 
 
 def site_distribution(p) -> np.ndarray:
@@ -133,24 +133,30 @@ def line_sums(lr, li, rr, ri):
 
 
 def check_normalized(total):
-    """Raise ValueError unless every row total is 1 within STATE_NORM_TOL; the
+    """Raise ValueError unless every row total is 1 within STATE_NORM_TOL (NaN is not); the
     error's `row` is the first failing row, and it survives pickling."""
-    drift = np.abs(total - 1.0) > STATE_NORM_TOL
+    drift = ~(np.abs(total - 1.0) <= STATE_NORM_TOL)
     if drift.any():
         exc = ValueError(f"state must be normalized, |amp|^2 sums to {float(total[np.argmax(drift)])!r}")
         exc.row = int(np.argmax(drift))
         raise exc
 
 
-def line_observables(keys, lr, li, rr, ri, positions=None) -> dict:
-    """The observables named in keys (sigma, ipr and the two negativities) of
-    a batch of one-line states, one value per row.
+def observe(keys, line_planes, positions=None) -> dict:
+    """The observables named in keys (sigma, ipr and the two negativities) of a
+    batch of rows made of the given lines, one value per row.
 
-    lr, li, rr, ri are the planes of L and R, of shape (sites, rows);
-    positions holds the positions x of the sites and their squares, shape
-    (2, sites), and is read only for sigma.  The negativities need a
-    normalized state: ValueError otherwise.
+    A line is (layout, planes, origin): a key of LINES, the site-aligned
+    (Re L, Im L, Re R, Im R), each of shape (sites, rows), and the index of
+    site x = 0, None where the line holds no amplitude there.  One line
+    gives every key from its three sums; positions, (x, x * x) of its
+    sites, is read only for sigma.  Two lines (a full-2D row) give only the
+    particle/particle negativity (see crossing_coin_density).  The
+    negativities need a normalized state: ValueError otherwise.
     """
+    if len(line_planes) == 2:
+        return {key: particle_particle_from_density(crossing_coin_density(line_planes)) for key in keys}
+    (_, (lr, li, rr, ri), _), = line_planes
     out = {}
     if "sigma" in keys or "ipr" in keys:
         p = np.ascontiguousarray(site_probabilities(lr, li, rr, ri).T)
@@ -174,12 +180,6 @@ def line_observables(keys, lr, li, rr, ri, positions=None) -> dict:
     return out
 
 
-def _line_value(state, key: str) -> float:
-    """The observable named key of a one-line state, from line_observables."""
-    (_, planes), = lines(state)
-    return float(line_observables((key,), *planes)[key][0])
-
-
 def negativity_coin_position(state) -> float:
     """Entanglement negativity between coin and position space of a state (planes).
 
@@ -188,35 +188,32 @@ def negativity_coin_position(state) -> float:
     """
     if len(state) != 1:
         raise ValueError("coin/position bipartition is not supported for full-2D states")
-    return _line_value(state, "negativity_coin_position")
+    key = "negativity_coin_position"
+    return float(observe((key,), lines(state))[key][0])
 
 
 def reduced_particle_density(state: dict) -> np.ndarray:
     """4x4 density matrix of the two-particle coin space of a state (planes), position traced out."""
-    # the two lines of a full-2D state cross at the origin, the middle site of each
-    site = state["xline"].shape[-1] // 2 if len(state) == 2 else None
-    return crossing_coin_density(lines(state), site)[0]
+    return crossing_coin_density(lines(state))[0]
 
 
-def crossing_coin_density(line_planes, site) -> np.ndarray:
-    """4x4 coin densities, position traced out, of rows made of the given lines.
+def crossing_coin_density(line_planes) -> np.ndarray:
+    """4x4 coin densities, position traced out, of rows made of the given lines (see observe).
 
-    line_planes holds (layout, planes) per family of lines present, layout a key
-    of LINES and planes its site-aligned (Re L, Im L, Re R, Im R), each of
-    shape (sites, rows).  A full-2D row is an x line (L = uu, R = dd) and a
-    y line (L = du, R = ud), which meet only at index `site` of each, so the
-    entries between the two pairs are products of the amplitudes there;
-    they vanish when site is None (one line, or an empty crossing).
+    A full-2D row is an x line (L = uu, R = dd) and a y line (L = du,
+    R = ud), which meet only at the origin of each, so the entries between
+    the two pairs are products of the amplitudes there; they vanish for one
+    line, or where a line's origin is None.
     """
     rows = line_planes[0][1][0].shape[1]
     rho = np.zeros((rows, 4, 4), dtype=np.complex128)
-    if site is not None:
+    if len(line_planes) == 2 and None not in [origin for *_, origin in line_planes]:
         at = np.zeros((rows, 4), dtype=np.complex128)
-        for name, planes in line_planes:
-            l_re, l_im, r_re, r_im = (plane[site] for plane in planes)
+        for name, planes, origin in line_planes:
+            l_re, l_im, r_re, r_im = (plane[origin] for plane in planes)
             at[:, LINES[name].slots] = np.stack([l_re + 1j * l_im, r_re + 1j * r_im], axis=1)
         rho[:] = at[:, :, None] * at[:, None, :].conj()
-    for name, planes in line_planes:
+    for name, planes, _ in line_planes:
         i, j = LINES[name].slots
         p, q, c_re, c_im, _ = line_sums(*planes)
         c = c_re + 1j * c_im
@@ -247,6 +244,5 @@ def negativity_particle_particle(state: dict) -> float:
     """
     if "1p" in state:
         raise ValueError("particle/particle negativity needs a two-particle state")
-    if len(state) == 1:
-        return _line_value(state, "negativity_particle_particle")
-    return float(particle_particle_from_density(reduced_particle_density(state)[None])[0])
+    key = "negativity_particle_particle"
+    return float(observe((key,), lines(state))[key][0])

@@ -109,8 +109,9 @@ class DisorderSpec:
     def __post_init__(self):
         if self.kind not in DISORDER_KINDS:
             raise ConfigError("kind", f"must be one of {DISORDER_KINDS}, got {self.kind!r}")
-        if not (math.isfinite(self.phase_min) and math.isfinite(self.phase_max)):
-            raise ConfigError("phase_min" if math.isfinite(self.phase_max) else "phase_max", "must be finite")
+        for name in ("phase_max", "phase_min"):
+            if not math.isfinite(2 * getattr(self, name)):
+                raise ConfigError(name, "must be finite, and so must twice it (a phase factor takes e^{2i phi})")
         if self.phase_min > self.phase_max:
             raise ConfigError("phase_min", "must be <= phase_max")
 

@@ -362,6 +362,16 @@ WALK_MIXED = dict(BASE_WALK, particles=2, initial=[[0.5, 0.0]] * 4, record=["dis
     ({"walk": dict(BASE_WALK, initial=[[1.3e308, 1.3e308], [0, 0]])}, "walk.initial"),  # |amp| overflows
     # an empty output_dir would fall through to $AQWALK_OUTPUT_DIR or the default, without a word
     ({"walk": BASE_WALK, "output_dir": ""}, "output_dir"),
+    # a phase factor takes up to e^{2i phi}: a bound whose double overflows cannot be drawn or applied
+    ({"walk": dict(BASE_WALK, disorder={"kind": "spatial", "phase_min": -1e308, "phase_max": 1e308})},
+     "walk.disorder.phase_max"),
+    ({"lyapunov": {"theta": 0.6, "omega": 0.3, "chain_length": 2000,
+                   "disorder": {"kind": "spatial", "phase_min": -1e308, "phase_max": 1e308}}},
+     "lyapunov.disorder.phase_max"),
+    ({"walk": dict(WALK_2P, record=["distribution", "negativity_particle_particle"],
+                   disorder={"kind": "spatial", "phase_min": 1e308, "phase_max": 1.5e308})}, "walk.disorder.phase_max"),
+    ({"walk": dict(BASE_WALK, disorder={"kind": "temporal", "phase_min": -1e308})}, "walk.disorder.phase_min"),
+    ({"walk": dict(WALK_2P, initial="XX")}, "walk.initial"),
 ])
 def test_bad_config_values_give_exit_2(tmp_path, capsys, config, field):
     path = _write(tmp_path, dict(config, name="bad"))
@@ -490,15 +500,22 @@ def test_every_null_field_names_its_path(tmp_path, capsys, path, config):
     assert capsys.readouterr().err == f"config error: {path}: is null: give a value, or leave the field out\n"
 
 
-@pytest.mark.parametrize("path, config", [
-    ("walk.initial", {"walk": dict(WALK_2P, initial="xx")}),
-    ("ensemble.walk.initial", {"ensemble": {"runs": 2, "walk": dict(WALK_2P, initial="xx")}}),
+@pytest.mark.parametrize("path, config, label", [
+    ("walk.initial", {"walk": dict(WALK_2P, initial="xx")}, "xx"),
+    ("ensemble.walk.initial", {"ensemble": {"runs": 2, "walk": dict(WALK_2P, initial="xx")}}, "xx"),
     ("surface.walk.initial", {"surface": {"accelerations": [0.1], "walk": dict(
-        WALK_2P, initial="xx", record=["negativity_particle_particle"])}}),
-], ids=["walk", "ensemble", "surface"])
-def test_unknown_two_particle_label_gives_the_spec_rule_at_its_path(tmp_path, capsys, path, config):
+        WALK_2P, initial="xx", record=["negativity_particle_particle"])}}, "xx"),
+    # labels are read case-blind, but the error quotes the label the config holds
+    ("walk.initial", {"walk": dict(WALK_2P, initial="XX")}, "XX"),
+], ids=["walk", "ensemble", "surface", "as_given"])
+def test_unknown_two_particle_label_gives_the_spec_rule_at_its_path(tmp_path, capsys, path, config, label):
     assert main(["validate", _write(tmp_path, dict(config, name="bad"))]) == 2
-    assert capsys.readouterr().err == f"config error: {path}: must be one of ('uu', 'ud', 'du', 'dd'), got 'xx'\n"
+    assert capsys.readouterr().err == f"config error: {path}: must be one of ('uu', 'ud', 'du', 'dd'), got {label!r}\n"
+
+
+def test_two_particle_labels_are_read_case_blind():
+    walk = parse_config({"name": "case", "walk": dict(WALK_2P, initial=" Ud ")}).walk
+    assert list(walk.init.coin) == [0.0, 1.0, 0.0, 0.0]
 
 
 def test_non_string_name_gives_exit_2(tmp_path, capsys):

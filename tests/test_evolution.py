@@ -216,6 +216,20 @@ def test_sample_landscape_contract():
     assert np.array_equal(a, again)
 
 
+def test_the_widest_phase_range_is_drawn_and_applied():
+    # a phase factor takes up to e^{2i phi}: bounds of 8e307 keep 2 |phi| finite, 1e308 does not
+    disorder = DisorderSpec("spatial", -8e307, 8e307, seed=2)
+    spec = WalkSpec(CoinSchedule(1.0, 0.0), InitialState.basis_two_particle("uu"), 6, disorder=disorder,
+                    record=("distribution", "negativity_particle_particle"))
+    series = run_walk(spec).series
+    assert np.isfinite(series["negativity_particle_particle"]).all()
+    assert series["distribution"].sum() == pytest.approx(1.0, abs=1e-12)
+    for bounds, field in [((-1e308, 0.0), "phase_min"), ((0.0, 1e308), "phase_max"), ((-1e308, 1e308), "phase_max")]:
+        with pytest.raises(ValueError, match="twice it") as info:
+            DisorderSpec("spatial", *bounds)
+        assert info.value.field == field
+
+
 def test_sample_landscape_uniform_mean():
     # mean of n uniform draws is (lo+hi)/2 within 3 sigma / sqrt(n)
     n = 100_000

@@ -5,6 +5,7 @@ import pytest
 
 from aqwalk import (
     CoinSchedule,
+    DisorderSpec,
     InitialState,
     WalkSpec,
     distribution,
@@ -15,7 +16,8 @@ from aqwalk import (
     run_walk,
     sigma,
 )
-from aqwalk.observables import line_observables, line_sums, partial_transpose_second
+from aqwalk.evolve import run_walk_batch
+from aqwalk.observables import check_normalized, crossing_coin_density, lines, line_sums, observe, partial_transpose_second
 from aqwalk.specs import families
 
 from oracles import amplitude_matrix, amplitudes, front_position, negativity_pt_loops, pp_negativity_loops, state_of
@@ -79,7 +81,7 @@ def test_row_sums_of_a_batch_are_those_of_each_row_alone():
     # strided (sites, rows) planes, as the kernel's cone is: each row must reduce to the bits
     # it has alone, and to its sum in exact arithmetic up to 1e-15 of the sum of |terms|
     def reduce(planes):  # p, q, Re c, Im c and the IPR sum_x p(x)^2
-        return (*line_sums(*planes)[:4], line_observables(("ipr",), *planes)["ipr"])
+        return (*line_sums(*planes)[:4], observe(("ipr",), [("1p", planes, None)])["ipr"])
 
     frame = np.random.default_rng(3).standard_normal((2, 2, 260, 10))
     planes = (*frame[0, :, :251, 1::2], *frame[1, :, 9:, 1::2])
@@ -188,6 +190,35 @@ def test_pp_negativity_walk_series_matches_loops():
     zeros = np.zeros_like(amplitudes(state)["uu"])
     expected = pp_negativity_loops(amplitudes(state)["uu"], zeros, zeros, amplitudes(state)["dd"])
     assert result.series["negativity_particle_particle"][-1] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("steps", [6, 7])
+@pytest.mark.parametrize("pad", [1, 4])
+def test_each_line_is_read_at_its_own_origin(steps, pad):
+    # a full-2D state's x line padded with zero sites below x = -T: its origin index is no longer
+    # the y line's, and the density and the negativity must read each line at its own
+    spec = WalkSpec(CoinSchedule(1.1, 0.02), InitialState(np.array([0.5, 0.5j, -0.5, 0.5])), steps,
+                    record=("distribution",), layout="full2d")
+    (x, x_planes, origin), y = lines(run_walk(spec).final_state)
+    padded = [(x, np.concatenate([np.zeros((4, pad, 1)), x_planes], axis=1), origin + pad), y]
+    assert origin == steps and padded[0][2] != y[2]
+    rho, rho_padded = crossing_coin_density([(x, x_planes, origin), y]), crossing_coin_density(padded)
+    assert np.max(np.abs(rho_padded - rho)) <= 1e-15
+    assert steps % 2 or np.max(np.abs(rho[0, [0, 3]][:, [1, 2]])) > 1e-3  # the lines meet at x = 0
+    key = "negativity_particle_particle"
+    assert abs(observe((key,), padded)[key][0] - observe((key,), [(x, x_planes, origin), y])[key][0]) <= 1e-15
+
+
+def test_a_total_that_is_not_one_fails_the_norm_check_nan_too():
+    with pytest.raises(ValueError, match="normalized, .* nan") as info:
+        check_normalized(np.array([1.0, 1.0 + 1e-12, np.nan, 1.0]))
+    assert info.value.row == 2
+    # a phase whose factor e^{2i phi} overflows leaves NaN amplitudes in its row, which the check names
+    spec = WalkSpec(CoinSchedule(math.pi / 4, 0.0), InitialState.basis_two_particle("uu"), 4,
+                    disorder=DisorderSpec("spatial"), record=("negativity_particle_particle",))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="normalized") as info:
+        run_walk_batch(spec, [np.zeros(9), np.full(9, 1e308)])
+    assert info.value.row == 1
 
 
 def test_pp_negativity_symmetric_under_transposed_side():
