@@ -5,11 +5,12 @@ from the ensemble's base seed, so any subset of realizations can be
 recomputed independently.  Chunks of consecutive indices, sized by a byte
 budget, run in this process and in forked children (see _map), each as one
 batch of the line kernel, whose rows do not depend on the batch they sit
-in; a chunk returns each recorded key's (rows, values) array, the final
-distribution included, and a failing row names its realization, without a
-rerun.  Every key is concatenated in index order before any reduction, so
-the output is bit-identical for every worker count (including 1) and every
-chunk size.
+in; a chunk builds no planes on the lattice and returns only each
+recorded key's (rows, values) array, the final distribution included, and
+a failing row names its realization, without a rerun.  Each key is
+concatenated in index order and reduced before the next is joined, so the
+output is bit-identical for every worker count (including 1) and every
+chunk size, and only one key's samples are held at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AqwalkError, RealizationError
-from .evolve import landscape_size, run_walk_batch, sample_landscape
+from .evolve import _run_frames, landscape_size, sample_landscape
 from .evolve import run_walk  # noqa: F401  (no longer called here: perfbench's traced replay patches it)
 from .specs import EnsembleSpec, WalkSpec, families
 
@@ -32,7 +33,9 @@ __all__ = [
 
 # Bytes of frame planes per batch: large enough to amortize
 # the per-step overhead of the kernel, small enough that memory stays flat
-# as the ensemble grows and the planes stay near the CPU caches.
+# as the ensemble grows and the planes stay near the CPU caches.  A chunk
+# holds its frame planes, a disordered walk's phase planes and its series;
+# it builds no planes on the lattice.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -133,7 +136,7 @@ def _run_chunk(args):
         except Exception as exc:
             raise RealizationError(index, exc) from exc
     try:
-        return run_walk_batch(walk, landscapes)[0]
+        return _run_frames(walk, landscapes)[0]
     except ValueError as exc:
         if not hasattr(exc, "row"):
             raise
@@ -166,8 +169,11 @@ def run_ensemble(spec: EnsembleSpec, workers: int | None = None) -> EnsembleSumm
     indices = _chunks(computed, min(workers, computed), _chunk_rows(walk))
     chunks = _map(_run_chunk, [(walk, chunk) for chunk in indices], workers)
 
-    # chunks are consecutive index ranges in order, so this is index order
-    samples = {key: np.concatenate([chunk[key] for chunk in chunks]) for key in walk.record}
-    return EnsembleSummary(runs=spec.runs, steps=walk.steps,
-                           mean={key: np.mean(values, axis=0) for key, values in samples.items()},
-                           stderr={key: _stderr(values) for key, values in samples.items()})
+    # chunks are consecutive index ranges in order, so this is index order; one key's samples
+    # are held at a time, and each chunk's rows of a key are dropped as they are joined
+    mean, stderr = {}, {}
+    for key in walk.record:
+        samples = np.concatenate([chunk.pop(key) for chunk in chunks])
+        mean[key], stderr[key] = np.mean(samples, axis=0), _stderr(samples)
+        del samples
+    return EnsembleSummary(runs=spec.runs, steps=walk.steps, mean=mean, stderr=stderr)

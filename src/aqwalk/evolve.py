@@ -57,6 +57,7 @@ __all__ = [
 
 _SEED_MASK = (1 << 64) - 1
 _REALIZATION_0 = object()  # run_walk's default landscape
+_PHASE_MAX = np.finfo(float).max / 2  # the largest phase phi whose 2 phi is finite (NaN is not below it)
 
 
 def sample_landscape(disorder: DisorderSpec, size: int, realization_index: int = 0) -> np.ndarray | None:
@@ -177,6 +178,14 @@ class _Frame:
         planes[:, :, ::2] = self.planes  # at t = T, slot k of L and of R holds lattice site 2k
         return planes
 
+    def probabilities(self):
+        """site_probabilities at t = T on the lattice [-T, T], rows first: shape (rows, 2T + 1).  The
+        sum is elementwise, so each row gets the bits of its own state's, as from lattice()."""
+        rows = self.planes.shape[-1]
+        p = np.zeros((rows, 2 * self.steps + 1))
+        p[:, ::2] = site_probabilities(*self.planes.reshape(4, self.steps + 1, rows)).T
+        return p
+
 
 def landscape_size(spec: WalkSpec) -> int:
     """Number of random draws one realization of this walk needs."""
@@ -191,8 +200,8 @@ def _check_landscape(spec: WalkSpec, landscape: np.ndarray | None):
                          f"{'needs a' if landscape is None else 'takes no'} landscape")
     if landscape is not None and len(landscape) != landscape_size(spec):
         raise ValueError(f"landscape has {len(landscape)} phases, walk needs {landscape_size(spec)}")
-    if landscape is not None and not np.all(np.isfinite(landscape)):
-        raise ValueError("landscape phases must be finite")
+    if landscape is not None and not np.all(np.abs(landscape) <= _PHASE_MAX):
+        raise ValueError("landscape phases must be finite, and so must twice each (a phase factor takes e^{2i phi})")
 
 
 def run_walk(spec: WalkSpec, landscape: np.ndarray | None = _REALIZATION_0) -> RunResult:
@@ -221,10 +230,19 @@ def run_walk_batch(spec: WalkSpec, landscapes):
     (2, 2, 2T + 1, rows).  Row i is bit-identical to
     run_walk(spec, landscapes[i]) whatever the batch size, and a failing
     norm check's ValueError names its first failing `row`.  A full-2D walk
-    runs as two frames in lockstep, its x and its y line.  Memory grows by
-    32 (T + 1) bytes per row and family, and by 8 (2T + 1)^2 per row for a
-    full-2D distribution; callers cap it.
+    runs as two frames in lockstep, its x and its y line.  Per row and
+    family, memory holds 32 (T + 1) bytes of frame planes while the walk
+    runs and 32 (2T + 1) of returned planes, and a disordered walk 24
+    bytes per landscape phase and phased component; per row, 8 (T + 1)
+    per scalar key and 8 (2T + 1) for a distribution, 8 (2T + 1)^2 for a
+    full-2D one.  Callers cap it.
     """
+    series, frames = _run_frames(spec, landscapes)
+    return series, [frame.lattice() for frame in frames]
+
+
+def _run_frames(spec: WalkSpec, landscapes):
+    """run_walk_batch's time loop: (series, frames at t = T), with no planes on the lattice."""
     for landscape in landscapes:
         _check_landscape(spec, landscape)
     rows, steps = len(landscapes), spec.steps
@@ -243,8 +261,6 @@ def run_walk_batch(spec: WalkSpec, landscapes):
         for key, value in observed.items():
             series[key][:, t] = value
 
-    final = [frame.lattice() for frame in frames]
-    if "distribution" in spec.record:  # elementwise, so each row gets the bits of its own state's distribution
-        series["distribution"] = site_distribution(
-            [np.ascontiguousarray(site_probabilities(*planes.reshape(4, 2 * steps + 1, rows)).T) for planes in final])
-    return series, final
+    if "distribution" in spec.record:
+        series["distribution"] = site_distribution([frame.probabilities() for frame in frames])
+    return series, frames

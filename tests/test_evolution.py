@@ -260,6 +260,18 @@ def test_mismatched_landscape_rejected():
         run_walk(spec, values)
 
 
+def test_landscape_phase_whose_double_overflows_rejected():
+    # e^{2i phi} of such a phase is NaN: a distribution-only batch would return NaN with no error
+    spec = WalkSpec(CoinSchedule(math.pi / 4, 0.0), InitialState.basis_two_particle("uu"), 4,
+                    disorder=DisorderSpec("spatial"), record=("distribution",))
+    with pytest.raises(ValueError, match="twice"):
+        run_walk_batch(spec, [np.zeros(9), np.full(9, 1e308)])
+    # the largest phase whose double is finite still walks, and stays normalized
+    series, _ = run_walk_batch(spec, [np.zeros(9), np.full(9, np.finfo(float).max / 2)])
+    assert np.all(np.isfinite(series["distribution"]))
+    assert np.allclose(series["distribution"].sum(axis=1), 1.0)
+
+
 def test_landscape_is_none_exactly_for_a_clean_walk():
     # phases given to a clean walk would be applied, and a None row of a
     # disordered batch would run clean
