@@ -24,8 +24,8 @@ from typing import Callable
 import yaml
 
 from .errors import ConfigError
-from .specs import (RECORD_KEYS, CoinSchedule, DisorderSpec, EnsembleSpec, InitialState, WalkSpec, check_chain,
-                    dispersion_line)
+from .specs import (RECORD_KEYS, CoinSchedule, DisorderSpec, EnsembleSpec, InitialState, WalkSpec, as_count,
+                    as_int, check_chain, dispersion_line)
 
 __all__ = ["Experiment", "KINDS", "load_config", "parse_config", "parse_angle"]
 
@@ -118,20 +118,8 @@ def _read(raw, where: str, fields: dict) -> _Given:
     return given
 
 
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(where, f"expected an integer, got {value!r}")
-    return value
-
-
-def _count(value, where: str) -> int:
-    if _as_int(value, where) < 1:
-        raise ConfigError(where, f"must be >= 1, got {value}")
-    return value
-
-
 def _particles(value, where: str) -> int:
-    if _as_int(value, where) not in (1, 2):
+    if as_int(value, where) not in (1, 2):
         raise ConfigError(where, f"must be 1 or 2, got {value}")
     return value
 
@@ -188,10 +176,10 @@ def _list(value, where: str) -> list:
 
 
 # the fields of the mappings nested in a kind; initial needs particles, so _walk reads it
-DISORDER_FIELDS = {"kind": None, "phase_min": parse_angle, "phase_max": parse_angle, "seed": _as_int}
-WALK_FIELDS = {"particles": _particles, "theta0": parse_angle, "acceleration": parse_angle, "steps": _as_int,
+DISORDER_FIELDS = {"kind": None, "phase_min": parse_angle, "phase_max": parse_angle, "seed": as_int}
+WALK_FIELDS = {"particles": _particles, "theta0": parse_angle, "acceleration": parse_angle, "steps": as_int,
                "initial": None, "disorder": _parse_disorder, "record": _list, "layout": None}
-KAPPA_FIELDS = {"min": parse_angle, "max": parse_angle, "count": _count}
+KAPPA_FIELDS = {"min": parse_angle, "max": parse_angle, "count": as_count}
 
 
 def _walk(given: _Given, where: str, exp: Experiment | None = None) -> WalkSpec:
@@ -315,15 +303,15 @@ class Kind:
 KINDS = {
     "walk": Kind(WALK_FIELDS, _walk_kind, sweeps=True),
     # the ensemble's walk needs the sweep, and its raw disorder.seed
-    "ensemble": Kind({"walk": None, "runs": _as_int, "base_seed": _as_int}, _ensemble_kind, sweeps=True),
+    "ensemble": Kind({"walk": None, "runs": as_int, "base_seed": as_int}, _ensemble_kind, sweeps=True),
     "surface": Kind({"walk": _parse_walk, "accelerations": _schedule_values, "observable": None}, _surface_kind),
     "dispersion": Kind({"variant": None, "theta0": parse_angle, "phi": parse_angle,
                         "kappa": functools.partial(_read, fields=KAPPA_FIELDS)}, _dispersion_kind),
     "transfer": Kind({"particles": _particles, "theta": parse_angle, "phi": parse_angle, "omega": parse_angle},
                      _transfer_kind),
-    "lyapunov": Kind({"theta": parse_angle, "omega": parse_angle, "chain_length": _as_int,
+    "lyapunov": Kind({"theta": parse_angle, "omega": parse_angle, "chain_length": as_int,
                       "disorder": _parse_disorder}, _lyapunov_kind),
-    "schedule": Kind({"theta0": parse_angle, "accelerations": _schedule_values, "steps": _count}, _schedule_kind),
+    "schedule": Kind({"theta0": parse_angle, "accelerations": _schedule_values, "steps": as_count}, _schedule_kind),
 }
 
 # the top level; each kind's mapping is read once the config is known to hold one kind

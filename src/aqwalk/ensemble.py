@@ -5,9 +5,9 @@ from the ensemble's base seed, so any subset of realizations can be
 recomputed independently.  Chunks of consecutive indices, sized by a byte
 budget, run in this process and in forked children (see _map), each as one
 batch of the line kernel, whose rows do not depend on the batch they sit
-in; a chunk builds no planes on the lattice and returns only each
-recorded key's (rows, values) array, the final distribution included, and
-a failing row names its realization, without a rerun.  Each key is
+in; a chunk returns only each recorded key's (rows, values) array, the
+final distribution included, and drops the batch's planes, and a failing
+row names its realization, without a rerun.  Each key is
 concatenated in index order and reduced before the next is joined, so the
 output is bit-identical for every worker count (including 1) and every
 chunk size, and only one key's samples are held at a time.
@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AqwalkError, RealizationError
-from .evolve import _run_frames, landscape_size, sample_landscape
+from .evolve import landscape_size, run_walk_batch, sample_landscape
 from .evolve import run_walk  # noqa: F401  (no longer called here: perfbench's traced replay patches it)
 from .specs import EnsembleSpec, WalkSpec, families
 
@@ -31,11 +31,10 @@ __all__ = [
     "run_ensemble",
 ]
 
-# Bytes of frame planes per batch: large enough to amortize
-# the per-step overhead of the kernel, small enough that memory stays flat
-# as the ensemble grows and the planes stay near the CPU caches.  A chunk
-# holds its frame planes, a disordered walk's phase planes and its series;
-# it builds no planes on the lattice.
+# Bytes of frame planes per batch: large enough to amortize the per-step overhead of the kernel, small
+# enough that memory stays flat as the ensemble grows and the planes stay near the CPU caches.  Only frame
+# planes count: a chunk also holds its series and, with spatial disorder, 24 (2T + 1) bytes of phase planes
+# per row and phased component, each about 1.5 times the row's 32 (T + 1) bytes of frame planes.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -136,7 +135,7 @@ def _run_chunk(args):
         except Exception as exc:
             raise RealizationError(index, exc) from exc
     try:
-        return _run_frames(walk, landscapes)[0]
+        return run_walk_batch(walk, landscapes)[0]
     except ValueError as exc:
         if not hasattr(exc, "row"):
             raise
@@ -155,13 +154,14 @@ def run_ensemble(spec: EnsembleSpec, workers: int | None = None) -> EnsembleSumm
     """Run all realizations and aggregate means and standard errors.
 
     workers: how many processes compute, this one included (None: the CPUs
-    this process may run on, its affinity set where the OS keeps one).  The
-    aggregation is order-fixed, so the result depends neither on the worker
-    count nor on the chunking.
+    this process may run on, its affinity set where the OS keeps one; a
+    count below 1 is a ValueError).  The aggregation is order-fixed, so the
+    result depends neither on the worker count nor on the chunking.
     """
     if workers is None:
         workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = max(1, workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     walk = _effective_walk(spec)
     # without disorder every realization is the same computation, so a
     # clean ensemble of any size collapses to one run exactly

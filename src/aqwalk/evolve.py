@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observables import observe, site_distribution, site_probabilities
+from .observables import cone_origin, observe, site_distribution
 # unused here: perfbench's replay patches them
 from .observables import (  # noqa: F401
     distribution, ipr, negativity_coin_position, negativity_particle_particle, sigma)
@@ -81,7 +81,7 @@ def sample_landscape(disorder: DisorderSpec, size: int, realization_index: int =
 class RunResult:
     """One walk: series maps each recorded key to its array, a scalar's (T + 1,) with
     index 0 the initial state, and "distribution" the final state's (see site_distribution);
-    final_state maps each family of lines to its final planes (a state, see observables)."""
+    final_state maps each family of lines to its final cone's planes (a state, see observables)."""
 
     series: dict
     final_state: dict
@@ -134,12 +134,14 @@ class _Frame:
     @staticmethod
     def _phase_planes(landscapes, power: int, part=slice(None)):
         """Factors e^{i power phi} of each landscape's phases phi[part] as C-contiguous planes (cos,
-        -sin, sin), shape (3, phases, rows).  Each row is computed by its own call, so its values do
-        not depend on the batch it sits in."""
-        angles = [power * np.asarray(phi[part], dtype=float) for phi in landscapes]
-        cos = np.array([np.cos(a) for a in angles]).T
-        sin = np.array([np.sin(a) for a in angles]).T
-        return np.array([cos, -sin, sin])  # np.stack would keep the transposes' column-major strides
+        -sin, sin), shape (3, phases, rows), filled one row at a time.  Each row's cos and sin come
+        from their own call on its contiguous angles, so its values do not depend on the batch."""
+        planes = np.empty((3, len(landscapes[0][part]), len(landscapes)))
+        for row, phi in enumerate(landscapes):
+            angles = power * np.asarray(phi[part], dtype=float)
+            planes[0, :, row], planes[2, :, row] = np.cos(angles), np.sin(angles)
+        np.negative(planes[2], out=planes[1])
+        return planes
 
     def cone(self):
         """(L, R) at time t: the site-aligned (2, sites, rows) planes of the cone."""
@@ -151,9 +153,9 @@ class _Frame:
         return halves[start % 2][:, start // 2:start // 2 + self.t + 1]
 
     def line(self):
-        """The cone as a line (layout, planes, origin; see observables.observe): x = 0 is slot t / 2 at even t."""
+        """The cone as a line (layout, planes, origin; see observables.observe and cone_origin)."""
         left, right = self.cone()
-        return self.layout, (*left, *right), None if self.t % 2 else self.t // 2
+        return self.layout, (*left, *right), cone_origin(self.t)
 
     def step(self, c: float, s: float):
         """Coin [[c, -i s], [-i s, c]] and row phases at time t, then the shift to t + 1."""
@@ -172,20 +174,6 @@ class _Frame:
                 block += turned
         self.t += 1
 
-    def lattice(self):
-        """The planes at t = T on the lattice [-T, T], shape (2, 2, 2T + 1, rows)."""
-        planes = np.zeros((2, 2, 2 * self.steps + 1, self.planes.shape[-1]))
-        planes[:, :, ::2] = self.planes  # at t = T, slot k of L and of R holds lattice site 2k
-        return planes
-
-    def probabilities(self):
-        """site_probabilities at t = T on the lattice [-T, T], rows first: shape (rows, 2T + 1).  The
-        sum is elementwise, so each row gets the bits of its own state's, as from lattice()."""
-        rows = self.planes.shape[-1]
-        p = np.zeros((rows, 2 * self.steps + 1))
-        p[:, ::2] = site_probabilities(*self.planes.reshape(4, self.steps + 1, rows)).T
-        return p
-
 
 def landscape_size(spec: WalkSpec) -> int:
     """Number of random draws one realization of this walk needs."""
@@ -198,9 +186,13 @@ def _check_landscape(spec: WalkSpec, landscape: np.ndarray | None):
     if (landscape is None) != (spec.disorder.kind == "none"):
         raise ValueError(f"a walk with disorder kind {spec.disorder.kind!r} "
                          f"{'needs a' if landscape is None else 'takes no'} landscape")
-    if landscape is not None and len(landscape) != landscape_size(spec):
-        raise ValueError(f"landscape has {len(landscape)} phases, walk needs {landscape_size(spec)}")
-    if landscape is not None and not np.all(np.abs(landscape) <= _PHASE_MAX):
+    if landscape is None:
+        return
+    phases = np.asarray(landscape)
+    if phases.shape != (landscape_size(spec),) or phases.dtype.kind not in "iuf":
+        raise ValueError(f"a landscape must be a 1-D array of {landscape_size(spec)} real phases for this walk, "
+                         f"got shape {phases.shape} of {phases.dtype}")
+    if not np.all(np.abs(phases) <= _PHASE_MAX):
         raise ValueError("landscape phases must be finite, and so must twice each (a phase factor takes e^{2i phi})")
 
 
@@ -226,23 +218,17 @@ def run_walk_batch(spec: WalkSpec, landscapes):
     series maps each recorded key to its rows: a scalar's (rows, T + 1),
     and "distribution" the final state's, (rows, 2T + 1) on a line and
     (rows, 2T + 1, 2T + 1) for a full-2D walk (see site_distribution);
-    planes holds each family's final planes (L, R) x (Re, Im),
-    (2, 2, 2T + 1, rows).  Row i is bit-identical to
+    planes holds each family's final frame planes as they are,
+    (L, R) x (Re, Im) x slot x row, shape (2, 2, T + 1, rows), slot k the
+    site 2k - T (see observables).  Row i is bit-identical to
     run_walk(spec, landscapes[i]) whatever the batch size, and a failing
     norm check's ValueError names its first failing `row`.  A full-2D walk
-    runs as two frames in lockstep, its x and its y line.  Per row and
-    family, memory holds 32 (T + 1) bytes of frame planes while the walk
-    runs and 32 (2T + 1) of returned planes, and a disordered walk 24
-    bytes per landscape phase and phased component; per row, 8 (T + 1)
+    runs as two frames in lockstep, its x and its y line.  Per row, memory
+    holds 32 (T + 1) bytes of planes per family, 24 bytes per landscape
+    phase and phased component of a disordered walk while it runs, 8 (T + 1)
     per scalar key and 8 (2T + 1) for a distribution, 8 (2T + 1)^2 for a
     full-2D one.  Callers cap it.
     """
-    series, frames = _run_frames(spec, landscapes)
-    return series, [frame.lattice() for frame in frames]
-
-
-def _run_frames(spec: WalkSpec, landscapes):
-    """run_walk_batch's time loop: (series, frames at t = T), with no planes on the lattice."""
     for landscape in landscapes:
         _check_landscape(spec, landscape)
     rows, steps = len(landscapes), spec.steps
@@ -261,6 +247,7 @@ def _run_frames(spec: WalkSpec, landscapes):
         for key, value in observed.items():
             series[key][:, t] = value
 
+    planes = [frame.planes for frame in frames]
     if "distribution" in spec.record:
-        series["distribution"] = site_distribution([frame.probabilities() for frame in frames])
-    return series, frames
+        series["distribution"] = site_distribution(planes)
+    return series, planes

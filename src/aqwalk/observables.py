@@ -2,9 +2,11 @@
 
 A state is a dict from the key in specs.LINES of each family of its lines
 ("1p", "xline" or "yline"; a full-2D state has both "xline" and "yline")
-to that family's planes (L, R) x (Re, Im) x site over [-T, T], shape
-(2, 2, 2T + 1): one row of evolve.run_walk_batch's planes.  L is
-planes[0, 0] + 1j * planes[0, 1].
+to that family's planes (L, R) x (Re, Im) x slot, shape (2, 2, T + 1):
+one row of evolve.run_walk_batch's planes, the walk's light cone at time
+T.  Slot k holds the site x = 2k - T, so x = 0 is slot T / 2 at even T and
+no slot at odd T (see cone_origin), and every other site of [-T, T] holds
+zero (see site_distribution).  L is planes[0, 0] + 1j * planes[0, 1].
 
 Negativity conventions: both bipartitions used here are bounded by 1/2.
 A one-line state (one particle, or two confined to the x- or y-line) has
@@ -46,10 +48,16 @@ __all__ = [
 STATE_NORM_TOL = 1e-8
 
 
+def cone_origin(t: int):
+    """The slot of x = 0 in the cone of time t, whose slot k is the site 2k - t: t / 2, None at odd t."""
+    return None if t % 2 else t // 2
+
+
 def lines(state):
     """The lines (family, planes (Re L, Im L, Re R, Im R), origin) of a state, x before y,
-    each plane of shape (sites, 1) and the origin its middle site: the lines observe takes."""
-    return [(name, state[name].reshape(4, -1, 1), state[name].shape[-1] // 2) for name in LINES if name in state]
+    each plane of shape (slots, 1): the lines observe takes."""
+    return [(name, state[name].reshape(4, -1, 1), cone_origin(state[name].shape[-1] - 1))
+            for name in LINES if name in state]
 
 
 def site_probabilities(lr, li, rr, ri):
@@ -63,25 +71,25 @@ def site_probabilities(lr, li, rr, ri):
 
 def distribution(state) -> np.ndarray:
     """Position distribution of a state (planes, see above): site_distribution's array."""
-    return site_distribution([site_probabilities(*planes)[:, 0] for _, planes, _ in lines(state)])
+    return site_distribution([state[name][..., None] for name in LINES if name in state])[0]
 
 
-def site_distribution(p) -> np.ndarray:
-    """The distribution of a state from the site_probabilities of each family of its lines.
+def site_distribution(planes) -> np.ndarray:
+    """The distribution of each row of a batch from each family's planes, (2, 2, T + 1, rows).
 
-    One-particle and confined two-particle states give the 1D array along
-    their line, the origin its middle site ([-T, T] for a T-step walk);
-    full-2D states the grid indexed [x, y], zero off the two lines and with
-    the x line summed first where they cross.  Leading axes (rows) carry
-    through: each family's array has its sites on the last axis.
+    The site_probabilities of the slots land rows first on the even indices
+    of [-T, T], slot k on the site 2k - T, and the odd ones hold zero: a
+    line's 1D array, the origin its middle site, or a full-2D state's grid
+    indexed [x, y], zero off the two lines and with the x line summed first
+    where they cross.
     """
-    if len(p) == 1:
-        return p[0]
-    x, y = p
-    grid = np.zeros(x.shape + y.shape[-1:])
-    grid[..., y.shape[-1] // 2] = x
-    grid[..., x.shape[-1] // 2, :] += y
-    return grid
+    slots, rows = planes[0].shape[2:]
+    lattice = np.zeros((rows,) + (2 * slots - 1,) * len(planes))
+    even = slice(None, None, 2)
+    at = [(..., even)] if len(planes) == 1 else [(..., even, slots - 1), (..., slots - 1, even)]
+    for family, line in zip(planes, at):
+        lattice[line] += site_probabilities(*family.reshape(4, slots, rows)).T
+    return lattice
 
 
 def sigma(p) -> float:

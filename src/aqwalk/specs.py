@@ -58,6 +58,20 @@ _BASIS_2P = {"uu": 0, "ud": 1, "du": 2, "dd": 3}
 _BASIS = {"up": 0, "down": 1, **_BASIS_2P}
 
 
+def as_int(value, where: str) -> int:
+    """value, if it is an integer (a bool is not); ConfigError on where otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(where, f"expected an integer, got {value!r}")
+    return value
+
+
+def as_count(value, where: str) -> int:
+    """value, if it is an integer >= 1; ConfigError on where otherwise."""
+    if as_int(value, where) < 1:
+        raise ConfigError(where, f"must be >= 1, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class CoinSchedule:
     """Exponentially decaying coin angle: step t uses theta0 * exp(-a*t).
@@ -114,6 +128,7 @@ class DisorderSpec:
                 raise ConfigError(name, "must be finite, and so must twice it (a phase factor takes e^{2i phi})")
         if self.phase_min > self.phase_max:
             raise ConfigError("phase_min", "must be <= phase_max")
+        as_int(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -232,8 +247,7 @@ class WalkSpec:
     layout: str = "auto"  # "full2d" keeps confined 2p walks on the 2D grid
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ConfigError("steps", f"must be >= 1, got {self.steps}")
+        as_count(self.steps, "steps")
         if self.layout not in ("auto", "full2d"):
             raise ConfigError("layout", f"must be 'auto' or 'full2d', got {self.layout!r}")
         if self.layout == "full2d" and self.particle_count != 2:
@@ -284,8 +298,8 @@ class EnsembleSpec:
     base_seed: int = 0
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ConfigError("runs", f"must be >= 1, got {self.runs}")
+        as_count(self.runs, "runs")
+        as_int(self.base_seed, "base_seed")
         if self.walk.full2d and "distribution" in self.walk.record:
             raise ConfigError("walk.record",
                               "ensembles average 1D distributions; a full-2D walk cannot record distribution")

@@ -255,13 +255,19 @@ def random_pure_amplitude_matrix(rng, d, n):
 
 
 def amplitudes(state):
-    """{component: complex array} of a walk state (a dict of planes, see aqwalk.observables)."""
-    return {component: planes[k, 0] + 1j * planes[k, 1]
-            for name, planes in state.items() for k, component in enumerate(LINES[name].fields)}
+    """{component: complex array over the lattice [-T, T]} of a walk state (a dict of planes, see
+    aqwalk.observables): slot k of a family's T + 1 slots is the site 2k - T, and every other site is 0."""
+    out = {}
+    for name, planes in state.items():
+        for k, component in enumerate(LINES[name].fields):
+            out[component] = np.zeros(2 * planes.shape[-1] - 1, dtype=complex)
+            out[component][::2] = planes[k, 0] + 1j * planes[k, 1]
+    return out
 
 
 def state_of(layout, pairs):
-    """The state of a walk in layout from the complex (L, R) arrays of each of its families."""
+    """The state of a walk in layout from the complex (L, R) slot arrays of each of its families: T + 1
+    slots each, slot k the site 2k - T."""
     return {name: np.array([[np.real(x), np.imag(x)] for x in pair], dtype=float)
             for name, pair in zip(families(layout), pairs)}
 

@@ -246,14 +246,14 @@ def test_failing_share_gives_exit_1_and_leaves_no_child(tmp_path, capsys, monkey
 def test_dead_child_gives_a_clear_error(tmp_path, capsys, monkeypatch, forks):
     from aqwalk import ensemble
 
-    parent, real_batch = os.getpid(), ensemble._run_frames
+    parent, real_batch = os.getpid(), ensemble.run_walk_batch
 
     def batch(walk, landscapes):
         if os.getpid() != parent:
             os._exit(3)
         return real_batch(walk, landscapes)
 
-    monkeypatch.setattr(ensemble, "_run_frames", batch)
+    monkeypatch.setattr(ensemble, "run_walk_batch", batch)
     cfg = {"name": "dead", "ensemble": {"runs": 12, "walk": dict(BASE_WALK, disorder={"kind": "spatial"})}}
     assert main(["run", _write(tmp_path, cfg), "-o", str(tmp_path / "out"), "--workers", "2"]) == 1
     err = capsys.readouterr().err

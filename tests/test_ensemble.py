@@ -15,6 +15,7 @@ from aqwalk import (
     run_walk,
     sample_landscape,
 )
+from aqwalk.errors import ConfigError
 from aqwalk.observables import check_normalized
 
 from oracles import convergence_report
@@ -140,6 +141,18 @@ def test_convergence_report_rejects_smaller_reference():
 def test_runs_validation():
     with pytest.raises(ValueError, match="runs"):
         EnsembleSpec(_walk(), runs=0, base_seed=1)
+    # counts are integers: a float or a bool is a ConfigError on its field, not a later numpy TypeError
+    for fields, field in [({"runs": 2.5}, "runs"), ({"runs": True}, "runs"),
+                          ({"runs": 2, "base_seed": 1.0}, "base_seed"), ({"runs": 2, "base_seed": False}, "base_seed")]:
+        with pytest.raises(ConfigError, match="expected an integer") as info:
+            EnsembleSpec(_walk(), **fields)
+        assert info.value.field == field
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_worker_count_below_one_is_rejected(workers):
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        run_ensemble(EnsembleSpec(_walk(), runs=2, base_seed=1), workers=workers)
 
 
 def _fail_norm_at(monkeypatch, row, here=lambda: True):
@@ -173,7 +186,7 @@ def test_failing_realization_is_tagged(monkeypatch):
     def explode(walk, landscapes):
         raise ValueError("synthetic engine failure")
 
-    monkeypatch.setattr(ens_module, "_run_frames", explode)
+    monkeypatch.setattr(ens_module, "run_walk_batch", explode)
     with pytest.raises(ValueError, match="synthetic engine failure") as info:
         run_ensemble(EnsembleSpec(_checked_walk(), runs=3, base_seed=1), workers=1)
     assert info.type is ValueError
@@ -299,26 +312,6 @@ def test_summaries_are_byte_identical_at_one_two_and_three_workers(monkeypatch, 
         for key in summaries[0].mean:
             assert summaries[0].mean[key].tobytes() == other.mean[key].tobytes()
             assert summaries[0].stderr[key].tobytes() == other.stderr[key].tobytes()
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_ensemble_builds_no_lattice_planes(monkeypatch, forks, workers):
-    # a chunk keeps only its series: no process of the ensemble lays its frames out on the lattice
-    from aqwalk import evolve
-
-    spec = EnsembleSpec(_walk(particles=2, record=("distribution", "negativity_particle_particle")),
-                        runs=12, base_seed=6)
-    plain = run_ensemble(spec, workers=workers)
-
-    def lattice(frame):
-        raise AssertionError("an ensemble built lattice planes")
-
-    monkeypatch.setattr(evolve._Frame, "lattice", lattice)
-    patched = run_ensemble(spec, workers=workers)
-    assert len(forks) == 2 * (workers - 1)
-    for key in spec.walk.record:
-        assert patched.mean[key].tobytes() == plain.mean[key].tobytes()
-        assert patched.stderr[key].tobytes() == plain.stderr[key].tobytes()
 
 
 def test_chunks_cover_every_index_once():

@@ -196,6 +196,15 @@ def test_spec_error_is_a_value_error_naming_its_field():
     with pytest.raises(ValueError, match="must be >= 1, got 0") as info:
         WalkSpec(CoinSchedule(1.0, 0.0), InitialState.up(), 0)
     assert info.value.field == "steps"
+    # counts are integers: a float or a bool is a ConfigError on its field, not a later numpy TypeError
+    for steps in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="expected an integer") as info:
+            WalkSpec(CoinSchedule(1.0, 0.0), InitialState.up(), steps)
+        assert info.value.field == "steps"
+    for seed in (1.5, True):
+        with pytest.raises(ValueError, match="expected an integer") as info:
+            DisorderSpec("spatial", seed=seed)
+        assert info.value.field == "seed"
 
 
 def test_particle_particle_record_needs_two_particles():
@@ -258,6 +267,11 @@ def test_mismatched_landscape_rejected():
     values[30] = math.nan
     with pytest.raises(ValueError, match="landscape"):
         run_walk(spec, values)
+    # a complex landscape would lose its imaginary part, and a 2-D one would fail inside the step
+    values = sample_landscape(DisorderSpec("spatial", seed=2), 61, 0)
+    for bad in (values + 0.5j, np.stack([values, values], axis=1)):
+        with pytest.raises(ValueError, match="a landscape must be a 1-D array of 61 real phases"):
+            run_walk(spec, bad)
 
 
 def test_landscape_phase_whose_double_overflows_rejected():

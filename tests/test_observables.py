@@ -195,13 +195,15 @@ def test_pp_negativity_walk_series_matches_loops():
 @pytest.mark.parametrize("steps", [6, 7])
 @pytest.mark.parametrize("pad", [1, 4])
 def test_each_line_is_read_at_its_own_origin(steps, pad):
-    # a full-2D state's x line padded with zero sites below x = -T: its origin index is no longer
+    # a full-2D state's x line padded with zero slots below x = -T: its origin index is no longer
     # the y line's, and the density and the negativity must read each line at its own
     spec = WalkSpec(CoinSchedule(1.1, 0.02), InitialState(np.array([0.5, 0.5j, -0.5, 0.5])), steps,
                     record=("distribution",), layout="full2d")
     (x, x_planes, origin), y = lines(run_walk(spec).final_state)
-    padded = [(x, np.concatenate([np.zeros((4, pad, 1)), x_planes], axis=1), origin + pad), y]
-    assert origin == steps and padded[0][2] != y[2]
+    assert origin == y[2] == (None if steps % 2 else steps // 2)  # slot k is the site 2k - T
+    padded_origin = None if origin is None else origin + pad
+    padded = [(x, np.concatenate([np.zeros((4, pad, 1)), x_planes], axis=1), padded_origin), y]
+    assert steps % 2 or padded[0][2] != y[2]
     rho, rho_padded = crossing_coin_density([(x, x_planes, origin), y]), crossing_coin_density(padded)
     assert np.max(np.abs(rho_padded - rho)) <= 1e-15
     assert steps % 2 or np.max(np.abs(rho[0, [0, 3]][:, [1, 2]])) > 1e-3  # the lines meet at x = 0
@@ -267,7 +269,8 @@ def test_observables_mirror_invariant():
     spec = WalkSpec(CoinSchedule(0.9, 0.01), InitialState(np.array([0.6, 0.8j])), 40,
                     record=("distribution",))
     state = run_walk(spec).final_state
-    mirrored = state_of("1p", [(amplitudes(state)["down"][::-1].copy(), amplitudes(state)["up"][::-1].copy())])
+    # x -> -x takes slot k to slot T - k and swaps L and R
+    mirrored = {"1p": state["1p"][::-1, :, ::-1].copy()}
     d0, d1 = distribution(state), distribution(mirrored)
     assert np.allclose(d1, d0[::-1], atol=1e-15)
     assert sigma(d1) == pytest.approx(sigma(d0), abs=1e-12)
