@@ -5,8 +5,9 @@ Verbs:
   aqwalk presets [--dump NAME]
   aqwalk validate CONFIG
 
-Exit codes: 0 ok, 1 runtime or numeric failure, 2 config error.  The
-output directory is -o if given, else the config's output_dir, else
+Exit codes: 0 ok, 1 runtime or numeric failure (or, with nothing on
+stderr, a stdout closed by its reader), 2 config error.  The output
+directory is -o if given, else the config's output_dir, else
 $AQWALK_OUTPUT_DIR, else ./aqwalk-out.
 """
 
@@ -114,11 +115,14 @@ def _cmd_validate(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.verb == "run":
-            return _cmd_run(args)
-        if args.verb == "presets":
-            return _cmd_presets(args)
-        return _cmd_validate(args)
+        status = {"run": _cmd_run, "presets": _cmd_presets, "validate": _cmd_validate}[args.verb](args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader of stdout has gone, which is no error to report; what is left
+        # to flush at exit goes to devnull (Python's note on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import AqwalkError, RealizationError
 from .evolve import landscape_size, run_walk_batch, sample_landscape
 from .evolve import run_walk  # noqa: F401  (no longer called here: perfbench's traced replay patches it)
-from .specs import EnsembleSpec, WalkSpec, families
+from .specs import EnsembleSpec, WalkSpec, as_count, families
 
 __all__ = [
     "EnsembleSummary",
@@ -154,14 +154,14 @@ def run_ensemble(spec: EnsembleSpec, workers: int | None = None) -> EnsembleSumm
     """Run all realizations and aggregate means and standard errors.
 
     workers: how many processes compute, this one included (None: the CPUs
-    this process may run on, its affinity set where the OS keeps one; a
-    count below 1 is a ValueError).  The aggregation is order-fixed, so the
-    result depends neither on the worker count nor on the chunking.
+    this process may run on, its affinity set where the OS keeps one;
+    anything but an integer >= 1 is a ConfigError).  The aggregation is
+    order-fixed, so the result depends neither on the worker count nor on
+    the chunking.
     """
     if workers is None:
         workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    as_count(workers, "workers")
     walk = _effective_walk(spec)
     # without disorder every realization is the same computation, so a
     # clean ensemble of any size collapses to one run exactly

@@ -42,11 +42,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .observables import cone_origin, observe, site_distribution
 # unused here: perfbench's replay patches them
 from .observables import (  # noqa: F401
     distribution, ipr, negativity_coin_position, negativity_particle_particle, sigma)
-from .specs import LINES, DisorderSpec, WalkSpec, families, theta_at
+from .specs import LINES, DisorderSpec, WalkSpec, as_count, as_int, families, theta_at
 
 __all__ = [
     "RunResult",
@@ -65,12 +66,12 @@ def sample_landscape(disorder: DisorderSpec, size: int, realization_index: int =
 
     A landscape is its phases: one per lattice site (spatial disorder) or
     per step (temporal), size of them, and None for the clean walk.  Each
-    realization index keys an independent, reproducible stream.
+    realization index keys an independent, reproducible stream.  size is an
+    integer >= 1 and the index one >= 0 (a ConfigError on the argument otherwise).
     """
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    if realization_index < 0:
-        raise ValueError("realization_index must be >= 0")
+    as_count(size, "size")
+    if as_int(realization_index, "realization_index") < 0:
+        raise ConfigError("realization_index", f"must be >= 0, got {realization_index}")
     if disorder.kind == "none":
         return None
     rng = np.random.default_rng([disorder.seed & _SEED_MASK, realization_index])

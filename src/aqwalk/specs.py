@@ -315,7 +315,7 @@ def dispersion_line(variant) -> Line:
 
 def check_chain(disorder: DisorderSpec, chain_length: int):
     """A Lyapunov transfer chain's rules: at least 1000 sites, and spatial disorder or none."""
-    if chain_length < 1000:
+    if as_int(chain_length, "chain_length") < 1000:
         raise ConfigError("chain_length", f"must be >= 1000, got {chain_length}")
     if disorder.kind == "temporal":
         raise ConfigError("disorder", "transfer chains take spatial disorder only (kind 'none' or 'spatial')")

@@ -604,6 +604,15 @@ def test_presets_cover_every_figure():
     assert names == sorted(f"fig{i}" for i in range(1, 24))
 
 
+def test_preset_table_is_pinned():
+    # the whole table, [name, description, configs] per preset, compared as text so that
+    # every value and the order of every dict's keys count; the golden file was written
+    # from the table as each figure's configs were first written out in full
+    table = [[p.name, p.description, list(p.configs)] for p in PRESETS.values()]
+    golden = Path(__file__).parent / "golden" / "presets.json"
+    assert json.dumps(table, indent=1) + "\n" == golden.read_text()
+
+
 @pytest.mark.parametrize("name", ["nope", ""])
 @pytest.mark.parametrize("verb", [["run", "--preset"], ["presets", "--dump"]], ids=["run", "dump"])
 def test_unknown_preset_gives_exit_2(tmp_path, capsys, monkeypatch, verb, name):
@@ -957,6 +966,21 @@ RUN_ONLY = ("aqwalk.runner", "aqwalk.io", "aqwalk.spectral", "aqwalk.ensemble", 
 def _python(args, cwd=None) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aqwalk.__file__)))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd)
+
+
+@pytest.mark.parametrize("verb", [["presets"], ["presets", "--dump", "fig22"]], ids=["list", "dump"])
+def test_closed_stdout_exits_quietly(verb):
+    # stdout is a pipe whose read end is closed before the process starts, so every write
+    # fails, whatever the timing: a non-zero exit, and nothing on stderr
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aqwalk.__file__)))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "aqwalk", *verb], stdout=write, stderr=subprocess.PIPE,
+                              text=True, env=env)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_package_names_and_submodules_resolve_on_first_use():

@@ -151,7 +151,7 @@ def test_runs_validation():
 
 @pytest.mark.parametrize("workers", [0, -1])
 def test_worker_count_below_one_is_rejected(workers):
-    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+    with pytest.raises(ValueError, match=f"workers: must be >= 1, got {workers}"):
         run_ensemble(EnsembleSpec(_walk(), runs=2, base_seed=1), workers=workers)
 
 

@@ -7,14 +7,18 @@ import pytest
 from aqwalk import (
     CoinSchedule,
     DisorderSpec,
+    EnsembleSpec,
     InitialState,
     WalkSpec,
     distribution,
+    lyapunov_localization_length,
+    run_ensemble,
     run_walk,
     run_walk_batch,
     sample_landscape,
     theta_at,
 )
+from aqwalk.errors import ConfigError
 from aqwalk.evolve import landscape_size
 from aqwalk.specs import RECORD_KEYS
 
@@ -205,6 +209,29 @@ def test_spec_error_is_a_value_error_naming_its_field():
         with pytest.raises(ValueError, match="expected an integer") as info:
             DisorderSpec("spatial", seed=seed)
         assert info.value.field == "seed"
+
+
+_SPATIAL = DisorderSpec("spatial")
+_ENSEMBLE = EnsembleSpec(WalkSpec(CoinSchedule(1.0, 0.0), InitialState.up(), 3, disorder=_SPATIAL), runs=2, base_seed=1)
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: sample_landscape(_SPATIAL, 5, True), "realization_index"),
+    (lambda: sample_landscape(_SPATIAL, 5, 1.5), "realization_index"),
+    (lambda: sample_landscape(_SPATIAL, 5, np.int64(1)), "realization_index"),
+    (lambda: sample_landscape(_SPATIAL, 5.0, 0), "size"),
+    (lambda: sample_landscape(DisorderSpec("none"), True, 0), "size"),
+    (lambda: run_ensemble(_ENSEMBLE, workers=2.0), "workers"),
+    (lambda: run_ensemble(_ENSEMBLE, workers=True), "workers"),
+    (lambda: lyapunov_localization_length(_SPATIAL, 0.6, 0.3, 2000.0), "chain_length"),
+    (lambda: lyapunov_localization_length(_SPATIAL, 0.6, 0.3, 2000, True), "realization_index"),
+], ids=["index-bool", "index-float", "index-numpy", "size-float", "size-bool-clean", "workers-float",
+        "workers-bool", "chain-float", "chain-index-bool"])
+def test_integer_arguments_follow_the_spec_rule(call, field):
+    # like a spec's fields: a bool, a float or a numpy integer is a ConfigError naming the argument
+    with pytest.raises(ConfigError, match="expected an integer") as info:
+        call()
+    assert info.value.field == field
 
 
 def test_particle_particle_record_needs_two_particles():
