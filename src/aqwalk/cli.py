@@ -8,7 +8,8 @@ Verbs:
 Exit codes: 0 ok, 1 runtime or numeric failure (or, with nothing on
 stderr, a stdout closed by its reader), 2 config error.  The output
 directory is -o if given, else the config's output_dir, else
-$AQWALK_OUTPUT_DIR, else ./aqwalk-out.
+$AQWALK_OUTPUT_DIR, else ./aqwalk-out; an empty value of the source that
+wins is a config error, not a fall-through.
 """
 
 from __future__ import annotations
@@ -52,7 +53,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _output_dir(args, exp) -> str:
-    return args.output_dir or exp.output_dir or os.environ.get(ENV_OUTPUT_DIR, "aqwalk-out")
+    """The first of -o, the config's output_dir, $AQWALK_OUTPUT_DIR and ./aqwalk-out that is set;
+    the one that wins may not be empty (the config checks its own)."""
+    source, directory = "--output-dir", args.output_dir
+    if directory is None:
+        source, directory = ENV_OUTPUT_DIR, exp.output_dir or os.environ.get(ENV_OUTPUT_DIR, "aqwalk-out")
+    if not directory:
+        raise ConfigError(source, "must not be empty")
+    return directory
 
 
 def _preset(name: str) -> tuple:

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import AqwalkError, RealizationError
 from .evolve import landscape_size, run_walk_batch, sample_landscape
 from .evolve import run_walk  # noqa: F401  (no longer called here: perfbench's traced replay patches it)
-from .specs import EnsembleSpec, WalkSpec, as_count, families
+from .specs import EnsembleSpec, WalkSpec, as_count
 
 __all__ = [
     "EnsembleSummary",
@@ -60,7 +60,7 @@ def _effective_walk(spec: EnsembleSpec) -> WalkSpec:
 
 def _chunk_rows(walk: WalkSpec) -> int:
     """Largest chunk for this walk: the rows that fit _CHUNK_BYTES, at 32 (T + 1) bytes per family of lines."""
-    return max(1, _CHUNK_BYTES // (32 * (walk.steps + 1) * len(families(walk.confinement))))
+    return max(1, _CHUNK_BYTES // (32 * (walk.steps + 1) * len(walk.families)))
 
 
 def _chunks(runs: int, workers: int, rows: int) -> list[range]:

@@ -25,7 +25,8 @@ Conventions (fixed throughout the package):
   two-component update: a component L that moves to lower positions, a
   component R that moves to higher ones, and row phases e^{i k phi} with
   k the number of down spins of each.  A full-2D field is two such lines
-  through the origin, (uu, dd) along x and (du, ud) along y.  One batched kernel
+  through the origin, (uu, dd) along x and (du, ud) along y.  A walk runs
+  one frame per line its spec names (WalkSpec.families): one batched kernel
   steps every layout, in frames that move with L and R (see _Frame).
 
 * A walk starts at 0, so its lattice [-steps, steps] is exactly its light
@@ -47,7 +48,7 @@ from .observables import cone_origin, observe, site_distribution
 # unused here: perfbench's replay patches them
 from .observables import (  # noqa: F401
     distribution, ipr, negativity_coin_position, negativity_particle_particle, sigma)
-from .specs import LINES, DisorderSpec, WalkSpec, as_count, as_int, families, theta_at
+from .specs import LINES, DisorderSpec, WalkSpec, as_count, as_int, theta_at
 
 __all__ = [
     "RunResult",
@@ -210,7 +211,7 @@ def run_walk(spec: WalkSpec, landscape: np.ndarray | None = _REALIZATION_0) -> R
         landscape = sample_landscape(spec.disorder, landscape_size(spec), 0)
     series, final = run_walk_batch(spec, [landscape])
     return RunResult({key: values[0] for key, values in series.items()},
-                     {name: planes[..., 0] for name, planes in zip(families(spec.confinement), final)})
+                     {name: planes[..., 0] for name, planes in zip(spec.families, final)})
 
 
 def run_walk_batch(spec: WalkSpec, landscapes):
@@ -234,7 +235,7 @@ def run_walk_batch(spec: WalkSpec, landscapes):
         _check_landscape(spec, landscape)
     rows, steps = len(landscapes), spec.steps
     frames = [_Frame(name, steps, spec.init.coin, landscapes, spec.disorder.kind)
-              for name in families(spec.confinement)]
+              for name in spec.families]
     scalar_keys = [k for k in spec.record if k != "distribution"]
     series = {k: np.zeros((rows, steps + 1)) for k in scalar_keys}
 

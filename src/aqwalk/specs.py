@@ -18,7 +18,8 @@ lines: the coin mixes uu with dd and ud with du, and the shift moves uu
 and dd along x and ud and du along y.  A start with coin support in
 {uu, dd} stays on one x line, support in {ud, du} on one y line, and a
 mixed start (a full-2D walk) on the x and the y line through the origin,
-which is all of the 2D grid it ever reaches.
+which is all of the 2D grid it ever reaches.  WalkSpec.families names a
+walk's lines as keys of LINES, and every engine reads them from it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "LINES",
     "RECORD_KEYS",
     "WalkSpec",
-    "confinement",
     "theta_at",
 ]
 
@@ -208,33 +208,6 @@ class InitialState:
         return cls([float(i == _BASIS_2P[label]) for i in range(4)])
 
 
-def confinement(coin, force_full2d: bool = False) -> str:
-    """Layout a walk from this coin vector keeps for all time.
-
-    A one-particle coin gives "1p".  Two-particle coin support in {uu, dd}
-    gives "xline", support in {ud, du} "yline", anything mixed (or
-    force_full2d) "full2d".
-    """
-    if len(coin) == 2:
-        return "1p"
-    if not force_full2d:
-        support = {i for i in range(4) if coin[i] != 0}
-        for name in ("xline", "yline"):
-            if support <= set(LINES[name].slots):
-                return name
-    return "full2d"
-
-
-def families(layout: str) -> tuple[str, ...]:
-    """Keys of LINES for the families of lines a layout is made of.
-
-    A one-line layout is one line.  A full-2D field is an x line (uu, dd)
-    and a y line (du, ud): the coin mixes only uu with dd and ud with du,
-    and the shift moves each pair along its own axis.
-    """
-    return (layout,) if layout in LINES else ("xline", "yline")
-
-
 @dataclass(frozen=True)
 class WalkSpec:
     """Complete description of a single walk run; it starts at 0 with the coin vector init.coin."""
@@ -260,7 +233,7 @@ class WalkSpec:
                 raise ConfigError("record", f"{key!r} is listed twice")
         if "negativity_particle_particle" in self.record and self.particle_count != 2:
             raise ConfigError("record", "negativity_particle_particle requires particle_count = 2")
-        if self.full2d:
+        if len(self.families) == 2:
             for key in self.record:
                 if key in ("sigma", "ipr", "negativity_coin_position"):
                     raise ConfigError("record", f"{key} needs a one-line walk; a full-2D walk records "
@@ -274,14 +247,19 @@ class WalkSpec:
         return len(self.init.coin) // 2
 
     @property
-    def confinement(self) -> str:
-        """The layout the walk keeps for all time: "1p", "xline", "yline" or "full2d"."""
-        return confinement(self.init.coin, self.layout == "full2d")
-
-    @property
-    def full2d(self) -> bool:
-        """True for a two-particle walk on the x and y lines: a mixed start or layout 'full2d'."""
-        return self.confinement == "full2d"
+    def families(self) -> tuple[str, ...]:
+        """Keys of LINES the walk runs on for all time: ("1p",) for one particle, ("xline",) or
+        ("yline",) for a two-particle coin supported on that line's slots, and the x and the y
+        line through the origin, ("xline", "yline"), for any other start or layout "full2d"."""
+        coin = self.init.coin
+        if len(coin) == 2:
+            return ("1p",)
+        if self.layout != "full2d":
+            support = {i for i in range(4) if coin[i] != 0}
+            for name in ("xline", "yline"):
+                if support <= set(LINES[name].slots):
+                    return (name,)
+        return ("xline", "yline")
 
 
 @dataclass(frozen=True)
@@ -300,7 +278,7 @@ class EnsembleSpec:
     def __post_init__(self):
         as_count(self.runs, "runs")
         as_int(self.base_seed, "base_seed")
-        if self.walk.full2d and "distribution" in self.walk.record:
+        if len(self.walk.families) == 2 and "distribution" in self.walk.record:
             raise ConfigError("walk.record",
                               "ensembles average 1D distributions; a full-2D walk cannot record distribution")
 

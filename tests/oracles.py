@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from aqwalk.ensemble import EnsembleSummary
-from aqwalk.specs import LINES, families
+from aqwalk.specs import LINES
 
 
 def dense_step_matrix(nsites, theta, phis=None, powers=(0, 1)):
@@ -95,6 +95,52 @@ def evolve_dense_2d(coin, steps, thetas, phis=None):
         step = dense_step_matrix_2d(n, thetas[t], None if phis is None else phis[t])
         states.append((step @ states[-1].ravel()).reshape(4, n, n))
     return states
+
+
+# phase powers (L, R) of the lines kappa_walk steps: k down spins pick up e^{i k phi}
+KAPPA_POWERS = {"1p": (0, 1), "xline": (0, 2)}
+
+
+def kappa_walk(line, left, right, steps, theta0, a=0.0, phases=None):
+    """run_walk's series of a one-line walk from the coin (L, R) = (left, right) at the origin,
+    stepped exactly in kappa space.
+
+    line is "1p" (L, R = up, down) or "xline" (uu, dd); phases are the walk's temporal phases, one
+    per step, None for the clean walk.  Step t = 1..T applies the coin [[c, -i s], [-i s, c]] at
+    theta0 e^{-a t}, multiplies L and R by e^{i k phi_{t-1}} (k from KAPPA_POWERS), and shifts L to
+    x - 1 (times e^{i kappa}) and R to x + 1 (times e^{-i kappa}) on the N = 2T + 1 modes
+    kappa_j = 2 pi j / N of a ring that the light cone never wraps.  p = sum |L|^2 and
+    c = sum L conj(R) follow by Parseval, and the negativities from them: particle/particle |c|,
+    coin/position sqrt(p |R - (conj(c)/p) L|^2).  The distribution, sigma and ipr come from the
+    inverse FFT.
+    Each scalar has T + 1 values, t = 0 first; the distribution is that of time T on [-T, T].
+    """
+    n = 2 * steps + 1
+    hop = np.exp(2j * np.pi * np.arange(n) / n)
+    lhat, rhat = np.full(n, complex(left)), np.full(n, complex(right))
+    x = np.arange(-steps, steps + 1.0)
+    series = {key: np.zeros(steps + 1) for key in
+              ("sigma", "ipr", "negativity_coin_position", "negativity_particle_particle")}
+    for t in range(steps + 1):
+        if t:
+            theta = theta0 * math.exp(-a * t)
+            c, s = math.cos(theta), math.sin(theta)
+            lhat, rhat = c * lhat - 1j * s * rhat, -1j * s * lhat + c * rhat
+            if phases is not None:
+                k_left, k_right = KAPPA_POWERS[line]
+                lhat, rhat = lhat * np.exp(1j * k_left * phases[t - 1]), rhat * np.exp(1j * k_right * phases[t - 1])
+            lhat, rhat = lhat * hop, rhat * hop.conj()
+        p = np.vdot(lhat, lhat).real / n
+        cross = np.vdot(rhat, lhat) / n
+        rest = rhat - (cross.conjugate() / p) * lhat if p else rhat
+        series["negativity_particle_particle"][t] = abs(cross)
+        series["negativity_coin_position"][t] = math.sqrt(p * np.vdot(rest, rest).real / n)
+        prob = np.roll(np.abs(np.fft.ifft(lhat)) ** 2 + np.abs(np.fft.ifft(rhat)) ** 2, steps)
+        mean = x @ prob
+        series["sigma"][t] = math.sqrt(max(x * x @ prob - mean * mean, 0.0))
+        series["ipr"][t] = prob @ prob
+    series["distribution"] = prob
+    return series
 
 
 def negativity_pt_loops(amp):
@@ -265,11 +311,11 @@ def amplitudes(state):
     return out
 
 
-def state_of(layout, pairs):
-    """The state of a walk in layout from the complex (L, R) slot arrays of each of its families: T + 1
-    slots each, slot k the site 2k - T."""
+def state_of(families, pairs):
+    """The state of a walk on families (keys of LINES) from the complex (L, R) slot arrays of each:
+    T + 1 slots each, slot k the site 2k - T."""
     return {name: np.array([[np.real(x), np.imag(x)] for x in pair], dtype=float)
-            for name, pair in zip(families(layout), pairs)}
+            for name, pair in zip(families, pairs, strict=True)}
 
 
 def amplitude_matrix(state):

@@ -262,7 +262,7 @@ def test_criterion_07_oracle_equivalence():
         half = int(rng.integers(0, 17))
         left, right = random_pure_amplitude_matrix(rng, 2, 2 * half + 1)
         layout = rng.choice(["1p", "xline", "yline"])
-        state = state_of(str(layout), [(left, right)])
+        state = state_of((str(layout),), [(left, right)])
         oracle = negativity_pt_loops(amplitude_matrix(state))
         worst_neg = max(worst_neg, abs(negativity_coin_position(state) - oracle))
 

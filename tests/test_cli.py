@@ -752,6 +752,26 @@ def test_output_dir_flag_wins_over_config_and_env(tmp_path, monkeypatch):
     assert not (tmp_path / "envout").exists()
 
 
+@pytest.mark.parametrize("flag, env, source", [
+    ([], "", "AQWALK_OUTPUT_DIR"),  # would write ./<name>/ straight into the working directory
+    (["-o", ""], None, "--output-dir"),  # would fall through to ./aqwalk-out
+])
+def test_empty_output_dir_gives_exit_2_and_writes_nothing(tmp_path, capsys, monkeypatch, flag, env, source):
+    monkeypatch.chdir(tmp_path)
+    if env is None:
+        monkeypatch.delenv("AQWALK_OUTPUT_DIR", raising=False)
+    else:
+        monkeypatch.setenv("AQWALK_OUTPUT_DIR", env)
+    path = _write(tmp_path, {"name": "demo", "schedule": {"theta0": "pi/2", "accelerations": [0.01], "steps": 5}})
+    assert main(["run", path, *flag]) == 2
+    assert capsys.readouterr().err == f"config error: {source}: must not be empty\n"
+    assert os.listdir(tmp_path) == ["exp.yaml"]
+    # a source of higher precedence still wins
+    monkeypatch.setenv("AQWALK_OUTPUT_DIR", "")
+    assert main(["run", path, "-o", "out"]) == 0
+    assert os.listdir(tmp_path / "out") == ["demo"]
+
+
 def test_ensemble_walk_seed_gives_exit_2(tmp_path, capsys):
     # realization i always draws (base_seed, i): a seed in the walk would be ignored
     walk = dict(BASE_WALK, disorder={"kind": "temporal", "seed": 99})

@@ -22,7 +22,7 @@ from aqwalk.errors import ConfigError
 from aqwalk.evolve import landscape_size
 from aqwalk.specs import RECORD_KEYS
 
-from oracles import amplitudes, evolve_dense
+from oracles import amplitudes, evolve_dense, kappa_walk
 from test_line_kernel import assert_rows_are_single_runs
 
 R = 1.0 / math.sqrt(2.0)
@@ -137,6 +137,27 @@ def test_confined_and_full2d_paths_agree():
     assert np.max(np.abs(amplitudes(full)["du"])) == 0.0
     assert np.max(np.abs(amplitudes(full)["uu"] - amplitudes(line)["uu"])) < 1e-15
     assert np.max(np.abs(amplitudes(full)["dd"] - amplitudes(line)["dd"])) < 1e-15
+
+
+@pytest.mark.parametrize("line, coin, steps, theta0, a, kind", [
+    ("1p", (0.6, 0.8j), 500, math.pi / 4, 0.01, "none"),
+    ("1p", (1, 0), 200, math.pi / 2, 0.05, "temporal"),  # a realization of fig12-temporal's ensemble
+    ("xline", (0.6, 0, 0, 0.8j), 200, math.pi / 4, 0.005, "temporal"),
+    ("xline", (0.6, 0, 0, 0.8j), 500, math.pi / 2, 0.002, "none"),
+    ("xline", (1, 0, 0, 0), 500, math.pi / 2, 0.01, "temporal"),  # of fig19's and fig21's
+], ids=["1p-clean", "1p-fig12", "xline-temporal", "xline-clean", "xline-fig21"])
+def test_walk_matches_the_exact_kappa_space_reference(line, coin, steps, theta0, a, kind):
+    # complex, asymmetric starts see the sign of the coin's -i s; real ones cannot
+    record = [k for k in RECORD_KEYS if line == "xline" or k != "negativity_particle_particle"]
+    spec = WalkSpec(CoinSchedule(theta0, a), InitialState(coin), steps, disorder=DisorderSpec(kind, seed=2024),
+                    record=record)
+    assert spec.families == (line,)
+    landscape = None if kind == "none" else sample_landscape(spec.disorder, landscape_size(spec), 17)
+    got = run_walk(spec, landscape).series
+    want = kappa_walk(line, coin[0], coin[-1], steps, theta0, a, landscape)
+    for key in record:
+        tol = 1e-10 if key.startswith("negativity") else 1e-12
+        assert np.max(np.abs(got[key] - want[key])) < tol, key
 
 
 def test_light_cone_exact_zeros():

@@ -32,7 +32,7 @@ from aqwalk import (
 )
 from aqwalk.errors import ConfigError
 from aqwalk.evolve import landscape_size, run_walk_batch
-from aqwalk.specs import RECORD_KEYS, families
+from aqwalk.specs import RECORD_KEYS
 
 from oracles import (amplitudes, coin_density_loops, evolve_dense, evolve_dense_2d, negativity_pt_loops,
                      pp_negativity_loops)
@@ -88,17 +88,17 @@ def assert_rows_are_single_runs(spec, landscapes):
     for i, landscape in enumerate(landscapes):
         single = run_walk(spec, landscape)
         alone_series, alone_planes = run_walk_batch(spec, [landscape])
-        row = {name: f[..., i] for name, f in zip(families(spec.confinement), planes)}  # a state as it is
+        row = {name: f[..., i] for name, f in zip(spec.families, planes)}  # a state as it is
         for key in spec.record:
             got = series[key][i]
             assert got.shape == single.series[key].shape == alone_series[key][0].shape
             assert got.tobytes() == single.series[key].tobytes() == alone_series[key][0].tobytes()
             if key == "distribution":
-                assert got.shape == ((sites, sites) if spec.full2d else (sites,))
+                assert got.shape == ((sites, sites) if len(spec.families) == 2 else (sites,))
                 assert distribution(row).tobytes() == got.tobytes()
             elif key in PER_STATE:
                 assert PER_STATE[key](row) == got[-1]
-        for name, family, alone in zip(families(spec.confinement), planes, alone_planes, strict=True):
+        for name, family, alone in zip(spec.families, planes, alone_planes, strict=True):
             assert family[..., i].tobytes() == alone[..., 0].tobytes()
             assert single.final_state[name].tobytes() == family[..., i].tobytes()
 
@@ -110,19 +110,19 @@ def test_batch_rows_are_bit_identical_to_single_runs(walk, rows):
     assert_rows_are_single_runs(spec, _landscapes(spec, rows))
 
 
-# a start of each layout, and every key that layout records
+# a start of each layout, every key that layout records, and the lines it runs on
 LAYOUT_STARTS = {
-    "1p": ([0.6, 0.8j], ("sigma", "ipr", "negativity_coin_position", "distribution")),
-    "xline": ([0.6, 0, 0, 0.8j], RECORD_KEYS),
-    "yline": ([0, 0.8j, 0.6, 0], RECORD_KEYS),
-    "full2d": ([0.5, 0.5, 0.5, 0.5], ("negativity_particle_particle", "distribution")),
+    "1p": ([0.6, 0.8j], ("sigma", "ipr", "negativity_coin_position", "distribution"), ("1p",)),
+    "xline": ([0.6, 0, 0, 0.8j], RECORD_KEYS, ("xline",)),
+    "yline": ([0, 0.8j, 0.6, 0], RECORD_KEYS, ("yline",)),
+    "full2d": ([0.5, 0.5, 0.5, 0.5], ("negativity_particle_particle", "distribution"), ("xline", "yline")),
 }
 
 
 @pytest.mark.parametrize("kind", ["none", "spatial", "temporal"])
 @pytest.mark.parametrize("layout", sorted(LAYOUT_STARTS))
 def test_rows_are_single_runs_in_every_layout(layout, kind):
-    coin, record = LAYOUT_STARTS[layout]
+    coin, record, families = LAYOUT_STARTS[layout]
     make = functools.partial(WalkSpec, CoinSchedule(1.0, 0.01), InitialState(np.array(coin)), 9,
                              disorder=DisorderSpec(kind, seed=3), record=record)
     if layout == "full2d" and kind == "spatial":  # the spec keeps spatial disorder to one line
@@ -130,21 +130,20 @@ def test_rows_are_single_runs_in_every_layout(layout, kind):
             make()
         return
     spec = make()
-    assert spec.confinement == layout
+    assert spec.families == families
     assert_rows_are_single_runs(spec, _landscapes(spec, 3))
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUT_STARTS))
 def test_empty_batch_is_empty_arrays(layout):
-    coin, record = LAYOUT_STARTS[layout]
+    coin, record, families = LAYOUT_STARTS[layout]
     spec = WalkSpec(CoinSchedule(1.0, 0.01), InitialState(np.array(coin)), 7,
                     disorder=DisorderSpec("temporal"), record=record)
     series, planes = run_walk_batch(spec, [])
-    count = len(families(spec.confinement))
     expected = {key: (0, 8) for key in record if key != "distribution"}
     expected["distribution"] = (0, 15, 15) if layout == "full2d" else (0, 15)
     assert {key: line.shape for key, line in series.items()} == expected
-    assert [family.shape for family in planes] == [(2, 2, 8, 0)] * count
+    assert [family.shape for family in planes] == [(2, 2, 8, 0)] * len(families)
 
 
 @PROPERTY_SETTINGS
@@ -251,7 +250,7 @@ def grid_walks(draw):
                                           seed=draw(st.integers(0, 2**32 - 1))),
                     record=("distribution", "negativity_particle_particle"),
                     layout=draw(st.sampled_from(["auto", "full2d"])))
-    assume(spec.full2d)
+    assume(len(spec.families) == 2)
     return spec, amps
 
 

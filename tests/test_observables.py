@@ -18,7 +18,6 @@ from aqwalk import (
 )
 from aqwalk.evolve import run_walk_batch
 from aqwalk.observables import check_normalized, crossing_coin_density, lines, line_sums, observe, partial_transpose_second
-from aqwalk.specs import families
 
 from oracles import amplitude_matrix, amplitudes, front_position, negativity_pt_loops, pp_negativity_loops, state_of
 
@@ -97,7 +96,7 @@ def test_row_sums_of_a_batch_are_those_of_each_row_alone():
 
 
 def test_negativity_product_state_is_zero():
-    state = state_of("1p", [(_at_origin(R, 3), _at_origin(R, 3))])
+    state = state_of(("1p",), [(_at_origin(R, 3), _at_origin(R, 3))])
     assert negativity_coin_position(state) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -106,7 +105,7 @@ def test_negativity_bell_like_state_is_half():
     down = np.zeros(3, dtype=complex)
     up[0] = R  # |up> at x = -1
     down[2] = R  # |down> at x = +1
-    state = state_of("1p", [(up, down)])
+    state = state_of(("1p",), [(up, down)])
     result = negativity_coin_position(state)
     assert result == pytest.approx(0.5, abs=1e-12)
 
@@ -121,11 +120,11 @@ def test_negativity_walk_state_matches_dense_oracle():
 
 
 def test_negativity_rejects_unnormalized():
-    state = state_of("1p", [(_at_origin(1.0, 2), _at_origin(0.0, 2))])
+    state = state_of(("1p",), [(_at_origin(1.0, 2), _at_origin(0.0, 2))])
     state["1p"][0] *= 1.1
     with pytest.raises(ValueError, match="normalized"):
         negativity_coin_position(state)
-    bad2 = state_of("xline", [(_at_origin(1.0, 2), _at_origin(0.0, 2))])
+    bad2 = state_of(("xline",), [(_at_origin(1.0, 2), _at_origin(0.0, 2))])
     bad2["xline"][0] *= 1.1
     with pytest.raises(ValueError, match="normalized"):
         negativity_particle_particle(bad2)
@@ -140,13 +139,14 @@ def test_negativity_bound_along_walk():
 
 
 def test_negativity_full2d_unsupported():
-    state = state_of("full2d", [(_at_origin(1.0, 3), _at_origin(0.0, 3)), (_at_origin(0.0, 3), _at_origin(0.0, 3))])
+    state = state_of(("xline", "yline"),
+                     [(_at_origin(1.0, 3), _at_origin(0.0, 3)), (_at_origin(0.0, 3), _at_origin(0.0, 3))])
     with pytest.raises(ValueError, match="full-2D"):
         negativity_coin_position(state)
 
 
 def test_pp_negativity_initial_product_state():
-    state = state_of("xline", [(_at_origin(1.0, 3), _at_origin(0.0, 3))])
+    state = state_of(("xline",), [(_at_origin(1.0, 3), _at_origin(0.0, 3))])
     assert negativity_particle_particle(state) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -303,7 +303,7 @@ def _random_line_state(rng, layout):
         comp[:lo] = 0.0
         comp[hi + 1:] = 0.0
     scale = math.sqrt(np.sum(np.abs(left) ** 2) + np.sum(np.abs(right) ** 2))
-    return state_of(layout, [(left / scale, right / scale)])
+    return state_of((layout,), [(left / scale, right / scale)])
 
 
 def test_closed_form_negativities_match_loop_oracles():
@@ -321,15 +321,20 @@ def test_closed_form_negativities_match_loop_oracles():
             assert abs(negativity_particle_particle(state) - oracle) < 1e-12
 
 
-@pytest.mark.parametrize("particles, coin, steps, confinement", [
+# the lines of each start, written out: the final state's keys come from spec.families itself
+FAMILIES = {"1p": ("1p",), "xline": ("xline",), "yline": ("yline",), "full2d": ("xline", "yline")}
+
+
+@pytest.mark.parametrize("particles, coin, steps, layout", [
     (1, [R, R], 200, "1p"),
     (2, [R, 0, 0, 1j * R], 60, "xline"),
     (2, [0, R, R, 0], 60, "yline"),
     (2, [0.5, 0.5, 0.5, 0.5], 40, "full2d"),
 ])
-def test_coin_gives_the_layout_and_particle_count(particles, coin, steps, confinement):
+def test_coin_gives_the_layout_and_particle_count(particles, coin, steps, layout):
     spec = WalkSpec(CoinSchedule(math.pi / 4, 0.0), InitialState(np.array(coin)), steps,
                     record=("distribution",))
     assert spec.particle_count == particles
+    assert spec.families == FAMILIES[layout]
     state = run_walk(spec).final_state
-    assert tuple(state) == families(confinement)
+    assert tuple(state) == FAMILIES[layout]

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from aqwalk import CoinSchedule, DisorderSpec, EnsembleSpec, InitialState, WalkSpec, distribution, run_walk
 from aqwalk.errors import ConfigError
-from aqwalk.specs import confinement
 
 from oracles import amplitudes, numpy_coin_rule, state_of
 
@@ -29,16 +28,22 @@ def test_rejects_non_normalized_coin():
 
 
 def test_two_particle_confinement_detection():
-    for label, layout in (("uu", "xline"), ("dd", "xline"), ("ud", "yline"), ("du", "yline")):
-        init = InitialState.basis_two_particle(label)
-        assert confinement(init.coin) == layout
-        assert _spec(init, 4).confinement == layout
+    # each start's lines, written out: the final state's keys come from spec.families itself
     r = 1.0 / math.sqrt(2.0)
-    mixed = InitialState(np.array([r, r, 0.0, 0.0]))
-    assert confinement(mixed.coin) == "full2d"
-    assert _spec(mixed, 4).confinement == "full2d"
-    assert confinement(InitialState.up().coin) == confinement(InitialState.up().coin, True) == "1p"
-    assert _spec(InitialState.up(), 4).confinement == "1p"
+    for coin, layout, families in [
+        ((1, 0), "auto", ("1p",)),  # up
+        ((r, r), "auto", ("1p",)),  # symmetric
+        ((1, 0, 0, 0), "auto", ("xline",)),  # uu
+        ((0, 0, 0, 1), "auto", ("xline",)),  # dd
+        ((0, 1, 0, 0), "auto", ("yline",)),  # ud
+        ((0, 0, 1, 0), "auto", ("yline",)),  # du
+        ((r, 0, 0, r), "auto", ("xline",)),  # uu + dd
+        ((r, r, 0, 0), "auto", ("xline", "yline")),  # uu + ud
+        ((1, 0, 0, 0), "full2d", ("xline", "yline")),  # uu kept on the grid
+    ]:
+        spec = _spec(InitialState(coin), 4, layout=layout)
+        assert spec.families == families
+        assert tuple(run_walk(spec).final_state) == families
 
 
 def test_uu_dd_superposition_stays_on_x_line():
@@ -51,7 +56,7 @@ def test_uu_dd_superposition_stays_on_x_line():
 def test_force_full2d_layout():
     # a full-2D field is its x line and its y line, each over [-T, T]
     spec = _spec(InitialState.basis_two_particle("uu"), 4, layout="full2d")
-    assert spec.confinement == "full2d" and spec.full2d
+    assert spec.families == ("xline", "yline")
     field = run_walk(spec).final_state
     assert list(field) == ["xline", "yline"]
     assert sorted(amplitudes(field)) == ["dd", "du", "ud", "uu"]
@@ -62,7 +67,7 @@ def test_force_full2d_layout():
 
 def test_norm_scaling():
     r = 1.0 / math.sqrt(2.0)
-    field = state_of("1p", [(np.array([0, 0, r, 0, 0], dtype=complex), np.array([0, 0, r, 0, 0], dtype=complex))])
+    field = state_of(("1p",), [(np.array([0, 0, r, 0, 0], dtype=complex), np.array([0, 0, r, 0, 0], dtype=complex))])
     assert distribution(field).sum() == pytest.approx(1.0, abs=1e-15)
     field["1p"] *= 2.0  # both components
     assert distribution(field).sum() == pytest.approx(4.0, abs=1e-12)
